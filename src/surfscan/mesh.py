@@ -2,15 +2,19 @@
 
 The closest-point kernel is a vectorised transcription of the classic
 point-vs-triangle Voronoi-region case analysis (Ericson, Real-Time
-Collision Detection, 5.1.5). The same kernel backs both the exhaustive
-reference path and the bounding-volume hierarchy, so accelerated queries
-reproduce the brute-force result bit for bit, including the
-(distance, face index) tie-break.
+Collision Detection, 5.1.5). The same kernel backs the exhaustive
+reference path, the single-point walk and the batched traversal, so
+accelerated queries reproduce the brute-force result bit for bit,
+including the (distance, face index) tie-break.
 
 Rays use Moller-Trumbore with double-sided hits. The hierarchy is a
-median-split AABB tree over face boxes; traversal never prunes a node
-whose lower bound ties the current best, which is what makes the
-tie-break exact.
+median-split AABB tree over face boxes whose leaves list their faces in
+ascending order and whose boxes are padded against rounding; traversal
+never prunes a node whose lower bound ties the current best, which is
+what makes the tie-break exact. Batched queries push a whole point or ray
+set down the tree, keeping at each node the members it cannot prune
+(packet traversal: Wald et al., "Interactive Rendering with Coherent Ray
+Tracing", 2001); one ray is a batch of one.
 """
 from __future__ import annotations
 
@@ -19,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 LEAF_SIZE = 8
+POINT_BLOCK = 1024  # points per batched traversal; bounds its working set
+PAIR_CHUNK = 256  # (point, leaf) pairs per kernel call; bounds its temporaries
 DEGENERATE_AREA = 1e-12
 BARY_EPS = 1e-10  # ray tests: tolerance on barycentric bounds at shared edges
 
@@ -79,9 +85,6 @@ class TriMesh:
     def face_normals(self) -> np.ndarray:
         return self._accel().face_normals
 
-    def face_areas(self) -> np.ndarray:
-        return self._accel().face_areas
-
     def vertex_normals(self) -> np.ndarray:
         """Area-weighted vertex normals, unit length."""
         acc = self._accel()
@@ -95,9 +98,6 @@ class TriMesh:
             lengths[lengths == 0.0] = 1.0  # isolated vertices keep a zero normal
             acc.vertex_normals = n / lengths[:, None]
         return acc.vertex_normals
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def _accel(self) -> "_Accel":
         acc = self.__dict__.get("_accel_cache")
@@ -125,23 +125,48 @@ class TriMesh:
             raise ValueError(f"hint face {hint} out of range")
         return self._accel().nearest(np.asarray(p, dtype=float).reshape(3), hint)
 
+    def closest_points(self, points):
+        """Vectorised closest_point over an (n, 3) array of points.
+
+        Returns (distance, face, point, barycentric) arrays of shapes
+        (n,), (n,), (n, 3) and (n, 3); row i is bit-identical to
+        closest_point(points[i]), tie-break and sign included.
+        """
+        P = np.asarray(points, dtype=float).reshape(-1, 3)
+        if not np.all(np.isfinite(P)):
+            raise ValueError("query points must be finite")
+        acc = self._accel()
+        blocks = range(0, max(len(P), 1), POINT_BLOCK)
+        parts = [acc.nearest_batch(P[a : a + POINT_BLOCK]) for a in blocks]
+        d2, face, cp, bary = (np.concatenate(x) for x in zip(*parts))
+        dist = np.sqrt(d2)
+        below = _dot3(P - cp, acc.face_normals[face]) < 0.0
+        return np.where(below, -dist, dist), face, cp, bary
+
     def raycast(self, origin, direction, t_min: float = 0.0) -> "RayHit | None":
-        return self._accel().raycast(
-            np.asarray(origin, dtype=float).reshape(3),
-            np.asarray(direction, dtype=float).reshape(3),
-            t_min,
-        )
+        """First hit along one ray: raycast_batch on a batch of one."""
+        o = np.asarray(origin, dtype=float).reshape(1, 3)
+        d = np.asarray(direction, dtype=float).reshape(1, 3)
+        acc = self._accel()
+        t, face = acc.raycast_batch(o, d, t_min)
+        f = int(face[0])
+        if f < 0:
+            return None
+        # the winning lane again, alone: the kernel is elementwise, so u and
+        # v round exactly as they did inside the batch
+        _, u, v = _moller_trumbore(o, d, acc.A[f], acc.eab[f], acc.eac[f], t_min)
+        u, v = float(u[0]), float(v[0])
+        point = acc.A[f] + u * acc.eab[f] + v * acc.eac[f]
+        return RayHit(f, float(t[0]), np.array([1.0 - u - v, u, v]), point)
 
     def raycast_batch(self, origins: np.ndarray, directions: np.ndarray, t_min: float = 0.0):
         """Vectorised first-hit query.
 
         Returns (t, face) arrays; misses have t = inf and face = -1.
         """
-        return self._accel().raycast_batch(
-            np.asarray(origins, dtype=float).reshape(-1, 3),
-            np.asarray(directions, dtype=float).reshape(-1, 3),
-            t_min,
-        )
+        O = np.asarray(origins, dtype=float).reshape(-1, 3)
+        D = np.asarray(directions, dtype=float).reshape(-1, 3)
+        return self._accel().raycast_batch(O, D, t_min)
 
     def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n points drawn uniformly by area."""
@@ -195,9 +220,10 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def closest_point_triangles(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray):
     """Closest point on each triangle to p.
 
-    Returns (d2, cp, bary). Pure elementwise arithmetic over the face
-    axis, so results for a face do not depend on which other faces are in
-    the batch; the hierarchy relies on that.
+    Returns (d2, cp, bary). p broadcasts against the face arrays (one
+    point against many faces, or a (points, 1, 3) set against them). Pure
+    elementwise arithmetic, so a (point, face) result does not depend on
+    what else is in the batch; the hierarchy relies on that.
     """
     ab = B - A
     ac = C - A
@@ -244,36 +270,30 @@ def closest_point_triangles(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.n
     v = np.where(in_c, 1.0, v)
     v = np.where(in_b, 0.0, v)
     v = np.where(in_a, 0.0, v)
-    cp = A + u[:, None] * ab + v[:, None] * ac
+    cp = A + u[..., None] * ab + v[..., None] * ac
     diff = p - cp
     dist2 = _dot3(diff, diff)
-    bary = np.stack([1.0 - u - v, u, v], axis=1)
+    bary = np.stack([1.0 - u - v, u, v], axis=-1)
     return dist2, cp, bary
 
 
-def ray_triangles(o: np.ndarray, d: np.ndarray, A, eab, eac, t_min: float):
-    """Moller-Trumbore for one ray against a face batch.
+def _moller_trumbore(O: np.ndarray, D: np.ndarray, A, eab, eac, t_min: float):
+    """Moller-Trumbore, rays (O, D) broadcast against faces (A, eab, eac).
 
-    Returns (t, bary) with t = inf for misses; hits on either side count.
+    Returns (t, u, v) with t = inf for misses; hits on either side count.
+    Elementwise like the closest-point kernel.
     """
-    pvec = _cross3(d[None, :], eac)
+    pvec = _cross3(D, eac)
     det = _dot3(eab, pvec)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / det
-        tvec = o - A
+        tvec = O - A
         u = _dot3(tvec, pvec) * inv
         qvec = _cross3(tvec, eab)
-        v = _dot3(d[None, :], qvec) * inv
+        v = _dot3(D, qvec) * inv
         t = _dot3(eac, qvec) * inv
-    hit = (
-        (np.abs(det) > 0.0)
-        & (u >= -BARY_EPS)
-        & (v >= -BARY_EPS)
-        & (u + v <= 1.0 + BARY_EPS)
-        & (t >= t_min)
-    )
-    t = np.where(hit, t, np.inf)
-    return t, u, v
+    hit = (np.abs(det) > 0.0) & (u >= -BARY_EPS) & (v >= -BARY_EPS) & (u + v <= 1.0 + BARY_EPS)
+    return np.where(hit & (t >= t_min), t, np.inf), u, v
 
 
 class _Accel:
@@ -297,6 +317,10 @@ class _Accel:
     def _build(self, f: np.ndarray) -> None:
         fmin = np.minimum(np.minimum(self.A, self.B), self.C)
         fmax = np.maximum(np.maximum(self.A, self.B), self.C)
+        # pad the boxes far beyond the rounding of the box bounds, so no
+        # box can ever prune a face whose kernel value ties the best
+        pad = 1e-9 * max(np.abs(fmin).max(), np.abs(fmax).max())
+        fmin, fmax = fmin - pad, fmax + pad
         centroids = (self.A + self.B + self.C) / 3.0
         n = len(f)
         perm = np.arange(n)
@@ -325,13 +349,17 @@ class _Accel:
             return idx
 
         build(0, n)
-        self.perm = perm
         self.bmin = np.array(bmin)
         self.bmax = np.array(bmax)
         self.left = np.array(left)
         self.right = np.array(right)
         self.start = np.array(start)
         self.count = np.array(count)
+        # faces ascend within each leaf, so a leaf's first minimum is its
+        # smallest tied face
+        leaf = np.nonzero(self.count)[0]
+        which = np.searchsorted(np.sort(self.start[leaf]), np.arange(n), side="right")
+        self.perm = perm = perm[np.lexsort((perm, which))]
         # plain-python mirrors for the point-query inner loop; indexing
         # numpy scalars per node costs more than the arithmetic
         self._bmin_l = self.bmin.tolist()
@@ -340,6 +368,10 @@ class _Accel:
         self._right_l = self.right.tolist()
         self._start_l = self.start.tolist()
         self._count_l = self.count.tolist()
+        # each leaf's faces as one fixed-width row, padded with its last face
+        cols = np.minimum(np.arange(LEAF_SIZE), self.count[leaf][:, None] - 1)
+        self.leaf_faces = np.zeros((len(self.count), LEAF_SIZE), dtype=np.int64)
+        self.leaf_faces[leaf] = perm[self.start[leaf][:, None] + cols]
 
     def nearest(self, p: np.ndarray, hint: int | None = None) -> ClosestHit:
         px, py, pz = float(p[0]), float(p[1]), float(p[2])
@@ -348,97 +380,108 @@ class _Accel:
         start_l, count_l = self._start_l, self._count_l
 
         def box_d2(node: int) -> float:
-            # squared box distance, summed x then y then z like the
-            # vector form d @ d so both spellings round identically
-            bn = bmin_l[node]
-            bx = bmax_l[node]
-            d = 0.0
-            t = bn[0] - px
-            s = px - bx[0]
-            if t > 0.0:
-                d += t * t
-            elif s > 0.0:
-                d += s * s
-            t = bn[1] - py
-            s = py - bx[1]
-            if t > 0.0:
-                d += t * t
-            elif s > 0.0:
-                d += s * s
-            t = bn[2] - pz
-            s = pz - bx[2]
-            if t > 0.0:
-                d += t * t
-            elif s > 0.0:
-                d += s * s
-            return d
+            # squared box distance from the per-axis gaps, summed x then y
+            # then z like _box_d2 so both spellings round identically
+            lo, hi = bmin_l[node], bmax_l[node]
+            gx = lo[0] - px if lo[0] > px else px - hi[0] if px > hi[0] else 0.0
+            gy = lo[1] - py if lo[1] > py else py - hi[1] if py > hi[1] else 0.0
+            gz = lo[2] - pz if lo[2] > pz else pz - hi[2] if pz > hi[2] else 0.0
+            return gx * gx + gy * gy + gz * gz
 
         if hint is None:
-            best_d2 = np.inf
-            best_face = -1
-            best_cp = None
-            best_bary = None
-            stack = [0]
-            while stack:
-                node = stack.pop()
-                if box_d2(node) > best_d2:
-                    continue
-                if count_l[node] > 0:
-                    s0 = start_l[node]
-                    faces = self.perm[s0 : s0 + count_l[node]]
-                    d2, cp, bary = closest_point_triangles(
-                        p, self.A[faces], self.B[faces], self.C[faces]
-                    )
-                    k = int(np.lexsort((faces, d2))[0])
-                    if d2[k] < best_d2 or (d2[k] == best_d2 and faces[k] < best_face):
-                        best_d2 = d2[k]
-                        best_face = int(faces[k])
-                        best_cp = cp[k]
-                        best_bary = bary[k]
-                else:
-                    l, r = left_l[node], right_l[node]
-                    if box_d2(l) <= box_d2(r):
-                        stack.append(r)
-                        stack.append(l)  # popped first
-                    else:
-                        stack.append(l)
-                        stack.append(r)
-        else:
-            # Warm start: bound the prune by the hint face's distance and
-            # defer the kernel to one batch over every surviving leaf.
-            # That bound can only be looser than the eager running best,
-            # so the candidate set is a superset of the faces the eager
-            # walk evaluates; the per-face kernel is batch independent
-            # and the lex-min tie-break below matches the eager update
-            # rule, so the winning hit is bit-identical either way.
-            hf = np.array([hint])
-            d2h, _, _ = closest_point_triangles(p, self.A[hf], self.B[hf], self.C[hf])
-            bound = d2h[0]
-            cand = [hf]
-            stack = [0]
-            while stack:
-                node = stack.pop()
-                if box_d2(node) > bound:
-                    continue
-                if count_l[node] > 0:
-                    s0 = start_l[node]
-                    cand.append(self.perm[s0 : s0 + count_l[node]])
-                else:
-                    stack.append(right_l[node])
-                    stack.append(left_l[node])
-            faces = np.concatenate(cand)
-            d2, cp, bary = closest_point_triangles(p, self.A[faces], self.B[faces], self.C[faces])
-            k = int(np.lexsort((faces, d2))[0])
-            best_d2 = d2[k]
-            best_face = int(faces[k])
-            best_cp = cp[k]
-            best_bary = bary[k]
-        n = self.face_normals[best_face]
-        diff = p - best_cp
-        dist = float(np.sqrt(best_d2))
-        if diff @ n < 0.0:
+            # seed from the greedy descent to the nearer-box leaf; any seed
+            # gives the same hit (see below), a near one prunes more
+            node = 0
+            while count_l[node] == 0:
+                l, r = left_l[node], right_l[node]
+                node = l if box_d2(l) <= box_d2(r) else r
+            hint = int(self.perm[start_l[node]])
+        # Bound the prune by the hint face's distance and defer the kernel
+        # to one batch over every surviving leaf. Every face that could win
+        # or tie the lex-min survives that bound, the per-face kernel is
+        # batch independent, and the lex-min below is the brute-force
+        # tie-break, so the hit is bit-identical for any hint.
+        hf = np.array([hint])
+        d2h, _, _ = closest_point_triangles(p, self.A[hf], self.B[hf], self.C[hf])
+        bound = d2h[0]
+        cand = [hf]
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            if box_d2(node) > bound:
+                continue
+            if count_l[node] > 0:
+                s0 = start_l[node]
+                cand.append(self.perm[s0 : s0 + count_l[node]])
+            else:
+                stack.append(right_l[node])
+                stack.append(left_l[node])
+        faces = np.concatenate(cand)
+        d2, cp, bary = closest_point_triangles(p, self.A[faces], self.B[faces], self.C[faces])
+        k = int(np.lexsort((faces, d2))[0])
+        n = self.face_normals[faces[k]]
+        dist = float(np.sqrt(d2[k]))
+        if _dot3(p - cp[k], n) < 0.0:
             dist = -dist
-        return ClosestHit(best_face, best_cp, best_bary, dist, n.copy())
+        return ClosestHit(int(faces[k]), cp[k], bary[k], dist, n.copy())
+
+    def _box_d2(self, P: np.ndarray, node) -> np.ndarray:
+        # squared point-box distance per row; node is one index or one per row
+        g = np.maximum(np.maximum(self.bmin[node] - P, P - self.bmax[node]), 0.0)
+        return _dot3(g, g)
+
+    def _leaf_min(self, P: np.ndarray, pt: np.ndarray, leaf: np.ndarray):
+        # (d2, face) lex-min of each (point, leaf) pair, a chunk at a time;
+        # rows of leaf_faces ascend, so argmin picks the smallest tied face
+        d2 = np.empty(len(pt))
+        face = np.empty(len(pt), dtype=np.int64)
+        for a in range(0, len(pt), PAIR_CHUNK):
+            rows = slice(a, a + PAIR_CHUNK)
+            f = self.leaf_faces[leaf[rows]]
+            v, _, _ = closest_point_triangles(P[pt[rows]][:, None, :], self.A[f], self.B[f], self.C[f])
+            k = np.argmin(v, axis=1)
+            r = np.arange(len(k))
+            d2[rows] = v[r, k]
+            face[rows] = f[r, k]
+        return d2, face
+
+    def nearest_batch(self, P: np.ndarray):
+        """Unsigned nearest for many points: (d2, face, cp, bary) arrays.
+
+        Both passes walk the tree breadth first over (point, node) pairs.
+        The seed pass follows each point's greedy nearer-box descent to one
+        leaf, whose lex-min bounds the point. The bounded pass keeps the
+        pairs whose box distance ties or beats that bound; the lex-min over
+        every leaf it reaches is the brute-force winner.
+        """
+        n = len(P)
+        seed = np.zeros(n, dtype=np.int64)
+        inner = np.arange(n)
+        while len(inner):
+            l, r, Q = self.left[seed[inner]], self.right[seed[inner]], P[inner]
+            seed[inner] = np.where(self._box_d2(Q, l) <= self._box_d2(Q, r), l, r)
+            inner = inner[self.count[seed[inner]] == 0]
+        pt = np.arange(n)
+        bound, seed_face = self._leaf_min(P, pt, seed)
+        found = [(pt, bound, seed_face)]
+        node = np.zeros(n, dtype=np.int64)
+        while len(pt):
+            # seed leaves are done; inner nodes never equal a seed
+            keep = (self._box_d2(P[pt], node) <= bound[pt]) & (node != seed[pt])
+            pt, node = pt[keep], node[keep]
+            at_leaf = self.count[node] > 0
+            found.append((pt[at_leaf], *self._leaf_min(P, pt[at_leaf], node[at_leaf])))
+            pt, node = pt[~at_leaf], node[~at_leaf]
+            pt = np.concatenate([pt, pt])
+            node = np.concatenate([self.left[node], self.right[node]])
+        pt, d2, face = (np.concatenate(x) for x in zip(*found))
+        order = np.lexsort((face, d2, pt))
+        pt = pt[order]
+        best_face = face[order[np.diff(pt, prepend=-1) != 0]]
+        # recomputing the winners alone reproduces their batch lanes exactly
+        A, B, C = self.A[best_face], self.B[best_face], self.C[best_face]
+        d2, cp, bary = closest_point_triangles(P, A, B, C)
+        return d2, best_face, cp, bary
 
     def _slab(self, o: np.ndarray, d: np.ndarray, inv: np.ndarray, node):
         # inv carries a placeholder on axes where d == 0; those axes are
@@ -455,47 +498,12 @@ class _Accel:
             hi_ax = np.where(par, np.where(inside, np.inf, -np.inf), hi_ax)
         return np.max(lo_ax, axis=-1), np.min(hi_ax, axis=-1)
 
-    @staticmethod
-    def _safe_inv(d: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.where(d == 0.0, 1.0, 1.0 / d)
-
-    def raycast(self, o: np.ndarray, d: np.ndarray, t_min: float) -> RayHit | None:
-        inv = self._safe_inv(d)
-        best_t = np.inf
-        best_face = -1
-        best_uv = (0.0, 0.0)
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            lo, hi = self._slab(o, d, inv, node)
-            if lo > hi or hi < t_min or lo > best_t:
-                continue
-            if self.count[node] > 0:
-                s = self.start[node]
-                faces = self.perm[s : s + self.count[node]]
-                t, u, v = ray_triangles(o, d, self.A[faces], self.eab[faces], self.eac[faces], t_min)
-                k = int(np.lexsort((faces, t))[0])
-                if t[k] < best_t or (t[k] == best_t and faces[k] < best_face):
-                    if np.isfinite(t[k]):
-                        best_t = float(t[k])
-                        best_face = int(faces[k])
-                        best_uv = (float(u[k]), float(v[k]))
-            else:
-                stack.append(int(self.right[node]))
-                stack.append(int(self.left[node]))
-        if best_face < 0:
-            return None
-        u, v = best_uv
-        bary = np.array([1.0 - u - v, u, v])
-        point = self.A[best_face] + u * self.eab[best_face] + v * self.eac[best_face]
-        return RayHit(best_face, best_t, bary, point)
-
     def raycast_batch(self, O: np.ndarray, D: np.ndarray, t_min: float):
         nr = len(O)
         best_t = np.full(nr, np.inf)
         best_face = np.full(nr, -1, dtype=np.int64)
-        inv = self._safe_inv(D)
+        with np.errstate(divide="ignore"):
+            inv = np.where(D == 0.0, 1.0, 1.0 / D)
         stack = [(0, np.arange(nr))]
         while stack:
             node, rays = stack.pop()
@@ -505,32 +513,20 @@ class _Accel:
             if len(rays) == 0:
                 continue
             if self.count[node] > 0:
-                s = self.start[node]
-                faces = self.perm[s : s + self.count[node]]
                 # (rays, faces) broadcast; leaves are small so this stays cheap
-                pvec = _cross3(D[rays][:, None, :], self.eac[faces][None, :, :])
-                det = _dot3(self.eab[faces][None, :, :], pvec)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    invdet = 1.0 / det
-                    tvec = O[rays][:, None, :] - self.A[faces][None, :, :]
-                    u = _dot3(tvec, pvec) * invdet
-                    qvec = _cross3(tvec, self.eab[faces][None, :, :])
-                    v = _dot3(D[rays][:, None, :], qvec) * invdet
-                    t = _dot3(self.eac[faces][None, :, :], qvec) * invdet
-                hit = (
-                    (np.abs(det) > 0.0)
-                    & (u >= -BARY_EPS)
-                    & (v >= -BARY_EPS)
-                    & (u + v <= 1.0 + BARY_EPS)
-                    & (t >= t_min)
+                s = self.start[node]
+                f = self.perm[s : s + self.count[node]]
+                t, _, _ = _moller_trumbore(
+                    O[rays][:, None, :], D[rays][:, None, :], self.A[f], self.eab[f], self.eac[f], t_min
                 )
-                t = np.where(hit, t, np.inf)
+                # f ascends, so argmin's first minimum is the smallest tied face
                 k = np.argmin(t, axis=1)
                 tk = t[np.arange(len(rays)), k]
-                better = tk < best_t[rays]
-                upd = rays[better]
-                best_t[upd] = tk[better]
-                best_face[upd] = faces[k[better]]
+                fk = f[k]
+                bt = best_t[rays]
+                better = (tk < bt) | ((tk == bt) & (fk < best_face[rays]))
+                best_t[rays[better]] = tk[better]
+                best_face[rays[better]] = fk[better]
             else:
                 stack.append((int(self.right[node]), rays))
                 stack.append((int(self.left[node]), rays))
@@ -623,6 +619,8 @@ def load_off(path) -> TriMesh:
             tokens.extend(line.split())
     if not tokens or tokens[0] != "OFF":
         raise ValueError(f"{path}: not an OFF file")
+    if len(tokens) < 4:
+        raise ValueError(f"{path}: truncated OFF header")
     nv, nf = int(tokens[1]), int(tokens[2])
     pos = 4  # skip edge count
     flat = tokens[pos : pos + 3 * nv]
@@ -630,10 +628,10 @@ def load_off(path) -> TriMesh:
         raise ValueError(f"{path}: truncated vertex block")
     vertices = np.array(flat, dtype=float).reshape(nv, 3)
     pos += 3 * nv
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for k in range(nf):
-        if tokens[pos] != "3":
-            raise ValueError(f"{path}: only triangle faces supported")
-        faces[k] = (int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3]))
-        pos += 4
-    return TriMesh(vertices, faces)
+    block = tokens[pos : pos + 4 * nf]
+    if len(block) != 4 * nf:
+        raise ValueError(f"{path}: truncated face block")
+    block = np.array(block, dtype=str).reshape(nf, 4)
+    if np.any(block[:, 0] != "3"):
+        raise ValueError(f"{path}: only triangle faces supported")
+    return TriMesh(vertices, block[:, 1:].astype(np.int64))

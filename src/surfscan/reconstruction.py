@@ -255,7 +255,7 @@ def mesh_error(
     d = []
     for src, dst in ((recon, truth), (truth, recon)):
         pts = src.sample_surface(n_samples, rng)
-        d.append(np.array([abs(dst.closest_point(p).distance) for p in pts]))
+        d.append(np.abs(dst.closest_points(pts)[0]))
     both = np.concatenate(d)
     return {
         "rms": float(np.sqrt(np.mean(both**2))),

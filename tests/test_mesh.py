@@ -12,6 +12,7 @@ import pytest
 
 from surfscan.mesh import (
     TriMesh,
+    _moller_trumbore,
     closest_point_triangles,
     grid_surface_mesh,
     load_off,
@@ -215,6 +216,36 @@ def test_raycast_batch_matches_single():
                 assert np.isfinite(t[i])
 
 
+def test_raycast_tie_on_shared_edge_picks_smallest_face():
+    # a vertical ray through the midpoint of cell 0's diagonal hits faces 0
+    # and 1 at the same t; batch and single must both return face 0
+    i00, _, i11 = FLAT.faces[0]
+    o = 0.5 * (FLAT.vertices[i00] + FLAT.vertices[i11]) + np.array([0.0, 0.0, 0.3])
+    d = np.array([0.0, 0.0, -1.0])
+    acc = FLAT._accel()
+    t_all, _, _ = _moller_trumbore(o, d, acc.A, acc.eab, acc.eac, 0.0)
+    tied = np.flatnonzero(t_all == t_all.min())
+    assert len(tied) >= 2
+    t, face = FLAT.raycast_batch(o[None, :], d[None, :])
+    single = FLAT.raycast(o, d)
+    assert face[0] == single.face == tied[0]
+    assert t[0] == single.t == t_all.min()
+
+
+def test_closest_points_rows_match_single_queries():
+    rng = np.random.default_rng(8)
+    pts = np.vstack([rng.uniform(-0.15, 0.15, (40, 3)), BUMPY.vertices[:10]])
+    dist, face, point, bary = BUMPY.closest_points(pts)
+    assert dist.shape == face.shape == (50,) and point.shape == bary.shape == (50, 3)
+    for i, p in enumerate(pts):
+        hit = BUMPY.closest_point(p)
+        assert (hit.face, hit.distance) == (face[i], dist[i])
+        assert np.array_equal(hit.point, point[i]) and np.array_equal(hit.barycentric, bary[i])
+    assert len(BUMPY.closest_points(np.empty((0, 3)))[0]) == 0
+    with pytest.raises(ValueError, match="finite"):
+        BUMPY.closest_points(np.array([[0.0, np.nan, 0.0]]))
+
+
 def test_raycast_axial_depth():
     hit = FLAT.raycast(np.array([0.0, 0.0, 0.3]), np.array([0.0, 0.0, -1.0]))
     assert hit is not None and abs(hit.t - 0.3) < 1e-12
@@ -321,4 +352,18 @@ def test_off_rejects_garbage(tmp_path):
     p = tmp_path / "bad.off"
     p.write_text("PLY\n")
     with pytest.raises(ValueError, match="OFF"):
+        load_off(p)
+
+
+def test_off_rejects_header_only(tmp_path):
+    p = tmp_path / "header.off"
+    p.write_text("OFF\n")
+    with pytest.raises(ValueError, match="header.off"):
+        load_off(p)
+
+
+def test_off_rejects_truncated_face_block(tmp_path):
+    p = tmp_path / "short.off"
+    p.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0\n")
+    with pytest.raises(ValueError, match="short.off: truncated face block"):
         load_off(p)
