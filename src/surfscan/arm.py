@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .geometry import Pose, cross3, quat_to_matrix, skew
+from .geometry import Pose, cross3, quat_from_matrix, quat_to_matrix, skew, unchecked
 from .schema import (
     SchemaError,
     as_float,
@@ -35,6 +35,9 @@ from .schema import (
 FRAMES = ("flange", "probe", "camera")
 
 ORTHONORMAL_TOL = 1e-12
+_EYE = np.eye(3)
+_UPPER = np.triu(np.ones((7, 7), dtype=bool))
+_STRICT_UPPER = np.triu(np.ones((7, 7), dtype=bool), 1)
 
 
 class JointLimitError(ValueError):
@@ -143,10 +146,10 @@ class JointState:
 
 
 def check_limits(model: ArmModel, q: np.ndarray) -> None:
-    limits = model.position_limits
-    for i in range(7):
-        if not limits[i, 0] <= q[i] <= limits[i, 1]:
-            raise JointLimitError(i, float(q[i]), limits[i, 0], limits[i, 1])
+    lo, hi = _joint_constants(model)[5]
+    for i, v in enumerate(q.tolist()):
+        if not lo[i] <= v <= hi[i]:
+            raise JointLimitError(i, v, lo[i], hi[i])
 
 
 def _as_q(q) -> np.ndarray:
@@ -157,16 +160,17 @@ def _as_q(q) -> np.ndarray:
 
 def _joint_constants(model: ArmModel) -> tuple:
     """Per-joint fixed pieces of the frame recursion, cached on the model:
-    origin rotation/translation and the Rodrigues building blocks."""
+    origin rotation/translation, axes, the stacked Rodrigues building
+    blocks and the position limits as plain lists."""
     cached = model.__dict__.get("_joint_constants")
     if cached is None:
         origin_R = [j.origin.rotation_matrix() for j in model.joints]
         origin_t = [j.origin.translation for j in model.joints]
-        axes = [j.axis for j in model.joints]
-        eye = np.eye(3)
-        outer = [np.outer(a, a) for a in axes]
-        K = [skew(a) for a in axes]
-        cached = (origin_R, origin_t, axes, eye, outer, K)
+        axes = np.array([j.axis for j in model.joints])
+        outer = axes[:, :, None] * axes[:, None, :]
+        K = np.array([skew(a) for a in axes])
+        lo, hi = model.position_limits.T.tolist()
+        cached = (origin_R, origin_t, axes, outer, K, (lo, hi))
         object.__setattr__(model, "_joint_constants", cached)
     return cached
 
@@ -179,22 +183,20 @@ def joint_frames(model: ArmModel, q) -> tuple[np.ndarray, np.ndarray, np.ndarray
     first.
     """
     q = _as_q(q)
-    origin_R, origin_t, axes, eye, outer, K = _joint_constants(model)
+    origin_R, origin_t, axes, outer, K, _ = _joint_constants(model)
     R = np.empty((7, 3, 3))
     p = np.empty((7, 3))
     z = np.empty((7, 3))
-    Rw = eye
+    Rw = _EYE
     pw = np.zeros(3)
-    cos = np.cos(q)
-    sin = np.sin(q)
+    c = np.cos(q)[:, None, None]
+    Rj = _EYE * c + outer * (1.0 - c) + K * np.sin(q)[:, None, None]  # Rodrigues
     for i in range(7):
         # origin translation is expressed in the parent frame
         pw = pw + Rw @ origin_t[i]
         Rw = Rw @ origin_R[i]
         z[i] = Rw @ axes[i]
-        c, s = cos[i], sin[i]
-        Rj = eye * c + outer[i] * (1.0 - c) + K[i] * s  # Rodrigues
-        Rw = Rw @ Rj
+        Rw = Rw @ Rj[i]
         R[i] = Rw
         p[i] = pw
     return R, p, z
@@ -227,7 +229,7 @@ def _frame_point(model: ArmModel, R7: np.ndarray, p7: np.ndarray, frame: str) ->
 
 def _jacobian_from_frames(p: np.ndarray, z: np.ndarray, pe: np.ndarray) -> np.ndarray:
     J = np.empty((6, 7))
-    J[:3] = cross3(z, pe[None, :] - p).T
+    J[:3] = cross3(z, pe - p, (7, 3)).T
     J[3:] = z.T
     return J
 
@@ -284,16 +286,14 @@ def _mass_from_frames(model: ArmModel, R: np.ndarray, p: np.ndarray, z: np.ndarr
     spatial[:, :3, :3] = Ic - m * (cx @ cx)
     spatial[:, :3, 3:] = m * cx
     spatial[:, 3:, :3] = -m * cx
-    spatial[:, 3:, 3:] = m * np.eye(3)
-    composite = np.empty((7, 6, 6))
-    composite[6] = spatial[6]
-    for i in range(5, -1, -1):
-        composite[i] = spatial[i] + composite[i + 1]
-    S = np.concatenate([z, cross3(p, z)], axis=1)
+    spatial[:, 3:, 3:] = m * _EYE
+    # composite[i] = spatial[i] + ... + spatial[6], accumulated from the tip
+    composite = np.add.accumulate(spatial[::-1])[::-1]
+    S = np.concatenate([z, cross3(p, z, (7, 3))], axis=1)
     F = (composite @ S[:, :, None])[:, :, 0]
     # G[i, j] = S_i . (I^C_j S_j) is the mass matrix only on i <= j
     G = S @ F.T
-    return np.triu(G) + np.triu(G, 1).T
+    return np.where(_UPPER, G, 0.0) + np.where(_STRICT_UPPER, G, 0.0).T
 
 
 def mass_matrix(model: ArmModel, q) -> np.ndarray:
@@ -321,24 +321,24 @@ class ArmSnapshot:
     mass: np.ndarray  # 7x7
 
 
-def arm_snapshot(model: ArmModel, q, check: bool = True) -> ArmSnapshot:
+def arm_snapshot(model: ArmModel, q) -> ArmSnapshot:
     """Probe pose, Jacobian and mass matrix sharing one kinematics sweep.
 
     Field values match forward_kinematics / geometric_jacobian /
     mass_matrix exactly; this just avoids recomputing the joint frames
-    three times per control step.
+    three times per control step. Raises JointLimitError outside the
+    position limits.
     """
     qv = _as_q(q)
-    if check:
-        check_limits(model, qv)
+    check_limits(model, qv)
     R, p, z = joint_frames(model, qv)
-    flange = Pose.from_rotation_matrix(R[6], p[6])
-    probe = flange @ model.probe_offset
+    # frames of finite joint angles are valid poses: skip Pose's re-check
+    flange = unchecked(Pose, quat_from_matrix(R[6]), p[6])
     pe = _frame_point(model, R[6], p[6], "probe")
     return ArmSnapshot(
         q=qv,
         flange=flange,
-        probe=probe,
+        probe=flange @ model.probe_offset,
         jacobian=_jacobian_from_frames(p, z, pe),
         mass=_mass_from_frames(model, R, p, z),
     )

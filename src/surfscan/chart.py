@@ -15,17 +15,19 @@ as frozen during the step), which is also how the controller consumes it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arm import ArmModel, forward_kinematics, geometric_jacobian
-from .geometry import Pose, cross3, quat_from_matrix, skew
+from .geometry import Pose, cross3, quat_from_matrix, skew, unchecked
 from .localization import ScenePlane
 from .mesh import ClosestHit, TriMesh
 
 FRAME_TOL = 1e-6
 RAY_CLEARANCE = 0.25  # m above the mesh top for embedding rays
+_EYE = np.eye(3)
 
 
 class ChartBoundaryError(ValueError):
@@ -70,7 +72,7 @@ class SurfaceFrame:
 
     def rotation(self) -> np.ndarray:
         """Desired probe orientation: x = t1, y = t2, z = n."""
-        return np.column_stack([self.t1, self.t2, self.n])
+        return np.array([self.t1, self.t2, self.n]).T
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class SurfaceCoords:
 
 def eps_rate_map(eta: float, eps: np.ndarray) -> np.ndarray:
     """E with epsdot = E @ omega_world for the error quaternion (eta, eps)."""
-    return -0.5 * (eta * np.eye(3) + skew(eps))
+    return -0.5 * (eta * _EYE + skew(eps))
 
 
 class SurfaceChart:
@@ -112,12 +114,16 @@ class SurfaceChart:
         if np.any(self.s_min >= self.s_max):
             raise ValueError("chart domain is empty; margin too large or mesh too small")
         self._ray_height = float(plane.height_of(mesh.vertices).max()) + RAY_CLEARANCE
+        # per-query lookups, fetched once
+        self._u, self._v, _ = plane.frame()
+        self._vertex_normals = mesh.vertex_normals()
+        self._bounds = (self.s_min.tolist(), self.s_max.tolist())
 
     # ---- domain ----
 
     def contains(self, s) -> bool:
-        s = np.asarray(s, dtype=float)
-        return bool(np.all(s >= self.s_min) and np.all(s <= self.s_max))
+        (s1, s2), (lo, hi) = np.asarray(s, dtype=float).reshape(2).tolist(), self._bounds
+        return lo[0] <= s1 <= hi[0] and lo[1] <= s2 <= hi[1]
 
     def clamp(self, s) -> np.ndarray:
         return np.clip(np.asarray(s, dtype=float), self.s_min, self.s_max)
@@ -128,25 +134,26 @@ class SurfaceChart:
             raise ChartBoundaryError(s, self.clamp(s))
         return s
 
-    def chart_coords(self, points: np.ndarray) -> np.ndarray:
-        return self.plane.project(points) - self._s_origin
+    def chart_coords(self, p) -> np.ndarray:
+        """(s1, s2) of one world point."""
+        d = np.asarray(p, dtype=float) - self.plane.centre
+        return np.array([d @ self._u, d @ self._v]) - self._s_origin
 
     # ---- geometry ----
 
     def _frame_at(self, hit_point: np.ndarray, face: int, bary: np.ndarray) -> SurfaceFrame:
-        vn = self.mesh.vertex_normals()[self.mesh.faces[face]]
-        n = bary @ vn
-        norm = np.linalg.norm(n)
+        n = bary @ self._vertex_normals[self.mesh.faces[face]]
+        norm = math.sqrt(n.dot(n))
         if norm < FRAME_TOL:
             raise DegenerateFrameError(f"interpolated normal vanished on face {face}")
         n = n / norm
-        u, _, _ = self.plane.frame()
+        u = self._u
         t1 = u - (u @ n) * n
-        nt = np.linalg.norm(t1)
+        nt = math.sqrt(t1.dot(t1))
         if nt < FRAME_TOL:
             raise DegenerateFrameError(f"surface normal parallel to the chart axis on face {face}")
         t1 = t1 / nt
-        t2 = cross3(n, t1)
+        t2 = cross3(n, t1, (3,))
         return SurfaceFrame(hit_point, t1, t2, n, int(face))
 
     def embed(self, s) -> tuple[ChartPoint, SurfaceFrame]:
@@ -200,29 +207,32 @@ class SurfaceChart:
         J_geom = geometric_jacobian(model, q, "probe")
         return self.coordinate_map(frame, coords.eta, coords.eps) @ J_geom
 
-    def evaluate(
-        self, model: ArmModel, q, qdot, hint: int | None = None
-    ) -> tuple[SurfaceCoords, np.ndarray, np.ndarray, SurfaceFrame]:
-        """One-query bundle for the control loop: (rho, rhodot, J_rho, frame)."""
-        pose = forward_kinematics(model, q, "probe")
-        point, dist, frame = self.closest_point(pose.translation, hint)
-        eta, eps = orientation_error(pose.rotation_matrix(), frame)
-        coords = SurfaceCoords(float(point.s[0]), float(point.s[1]), dist, eps, eta)
-        J = self.coordinate_map(frame, eta, eps) @ geometric_jacobian(model, q, "probe")
-        qdot = np.asarray(qdot, dtype=float).reshape(7)
-        return coords, J @ qdot, J, frame
-
     def evaluate_probe(
         self, probe_pose: Pose, probe_jacobian: np.ndarray, qdot, hint: int | None = None
     ) -> tuple[SurfaceCoords, np.ndarray, np.ndarray, SurfaceFrame]:
-        """evaluate() for callers that already hold the probe pose and
-        geometric Jacobian (one kinematics sweep per control step)."""
-        point, dist, frame = self.closest_point(probe_pose.translation, hint)
+        """One-query bundle for the control loop: (rho, rhodot, J_rho, frame)
+        from the probe pose and geometric Jacobian of one kinematics sweep.
+
+        The inputs derive from validated joint states, so only the checks
+        that can fire run here: the chart boundary, a degenerate frame,
+        the barycentric sum and the unit bound on the orientation error.
+        """
+        p = probe_pose.translation
+        s_query = self.chart_coords(p)
+        if not self.contains(s_query):
+            raise ChartBoundaryError(s_query, self.clamp(s_query))
+        hit: ClosestHit = self.mesh.closest_point(p, hint)
+        b0, b1, b2 = hit.barycentric.tolist()
+        if abs(b0 + b1 + b2 - 1.0) > 1e-9 or min(b0, b1, b2) < -1e-9:
+            raise ValueError("barycentric weights must be non-negative and sum to 1")
+        s1, s2 = self.chart_coords(hit.point).tolist()
+        frame = self._frame_at(hit.point, hit.face, hit.barycentric)
         eta, eps = orientation_error(probe_pose.rotation_matrix(), frame)
-        coords = SurfaceCoords(float(point.s[0]), float(point.s[1]), dist, eps, eta)
+        if math.sqrt(eps.dot(eps)) > 1.0 + 1e-9:
+            raise ValueError("orientation error vector cannot exceed unit length")
+        coords = unchecked(SurfaceCoords, s1, s2, hit.distance, eps, eta)
         J = self.coordinate_map(frame, eta, eps) @ probe_jacobian
-        qdot = np.asarray(qdot, dtype=float).reshape(7)
-        return coords, J @ qdot, J, frame
+        return coords, J @ np.asarray(qdot, dtype=float).reshape(7), J, frame
 
 
 def orientation_error(R_probe: np.ndarray, frame: SurfaceFrame) -> tuple[float, np.ndarray]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chart import SurfaceCoords
+from .geometry import unchecked
 
 SYMMETRY_TOL = 1e-12
 NULLSPACE_RANK_TOL = 1e-10
@@ -53,14 +54,6 @@ class ImpedanceGains:
     def diagonal(stiffness, damping) -> "ImpedanceGains":
         return ImpedanceGains(np.diag(np.asarray(stiffness, dtype=float)),
                               np.diag(np.asarray(damping, dtype=float)))
-
-    @staticmethod
-    def default() -> "ImpedanceGains":
-        # stiffness values are ours, the source gives none
-        return ImpedanceGains.diagonal(
-            [300.0, 300.0, 500.0, 5.0, 5.0, 1.0],
-            [35.0, 35.0, 45.0, 0.9, 0.9, 0.4],
-        )
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,13 @@ class ContactProfile:
         return self.ramp_duration + self.hold_duration
 
 
-def _setpoint_coords(s1, s2, d) -> SurfaceCoords:
-    return SurfaceCoords(float(s1), float(s2), float(d), np.zeros(3), 1.0)
+def setpoint_at(s1: float, s2: float, d: float, rhodot: np.ndarray) -> Setpoint:
+    """Setpoint at chart point (s1, s2), distance d, zero orientation error,
+    with rates `rhodot` (a fresh (6,) float array). For generators whose
+    inputs were validated when they were built: skips the dataclass checks.
+    """
+    coords = unchecked(SurfaceCoords, float(s1), float(s2), float(d), np.zeros(3), 1.0)
+    return unchecked(Setpoint, coords, rhodot)
 
 
 def impedance_torque(
@@ -123,11 +121,11 @@ def impedance_torque(
         raise ValueError(f"rhodot must have 6 entries, got {rhodot.shape}")
     if J_rho.ndim != 2 or J_rho.shape[0] != 6:
         raise ValueError(f"J_rho must be 6xn, got {J_rho.shape}")
-    if not (np.all(np.isfinite(rhodot)) and np.all(np.isfinite(J_rho))):
+    if not (np.isfinite(rhodot).all() and np.isfinite(J_rho).all()):
         raise ValueError("controller inputs must be finite")
     err = sp.rho_d.rho - rho.rho
     verr = sp.rhodot_d - rhodot
-    if not np.all(np.isfinite(err)):
+    if not np.isfinite(err).all():
         raise ValueError("controller inputs must be finite")
     return J_rho.T @ (gains.stiffness @ err + gains.damping @ verr)
 
@@ -145,7 +143,7 @@ def contact_setpoints(
     rhodot = np.zeros(6)
     if ramping:
         rhodot[2] = -profile.ramp_rate
-    return Setpoint(_setpoint_coords(s[0], s[1], d_d), rhodot)
+    return setpoint_at(s[0], s[1], d_d, rhodot)
 
 
 @dataclass(frozen=True)
@@ -176,6 +174,17 @@ class RasterPath:
             raise ValueError("line spacing and speed must be positive")
         object.__setattr__(self, "s_min", lo)
         object.__setattr__(self, "s_max", hi)
+        # segment table, built once: start, length and unit direction of
+        # each leg (a zero-length leg is never entered, so its NaN
+        # direction is never read)
+        w = self.waypoints()
+        seg = np.diff(w, axis=0)
+        lengths = np.linalg.norm(seg, axis=1)
+        with np.errstate(invalid="ignore"):
+            table = tuple(zip(w[:-1], lengths.tolist(), seg / lengths[:, None]))
+        object.__setattr__(self, "_segments", table)
+        object.__setattr__(self, "_end", w[-1])
+        object.__setattr__(self, "_total_length", float(np.sum(lengths)))
 
     def scan_lines(self) -> np.ndarray:
         """s2 value of each scan line."""
@@ -197,42 +206,25 @@ class RasterPath:
         return np.array(pts)
 
     def total_length(self) -> float:
-        w = self.waypoints()
-        return float(np.sum(np.linalg.norm(np.diff(w, axis=0), axis=1)))
+        return self._total_length
 
     @property
     def duration(self) -> float:
-        return self.total_length() / self.speed
+        return self._total_length / self.speed
 
     def setpoint(self, t: float) -> Setpoint:
         """Constant-speed traversal; holds the endpoint after the path ends."""
         if t < 0.0:
             raise ValueError("time must be non-negative")
-        w = self.waypoints()
-        seg = np.diff(w, axis=0)
-        lengths = np.linalg.norm(seg, axis=1)
         remaining = self.speed * t
-        for p, delta, length in zip(w[:-1], seg, lengths):
+        for p, length, direction in self._segments:
             if remaining < length:
-                direction = delta / length
                 s = p + remaining * direction
                 rhodot = np.zeros(6)
                 rhodot[:2] = self.speed * direction
-                return Setpoint(_setpoint_coords(s[0], s[1], self.d_hold), rhodot)
+                return setpoint_at(s[0], s[1], self.d_hold, rhodot)
             remaining -= length
-        end = w[-1]
-        return Setpoint(_setpoint_coords(end[0], end[1], self.d_hold), np.zeros(6))
-
-
-def raster_setpoints(
-    s_min,
-    s_max,
-    line_spacing: float,
-    speed: float,
-    t: float,
-    d_hold: float,
-) -> Setpoint:
-    return RasterPath(s_min, s_max, line_spacing, speed, d_hold).setpoint(t)
+        return setpoint_at(self._end[0], self._end[1], self.d_hold, np.zeros(6))
 
 
 def nullspace_projector(J_rho: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ metres.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = q
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
@@ -67,53 +68,26 @@ def quat_from_matrix(R) -> np.ndarray:
     """Rotation matrix -> unit quaternion (w >= 0).
 
     Shepperd's method: pick the largest of the four squared components
-    so the division is always well conditioned.
+    so the division is always well conditioned (the square root's
+    argument is then at least 1, or NaN for a non-finite R).
     """
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    choices = np.array([tr, R[0, 0], R[1, 1], R[2, 2]])
-    k = int(np.argmax(choices))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(R, dtype=float).tolist()
+    tr = r00 + r11 + r22
+    choices = (tr, r00, r11, r22)
+    k = choices.index(max(choices))
     if k == 0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [
-                0.25 * s,
-                (R[2, 1] - R[1, 2]) / s,
-                (R[0, 2] - R[2, 0]) / s,
-                (R[1, 0] - R[0, 1]) / s,
-            ]
-        )
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
     elif k == 1:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [
-                (R[2, 1] - R[1, 2]) / s,
-                0.25 * s,
-                (R[0, 1] + R[1, 0]) / s,
-                (R[0, 2] + R[2, 0]) / s,
-            ]
-        )
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
     elif k == 2:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [
-                (R[0, 2] - R[2, 0]) / s,
-                (R[0, 1] + R[1, 0]) / s,
-                0.25 * s,
-                (R[1, 2] + R[2, 1]) / s,
-            ]
-        )
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
     else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [
-                (R[1, 0] - R[0, 1]) / s,
-                (R[0, 2] + R[2, 0]) / s,
-                (R[1, 2] + R[2, 1]) / s,
-                0.25 * s,
-            ]
-        )
-    return quat_canonical(quat_normalize(q))
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
+    return quat_canonical(quat_normalize(np.array(q)))
 
 
 def quat_canonical(q) -> np.ndarray:
@@ -122,15 +96,22 @@ def quat_canonical(q) -> np.ndarray:
     return -q if q[0] < 0.0 else q
 
 
-def cross3(a, b) -> np.ndarray:
+def cross3(a, b, shape=None) -> np.ndarray:
     """Cross product along the last axis.
 
     Same two-product expression np.cross evaluates, minus its axis
-    bookkeeping, which dominates the cost on tiny inputs.
+    bookkeeping, which dominates the cost on tiny inputs. Internal callers
+    that pass float arrays of a known broadcast `shape` skip the argument
+    conversion too.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    if shape is None:
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        shape = np.broadcast_shapes(a.shape, b.shape)
+    if shape == (3,):
+        (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    out = np.empty(shape)
     out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -141,8 +122,21 @@ def quat_rotate(q, v) -> np.ndarray:
     """Rotate vector v by unit quaternion q (equivalent to R(q) @ v)."""
     w, x, y, z = q
     u = np.array([x, y, z])
-    uv = cross3(u, v)
-    return np.asarray(v, dtype=float) + 2.0 * (w * uv + cross3(u, uv))
+    v = np.asarray(v, dtype=float)
+    uv = cross3(u, v, v.shape)
+    return v + 2.0 * (w * uv + cross3(u, uv, v.shape))
+
+
+def unchecked(cls, *values):
+    """An instance of the frozen dataclass `cls` holding `values` as its
+    fields, in declaration order, without running its __post_init__ checks.
+
+    For values a loop derives from inputs already validated at its edge,
+    where the checks could not fire and would only cost time.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def skew(v) -> np.ndarray:
@@ -209,9 +203,9 @@ class Pose:
         return Pose(qi, -quat_rotate(qi, self.translation))
 
     def __matmul__(self, other: "Pose") -> "Pose":
+        # the product of two valid poses is valid: skip the re-check
         q = quat_normalize(quat_multiply(self.rotation, other.rotation))
-        t = self.transform_point(other.translation)
-        return Pose(q, t)
+        return unchecked(Pose, q, self.transform_point(other.translation))
 
 
 def plane_basis(normal) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import cross3
+
 LEAF_SIZE = 8
 POINT_BLOCK = 1024  # points per batched traversal; bounds its working set
 PAIR_CHUNK = 256  # (point, leaf) pairs per kernel call; bounds its temporaries
@@ -207,16 +209,6 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.cross's arithmetic without its axis bookkeeping; the queries
-    # call this thousands of times on small batches
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
-
-
 def closest_point_triangles(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray):
     """Closest point on each triangle to p.
 
@@ -277,19 +269,66 @@ def closest_point_triangles(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.n
     return dist2, cp, bary
 
 
+def closest_point_d2(p, a, b, c) -> float:
+    """closest_point_triangles' d2 for one point and one face, in plain
+    Python floats: p, a, b, c are 3-sequences.
+
+    The same operations in the same order and the same region priority;
+    IEEE float64 scalar arithmetic rounds exactly as the ufuncs do, so the
+    result is the kernel's d2 bit for bit, at a fraction of its call cost.
+    Raises ZeroDivisionError where the kernel would divide by zero.
+    """
+    px, py, pz = p
+    ax, ay, az = a
+    abx, aby, abz = b[0] - ax, b[1] - ay, b[2] - az
+    acx, acy, acz = c[0] - ax, c[1] - ay, c[2] - az
+    apx, apy, apz = px - ax, py - ay, pz - az
+    d1 = abx * apx + aby * apy + abz * apz
+    d2 = acx * apx + acy * apy + acz * apz
+    bpx, bpy, bpz = px - b[0], py - b[1], pz - b[2]
+    d3 = abx * bpx + aby * bpy + abz * bpz
+    d4 = acx * bpx + acy * bpy + acz * bpz
+    cpx, cpy, cpz = px - c[0], py - c[1], pz - c[2]
+    d5 = abx * cpx + aby * cpy + abz * cpz
+    d6 = acx * cpx + acy * cpy + acz * cpz
+    va = d3 * d6 - d5 * d4
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+    if d1 <= 0.0 and d2 <= 0.0:
+        u, v = 0.0, 0.0
+    elif d3 >= 0.0 and d4 <= d3:
+        u, v = 1.0, 0.0
+    elif d6 >= 0.0 and d5 <= d6:
+        u, v = 0.0, 1.0
+    elif vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
+        u, v = d1 / (d1 - d3), 0.0
+    elif vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
+        u, v = 0.0, d2 / (d2 - d6)
+    elif va <= 0.0 and d4 - d3 >= 0.0 and d5 - d6 >= 0.0:
+        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        u, v = 1.0 - t, t
+    else:
+        denom = va + vb + vc
+        u, v = vb / denom, vc / denom
+    ex = px - (ax + u * abx + v * acx)
+    ey = py - (ay + u * aby + v * acy)
+    ez = pz - (az + u * abz + v * acz)
+    return ex * ex + ey * ey + ez * ez
+
+
 def _moller_trumbore(O: np.ndarray, D: np.ndarray, A, eab, eac, t_min: float):
     """Moller-Trumbore, rays (O, D) broadcast against faces (A, eab, eac).
 
     Returns (t, u, v) with t = inf for misses; hits on either side count.
     Elementwise like the closest-point kernel.
     """
-    pvec = _cross3(D, eac)
+    pvec = cross3(D, eac)
     det = _dot3(eab, pvec)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / det
         tvec = O - A
         u = _dot3(tvec, pvec) * inv
-        qvec = _cross3(tvec, eab)
+        qvec = cross3(tvec, eab)
         v = _dot3(D, qvec) * inv
         t = _dot3(eac, qvec) * inv
     hit = (np.abs(det) > 0.0) & (u >= -BARY_EPS) & (v >= -BARY_EPS) & (u + v <= 1.0 + BARY_EPS)
@@ -402,8 +441,11 @@ class _Accel:
         # batch independent, and the lex-min below is the brute-force
         # tie-break, so the hit is bit-identical for any hint.
         hf = np.array([hint])
-        d2h, _, _ = closest_point_triangles(p, self.A[hf], self.B[hf], self.C[hf])
-        bound = d2h[0]
+        try:
+            bound = closest_point_d2((px, py, pz), self.A[hint].tolist(), self.B[hint].tolist(),
+                                     self.C[hint].tolist())
+        except ZeroDivisionError:
+            bound = closest_point_triangles(p, self.A[hf], self.B[hf], self.C[hf])[0][0]
         cand = [hf]
         stack = [0]
         while stack:

@@ -13,7 +13,8 @@ Every stage writes its artifacts (marker/plane files, PFM depth maps,
 OFF meshes, CSV logs) into one output directory, and a plain-text
 report collects the per-stage checks. Stage failures are wrapped in
 StageError carrying the stage name; artifacts written so far stay on
-disk and the report flags the failed stage.
+disk, a simulation that stopped early leaves its samples so far in
+<stage>_log.partial.csv, and the report flags the failed stage.
 
 Runs are deterministic: all randomness derives from the config seed, so
 a repeated run reproduces every output file byte for byte.
@@ -30,7 +31,7 @@ import numpy as np
 import yaml
 
 from .arm import ArmModel, arm_snapshot, load_arm_model, reference_arm
-from .chart import SurfaceChart, SurfaceCoords
+from .chart import SurfaceChart
 from .controller import (
     ContactProfile,
     ImpedanceGains,
@@ -38,6 +39,7 @@ from .controller import (
     Setpoint,
     contact_setpoints,
     critical_damping,
+    setpoint_at,
     task_space_inertia,
 )
 from .localization import (
@@ -66,6 +68,7 @@ from .schema import (
     require_mapping,
 )
 from .sim import (
+    MAX_DT,
     PhantomModel,
     ScanLog,
     cap_phantom_mesh,
@@ -288,6 +291,15 @@ def parse_config(doc, where: str = "config") -> ScenarioConfig:
         raise SchemaError(f"{where}.raster: speed and line_spacing must be positive")
     if np.any(cfg.raster_half_extents <= 0.0):
         raise SchemaError(f"{where}.raster.half_extents must be positive")
+    # the control loop trusts these; reject them here as config errors
+    if not 0.0 < cfg.dt <= MAX_DT:
+        raise SchemaError(f"{where}.sim.dt must be in (0, {MAX_DT}] s, got {cfg.dt}")
+    if cfg.sample_every < 1:
+        raise SchemaError(f"{where}.sim.sample_every must be at least 1, got {cfg.sample_every}")
+    if not cfg.nullspace_gain >= 0.0:
+        raise SchemaError(
+            f"{where}.controller.nullspace_gain must be non-negative, got {cfg.nullspace_gain}"
+        )
     return cfg
 
 
@@ -594,8 +606,7 @@ def _stage_raster(run: _Run, deadline) -> _StageReport:
             s = u * cfg.raster_speed * direction
             rhodot = np.zeros(6)
             rhodot[:2] = cfg.raster_speed * direction
-            coords = SurfaceCoords(float(s[0]), float(s[1]), cfg.raster_d_hold, np.zeros(3))
-            return Setpoint(coords, rhodot)
+            return setpoint_at(s[0], s[1], cfg.raster_d_hold, rhodot)
         return path.setpoint(u - t_glide)
 
     duration = approach.duration + t_glide + path.duration + 1.0
@@ -673,6 +684,9 @@ def run_scenario(
         try:
             reports.append(_STAGE_FN[stage](run, deadline))
         except Exception as exc:
+            partial = getattr(exc, "partial_log", None)  # set by simulate
+            if partial is not None:
+                export_log(partial, out / f"{stage}_log.partial.csv")
             failed = _StageReport(stage)
             failed.lines.append(f"FAILED: {exc}")
             failed.ok = False

@@ -18,6 +18,7 @@ import numpy as np
 
 from .arm import ArmModel, ArmSnapshot, JointState, arm_snapshot
 from .chart import SurfaceChart, SurfaceCoords, SurfaceFrame
+from .geometry import unchecked
 from .controller import ImpedanceGains, Setpoint, impedance_torque, nullspace_damping
 from .mesh import TriMesh, grid_surface_mesh
 
@@ -162,7 +163,7 @@ def step(
     qdd = np.linalg.solve(state.arm.mass, tau)
     qdot_new = qdot + dt * qdd
     q_new = q + dt * qdot_new
-    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(qdot_new))):
+    if not (np.isfinite(q_new).all() and np.isfinite(qdot_new).all()):
         raise DivergenceError(
             f"integrator diverged at t = {state.t:.6f} s (step from dt = {dt})"
         )
@@ -170,9 +171,9 @@ def step(
     hint = state.frame.face if state.frame.face >= 0 else None
     rho, rhodot, J, frame = chart.evaluate_probe(snap.probe, snap.jacobian, qdot_new, hint)
     wrench = contact_wrench(phantom, rho, rhodot, frame.n)
-    return SimState(
-        state.t + dt, JointState(q_new, qdot_new), wrench, rho, rhodot, J, frame, snap
-    )
+    # q_new and qdot_new were just checked finite: skip JointState's re-check
+    joint = unchecked(JointState, q_new, qdot_new)
+    return SimState(state.t + dt, joint, wrench, rho, rhodot, J, frame, snap)
 
 
 def steady_state_force(k_controller: float, k_t: float, d_hold: float) -> float:
@@ -385,16 +386,14 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
+_ROW_FORMAT = ",".join(["%.9g"] * 16)
 
 
 def export_log(log: ScanLog, path) -> None:
     """CSV, 9 significant digits, LF endings; byte-stable for equal runs."""
-    lines = [CSV_HEADER]
-    for k in range(len(log)):
-        lines.append(",".join(_fmt(v) for v in log.row(k)))
-    data = "\n".join(lines) + "\n"
+    cols = [log.t, log.q, log.s1, log.s2, log.d, log.eps, log.d_d, log.force_n]
+    rows = np.column_stack(cols).tolist()
+    data = "\n".join([CSV_HEADER] + [_ROW_FORMAT % tuple(r) for r in rows]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(data)
 

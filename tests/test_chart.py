@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from surfscan.arm import forward_kinematics, reference_arm
+from surfscan.arm import arm_snapshot, forward_kinematics, geometric_jacobian, reference_arm
 from surfscan.chart import (
     ChartBoundaryError,
     SurfaceChart,
@@ -161,15 +161,45 @@ def test_task_jacobian_nullspace():
         assert np.max(np.abs(drho / dt)) < 1e-4
 
 
+def evaluate_oracle(chart, model, q, qdot):
+    """(rho, rhodot, J_rho, frame) from forward_kinematics, the chart's
+    closest_point and geometric_jacobian, each with its own checks."""
+    pose = forward_kinematics(model, q, "probe")
+    point, dist, frame = chart.closest_point(pose.translation)
+    eta, eps = orientation_error(pose.rotation_matrix(), frame)
+    coords = SurfaceCoords(float(point.s[0]), float(point.s[1]), dist, eps, eta)
+    J = chart.coordinate_map(frame, eta, eps) @ geometric_jacobian(model, q, "probe")
+    return coords, J @ qdot, J, frame
+
+
 def test_evaluate_bundle_consistent():
     rng = np.random.default_rng(6)
-    for q in probe_over_chart_states(rng, 10):
-        qd = rng.uniform(-0.5, 0.5, 7)
-        coords, rhodot, J, _ = FLAT.evaluate(MODEL, q, qd)
-        pose = forward_kinematics(MODEL, q, "probe")
-        assert np.max(np.abs(coords.rho - FLAT.task_coordinates(pose).rho)) < 1e-12
-        assert np.max(np.abs(J - FLAT.task_jacobian(MODEL, q))) < 1e-12
-        assert np.max(np.abs(rhodot - J @ qd)) < 1e-12
+    for chart in (FLAT, DOME):
+        for q in probe_over_chart_states(rng, 10):
+            qd = rng.uniform(-0.5, 0.5, 7)
+            snap = arm_snapshot(MODEL, q)
+            coords, rhodot, J, frame = chart.evaluate_probe(snap.probe, snap.jacobian, qd)
+            pose = forward_kinematics(MODEL, q, "probe")
+            assert np.max(np.abs(coords.rho - chart.task_coordinates(pose).rho)) < 1e-12
+            assert np.max(np.abs(J - chart.task_jacobian(MODEL, q))) < 1e-12
+            assert np.max(np.abs(rhodot - J @ qd)) < 1e-12
+            # the loop's lean path equals the fully checked one bit for bit
+            o_coords, o_rhodot, o_J, o_frame = evaluate_oracle(chart, MODEL, q, qd)
+            assert np.array_equal(coords.rho, o_coords.rho) and coords.eta == o_coords.eta
+            assert np.array_equal(rhodot, o_rhodot) and np.array_equal(J, o_J)
+            assert frame.face == o_frame.face
+            assert np.array_equal(frame.rotation(), o_frame.rotation())
+            # a hint changes nothing
+            hinted = chart.evaluate_probe(snap.probe, snap.jacobian, qd, (frame.face + 7) % 50)
+            assert np.array_equal(hinted[0].rho, coords.rho) and np.array_equal(hinted[2], J)
+
+
+def test_evaluate_probe_checks_the_chart_boundary():
+    q = np.zeros(7)
+    snap = arm_snapshot(MODEL, q)
+    far = Pose(snap.probe.rotation, snap.probe.translation + np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ChartBoundaryError):
+        FLAT.evaluate_probe(far, snap.jacobian, np.zeros(7))
 
 
 def test_embed_round_trip_curved():

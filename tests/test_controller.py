@@ -15,7 +15,6 @@ from surfscan.controller import (
     impedance_torque,
     nullspace_damping,
     nullspace_projector,
-    raster_setpoints,
     task_space_inertia,
 )
 
@@ -32,6 +31,13 @@ def random_rho(rng, scale=0.3) -> SurfaceCoords:
     return rho_from_vec(v)
 
 
+# a representative gain set (our values; the source gives none)
+DEFAULT_GAINS = ImpedanceGains.diagonal(
+    [300.0, 300.0, 500.0, 5.0, 5.0, 1.0],
+    [35.0, 35.0, 45.0, 0.9, 0.9, 0.4],
+)
+
+
 def random_spd(rng, n, shift) -> np.ndarray:
     a = rng.standard_normal((n, n))
     return 0.5 * (a + a.T) + shift * np.eye(n)
@@ -44,7 +50,7 @@ def random_spd(rng, n, shift) -> np.ndarray:
 
 def test_zero_error_gives_exactly_zero_torque():
     rng = np.random.default_rng(0)
-    gains = ImpedanceGains.default()
+    gains = DEFAULT_GAINS
     J = rng.standard_normal((6, 7))
     rho = random_rho(rng)
     rhodot = rng.standard_normal(6)
@@ -92,7 +98,7 @@ def test_torque_matches_expression_oracle():
 
 def test_torque_superposition():
     rng = np.random.default_rng(2)
-    gains = ImpedanceGains.default()
+    gains = DEFAULT_GAINS
     J = rng.standard_normal((6, 7))
     rho0 = rho_from_vec(np.zeros(6))
     for _ in range(50):
@@ -127,7 +133,7 @@ def test_gain_scaling_scales_torque():
 
 
 def test_torque_rejects_bad_inputs():
-    gains = ImpedanceGains.default()
+    gains = DEFAULT_GAINS
     rho = rho_from_vec(np.zeros(6))
     sp = Setpoint(rho)
     with pytest.raises(ValueError, match="finite"):
@@ -246,6 +252,11 @@ def test_narrow_domain_falls_back_to_single_centre_line():
     assert lines[0] == pytest.approx(0.015, abs=1e-15)
     cover = np.linspace(0.0, 0.03, 13)
     assert np.all(np.abs(lines[0] - cover) <= 0.025 + 1e-12)
+
+
+def raster_setpoints(s_min, s_max, line_spacing, speed, t, d_hold) -> Setpoint:
+    """One-shot raster setpoint: a fresh path per call."""
+    return RasterPath(s_min, s_max, line_spacing, speed, d_hold).setpoint(t)
 
 
 def test_raster_setpoints_function_matches_path():

@@ -1,5 +1,6 @@
 """Scenario runner and CLI tests: config parsing, synthetic fiducials,
 stage orchestration, reports, determinism, and exit codes."""
+import dataclasses
 import math
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from surfscan.arm import JointLimitError, reference_arm, save_arm_model
 from surfscan.cli import _COMMAND_STAGES, main
 from surfscan.localization import alignment_pose, fit_plane, ScenePlane
 from surfscan.scenario import (
@@ -19,6 +21,7 @@ from surfscan.scenario import (
     synthetic_markers,
 )
 from surfscan.schema import SchemaError
+from surfscan.sim import parse_log
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,6 +94,20 @@ def test_bad_scalar_values_rejected():
         parse_config({"raster": {"speed": 0.0}})
     with pytest.raises(SchemaError):
         parse_config({"raster": {"half_extents": [0.03, -0.02]}})
+
+
+def test_loop_ranges_rejected_at_parse():
+    """Values the control loop trusts are config errors, not stage failures."""
+    for section, key, value in (
+        ("sim", "dt", 0.01), ("sim", "dt", 0.0), ("sim", "dt", -1e-3),
+        ("sim", "dt", float("nan")), ("sim", "sample_every", 0),
+        ("controller", "nullspace_gain", -1.0),
+    ):
+        with pytest.raises(SchemaError, match=f"{section}.{key}"):
+            parse_config({section: {key: value}})
+    cfg = parse_config({"sim": {"dt": 5e-3, "sample_every": 1},
+                        "controller": {"nullspace_gain": 0.0}})
+    assert (cfg.dt, cfg.sample_every, cfg.nullspace_gain) == (5e-3, 1, 0.0)
 
 
 def test_shipped_configs_parse(tmp_path):
@@ -210,6 +227,24 @@ def test_stage_timeout_keeps_partial_artifacts(tmp_path):
     assert text.endswith("overall: FAIL (stage reconstruct did not finish)\n")
 
 
+def test_failed_simulation_writes_partial_log(tmp_path):
+    # shrink one joint's travel so the contact reach trips it mid-run
+    model = reference_arm()
+    joints = list(model.joints)
+    joints[1] = dataclasses.replace(joints[1], position_limits=(0.48, 0.52))
+    save_arm_model(dataclasses.replace(model, joints=tuple(joints)), tmp_path / "tight.yaml")
+    doc = {"arm": {"model": str(tmp_path / "tight.yaml")}, "contact": {"hold_duration": 1.0}}
+    with pytest.raises(StageError, match="stage contact") as err:
+        run_scenario(doc, tmp_path / "run", stages=("contact",))
+    assert isinstance(err.value.__cause__, JointLimitError)
+    assert not (tmp_path / "run" / "contact_log.csv").exists()
+    log = parse_log(tmp_path / "run" / "contact_log.partial.csv")
+    assert log.t[0] == 0.0 and len(log) >= 2
+    # the CSV keeps 9 significant digits of the attached log
+    np.testing.assert_allclose(log.q, err.value.__cause__.partial_log.q, rtol=1e-8, atol=0.0)
+    assert "FAILED:" in (tmp_path / "run" / "report.txt").read_text()
+
+
 def test_raster_on_truth_chart(tmp_path):
     doc = {
         "contact": {"d_start": 0.004},
@@ -286,6 +321,18 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     code = main(["localize", "--config", str(bad), "--out", str(tmp_path / "run")])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_cli_loop_config_errors_exit_2(tmp_path, capsys):
+    for section, key, value in (
+        ("sim", "dt", 0.01), ("sim", "sample_every", 0), ("controller", "nullspace_gain", -1.0),
+    ):
+        cfg = tmp_path / f"{key}.yaml"
+        cfg.write_text(yaml.safe_dump({section: {key: value}}))
+        code = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_stage_timeout_exit_1(tmp_path, capsys):

@@ -1,0 +1,86 @@
+"""Compare two surfscan artifact trees (the --out directories of two runs).
+
+Usage: python tools/compare_runs.py A B
+
+Prints one line per file: whether its sha256 is the same in both trees.
+For a CSV file present in both with the same header and row count, it
+also prints the largest absolute difference of each numeric column.
+Exits 0 when every file is byte-identical, 1 otherwise.
+"""
+from __future__ import annotations
+
+import csv
+import hashlib
+import math
+import sys
+from pathlib import Path
+
+
+def _files(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def column_deviation(a: Path, b: Path) -> dict[str, float] | str:
+    """Largest |a - b| per column, or a reason the files do not line up."""
+    head_a, rows_a = _read_csv(a)
+    head_b, rows_b = _read_csv(b)
+    if head_a != head_b:
+        return "headers differ"
+    if len(rows_a) != len(rows_b):
+        return f"row counts differ ({len(rows_a)} vs {len(rows_b)})"
+    worst = dict.fromkeys(head_a, 0.0)
+    for ra, rb in zip(rows_a, rows_b):
+        for name, x, y in zip(head_a, ra, rb):
+            d = abs(float(x) - float(y))
+            if d > worst[name] or math.isnan(d):
+                worst[name] = d
+    return worst
+
+
+def compare(a: Path, b: Path, out=sys.stdout) -> bool:
+    """Print the comparison; True when the trees are byte-identical."""
+    fa, fb = _files(a), _files(b)
+    same = fa == fb
+    for name in sorted(fa | fb):
+        if name not in fb or name not in fa:
+            print(f"{name}: only in {a if name in fa else b}", file=out)
+            continue
+        if _sha(a / name) == _sha(b / name):
+            print(f"{name}: sha256 identical", file=out)
+            continue
+        same = False
+        print(f"{name}: sha256 differs", file=out)
+        if name.endswith(".csv"):
+            dev = column_deviation(a / name, b / name)
+            if isinstance(dev, str):
+                print(f"  {dev}", file=out)
+            else:
+                for col, d in dev.items():
+                    print(f"  {col}: max |delta| = {d:.3g}", file=out)
+    return same
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    a, b = Path(argv[0]), Path(argv[1])
+    for root in (a, b):
+        if not root.is_dir():
+            print(f"error: {root} is not a directory", file=sys.stderr)
+            return 2
+    return 0 if compare(a, b) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
