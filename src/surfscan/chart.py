@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import ArmModel, forward_kinematics, geometric_jacobian
+from .arm import ArmModel, arm_snapshot
 from .geometry import Pose, cross3, quat_from_matrix, skew, unchecked
 from .localization import ScenePlane
 from .mesh import ClosestHit, TriMesh
@@ -128,12 +128,6 @@ class SurfaceChart:
     def clamp(self, s) -> np.ndarray:
         return np.clip(np.asarray(s, dtype=float), self.s_min, self.s_max)
 
-    def require_inside(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float).reshape(2)
-        if not self.contains(s):
-            raise ChartBoundaryError(s, self.clamp(s))
-        return s
-
     def chart_coords(self, p) -> np.ndarray:
         """(s1, s2) of one world point."""
         d = np.asarray(p, dtype=float) - self.plane.centre
@@ -158,7 +152,9 @@ class SurfaceChart:
 
     def embed(self, s) -> tuple[ChartPoint, SurfaceFrame]:
         """Surface point over chart coordinates s, via a vertical ray."""
-        s = self.require_inside(s)
+        s = np.asarray(s, dtype=float).reshape(2)
+        if not self.contains(s):
+            raise ChartBoundaryError(s, self.clamp(s))
         origin = self.plane.embed(s + self._s_origin, height=self._ray_height)
         hit = self.mesh.raycast(origin, -self.plane.normal)
         if hit is None:
@@ -201,11 +197,8 @@ class SurfaceChart:
 
     def task_jacobian(self, model: ArmModel, q) -> np.ndarray:
         """6x7 J with rhodot = J @ qdot; exact on flat charts."""
-        pose = forward_kinematics(model, q, "probe")
-        coords = self.task_coordinates(pose)
-        _, _, frame = self.closest_point(pose.translation)
-        J_geom = geometric_jacobian(model, q, "probe")
-        return self.coordinate_map(frame, coords.eta, coords.eps) @ J_geom
+        snap = arm_snapshot(model, q)
+        return self.evaluate_probe(snap.probe, snap.jacobian, np.zeros(7))[2]
 
     def evaluate_probe(
         self, probe_pose: Pose, probe_jacobian: np.ndarray, qdot, hint: int | None = None

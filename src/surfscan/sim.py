@@ -228,31 +228,16 @@ class ScanLog:
 
 class _LogBuilder:
     def __init__(self):
-        self.rows = {k: [] for k in ("t", "q", "s1", "s2", "d", "eps", "d_d", "force_n")}
+        self.rows = []
 
     def add(self, state: SimState, setpoint: Setpoint):
-        r = self.rows
-        r["t"].append(state.t)
-        r["q"].append(state.joint.q.copy())
-        r["s1"].append(state.rho.s1)
-        r["s2"].append(state.rho.s2)
-        r["d"].append(state.rho.d)
-        r["eps"].append(state.rho.eps.copy())
-        r["d_d"].append(setpoint.rho_d.d)
-        r["force_n"].append(state.force_normal)
+        rho = state.rho
+        self.rows.append((state.t, state.joint.q.copy(), rho.s1, rho.s2, rho.d, rho.eps.copy(),
+                          setpoint.rho_d.d, state.force_normal))
 
     def build(self) -> ScanLog:
-        r = self.rows
-        return ScanLog(
-            np.array(r["t"]),
-            np.array(r["q"]).reshape(-1, 7),
-            np.array(r["s1"]),
-            np.array(r["s2"]),
-            np.array(r["d"]),
-            np.array(r["eps"]).reshape(-1, 3),
-            np.array(r["d_d"]),
-            np.array(r["force_n"]),
-        )
+        t, q, s1, s2, d, eps, d_d, force_n = (np.array(c) for c in zip(*self.rows))
+        return ScanLog(t, q.reshape(-1, 7), s1, s2, d, eps.reshape(-1, 3), d_d, force_n)
 
 
 @dataclass(frozen=True)
@@ -376,7 +361,7 @@ def simulate(
             if deadline is not None and k % 200 == 0 and time.monotonic() > deadline:
                 raise TimeoutError(f"simulation exceeded its deadline at t = {state.t:.3f} s")
     except Exception as exc:
-        exc.partial_log = builder.build() if builder.rows["t"] else None
+        exc.partial_log = builder.build() if builder.rows else None
         raise
     return builder.build(), (audit.build() if audit else None)
 
