@@ -202,17 +202,21 @@ def joint_frames(model: ArmModel, q) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return R, p, z
 
 
+def _checked_frames(model: ArmModel, q, frame: str):
+    if frame not in FRAMES:
+        raise ValueError(f"unknown frame '{frame}'; expected one of {FRAMES}")
+    qv = _as_q(q)
+    check_limits(model, qv)
+    return joint_frames(model, qv)
+
+
 def forward_kinematics(model: ArmModel, q, frame: str = "probe") -> Pose:
     """Pose of the requested frame in the base frame.
 
     Raises JointLimitError if q is outside the model's position limits and
     ValueError for an unknown frame name.
     """
-    if frame not in FRAMES:
-        raise ValueError(f"unknown frame '{frame}'; expected one of {FRAMES}")
-    qv = _as_q(q)
-    check_limits(model, qv)
-    R, p, _ = joint_frames(model, qv)
+    R, p, _ = _checked_frames(model, q, frame)
     flange = Pose.from_rotation_matrix(R[6], p[6])
     if frame == "flange":
         return flange
@@ -241,13 +245,8 @@ def geometric_jacobian(model: ArmModel, q, frame: str = "probe") -> np.ndarray:
     rows 3..5 to its angular velocity (rad/s): column i is
     (z_i x (p_e - p_i), z_i).
     """
-    if frame not in FRAMES:
-        raise ValueError(f"unknown frame '{frame}'; expected one of {FRAMES}")
-    qv = _as_q(q)
-    check_limits(model, qv)
-    R, p, z = joint_frames(model, qv)
-    pe = _frame_point(model, R[6], p[6], frame)
-    return _jacobian_from_frames(p, z, pe)
+    R, p, z = _checked_frames(model, q, frame)
+    return _jacobian_from_frames(p, z, _frame_point(model, R[6], p[6], frame))
 
 
 def _link_arrays(model: ArmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,9 +302,7 @@ def mass_matrix(model: ArmModel, q) -> np.ndarray:
     coordinates (omega, v_origin); the composite inertia of links i..7 is
     accumulated backwards and M_ij = S_i . (I^C_j S_j) for i <= j.
     """
-    qv = _as_q(q)
-    R, p, z = joint_frames(model, qv)
-    return _mass_from_frames(model, R, p, z)
+    return _mass_from_frames(model, *joint_frames(model, q))
 
 
 @dataclass(frozen=True)
@@ -314,8 +311,6 @@ class ArmSnapshot:
     computed from a single frame pass: probe pose, probe Jacobian and the
     joint-space mass matrix."""
 
-    q: np.ndarray
-    flange: Pose
     probe: Pose
     jacobian: np.ndarray  # 6x7, probe point
     mass: np.ndarray  # 7x7
@@ -329,19 +324,11 @@ def arm_snapshot(model: ArmModel, q) -> ArmSnapshot:
     three times per control step. Raises JointLimitError outside the
     position limits.
     """
-    qv = _as_q(q)
-    check_limits(model, qv)
-    R, p, z = joint_frames(model, qv)
+    R, p, z = _checked_frames(model, q, "probe")
     # frames of finite joint angles are valid poses: skip Pose's re-check
     flange = unchecked(Pose, quat_from_matrix(R[6]), p[6])
-    pe = _frame_point(model, R[6], p[6], "probe")
-    return ArmSnapshot(
-        q=qv,
-        flange=flange,
-        probe=flange @ model.probe_offset,
-        jacobian=_jacobian_from_frames(p, z, pe),
-        mass=_mass_from_frames(model, R, p, z),
-    )
+    J = _jacobian_from_frames(p, z, _frame_point(model, R[6], p[6], "probe"))
+    return ArmSnapshot(flange @ model.probe_offset, J, _mass_from_frames(model, R, p, z))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,14 @@ class SurfaceChart:
         point = ChartPoint(hit.face, hit.barycentric, s)
         return point, self._frame_at(hit.point, hit.face, hit.barycentric)
 
+    def _foot(self, p: np.ndarray, hint) -> tuple[ClosestHit, np.ndarray, SurfaceFrame]:
+        s_query = self.chart_coords(p)
+        if not self.contains(s_query):
+            raise ChartBoundaryError(s_query, self.clamp(s_query))
+        hit: ClosestHit = self.mesh.closest_point(p, hint)
+        frame = self._frame_at(hit.point, hit.face, hit.barycentric)
+        return hit, self.chart_coords(hit.point), frame
+
     def closest_point(self, p, hint: int | None = None) -> tuple[ChartPoint, float, SurfaceFrame]:
         """Chart point under a world point, plus its signed distance.
 
@@ -171,13 +179,8 @@ class SurfaceChart:
         hint (a face index, typically last step's foot point) only speeds
         the search up; the result is identical with or without it.
         """
-        s_query = self.chart_coords(np.asarray(p, dtype=float).reshape(3))
-        if not self.contains(s_query):
-            raise ChartBoundaryError(s_query, self.clamp(s_query))
-        hit: ClosestHit = self.mesh.closest_point(p, hint)
-        s = self.chart_coords(hit.point)
-        point = ChartPoint(hit.face, hit.barycentric, s)
-        return point, hit.distance, self._frame_at(hit.point, hit.face, hit.barycentric)
+        hit, s, frame = self._foot(np.asarray(p, dtype=float).reshape(3), hint)
+        return ChartPoint(hit.face, hit.barycentric, s), hit.distance, frame
 
     # ---- task coordinates ----
 
@@ -210,20 +213,14 @@ class SurfaceChart:
         that can fire run here: the chart boundary, a degenerate frame,
         the barycentric sum and the unit bound on the orientation error.
         """
-        p = probe_pose.translation
-        s_query = self.chart_coords(p)
-        if not self.contains(s_query):
-            raise ChartBoundaryError(s_query, self.clamp(s_query))
-        hit: ClosestHit = self.mesh.closest_point(p, hint)
+        hit, s, frame = self._foot(probe_pose.translation, hint)
         b0, b1, b2 = hit.barycentric.tolist()
         if abs(b0 + b1 + b2 - 1.0) > 1e-9 or min(b0, b1, b2) < -1e-9:
             raise ValueError("barycentric weights must be non-negative and sum to 1")
-        s1, s2 = self.chart_coords(hit.point).tolist()
-        frame = self._frame_at(hit.point, hit.face, hit.barycentric)
         eta, eps = orientation_error(probe_pose.rotation_matrix(), frame)
         if math.sqrt(eps.dot(eps)) > 1.0 + 1e-9:
             raise ValueError("orientation error vector cannot exceed unit length")
-        coords = unchecked(SurfaceCoords, s1, s2, hit.distance, eps, eta)
+        coords = unchecked(SurfaceCoords, *s.tolist(), hit.distance, eps, eta)
         J = self.coordinate_map(frame, eta, eps) @ probe_jacobian
         return coords, J @ np.asarray(qdot, dtype=float).reshape(7), J, frame
 

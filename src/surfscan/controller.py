@@ -99,10 +99,8 @@ class ContactProfile:
 
 
 def setpoint_at(s1: float, s2: float, d: float, rhodot: np.ndarray) -> Setpoint:
-    """Setpoint at chart point (s1, s2), distance d, zero orientation error,
-    with rates `rhodot` (a fresh (6,) float array). For generators whose
-    inputs were validated when they were built: skips the dataclass checks.
-    """
+    """Setpoint at (s1, s2, d) with zero orientation error and rates rhodot
+    (a fresh (6,) array), for generators validated when built: unchecked."""
     coords = unchecked(SurfaceCoords, float(s1), float(s2), float(d), np.zeros(3), 1.0)
     return unchecked(Setpoint, coords, rhodot)
 
@@ -174,9 +172,8 @@ class RasterPath:
             raise ValueError("line spacing and speed must be positive")
         object.__setattr__(self, "s_min", lo)
         object.__setattr__(self, "s_max", hi)
-        # segment table, built once: start, length and unit direction of
-        # each leg (a zero-length leg is never entered, so its NaN
-        # direction is never read)
+        # segment table: start, length and direction of each leg (a leg of
+        # length 0 is never entered, so its NaN direction is never read)
         w = self.waypoints()
         seg = np.diff(w, axis=0)
         lengths = np.linalg.norm(seg, axis=1)
@@ -195,15 +192,10 @@ class RasterPath:
         return np.linspace(self.s_min[1], self.s_max[1], n)
 
     def waypoints(self) -> np.ndarray:
-        lines = self.scan_lines()
-        pts = []
-        for k, s2 in enumerate(lines):
-            ends = (self.s_min[0], self.s_max[0])
-            if k % 2 == 1:
-                ends = ends[::-1]
-            pts.append((ends[0], s2))
-            pts.append((ends[1], s2))
-        return np.array(pts)
+        """Both ends of every scan line, odd lines run backwards."""
+        lines = np.repeat(self.scan_lines(), 2)
+        s1 = np.resize([self.s_min[0], self.s_max[0], self.s_max[0], self.s_min[0]], len(lines))
+        return np.column_stack([s1, lines])
 
     def total_length(self) -> float:
         return self._total_length
@@ -239,11 +231,31 @@ def nullspace_projector(J_rho: np.ndarray) -> np.ndarray:
     return np.eye(n) - vr.T @ vr
 
 
+# column sets and signs of the seven 6x6 minors of a 6x7 matrix
+_MINOR_COLS = np.array([[j for j in range(7) if j != k] for k in range(7)])
+_MINOR_SIGN = np.array([(-1.0) ** k for k in range(7)])
+
+
 def nullspace_damping(J_rho: np.ndarray, qdot: np.ndarray, gain: float) -> np.ndarray:
-    """tau_null = -gain N qdot; damps joint motion the task cannot see."""
+    """tau_null = -gain N qdot; damps joint motion the task cannot see.
+
+    A full-rank 6x7 J_rho has a 1-D null space spanned by its signed 6x6
+    minors (the generalised cross product of its rows): N = u u^T, u that
+    vector normalised. Its norm is the product of the singular values;
+    when that cannot rule out a rank drop, N is the SVD projector.
+    """
     if gain < 0.0:
         raise ValueError("gain must be non-negative")
+    J_rho = np.asarray(J_rho, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
+    if J_rho.shape == (6, 7) and qdot.shape == (7,):
+        n = _MINOR_SIGN * np.linalg.det(J_rho[:, _MINOR_COLS].transpose(1, 0, 2))
+        size = math.sqrt(n @ n)
+        frob = math.sqrt(J_rho.ravel() @ J_rho.ravel())
+        # sigma_min >= size / sigma_max^5 and sigma_max <= frob
+        if size > NULLSPACE_RANK_TOL * max(frob, 1.0) * frob**5:
+            u = n / size
+            return -gain * (u * (u @ qdot))
     N = nullspace_projector(J_rho)
     if qdot.shape != (N.shape[0],):
         raise ValueError(f"qdot must have {N.shape[0]} entries, got {qdot.shape}")

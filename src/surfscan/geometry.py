@@ -100,9 +100,8 @@ def cross3(a, b, shape=None) -> np.ndarray:
     """Cross product along the last axis.
 
     Same two-product expression np.cross evaluates, minus its axis
-    bookkeeping, which dominates the cost on tiny inputs. Internal callers
-    that pass float arrays of a known broadcast `shape` skip the argument
-    conversion too.
+    bookkeeping, which dominates the cost on tiny inputs. Callers passing
+    float arrays of known broadcast `shape` skip the conversion too.
     """
     if shape is None:
         a = np.asarray(a, dtype=float)
@@ -128,12 +127,8 @@ def quat_rotate(q, v) -> np.ndarray:
 
 
 def unchecked(cls, *values):
-    """An instance of the frozen dataclass `cls` holding `values` as its
-    fields, in declaration order, without running its __post_init__ checks.
-
-    For values a loop derives from inputs already validated at its edge,
-    where the checks could not fire and would only cost time.
-    """
+    """Frozen dataclass `cls` holding `values` in field order, built without
+    its __post_init__ checks: for values derived from validated inputs."""
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj

@@ -191,7 +191,6 @@ class ClosestHit:
     point: np.ndarray  # (3,) closest surface point
     barycentric: np.ndarray  # (3,) weights on the winning face
     distance: float  # signed, positive on the normal side
-    normal: np.ndarray  # (3,) face normal of the winning face
 
 
 @dataclass(frozen=True)
@@ -269,31 +268,24 @@ def closest_point_triangles(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.n
     return dist2, cp, bary
 
 
-def closest_point_d2(p, a, b, c) -> float:
-    """closest_point_triangles' d2 for one point and one face, in plain
-    Python floats: p, a, b, c are 3-sequences.
+def _sub(a, b) -> tuple:
+    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
 
-    The same operations in the same order and the same region priority;
-    IEEE float64 scalar arithmetic rounds exactly as the ufuncs do, so the
-    result is the kernel's d2 bit for bit, at a fraction of its call cost.
-    Raises ZeroDivisionError where the kernel would divide by zero.
-    """
-    px, py, pz = p
-    ax, ay, az = a
-    abx, aby, abz = b[0] - ax, b[1] - ay, b[2] - az
-    acx, acy, acz = c[0] - ax, c[1] - ay, c[2] - az
-    apx, apy, apz = px - ax, py - ay, pz - az
-    d1 = abx * apx + aby * apy + abz * apz
-    d2 = acx * apx + acy * apy + acz * apz
-    bpx, bpy, bpz = px - b[0], py - b[1], pz - b[2]
-    d3 = abx * bpx + aby * bpy + abz * bpz
-    d4 = acx * bpx + acy * bpy + acz * bpz
-    cpx, cpy, cpz = px - c[0], py - c[1], pz - c[2]
-    d5 = abx * cpx + aby * cpy + abz * cpz
-    d6 = acx * cpx + acy * cpy + acz * cpz
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def closest_point_d2(p, a, b, c) -> float:
+    """closest_point_triangles' d2 of point p and face (a, b, c), all
+    3-sequences of floats: the kernel's operations in its order and region
+    priority. IEEE float64 scalars round as the ufuncs do, so this is its
+    d2 bit for bit at a fraction of the call cost. Raises
+    ZeroDivisionError where the kernel would divide by zero."""
+    ab, ac, ap, bp, cp = _sub(b, a), _sub(c, a), _sub(p, a), _sub(p, b), _sub(p, c)
+    d1, d2, d3, d4 = _dot(ab, ap), _dot(ac, ap), _dot(ab, bp), _dot(ac, bp)
+    d5, d6 = _dot(ab, cp), _dot(ac, cp)
+    va, vb, vc = d3 * d6 - d5 * d4, d5 * d2 - d1 * d6, d1 * d4 - d3 * d2
     if d1 <= 0.0 and d2 <= 0.0:
         u, v = 0.0, 0.0
     elif d3 >= 0.0 and d4 <= d3:
@@ -310,10 +302,8 @@ def closest_point_d2(p, a, b, c) -> float:
     else:
         denom = va + vb + vc
         u, v = vb / denom, vc / denom
-    ex = px - (ax + u * abx + v * acx)
-    ey = py - (ay + u * aby + v * acy)
-    ez = pz - (az + u * abz + v * acz)
-    return ex * ex + ey * ey + ez * ez
+    e = _sub(p, [a[i] + u * ab[i] + v * ac[i] for i in range(3)])
+    return _dot(e, e)
 
 
 def _moller_trumbore(O: np.ndarray, D: np.ndarray, A, eab, eac, t_min: float):
@@ -465,7 +455,7 @@ class _Accel:
         dist = float(np.sqrt(d2[k]))
         if _dot3(p - cp[k], n) < 0.0:
             dist = -dist
-        return ClosestHit(int(faces[k]), cp[k], bary[k], dist, n.copy())
+        return ClosestHit(int(faces[k]), cp[k], bary[k], dist)
 
     def _box_d2(self, P: np.ndarray, node) -> np.ndarray:
         # squared point-box distance per row; node is one index or one per row

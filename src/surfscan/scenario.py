@@ -292,14 +292,14 @@ def parse_config(doc, where: str = "config") -> ScenarioConfig:
     if np.any(cfg.raster_half_extents <= 0.0):
         raise SchemaError(f"{where}.raster.half_extents must be positive")
     # the control loop trusts these; reject them here as config errors
-    if not 0.0 < cfg.dt <= MAX_DT:
-        raise SchemaError(f"{where}.sim.dt must be in (0, {MAX_DT}] s, got {cfg.dt}")
-    if cfg.sample_every < 1:
-        raise SchemaError(f"{where}.sim.sample_every must be at least 1, got {cfg.sample_every}")
-    if not cfg.nullspace_gain >= 0.0:
-        raise SchemaError(
-            f"{where}.controller.nullspace_gain must be non-negative, got {cfg.nullspace_gain}"
-        )
+    gain = cfg.nullspace_gain
+    for key, value, ok, need in (
+        ("sim.dt", cfg.dt, 0.0 < cfg.dt <= MAX_DT, f"in (0, {MAX_DT}] s"),
+        ("sim.sample_every", cfg.sample_every, cfg.sample_every >= 1, "at least 1"),
+        ("controller.nullspace_gain", gain, gain >= 0.0, "non-negative"),
+    ):
+        if not ok:
+            raise SchemaError(f"{where}.{key} must be {need}, got {value}")
     return cfg
 
 

@@ -129,12 +129,15 @@ def init_state(
     qdot=None,
     t: float = 0.0,
 ) -> SimState:
-    q = np.asarray(q, dtype=float).reshape(7)
-    qdot = np.zeros(7) if qdot is None else np.asarray(qdot, dtype=float).reshape(7)
-    snap = arm_snapshot(model, q)
-    rho, rhodot, J, frame = chart.evaluate_probe(snap.probe, snap.jacobian, qdot)
+    """The loop's entry edge: q and qdot are validated here, once."""
+    return _state_at(model, chart, phantom, t, JointState(q, np.zeros(7) if qdot is None else qdot))
+
+
+def _state_at(model, chart, phantom, t: float, joint: JointState, hint=None) -> SimState:
+    snap = arm_snapshot(model, joint.q)  # raises on a limit breach
+    rho, rhodot, J, frame = chart.evaluate_probe(snap.probe, snap.jacobian, joint.qdot, hint)
     wrench = contact_wrench(phantom, rho, rhodot, frame.n)
-    return SimState(t, JointState(q, qdot), wrench, rho, rhodot, J, frame, snap)
+    return SimState(t, joint, wrench, rho, rhodot, J, frame, snap)
 
 
 def step(
@@ -167,13 +170,10 @@ def step(
         raise DivergenceError(
             f"integrator diverged at t = {state.t:.6f} s (step from dt = {dt})"
         )
-    snap = arm_snapshot(model, q_new)  # raises on a limit breach
-    hint = state.frame.face if state.frame.face >= 0 else None
-    rho, rhodot, J, frame = chart.evaluate_probe(snap.probe, snap.jacobian, qdot_new, hint)
-    wrench = contact_wrench(phantom, rho, rhodot, frame.n)
     # q_new and qdot_new were just checked finite: skip JointState's re-check
     joint = unchecked(JointState, q_new, qdot_new)
-    return SimState(state.t + dt, joint, wrench, rho, rhodot, J, frame, snap)
+    hint = state.frame.face if state.frame.face >= 0 else None
+    return _state_at(model, chart, phantom, state.t + dt, joint, hint)
 
 
 def steady_state_force(k_controller: float, k_t: float, d_hold: float) -> float:
@@ -214,16 +214,10 @@ class ScanLog:
     def __len__(self) -> int:
         return len(self.t)
 
-    def row(self, k: int) -> np.ndarray:
-        return np.concatenate(
-            [
-                [self.t[k]],
-                self.q[k],
-                [self.s1[k], self.s2[k], self.d[k]],
-                self.eps[k],
-                [self.d_d[k], self.force_n[k]],
-            ]
-        )
+    def table(self) -> np.ndarray:
+        """(n, 16) samples in CSV column order (see CSV_HEADER)."""
+        cols = (self.t, self.q, self.s1, self.s2, self.d, self.eps, self.d_d, self.force_n)
+        return np.column_stack(cols)
 
 
 class _LogBuilder:
@@ -261,16 +255,11 @@ class EnergyTrace:
 
 
 class _EnergyAudit:
-    def __init__(self, model, phantom, gains, nullspace_gain):
-        self.model = model
+    def __init__(self, phantom, gains, nullspace_gain):
         self.phantom = phantom
         self.gains = gains
         self.nullspace_gain = nullspace_gain
-        self.t = []
-        self.kinetic = []
-        self.controller_spring = []
-        self.contact_spring = []
-        self.dissipated = []
+        self.samples = []  # (t, kinetic, controller spring, contact spring, dissipated)
         self._acc = 0.0
         self._last_power = None
         self._last_t = None
@@ -302,20 +291,10 @@ class _EnergyAudit:
             self._acc += 0.5 * (self._last_power + power) * (state.t - self._last_t)
         self._last_power = power
         self._last_t = state.t
-        self.t.append(state.t)
-        self.kinetic.append(kin)
-        self.controller_spring.append(spring)
-        self.contact_spring.append(contact)
-        self.dissipated.append(self._acc)
+        self.samples.append((state.t, kin, spring, contact, self._acc))
 
     def build(self) -> EnergyTrace:
-        return EnergyTrace(
-            np.array(self.t),
-            np.array(self.kinetic),
-            np.array(self.controller_spring),
-            np.array(self.contact_spring),
-            np.array(self.dissipated),
-        )
+        return EnergyTrace(*(np.array(c) for c in zip(*self.samples)))
 
 
 def simulate(
@@ -344,7 +323,7 @@ def simulate(
         raise ValueError("sample_every must be at least 1")
     n_steps = max(1, int(round(duration / dt)))
     builder = _LogBuilder()
-    audit = _EnergyAudit(model, phantom, gains, nullspace_gain) if energy_audit else None
+    audit = _EnergyAudit(phantom, gains, nullspace_gain) if energy_audit else None
     state = init_state(model, chart, phantom, q0)
     sp = setpoints(0.0)
     builder.add(state, sp)
@@ -376,9 +355,8 @@ _ROW_FORMAT = ",".join(["%.9g"] * 16)
 
 def export_log(log: ScanLog, path) -> None:
     """CSV, 9 significant digits, LF endings; byte-stable for equal runs."""
-    cols = [log.t, log.q, log.s1, log.s2, log.d, log.eps, log.d_d, log.force_n]
-    rows = np.column_stack(cols).tolist()
-    data = "\n".join([CSV_HEADER] + [_ROW_FORMAT % tuple(r) for r in rows]) + "\n"
+    rows = [_ROW_FORMAT % tuple(r) for r in log.table().tolist()]
+    data = "\n".join([CSV_HEADER] + rows) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(data)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from surfscan import controller
 from surfscan.chart import SurfaceCoords
 from surfscan.controller import (
     ContactProfile,
@@ -266,6 +267,46 @@ def test_raster_setpoints_function_matches_path():
     assert np.array_equal(sp.rhodot_d, sp2.rhodot_d)
 
 
+def rebuilt_setpoint(path: RasterPath, t: float):
+    """(s1, s2, rhodot) with the waypoints rebuilt and walked on every call."""
+    w = path.waypoints()
+    seg = np.diff(w, axis=0)
+    lengths = np.linalg.norm(seg, axis=1)
+    remaining = path.speed * t
+    for p, delta, length in zip(w[:-1], seg, lengths):
+        if remaining < length:
+            direction = delta / length
+            s = p + remaining * direction
+            rhodot = np.zeros(6)
+            rhodot[:2] = path.speed * direction
+            return s[0], s[1], rhodot
+        remaining -= length
+    return w[-1][0], w[-1][1], np.zeros(6)
+
+
+def test_tabled_setpoint_matches_per_call_rebuild():
+    paths = (
+        square_path(),
+        RasterPath(np.array([-0.031, -0.017]), np.array([0.029, 0.0234]), 0.007, 0.013, -0.004),
+        RasterPath(np.array([0.0, 0.0]), np.array([0.1, 0.03]), 0.05, 0.02, -0.003),  # one line
+        RasterPath(np.array([0.02, 0.0]), np.array([0.02, 0.05]), 0.01, 0.02, -0.003),  # no width
+    )
+    for path in paths:
+        ends = np.cumsum(np.linalg.norm(np.diff(path.waypoints(), axis=0), axis=1)) / path.speed
+        ts = np.concatenate([
+            np.linspace(0.0, 1.3 * path.duration, 700),
+            ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf),
+            [path.duration, path.duration + 10.0],
+        ])
+        for t in ts:
+            sp = path.setpoint(float(t))
+            s1, s2, rhodot = rebuilt_setpoint(path, float(t))
+            assert (sp.rho_d.s1, sp.rho_d.s2, sp.rho_d.d) == (s1, s2, path.d_hold)
+            assert np.array_equal(sp.rhodot_d, rhodot)
+        legs = np.linalg.norm(np.diff(path.waypoints(), axis=0), axis=1)
+        assert path.total_length() == float(np.sum(legs))
+
+
 def test_raster_validation():
     with pytest.raises(ValueError, match="positive"):
         square_path(spacing=0.0)
@@ -318,6 +359,52 @@ def test_rank_deficient_jacobian_damps_everything_lost():
     assert np.allclose(tau, -2.0 * qdot, atol=1e-15)
     with pytest.raises(ValueError, match="non-negative"):
         nullspace_damping(np.zeros((6, 7)), qdot, -1.0)
+
+
+def test_closed_form_null_torque_matches_projector():
+    rng = np.random.default_rng(11)
+    for scale in (1e-2, 1.0, 30.0):
+        for _ in range(200):
+            J = scale * rng.standard_normal((6, 7))
+            qdot = rng.standard_normal(7)
+            tau = nullspace_damping(J, qdot, 0.5)
+            expect = -0.5 * (nullspace_projector(J) @ qdot)
+            assert np.max(np.abs(tau - expect)) < 1e-12
+
+
+def _counting_projector(monkeypatch):
+    calls = []
+    original = controller.nullspace_projector
+
+    def counted(J):
+        calls.append(J)
+        return original(J)
+
+    monkeypatch.setattr(controller, "nullspace_projector", counted)
+    return calls
+
+
+def test_full_rank_jacobian_skips_the_svd(monkeypatch):
+    calls = _counting_projector(monkeypatch)
+    J = np.random.default_rng(12).standard_normal((6, 7))
+    nullspace_damping(J, np.ones(7), 1.0)
+    assert calls == []
+
+
+def test_rank_drop_takes_the_svd_fallback(monkeypatch):
+    rng = np.random.default_rng(13)
+    qdot = rng.standard_normal(7)
+    dup_cols = rng.standard_normal((6, 7))
+    dup_cols[:, 5:] = dup_cols[:, 3:5]  # two duplicated columns: rank 5
+    dup_row = rng.standard_normal((6, 7))
+    dup_row[5] = dup_row[0]  # rank 5
+    for J in (dup_cols, dup_row):
+        calls = _counting_projector(monkeypatch)
+        tau = nullspace_damping(J, qdot, 2.0)
+        assert len(calls) == 1
+        N = nullspace_projector(J)
+        assert np.linalg.matrix_rank(N) == 2  # no single null vector spans it
+        assert np.array_equal(tau, -2.0 * (N @ qdot))
 
 
 # ---------------------------------------------------------------------------

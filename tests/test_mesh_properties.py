@@ -6,12 +6,19 @@ The batched closest-point query, the unhinted single query and the single
 query with an arbitrary valid hint must all return exactly that face,
 distance, point and barycentric weights. Query points include mesh
 vertices and points on shared edges, where exact and near ties occur.
+The scalar transcription that bounds the hinted walk must reproduce the
+kernel's squared distance bit for bit on every face.
 """
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from surfscan.mesh import _moller_trumbore, closest_point_triangles, grid_surface_mesh
+from surfscan.mesh import (
+    _moller_trumbore,
+    closest_point_d2,
+    closest_point_triangles,
+    grid_surface_mesh,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -119,3 +126,15 @@ def test_rays_are_brute_force(mesh, seed):
             continue
         assert (face[i], t[i]) == (k, t_all[k])
         assert (single.face, single.t) == (k, t_all[k])
+
+
+@SETTINGS
+@given(mesh_and_points())
+def test_scalar_hint_bound_is_the_kernel_d2(case):
+    mesh, pts = case
+    acc = mesh._accel()
+    A, B, C = acc.A.tolist(), acc.B.tolist(), acc.C.tolist()
+    for p in pts:
+        d2, _, _ = closest_point_triangles(p, acc.A, acc.B, acc.C)
+        for f in range(mesh.n_faces):
+            assert closest_point_d2(p.tolist(), A[f], B[f], C[f]).hex() == float(d2[f]).hex()

@@ -476,7 +476,7 @@ def test_scanlog_validation():
 
 
 def test_scanlog_row_layout(short_run):
-    r = short_run.row(0)
+    r = short_run.table()[0]
     assert r.shape == (16,)
     assert r[0] == short_run.t[0]
     assert np.array_equal(r[1:8], short_run.q[0])
