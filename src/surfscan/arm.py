@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .geometry import Pose, cross3, quat_from_matrix, quat_to_matrix, skew, unchecked
+from .geometry import Pose, cross3, quat_from_matrix, skew, unchecked
 from .schema import (
     SchemaError,
     as_float,

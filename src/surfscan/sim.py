@@ -355,7 +355,9 @@ _ROW_FORMAT = ",".join(["%.9g"] * 16)
 
 def export_log(log: ScanLog, path) -> None:
     """CSV, 9 significant digits, LF endings; byte-stable for equal runs."""
-    rows = [_ROW_FORMAT % tuple(r) for r in log.table().tolist()]
+    # one row at a time: a whole-table tolist() would hold every value
+    # as a Python float at once
+    rows = [_ROW_FORMAT % tuple(r.tolist()) for r in log.table()]
     data = "\n".join([CSV_HEADER] + rows) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(data)
