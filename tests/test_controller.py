@@ -398,10 +398,10 @@ def test_rank_drop_takes_the_svd_fallback(monkeypatch):
     dup_cols[:, 5:] = dup_cols[:, 3:5]  # two duplicated columns: rank 5
     dup_row = rng.standard_normal((6, 7))
     dup_row[5] = dup_row[0]  # rank 5
-    for J in (dup_cols, dup_row):
-        calls = _counting_projector(monkeypatch)
+    calls = _counting_projector(monkeypatch)
+    for k, J in enumerate((dup_cols, dup_row)):
         tau = nullspace_damping(J, qdot, 2.0)
-        assert len(calls) == 1
+        assert len(calls) == k + 1
         N = nullspace_projector(J)
         assert np.linalg.matrix_rank(N) == 2  # no single null vector spans it
         assert np.array_equal(tau, -2.0 * (N @ qdot))
