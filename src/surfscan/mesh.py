@@ -11,10 +11,14 @@ Rays use Moller-Trumbore with double-sided hits. The hierarchy is a
 median-split AABB tree over face boxes whose leaves list their faces in
 ascending order and whose boxes are padded against rounding; traversal
 never prunes a node whose lower bound ties the current best, which is
-what makes the tie-break exact. Batched queries push a whole point or ray
-set down the tree, keeping at each node the members it cannot prune
-(packet traversal: Wald et al., "Interactive Rendering with Coherent Ray
-Tracing", 2001); one ray is a batch of one.
+what makes the tie-break exact. Batched queries walk the tree breadth
+first over (member, node) pairs, one level at a time (packet traversal:
+Wald et al., "Interactive Rendering with Coherent Ray Tracing", 2001),
+and evaluate the leaves they reach in chunks through a padded per-leaf
+face table. Points seed their bound from a greedy descent; rays run a
+slab test on per-axis columns, evaluate their nearest-entry leaf first,
+then only the leaves entered at or before that hit. One ray is a batch
+of one.
 """
 from __future__ import annotations
 
@@ -26,7 +30,8 @@ from .geometry import cross3
 
 LEAF_SIZE = 8
 POINT_BLOCK = 1024  # points per batched traversal; bounds its working set
-PAIR_CHUNK = 256  # (point, leaf) pairs per kernel call; bounds its temporaries
+RAY_BLOCK = 4096  # rays per batched traversal; bounds its working set
+PAIR_CHUNK = 256  # (member, leaf) pairs per kernel call; bounds its temporaries
 DEGENERATE_AREA = 1e-12
 BARY_EPS = 1e-10  # ray tests: tolerance on barycentric bounds at shared edges
 
@@ -321,7 +326,8 @@ def _moller_trumbore(O: np.ndarray, D: np.ndarray, A, eab, eac, t_min: float):
         qvec = cross3(tvec, eab)
         v = _dot3(D, qvec) * inv
         t = _dot3(eac, qvec) * inv
-    hit = (np.abs(det) > 0.0) & (u >= -BARY_EPS) & (v >= -BARY_EPS) & (u + v <= 1.0 + BARY_EPS)
+        # parallel rays (det == 0) give u + v = inf - inf; det rejects them
+        hit = (np.abs(det) > 0.0) & (u >= -BARY_EPS) & (v >= -BARY_EPS) & (u + v <= 1.0 + BARY_EPS)
     return np.where(hit & (t >= t_min), t, np.inf), u, v
 
 
@@ -354,9 +360,15 @@ class _Accel:
         n = len(f)
         perm = np.arange(n)
         bmin, bmax, left, right, start, count = [], [], [], [], [], []
-
-        def build(lo: int, hi: int) -> int:
+        # preorder with an explicit stack: node ids and the perm sort order
+        # match a recursive build, and no closure cycle outlives the build
+        stack = [(0, n, -1)]  # (lo, hi, parent)
+        while stack:
+            lo, hi, parent = stack.pop()
             idx = len(bmin)
+            if parent >= 0:
+                # the left child is always visited first
+                (left if left[parent] < 0 else right)[parent] = idx
             sub = perm[lo:hi]
             bmin.append(fmin[sub].min(axis=0))
             bmax.append(fmax[sub].max(axis=0))
@@ -365,7 +377,7 @@ class _Accel:
             if hi - lo <= LEAF_SIZE:
                 start.append(lo)
                 count.append(hi - lo)
-                return idx
+                continue
             start.append(0)
             count.append(0)
             cen = centroids[sub]
@@ -373,11 +385,8 @@ class _Accel:
             order = np.argsort(cen[:, axis], kind="stable")
             perm[lo:hi] = sub[order]
             mid = (lo + hi) // 2
-            left[idx] = build(lo, mid)
-            right[idx] = build(mid, hi)
-            return idx
-
-        build(0, n)
+            stack.append((mid, hi, idx))
+            stack.append((lo, mid, idx))
         self.bmin = np.array(bmin)
         self.bmax = np.array(bmax)
         self.left = np.array(left)
@@ -462,20 +471,29 @@ class _Accel:
         g = np.maximum(np.maximum(self.bmin[node] - P, P - self.bmax[node]), 0.0)
         return _dot3(g, g)
 
-    def _leaf_min(self, P: np.ndarray, pt: np.ndarray, leaf: np.ndarray):
-        # (d2, face) lex-min of each (point, leaf) pair, a chunk at a time;
-        # rows of leaf_faces ascend, so argmin picks the smallest tied face
-        d2 = np.empty(len(pt))
-        face = np.empty(len(pt), dtype=np.int64)
-        for a in range(0, len(pt), PAIR_CHUNK):
+    def _leaf_min(self, leaf: np.ndarray, kernel):
+        # (value, face) lex-min of each (member, leaf) pair, a chunk at a
+        # time; kernel(rows, f) gives the values of the chunk's pairs
+        # against their (chunk, LEAF_SIZE) face rows. Rows of leaf_faces
+        # ascend, so argmin picks the smallest tied face
+        val = np.empty(len(leaf))
+        face = np.empty(len(leaf), dtype=np.int64)
+        for a in range(0, len(leaf), PAIR_CHUNK):
             rows = slice(a, a + PAIR_CHUNK)
             f = self.leaf_faces[leaf[rows]]
-            v, _, _ = closest_point_triangles(P[pt[rows]][:, None, :], self.A[f], self.B[f], self.C[f])
+            v = kernel(rows, f)
             k = np.argmin(v, axis=1)
             r = np.arange(len(k))
-            d2[rows] = v[r, k]
+            val[rows] = v[r, k]
             face[rows] = f[r, k]
-        return d2, face
+        return val, face
+
+    def _point_min(self, P: np.ndarray, pt: np.ndarray, leaf: np.ndarray):
+        # (d2, face) lex-min of each (point, leaf) pair
+        def d2(rows, f):
+            return closest_point_triangles(P[pt[rows]][:, None, :], self.A[f], self.B[f], self.C[f])[0]
+
+        return self._leaf_min(leaf, d2)
 
     def nearest_batch(self, P: np.ndarray):
         """Unsigned nearest for many points: (d2, face, cp, bary) arrays.
@@ -494,7 +512,7 @@ class _Accel:
             seed[inner] = np.where(self._box_d2(Q, l) <= self._box_d2(Q, r), l, r)
             inner = inner[self.count[seed[inner]] == 0]
         pt = np.arange(n)
-        bound, seed_face = self._leaf_min(P, pt, seed)
+        bound, seed_face = self._point_min(P, pt, seed)
         found = [(pt, bound, seed_face)]
         node = np.zeros(n, dtype=np.int64)
         while len(pt):
@@ -502,7 +520,7 @@ class _Accel:
             keep = (self._box_d2(P[pt], node) <= bound[pt]) & (node != seed[pt])
             pt, node = pt[keep], node[keep]
             at_leaf = self.count[node] > 0
-            found.append((pt[at_leaf], *self._leaf_min(P, pt[at_leaf], node[at_leaf])))
+            found.append((pt[at_leaf], *self._point_min(P, pt[at_leaf], node[at_leaf])))
             pt, node = pt[~at_leaf], node[~at_leaf]
             pt = np.concatenate([pt, pt])
             node = np.concatenate([self.left[node], self.right[node]])
@@ -515,53 +533,83 @@ class _Accel:
         d2, cp, bary = closest_point_triangles(P, A, B, C)
         return d2, best_face, cp, bary
 
-    def _slab(self, o: np.ndarray, d: np.ndarray, inv: np.ndarray, node):
-        # inv carries a placeholder on axes where d == 0; those axes are
-        # decided by the inside test instead, which sidesteps the 0 * inf
-        # corner of the usual slab recipe
-        t1 = (self.bmin[node] - o) * inv
-        t2 = (self.bmax[node] - o) * inv
-        lo_ax = np.minimum(t1, t2)
-        hi_ax = np.maximum(t1, t2)
-        par = d == 0.0
-        if np.any(par):
-            inside = (o >= self.bmin[node]) & (o <= self.bmax[node])
-            lo_ax = np.where(par, np.where(inside, -np.inf, np.inf), lo_ax)
-            hi_ax = np.where(par, np.where(inside, np.inf, -np.inf), hi_ax)
-        return np.max(lo_ax, axis=-1), np.min(hi_ax, axis=-1)
+    def _ray_min(self, O: np.ndarray, D: np.ndarray, t_min: float, ray: np.ndarray, leaf: np.ndarray):
+        # (t, face) lex-min of each (ray, leaf) pair
+        def t(rows, f):
+            r = ray[rows]
+            return _moller_trumbore(O[r][:, None, :], D[r][:, None, :], self.A[f], self.eab[f], self.eac[f],
+                                    t_min)[0]
+
+        return self._leaf_min(leaf, t)
+
+    def _ray_leaves(self, O: np.ndarray, D: np.ndarray, t_min: float):
+        # the slab pass: (ray, leaf, entry) for every leaf whose slab
+        # interval a ray reaches at or past t_min, sorted by ray and then
+        # entry. The test runs on one 1-D column per axis. inv carries a
+        # placeholder on axes where d == 0; those axes are decided by the
+        # inside test instead, which sidesteps the 0 * inf corner of the
+        # usual slab recipe
+        bmin, bmax, o = self.bmin.T.copy(), self.bmax.T.copy(), O.T.copy()
+        with np.errstate(divide="ignore"):
+            inv = np.where(D == 0.0, 1.0, 1.0 / D).T.copy()
+        flat = [col if col.any() else None for col in D.T == 0.0]
+        ray = np.arange(len(O))
+        node = np.zeros(len(O), dtype=np.int64)
+        found = []
+        while len(ray):
+            for k in range(3):
+                b0, b1, ok, ik = bmin[k][node], bmax[k][node], o[k][ray], inv[k][ray]
+                t1 = (b0 - ok) * ik
+                t2 = (b1 - ok) * ik
+                lo_k, hi_k = np.minimum(t1, t2), np.maximum(t1, t2)
+                if flat[k] is not None:
+                    par = flat[k][ray]
+                    inside = (ok >= b0) & (ok <= b1)
+                    lo_k = np.where(par, np.where(inside, -np.inf, np.inf), lo_k)
+                    hi_k = np.where(par, np.where(inside, np.inf, -np.inf), hi_k)
+                lo = lo_k if k == 0 else np.maximum(lo, lo_k)
+                hi = hi_k if k == 0 else np.minimum(hi, hi_k)
+            keep = (lo <= hi) & (hi >= t_min)
+            ray, node, lo = ray[keep], node[keep], lo[keep]
+            at_leaf = self.count[node] > 0
+            found.append((ray[at_leaf], node[at_leaf], lo[at_leaf]))
+            ray, node = ray[~at_leaf], node[~at_leaf]
+            ray = np.concatenate([ray, ray])
+            node = np.concatenate([self.left[node], self.right[node]])
+        ray, leaf, lo = (np.concatenate(x) for x in zip(*found))
+        order = np.lexsort((lo, ray))
+        return ray[order], leaf[order], lo[order]
 
     def raycast_batch(self, O: np.ndarray, D: np.ndarray, t_min: float):
-        nr = len(O)
-        best_t = np.full(nr, np.inf)
-        best_face = np.full(nr, -1, dtype=np.int64)
-        with np.errstate(divide="ignore"):
-            inv = np.where(D == 0.0, 1.0, 1.0 / D)
-        stack = [(0, np.arange(nr))]
-        while stack:
-            node, rays = stack.pop()
-            lo, hi = self._slab(O[rays], D[rays], inv[rays], node)
-            alive = (lo <= hi) & (hi >= t_min) & (lo <= best_t[rays])
-            rays = rays[alive]
-            if len(rays) == 0:
-                continue
-            if self.count[node] > 0:
-                # (rays, faces) broadcast; leaves are small so this stays cheap
-                s = self.start[node]
-                f = self.perm[s : s + self.count[node]]
-                t, _, _ = _moller_trumbore(
-                    O[rays][:, None, :], D[rays][:, None, :], self.A[f], self.eab[f], self.eac[f], t_min
-                )
-                # f ascends, so argmin's first minimum is the smallest tied face
-                k = np.argmin(t, axis=1)
-                tk = t[np.arange(len(rays)), k]
-                fk = f[k]
-                bt = best_t[rays]
-                better = (tk < bt) | ((tk == bt) & (fk < best_face[rays]))
-                best_t[rays[better]] = tk[better]
-                best_face[rays[better]] = fk[better]
-            else:
-                stack.append((int(self.right[node]), rays))
-                stack.append((int(self.left[node]), rays))
+        """First hits of many rays: (t, face) arrays, t = inf and face = -1
+        on a miss.
+
+        Rays go RAY_BLOCK at a time. The slab pass walks the tree breadth
+        first over (ray, node) pairs and lists the leaves each ray's slab
+        interval reaches. Each ray's nearest-entry leaf bounds it; the
+        bounded pass evaluates the ray's other leaves whose entry ties or
+        beats that hit. A leaf entered after the final hit holds no face
+        that wins or ties, so the (t, face) lex-min over the evaluated
+        leaves is the brute-force winner.
+        """
+        best_t = np.full(len(O), np.inf)
+        best_face = np.full(len(O), -1, dtype=np.int64)
+        for a in range(0, len(O), RAY_BLOCK):
+            o, d = O[a : a + RAY_BLOCK], D[a : a + RAY_BLOCK]
+            ray, leaf, lo = self._ray_leaves(o, d, t_min)
+            first = np.diff(ray, prepend=-1) != 0
+            t1, f1 = self._ray_min(o, d, t_min, ray[first], leaf[first])
+            bound = np.full(len(o), np.inf)
+            bound[ray[first]] = t1
+            rest = ~first & (lo <= bound[ray])
+            t2, f2 = self._ray_min(o, d, t_min, ray[rest], leaf[rest])
+            ray = np.concatenate([ray[first], ray[rest]])
+            t, face = np.concatenate([t1, t2]), np.concatenate([f1, f2])
+            order = np.lexsort((face, t, ray))
+            win = order[np.diff(ray[order], prepend=-1) != 0]
+            win = win[np.isfinite(t[win])]
+            best_t[a + ray[win]] = t[win]
+            best_face[a + ray[win]] = face[win]
         return best_t, best_face
 
 

@@ -40,14 +40,15 @@ class CameraIntrinsics:
     depth_noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise ValueError("focal lengths must be positive")
+        # each message names its fields; written so NaN fails every test
+        if not (self.width >= 1 and self.height >= 1):
+            raise ValueError(f"width and height must be at least 1, got {self.width} x {self.height}")
+        if not (self.fx > 0.0 and self.fy > 0.0):
+            raise ValueError(f"focal lengths fx, fy must be positive, got {self.fx}, {self.fy}")
         if not (0.0 <= self.cx < self.width and 0.0 <= self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image must have at least one pixel")
-        if self.depth_noise_sigma < 0.0:
-            raise ValueError("noise sigma must be non-negative")
+            raise ValueError(f"principal point cx, cy must lie inside the image, got {self.cx}, {self.cy}")
+        if not self.depth_noise_sigma >= 0.0:
+            raise ValueError(f"depth_noise_sigma must be non-negative, got {self.depth_noise_sigma}")
 
     def pixel_dirs(self) -> np.ndarray:
         """(height*width, 3) camera-frame ray directions, z = 1 so the ray
@@ -285,8 +286,13 @@ def load_pfm(path) -> np.ndarray:
         magic = fh.readline().strip()
         if magic != b"Pf":
             raise ValueError(f"{path}: not a grayscale PFM file")
-        width, height = (int(x) for x in fh.readline().split())
-        scale = float(fh.readline())
+        try:
+            width, height = (int(x) for x in fh.readline().split())
+            scale = float(fh.readline())
+        except ValueError:
+            raise ValueError(f"{path}: malformed PFM header (size or scale line)") from None
+        if width < 1 or height < 1 or not np.isfinite(scale) or scale == 0.0:
+            raise ValueError(f"{path}: malformed PFM header (size {width} x {height}, scale {scale})")
         data = np.frombuffer(fh.read(4 * width * height), dtype="<f4" if scale < 0 else ">f4")
         if data.size != width * height:
             raise ValueError(f"{path}: truncated pixel data")

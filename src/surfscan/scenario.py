@@ -225,15 +225,19 @@ def parse_config(doc, where: str = "config") -> ScenarioConfig:
     else:
         damping = _gain_matrix(damping_node, f"{where}.controller.damping")
 
-    intr = CameraIntrinsics(
-        fx=opt(camera, "fx", 180.0, as_float, "camera"),
-        fy=opt(camera, "fy", 180.0, as_float, "camera"),
-        cx=opt(camera, "cx", 120.0, as_float, "camera"),
-        cy=opt(camera, "cy", 90.0, as_float, "camera"),
-        width=opt(camera, "width", 240, as_int, "camera"),
-        height=opt(camera, "height", 180, as_int, "camera"),
-        depth_noise_sigma=opt(camera, "depth_noise_sigma", 0.0, as_float, "camera"),
-    )
+    intr_fields = {
+        key: opt(camera, key, default, conv, "camera")
+        for key, default, conv in (
+            ("fx", 180.0, as_float), ("fy", 180.0, as_float), ("cx", 120.0, as_float),
+            ("cy", 90.0, as_float), ("width", 240, as_int), ("height", 180, as_int),
+            ("depth_noise_sigma", 0.0, as_float),
+        )
+    }
+    try:
+        intr = CameraIntrinsics(**intr_fields)
+    except ValueError as exc:
+        raise SchemaError(f"{where}.camera: {exc}") from None
+    view_angle_deg = opt(camera, "view_angle_deg", 45.0, as_float, "camera")
 
     cfg = ScenarioConfig(
         name=opt(doc, "name", "scenario", _as_str, ""),
@@ -258,7 +262,7 @@ def parse_config(doc, where: str = "config") -> ScenarioConfig:
         marker_noise_sigma=opt(markers, "noise_sigma", 0.0, as_float, "markers"),
         fit_use_corners=opt(markers, "use_corners", False, _as_bool, "markers"),
         camera=intr,
-        view_angle=math.radians(opt(camera, "view_angle_deg", 45.0, as_float, "camera")),
+        view_angle=math.radians(view_angle_deg),
         view_distance=opt(camera, "view_distance", 0.30, as_float, "camera"),
         n_views=opt(recon, "n_views", 8, as_int, "reconstruction"),
         resolution=opt(recon, "resolution", 0.005, as_float, "reconstruction"),
@@ -291,12 +295,18 @@ def parse_config(doc, where: str = "config") -> ScenarioConfig:
         raise SchemaError(f"{where}.raster: speed and line_spacing must be positive")
     if np.any(cfg.raster_half_extents <= 0.0):
         raise SchemaError(f"{where}.raster.half_extents must be positive")
-    # the control loop trusts these; reject them here as config errors
-    gain = cfg.nullspace_gain
+    # the stages trust these; reject them here as config errors. Each
+    # test is written so that NaN fails it
+    gain, margin = cfg.nullspace_gain, cfg.chart_margin
     for key, value, ok, need in (
         ("sim.dt", cfg.dt, 0.0 < cfg.dt <= MAX_DT, f"in (0, {MAX_DT}] s"),
         ("sim.sample_every", cfg.sample_every, cfg.sample_every >= 1, "at least 1"),
         ("controller.nullspace_gain", gain, gain >= 0.0, "non-negative"),
+        ("camera.view_distance", cfg.view_distance, cfg.view_distance > 0.0, "positive"),
+        ("camera.view_angle_deg", view_angle_deg, 0.0 <= view_angle_deg < 90.0, "in [0, 90) deg"),
+        ("reconstruction.n_views", cfg.n_views, cfg.n_views >= 2, "at least 2"),
+        ("reconstruction.resolution", cfg.resolution, cfg.resolution > 0.0, "positive"),
+        ("reconstruction.chart_margin", margin, margin >= 0.0, "non-negative"),
     ):
         if not ok:
             raise SchemaError(f"{where}.{key} must be {need}, got {value}")

@@ -7,10 +7,14 @@ checks that the hierarchy is exact to the bit, tie-breaks included. Rays
 get an independent oracle via 3x3 linear solves instead of
 Moller-Trumbore.
 """
+import gc
+
 import numpy as np
 import pytest
 
+import surfscan.mesh as mesh_module
 from surfscan.mesh import (
+    LEAF_SIZE,
     TriMesh,
     _moller_trumbore,
     closest_point_triangles,
@@ -210,10 +214,8 @@ def test_raycast_batch_matches_single():
         if single is None:
             assert not np.isfinite(t[i]) and face[i] == -1
         else:
-            assert abs(t[i] - single.t) < 1e-12
-            # batch keeps traversal-order ties; faces agree away from edges
-            if abs(t[i] - single.t) == 0.0:
-                assert np.isfinite(t[i])
+            # one traversal serves both, so ties resolve alike too
+            assert (t[i], face[i]) == (single.t, single.face)
 
 
 def test_raycast_tie_on_shared_edge_picks_smallest_face():
@@ -230,6 +232,111 @@ def test_raycast_tie_on_shared_edge_picks_smallest_face():
     single = FLAT.raycast(o, d)
     assert face[0] == single.face == tied[0]
     assert t[0] == single.t == t_all.min()
+
+
+def brute_rays(mesh, O, D, t_min=0.0):
+    # every ray against every face with the production kernel; the first
+    # minimum of each row is the smallest tied face
+    acc = mesh._accel()
+    t = np.full(len(O), np.inf)
+    face = np.full(len(O), -1, dtype=np.int64)
+    for a in range(0, len(O), 64):
+        rows = slice(a, a + 64)
+        t_all, _, _ = _moller_trumbore(O[rows][:, None, :], D[rows][:, None, :], acc.A, acc.eab,
+                                       acc.eac, t_min)
+        k = np.argmin(t_all, axis=1)
+        tk = t_all[np.arange(len(k)), k]
+        t[rows] = tk
+        face[rows] = np.where(np.isfinite(tk), k, -1)
+    return t, face
+
+
+def assert_rays_are_brute(mesh, O, D, t_min=0.0):
+    t, face = mesh.raycast_batch(O, D, t_min)
+    t_ref, face_ref = brute_rays(mesh, O, D, t_min)
+    assert np.array_equal(face, face_ref)
+    assert t.tobytes() == t_ref.tobytes()
+    return t, face
+
+
+def test_raycast_batch_of_zero_rays():
+    t, face = BUMPY.raycast_batch(np.empty((0, 3)), np.empty((0, 3)))
+    assert t.shape == face.shape == (0,)
+    assert face.dtype == np.int64
+
+
+def test_raycast_when_the_root_is_a_leaf():
+    # 3x3 nodes give 8 faces, one leaf and no inner node
+    small = grid_surface_mesh(np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
+                              np.array([0, 0, 1.0]), np.linspace(0, 0.1, 3), np.linspace(0, 0.1, 3),
+                              np.array([[0.0, 0.01, 0.0], [0.02, 0.0, -0.01], [0.0, 0.01, 0.0]]))
+    assert small.n_faces <= LEAF_SIZE and small._accel().count[0] == small.n_faces
+    rng = np.random.default_rng(11)
+    O = np.column_stack([rng.uniform(-0.02, 0.12, (40, 2)), np.full(40, 0.2)])
+    D = np.column_stack([rng.uniform(-0.3, 0.3, (40, 2)), -np.ones(40)])
+    t, _ = assert_rays_are_brute(small, O, D)
+    assert np.isfinite(t).any() and not np.isfinite(t).all()
+
+
+def test_raycast_axis_parallel_directions():
+    # exact zero direction components take the slab test's parallel-axis
+    # branch; origins sit on vertex coordinates, so rays run along edges
+    rng = np.random.default_rng(12)
+    v = BUMPY.vertices[rng.integers(0, len(BUMPY.vertices), 60)]
+    O, D = v.copy(), np.zeros((60, 3))
+    O[:20, 2], D[:20, 2] = 0.3, -1.0  # straight down through a vertex
+    O[20:40, 0], D[20:40, 0] = -0.15, 1.0  # along +x at a vertex's (y, z)
+    O[40:, 1], D[40:, 1] = 0.15, -1.0  # along -y at a vertex's (x, z)
+    O[40:50, 2] += 0.005
+    t, _ = assert_rays_are_brute(BUMPY, O, D)
+    assert np.isfinite(t[:20]).all()
+    D[:, 0] = np.where(D[:, 0] == 0.0, 0.25, D[:, 0])  # one zero component left
+    assert_rays_are_brute(BUMPY, O, D)
+
+
+def test_raycast_from_inside_the_root_box_with_t_min():
+    rng = np.random.default_rng(13)
+    O = np.column_stack([rng.uniform(-0.09, 0.09, (200, 2)), rng.uniform(-0.02, 0.02, 200)])
+    D = rng.standard_normal((200, 3))
+    root = BUMPY._accel()
+    assert np.all((O >= root.bmin[0]) & (O <= root.bmax[0]))
+    for t_min in (1e-9, 0.01, 0.05):
+        t, _ = assert_rays_are_brute(BUMPY, O, D, t_min)
+        assert np.all(t[np.isfinite(t)] >= t_min)
+
+
+def test_raycast_batch_mixes_hits_and_misses():
+    rng = np.random.default_rng(14)
+    O = np.column_stack([rng.uniform(-0.13, 0.13, (300, 2)), np.full(300, 0.25)])
+    D = np.column_stack([rng.uniform(-0.3, 0.3, (300, 2)), rng.choice([-1.0, 1.0], 300)])
+    t, face = assert_rays_are_brute(BUMPY, O, D)
+    assert 30 < np.isfinite(t).sum() < 270
+    assert np.all((face == -1) == ~np.isfinite(t))
+
+
+def test_raycast_blocks_match_rays_sent_one_at_a_time(monkeypatch):
+    rng = np.random.default_rng(15)
+    O = np.column_stack([rng.uniform(-0.12, 0.12, (23, 2)), np.full(23, 0.25)])
+    D = np.column_stack([rng.uniform(-0.3, 0.3, (23, 2)), -np.ones(23)])
+    D[:5, :2] = 0.0
+    monkeypatch.setattr(mesh_module, "RAY_BLOCK", 4)
+    t, face = assert_rays_are_brute(BUMPY, O, D)
+    for i in range(len(O)):
+        ti, fi = BUMPY.raycast_batch(O[i], D[i])
+        assert (ti.tobytes(), fi[0]) == (t[i : i + 1].tobytes(), face[i])
+
+
+def test_bvh_build_leaves_no_cyclic_garbage():
+    bumpy_mesh(seed=3)._accel()  # first use may import lazily
+    gc.collect()
+    gc.disable()
+    try:
+        gc.collect()
+        mesh = bumpy_mesh(seed=4)
+        mesh._accel()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_closest_points_rows_match_single_queries():

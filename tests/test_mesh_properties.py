@@ -6,8 +6,9 @@ The batched closest-point query, the unhinted single query and the single
 query with an arbitrary valid hint must all return exactly that face,
 distance, point and barycentric weights. Query points include mesh
 vertices and points on shared edges, where exact and near ties occur.
-The scalar transcription that bounds the hinted walk must reproduce the
-kernel's squared distance bit for bit on every face.
+Rays include axis-parallel ones that run through vertices. The scalar
+transcription that bounds the hinted walk must reproduce the kernel's
+squared distance bit for bit on every face.
 """
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -110,12 +111,19 @@ def test_hinted_single_nearest_is_brute_force(case, data):
 def test_rays_are_brute_force(mesh, seed):
     rng = np.random.default_rng(seed)
     acc = mesh._accel()
-    n = 16
-    # half the rays aim straight down through vertices, where faces tie
+    n, q = 16, 4
+    # a quarter of the rays aim straight down through vertices, where
+    # faces tie; a quarter run along +-x or +-y through a vertex, so two
+    # direction components are exactly 0 (the slab test's parallel-axis
+    # branch) and the ray grazes edges of a tilted or bumpy sheet
     O = np.column_stack([rng.uniform(-0.12, 0.12, (n, 2)), np.full(n, 0.3)])
-    O[: n // 2, :2] = mesh.vertices[rng.integers(0, len(mesh.vertices), n // 2), :2]
     D = np.column_stack([rng.uniform(-0.2, 0.2, (n, 2)), -np.ones(n)])
-    D[: n // 2, :2] = 0.0
+    vert = mesh.vertices[rng.integers(0, len(mesh.vertices), 2 * q)]
+    O[:q, :2], D[:q, :2] = vert[:q, :2], 0.0
+    axis, sign = rng.integers(0, 2, q), rng.choice([-1.0, 1.0], q)
+    side = np.arange(q, 2 * q)
+    O[side], D[side] = vert[q:], 0.0
+    O[side, axis], D[side, axis] = -0.15 * sign, sign
     t, face = mesh.raycast_batch(O, D)
     for i in range(n):
         t_all, _, _ = _moller_trumbore(O[i], D[i], acc.A, acc.eab, acc.eac, 0.0)

@@ -311,6 +311,30 @@ def test_pfm_rejects_other_formats(tmp_path):
         load_pfm(path)
 
 
+def test_pfm_rejects_truncated_pixels(tmp_path):
+    path = tmp_path / "short.pfm"
+    path.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 12)
+    with pytest.raises(ValueError, match="short.pfm: truncated pixel data"):
+        load_pfm(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"Pf\n",  # no size or scale line
+    b"Pf\n2\n-1.0\n",  # one size
+    b"Pf\n2 two\n-1.0\n",  # garbage size
+    b"Pf\n2 2\n",  # no scale line
+    b"Pf\n2 2\nscale\n",  # garbage scale
+    b"Pf\n0 2\n-1.0\n",  # empty image
+    b"Pf\n2 2\n0.0\n",  # zero scale has no byte order
+    b"Pf\n2 2\nnan\n",
+])
+def test_pfm_names_the_file_on_a_malformed_header(tmp_path, header):
+    path = tmp_path / "head.pfm"
+    path.write_bytes(header + b"\x00" * 16)
+    with pytest.raises(ValueError, match="head.pfm: malformed PFM header"):
+        load_pfm(path)
+
+
 def test_depth_image_round_trips_through_pfm(tmp_path):
     img = render_depth(flat_mesh(), CAM, top_down_pose())
     path = tmp_path / "view.pfm"
@@ -331,6 +355,10 @@ def test_intrinsics_validation():
         CameraIntrinsics(120.0, 120.0, 200.0, 60.0, 160, 120)
     with pytest.raises(ValueError, match="sigma"):
         CameraIntrinsics(120.0, 120.0, 80.0, 60.0, 160, 120, depth_noise_sigma=-1.0)
+    with pytest.raises(ValueError, match="width and height"):
+        CameraIntrinsics(120.0, 120.0, 0.0, 0.0, 0, 120)
+    with pytest.raises(ValueError, match="focal"):
+        CameraIntrinsics(float("nan"), 120.0, 80.0, 60.0, 160, 120)
 
 
 def test_depth_image_validation():

@@ -99,11 +99,27 @@ def test_bad_scalar_values_rejected():
         ("sim", "dt", 0.01), ("sim", "dt", 0.0), ("sim", "dt", -1e-3),
         ("sim", "dt", float("nan")), ("sim", "sample_every", 0),
         ("controller", "nullspace_gain", -1.0),
+        # and so are the values the localize and reconstruct stages trust
+        ("camera", "view_distance", 0.0), ("camera", "view_angle_deg", 90.0),
+        ("camera", "view_angle_deg", -1.0), ("camera", "view_angle_deg", float("nan")),
+        ("reconstruction", "n_views", 1), ("reconstruction", "resolution", 0.0),
+        ("reconstruction", "resolution", float("nan")), ("reconstruction", "chart_margin", -0.01),
+        ("reconstruction", "chart_margin", float("nan")),
     ):
         with pytest.raises(SchemaError, match=f"{section}.{key}"):
             parse_config({section: {key: value}})
+    # intrinsics errors are config errors that name the camera field
+    for key, value in (
+        ("width", 0), ("height", -1), ("fx", 0.0), ("fy", float("nan")), ("cx", 500.0),
+        ("depth_noise_sigma", -0.1),
+    ):
+        with pytest.raises(SchemaError, match=f"config.camera: .*{key}"):
+            parse_config({"camera": {key: value}})
     cfg = parse_config({"sim": {"dt": 5e-3}, "controller": {"nullspace_gain": 0.0}})
     assert (cfg.dt, cfg.nullspace_gain) == (5e-3, 0.0)
+    cfg = parse_config({"camera": {"view_angle_deg": 0.0},
+                        "reconstruction": {"n_views": 2, "chart_margin": 0.0}})
+    assert (cfg.view_angle, cfg.n_views, cfg.chart_margin) == (0.0, 2, 0.0)
 
 
 def test_shipped_configs_parse(tmp_path):
@@ -319,11 +335,18 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
     for section, key, value in (
         ("sim", "dt", 0.01), ("sim", "sample_every", 0), ("controller", "nullspace_gain", -1.0),
+        ("reconstruction", "n_views", 1), ("reconstruction", "resolution", 0.0),
+        ("camera", "view_distance", 0.0),
     ):
         bad.write_text(yaml.safe_dump({section: {key: value}}))
         code = main(["scan", "--config", str(bad), "--out", str(tmp_path / "run")])
         assert code == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+    bad.write_text(yaml.safe_dump({"camera": {"width": 0}}))
+    code = main(["reconstruct", "--config", str(bad), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "camera:" in err and "width" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 
