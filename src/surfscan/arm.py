@@ -51,6 +51,10 @@ class JointLimitError(ValueError):
         )
 
 
+class JointVelocityError(JointLimitError):
+    """A joint rate is outside the model's velocity limit."""
+
+
 @dataclass(frozen=True)
 class JointSpec:
     """One revolute joint: rotation axis in its own frame plus the fixed
@@ -152,6 +156,13 @@ def check_limits(model: ArmModel, q: np.ndarray) -> None:
             raise JointLimitError(i, v, lo[i], hi[i])
 
 
+def check_velocity(model: ArmModel, qdot: np.ndarray) -> None:
+    vmax = _joint_constants(model)[6]
+    for i, v in enumerate(qdot.tolist()):
+        if not abs(v) <= vmax[i]:
+            raise JointVelocityError(i, v, -vmax[i], vmax[i])
+
+
 def _as_q(q) -> np.ndarray:
     if isinstance(q, JointState):
         return q.q
@@ -161,7 +172,7 @@ def _as_q(q) -> np.ndarray:
 def _joint_constants(model: ArmModel) -> tuple:
     """Per-joint fixed pieces of the frame recursion, cached on the model:
     origin rotation/translation, axes, the stacked Rodrigues building
-    blocks and the position limits as plain lists."""
+    blocks, and the position and velocity limits as plain lists."""
     cached = model.__dict__.get("_joint_constants")
     if cached is None:
         origin_R = [j.origin.rotation_matrix() for j in model.joints]
@@ -170,7 +181,7 @@ def _joint_constants(model: ArmModel) -> tuple:
         outer = axes[:, :, None] * axes[:, None, :]
         K = np.array([skew(a) for a in axes])
         lo, hi = model.position_limits.T.tolist()
-        cached = (origin_R, origin_t, axes, outer, K, (lo, hi))
+        cached = (origin_R, origin_t, axes, outer, K, (lo, hi), model.velocity_limits.tolist())
         object.__setattr__(model, "_joint_constants", cached)
     return cached
 
@@ -183,7 +194,7 @@ def joint_frames(model: ArmModel, q) -> tuple[np.ndarray, np.ndarray, np.ndarray
     first.
     """
     q = _as_q(q)
-    origin_R, origin_t, axes, outer, K, _ = _joint_constants(model)
+    origin_R, origin_t, axes, outer, K = _joint_constants(model)[:5]
     R = np.empty((7, 3, 3))
     p = np.empty((7, 3))
     z = np.empty((7, 3))

@@ -2,10 +2,10 @@
 
 The closest-point kernel is a vectorised transcription of the classic
 point-vs-triangle Voronoi-region case analysis (Ericson, Real-Time
-Collision Detection, 5.1.5). The same kernel backs the exhaustive
-reference path, the single-point walk and the batched traversal, so
-accelerated queries reproduce the brute-force result bit for bit,
-including the (distance, face index) tie-break.
+Collision Detection, 5.1.5). It backs the exhaustive reference path and
+the batched traversal; the single-point walk runs a scalar transcription
+that rounds identically. Accelerated queries reproduce the brute-force
+result bit for bit, including the (distance, face index) tie-break.
 
 Rays use Moller-Trumbore with double-sided hits. The hierarchy is a
 median-split AABB tree over face boxes whose leaves list their faces in
@@ -22,6 +22,7 @@ of one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +124,9 @@ class TriMesh:
         distance resolve to the smallest face index, matching the
         exhaustive per-triangle reference exactly.
 
-        hint, if given, is a face index used to seed the search bound.
-        The result is bit-identical with or without it; a good hint (the
+        hint, if given, is a face index whose distance seeds the search
+        bound; the bound then tightens as the walk evaluates faces. The
+        result is bit-identical with or without it; a good hint (the
         winning face of a nearby previous query) just prunes most of the
         tree, which matters when the query sits in a tight loop.
         """
@@ -281,11 +283,12 @@ def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def closest_point_d2(p, a, b, c) -> float:
-    """closest_point_triangles' d2 of point p and face (a, b, c), all
-    3-sequences of floats: the kernel's operations in its order and region
-    priority. IEEE float64 scalars round as the ufuncs do, so this is its
-    d2 bit for bit at a fraction of the call cost. Raises
+def closest_point_scalar(p, a, b, c) -> tuple:
+    """closest_point_triangles for point p and one face (a, b, c), all
+    3-sequences of floats: (d2, u, v, point), with u and v the weights on
+    b and c. The kernel's operations in its order and region priority;
+    IEEE float64 scalars round as the ufuncs do, so every value is the
+    kernel's bit for bit at a fraction of the call cost. Raises
     ZeroDivisionError where the kernel would divide by zero."""
     ab, ac, ap, bp, cp = _sub(b, a), _sub(c, a), _sub(p, a), _sub(p, b), _sub(p, c)
     d1, d2, d3, d4 = _dot(ab, ap), _dot(ac, ap), _dot(ab, bp), _dot(ac, bp)
@@ -307,8 +310,19 @@ def closest_point_d2(p, a, b, c) -> float:
     else:
         denom = va + vb + vc
         u, v = vb / denom, vc / denom
-    e = _sub(p, [a[i] + u * ab[i] + v * ac[i] for i in range(3)])
-    return _dot(e, e)
+    point = (a[0] + u * ab[0] + v * ac[0], a[1] + u * ab[1] + v * ac[1], a[2] + u * ab[2] + v * ac[2])
+    e = _sub(p, point)
+    return _dot(e, e), u, v, point
+
+
+def _closest(p, a, b, c) -> tuple:
+    # the numpy kernel stands in where the scalar form divides by zero;
+    # it is elementwise, so a batch of this one face gives the face's lane
+    try:
+        return closest_point_scalar(p, a, b, c)
+    except ZeroDivisionError:
+        d2, cp, bary = closest_point_triangles(np.array(p), *(np.array([x]) for x in (a, b, c)))
+        return float(d2[0]), float(bary[0, 1]), float(bary[0, 2]), tuple(cp[0].tolist())
 
 
 def _moller_trumbore(O: np.ndarray, D: np.ndarray, A, eab, eac, t_min: float):
@@ -355,7 +369,7 @@ class _Accel:
         # pad the boxes far beyond the rounding of the box bounds, so no
         # box can ever prune a face whose kernel value ties the best
         pad = 1e-9 * max(np.abs(fmin).max(), np.abs(fmax).max())
-        fmin, fmax = fmin - pad, fmax + pad
+        self.fmin, self.fmax = fmin, fmax = fmin - pad, fmax + pad
         centroids = (self.A + self.B + self.C) / 3.0
         n = len(f)
         perm = np.arange(n)
@@ -397,30 +411,28 @@ class _Accel:
         # smallest tied face
         leaf = np.nonzero(self.count)[0]
         which = np.searchsorted(np.sort(self.start[leaf]), np.arange(n), side="right")
-        self.perm = perm = perm[np.lexsort((perm, which))]
+        perm = perm[np.lexsort((perm, which))]
         # plain-python mirrors for the point-query inner loop; indexing
         # numpy scalars per node costs more than the arithmetic
         self._bmin_l = self.bmin.tolist()
         self._bmax_l = self.bmax.tolist()
         self._left_l = self.left.tolist()
         self._right_l = self.right.tolist()
-        self._start_l = self.start.tolist()
-        self._count_l = self.count.tolist()
+        self._rows = [None] * len(self.count)  # per-leaf face rows, see nearest
         # each leaf's faces as one fixed-width row, padded with its last face
         cols = np.minimum(np.arange(LEAF_SIZE), self.count[leaf][:, None] - 1)
         self.leaf_faces = np.zeros((len(self.count), LEAF_SIZE), dtype=np.int64)
         self.leaf_faces[leaf] = perm[self.start[leaf][:, None] + cols]
 
     def nearest(self, p: np.ndarray, hint: int | None = None) -> ClosestHit:
-        px, py, pz = float(p[0]), float(p[1]), float(p[2])
+        p = p.tolist()
+        px, py, pz = p
         bmin_l, bmax_l = self._bmin_l, self._bmax_l
-        left_l, right_l = self._left_l, self._right_l
-        start_l, count_l = self._start_l, self._count_l
+        left_l, right_l, rows_l = self._left_l, self._right_l, self._rows
 
-        def box_d2(node: int) -> float:
+        def box_d2(lo, hi) -> float:
             # squared box distance from the per-axis gaps, summed x then y
             # then z like _box_d2 so both spellings round identically
-            lo, hi = bmin_l[node], bmax_l[node]
             gx = lo[0] - px if lo[0] > px else px - hi[0] if px > hi[0] else 0.0
             gy = lo[1] - py if lo[1] > py else py - hi[1] if py > hi[1] else 0.0
             gz = lo[2] - pz if lo[2] > pz else pz - hi[2] if pz > hi[2] else 0.0
@@ -430,41 +442,46 @@ class _Accel:
             # seed from the greedy descent to the nearer-box leaf; any seed
             # gives the same hit (see below), a near one prunes more
             node = 0
-            while count_l[node] == 0:
+            while left_l[node] >= 0:
                 l, r = left_l[node], right_l[node]
-                node = l if box_d2(l) <= box_d2(r) else r
-            hint = int(self.perm[start_l[node]])
-        # Bound the prune by the hint face's distance and defer the kernel
-        # to one batch over every surviving leaf. Every face that could win
-        # or tie the lex-min survives that bound, the per-face kernel is
-        # batch independent, and the lex-min below is the brute-force
-        # tie-break, so the hit is bit-identical for any hint.
-        hf = np.array([hint])
-        try:
-            bound = closest_point_d2((px, py, pz), self.A[hint].tolist(), self.B[hint].tolist(),
-                                     self.C[hint].tolist())
-        except ZeroDivisionError:
-            bound = closest_point_triangles(p, self.A[hf], self.B[hf], self.C[hf])[0][0]
-        cand = [hf]
+                node = l if box_d2(bmin_l[l], bmax_l[l]) <= box_d2(bmin_l[r], bmax_l[r]) else r
+            hint = int(self.leaf_faces[node, 0])
+        # Ericson's best-first walk: the hint face seeds the (d2, face)
+        # lex-min, each leaf's faces are evaluated as the walk reaches them,
+        # and the lex-min bounds the prune. A box is pruned only when
+        # strictly farther than the bound, and the bound never drops below
+        # the final d2, so every face that wins or ties is evaluated: the
+        # lex-min is the brute-force winner for any hint.
+        best = _closest(p, *(x[hint].tolist() for x in (self.A, self.B, self.C)))
+        bound, win = best[0], hint
         stack = [0]
         while stack:
             node = stack.pop()
-            if box_d2(node) > bound:
+            if box_d2(bmin_l[node], bmax_l[node]) > bound:
                 continue
-            if count_l[node] > 0:
-                s0 = start_l[node]
-                cand.append(self.perm[s0 : s0 + count_l[node]])
-            else:
-                stack.append(right_l[node])
-                stack.append(left_l[node])
-        faces = np.concatenate(cand)
-        d2, cp, bary = closest_point_triangles(p, self.A[faces], self.B[faces], self.C[faces])
-        k = int(np.lexsort((faces, d2))[0])
-        n = self.face_normals[faces[k]]
-        dist = float(np.sqrt(d2[k]))
-        if _dot3(p - cp[k], n) < 0.0:
+            if left_l[node] >= 0:
+                stack += right_l[node], left_l[node]
+                continue
+            rows = rows_l[node]
+            if rows is None:
+                # (face, a, b, c, box min, box max) in Python floats, built on
+                # the first visit: converting every face at build time costs
+                # time and memory on meshes queried only in batches
+                f = self.leaf_faces[node, : self.count[node]]
+                cols = (f, self.A[f], self.B[f], self.C[f], self.fmin[f], self.fmax[f])
+                rows = rows_l[node] = list(zip(*(x.tolist() for x in cols)))
+            for f, a, b, c, lo, hi in rows:
+                # the padded face box is a lower bound like the node boxes
+                if box_d2(lo, hi) > bound:
+                    continue
+                hit = _closest(p, a, b, c)
+                if hit[0] < bound or (hit[0] == bound and f < win):
+                    best, bound, win = hit, hit[0], f
+        d2, u, v, point = best
+        dist = math.sqrt(d2)
+        if _dot(_sub(p, point), self.face_normals[win].tolist()) < 0.0:
             dist = -dist
-        return ClosestHit(int(faces[k]), cp[k], bary[k], dist)
+        return ClosestHit(win, np.array(point), np.array([1.0 - u - v, u, v]), dist)
 
     def _box_d2(self, P: np.ndarray, node) -> np.ndarray:
         # squared point-box distance per row; node is one index or one per row

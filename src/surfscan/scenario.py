@@ -289,16 +289,28 @@ def parse_config(doc, where: str = "config") -> ScenarioConfig:
         dt=opt(sim, "dt", 1e-3, as_float, "sim"),
         sample_every=opt(sim, "sample_every", 1, as_int, "sim"),
     )
-    if cfg.d_start <= 0.0:
-        raise SchemaError(f"{where}.contact.d_start must be positive (start above the surface)")
-    if cfg.settle_time < 0.0 or cfg.raster_speed <= 0.0 or cfg.line_spacing <= 0.0:
-        raise SchemaError(f"{where}.raster: speed and line_spacing must be positive")
-    if np.any(cfg.raster_half_extents <= 0.0):
+    if not np.all(cfg.raster_half_extents > 0.0):
         raise SchemaError(f"{where}.raster.half_extents must be positive")
     # the stages trust these; reject them here as config errors. Each
     # test is written so that NaN fails it
-    gain, margin = cfg.nullspace_gain, cfg.chart_margin
+    gain, margin, r, h = cfg.nullspace_gain, cfg.chart_margin, cfg.sphere_radius, cfg.cap_height
     for key, value, ok, need in (
+        ("phantom.grid_n", cfg.phantom_grid_n, cfg.phantom_grid_n >= 2, "at least 2"),
+        ("phantom.extent", cfg.phantom_extent, cfg.phantom_extent > 0.0, "positive"),
+        ("phantom.sphere_radius", r, r > 0.0, "positive"),
+        ("phantom.cap_height", h, 0.0 < h <= r, f"in (0, sphere_radius = {r}]"),
+        ("phantom.contact_stiffness", cfg.contact_stiffness, cfg.contact_stiffness > 0.0, "positive"),
+        ("phantom.contact_damping", cfg.contact_damping, cfg.contact_damping >= 0.0, "non-negative"),
+        ("markers.size", cfg.marker_size, cfg.marker_size > 0.0, "positive"),
+        ("markers.noise_sigma", cfg.marker_noise_sigma, cfg.marker_noise_sigma >= 0.0, "non-negative"),
+        ("contact.d_start", cfg.d_start, cfg.d_start > 0.0, "positive (start above the surface)"),
+        ("contact.d_hold", cfg.d_hold, cfg.d_hold < 0.0, "negative (command penetration)"),
+        ("contact.ramp_rate", cfg.ramp_rate, cfg.ramp_rate > 0.0, "positive"),
+        ("contact.hold_duration", cfg.hold_duration, cfg.hold_duration >= 0.0, "non-negative"),
+        ("raster.d_hold", cfg.raster_d_hold, cfg.raster_d_hold < 0.0, "negative (command penetration)"),
+        ("raster.speed", cfg.raster_speed, cfg.raster_speed > 0.0, "positive"),
+        ("raster.line_spacing", cfg.line_spacing, cfg.line_spacing > 0.0, "positive"),
+        ("raster.settle_time", cfg.settle_time, cfg.settle_time >= 0.0, "non-negative"),
         ("sim.dt", cfg.dt, 0.0 < cfg.dt <= MAX_DT, f"in (0, {MAX_DT}] s"),
         ("sim.sample_every", cfg.sample_every, cfg.sample_every >= 1, "at least 1"),
         ("controller.nullspace_gain", gain, gain >= 0.0, "non-negative"),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import ArmModel, ArmSnapshot, JointState, arm_snapshot
+from .arm import ArmModel, ArmSnapshot, JointState, arm_snapshot, check_velocity
 from .chart import SurfaceChart, SurfaceCoords, SurfaceFrame
 from .geometry import unchecked
 from .controller import ImpedanceGains, Setpoint, impedance_torque, nullspace_damping
@@ -170,6 +170,7 @@ def step(
         raise DivergenceError(
             f"integrator diverged at t = {state.t:.6f} s (step from dt = {dt})"
         )
+    check_velocity(model, qdot_new)  # raises JointVelocityError
     # q_new and qdot_new were just checked finite: skip JointState's re-check
     joint = unchecked(JointState, q_new, qdot_new)
     hint = state.frame.face if state.frame.face >= 0 else None
@@ -314,8 +315,8 @@ def simulate(
     """Run the loop for `duration` seconds; setpoints is t -> Setpoint.
 
     Samples every `sample_every` steps (always including t = 0 and the
-    final state). On joint-limit or divergence errors the partial log is
-    attached to the exception as `partial_log`.
+    final state). On joint-limit (position or velocity) or divergence
+    errors the partial log is attached to the exception as `partial_log`.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")

@@ -22,6 +22,7 @@ from surfscan.mesh import (
     load_off,
     save_off,
 )
+from surfscan.sim import cap_phantom_mesh, flat_phantom_mesh
 
 
 def scalar_closest(p, a, b, c):
@@ -351,6 +352,75 @@ def test_closest_points_rows_match_single_queries():
     assert len(BUMPY.closest_points(np.empty((0, 3)))[0]) == 0
     with pytest.raises(ValueError, match="finite"):
         BUMPY.closest_points(np.array([[0.0, np.nan, 0.0]]))
+
+
+def hit_bits(face, distance, point, bary):
+    return int(face), float(distance).hex(), point.tobytes(), bary.tobytes()
+
+
+def single_bits(mesh, p, hint=None):
+    hit = mesh.closest_point(p, hint)
+    return hit_bits(hit.face, hit.distance, hit.point, hit.barycentric)
+
+
+@pytest.mark.parametrize("make", [lambda: flat_phantom_mesh(np.zeros(3)),
+                                  lambda: cap_phantom_mesh(np.zeros(3))], ids=["flat", "cap"])
+def test_hinted_chain_matches_batched_rows(make):
+    # a probe-like path, each query hinted with the previous query's face
+    # as the control step does, against the independent batched traversal;
+    # every 25th point is a mesh vertex, where faces tie
+    mesh = make()
+    s = np.linspace(0.0, 1.0, 600)
+    pts = np.column_stack([0.08 * np.cos(3.0 * s), 0.06 * np.sin(5.0 * s), 0.02 + 0.03 * np.sin(7.0 * s)])
+    pts[::25] = mesh.vertices[np.random.default_rng(5).integers(0, len(mesh.vertices), 24)]
+    dist, face, point, bary = mesh.closest_points(pts)
+    hint = None
+    for i, p in enumerate(pts):
+        assert single_bits(mesh, p, hint) == hit_bits(face[i], dist[i], point[i], bary[i])
+        hint = int(face[i])
+
+
+def test_single_point_walk_runs_no_numpy_kernel(monkeypatch):
+    # a fresh mesh, so the walk also builds its leaf rows under the patch
+    mesh = bumpy_mesh(seed=7)
+    pts = np.vstack([np.random.default_rng(9).uniform(-0.12, 0.12, (30, 3)), mesh.vertices[::40]])
+    want = [single_bits(bumpy_mesh(seed=7), p) for p in pts]
+
+    def forbidden(*args):
+        raise AssertionError("numpy kernel called")
+
+    monkeypatch.setattr(mesh_module, "closest_point_triangles", forbidden)
+    for i, p in enumerate(pts):
+        for hint in (None, 0, 37 * i % mesh.n_faces):
+            assert single_bits(mesh, p, hint) == want[i]
+
+
+def test_scalar_kernel_division_falls_back_to_numpy(monkeypatch):
+    # make the scalar kernel fail on each query's winning face: the walk
+    # must take that face's values from the numpy kernel, same bits
+    mesh = bumpy_mesh(seed=6)
+    acc = mesh._accel()
+    pts = np.vstack([np.random.default_rng(4).uniform(-0.12, 0.12, (20, 3)), mesh.vertices[::50]])
+    want = [single_bits(mesh, p) for p in pts]
+    bad = {tuple(acc.A[w[0]].tolist() + acc.B[w[0]].tolist()) for w in want}
+    scalar, kernel = mesh_module.closest_point_scalar, mesh_module.closest_point_triangles
+    fallbacks = []
+
+    def failing(p, a, b, c):
+        if tuple(list(a) + list(b)) in bad:
+            raise ZeroDivisionError("float division by zero")
+        return scalar(p, a, b, c)
+
+    def counted(*args):
+        fallbacks.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(mesh_module, "closest_point_scalar", failing)
+    monkeypatch.setattr(mesh_module, "closest_point_triangles", counted)
+    for p, w in zip(pts, want):
+        for hint in (None, w[0], 0):
+            assert single_bits(mesh, p, hint) == w
+    assert len(fallbacks) >= 3 * len(pts)
 
 
 def test_raycast_axial_depth():

@@ -7,8 +7,9 @@ query with an arbitrary valid hint must all return exactly that face,
 distance, point and barycentric weights. Query points include mesh
 vertices and points on shared edges, where exact and near ties occur.
 Rays include axis-parallel ones that run through vertices. The scalar
-transcription that bounds the hinted walk must reproduce the kernel's
-squared distance bit for bit on every face.
+transcription that the single-point walk evaluates faces with must
+reproduce the kernel's squared distance, weights and point bit for bit
+on every face.
 """
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from surfscan.mesh import (
     _moller_trumbore,
-    closest_point_d2,
+    closest_point_scalar,
     closest_point_triangles,
     grid_surface_mesh,
 )
@@ -138,11 +139,14 @@ def test_rays_are_brute_force(mesh, seed):
 
 @SETTINGS
 @given(mesh_and_points())
-def test_scalar_hint_bound_is_the_kernel_d2(case):
+def test_scalar_kernel_is_the_vector_kernel(case):
     mesh, pts = case
     acc = mesh._accel()
     A, B, C = acc.A.tolist(), acc.B.tolist(), acc.C.tolist()
     for p in pts:
-        d2, _, _ = closest_point_triangles(p, acc.A, acc.B, acc.C)
+        d2, cp, bary = closest_point_triangles(p, acc.A, acc.B, acc.C)
         for f in range(mesh.n_faces):
-            assert closest_point_d2(p.tolist(), A[f], B[f], C[f]).hex() == float(d2[f]).hex()
+            s_d2, u, v, point = closest_point_scalar(p.tolist(), A[f], B[f], C[f])
+            got = [s_d2, 1.0 - u - v, u, v, *point]
+            want = [d2[f], *bary[f], *cp[f]]
+            assert [x.hex() for x in got] == [float(x).hex() for x in want]

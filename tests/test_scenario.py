@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from surfscan.arm import JointLimitError, reference_arm, save_arm_model
+from surfscan.arm import JointLimitError, JointVelocityError, reference_arm, save_arm_model
 from surfscan.cli import _COMMAND_STAGES, main
 from surfscan.localization import alignment_pose, fit_plane, ScenePlane
 from surfscan.scenario import (
@@ -105,9 +105,22 @@ def test_bad_scalar_values_rejected():
         ("reconstruction", "n_views", 1), ("reconstruction", "resolution", 0.0),
         ("reconstruction", "resolution", float("nan")), ("reconstruction", "chart_margin", -0.01),
         ("reconstruction", "chart_margin", float("nan")),
+        # and so are the phantom, marker, contact and raster values
+        ("phantom", "grid_n", 1), ("phantom", "extent", 0.0), ("phantom", "extent", float("nan")),
+        ("phantom", "sphere_radius", 0.0), ("phantom", "cap_height", 0.0),
+        ("phantom", "cap_height", 0.2), ("phantom", "cap_height", float("nan")),
+        ("phantom", "contact_stiffness", 0.0), ("phantom", "contact_damping", -1.0),
+        ("markers", "size", 0.0), ("markers", "noise_sigma", -1e-3),
+        ("markers", "noise_sigma", float("nan")), ("contact", "ramp_rate", 0.0),
+        ("contact", "hold_duration", -1.0), ("contact", "d_hold", 0.0),
+        ("contact", "d_hold", float("nan")), ("raster", "d_hold", 1e-3),
+        ("raster", "speed", float("nan")), ("raster", "line_spacing", float("nan")),
+        ("raster", "settle_time", -1.0),
     ):
         with pytest.raises(SchemaError, match=f"{section}.{key}"):
             parse_config({section: {key: value}})
+    with pytest.raises(SchemaError, match="raster.half_extents"):
+        parse_config({"raster": {"half_extents": [0.03, float("nan")]}})
     # intrinsics errors are config errors that name the camera field
     for key, value in (
         ("width", 0), ("height", -1), ("fx", 0.0), ("fy", float("nan")), ("cx", 500.0),
@@ -120,6 +133,10 @@ def test_bad_scalar_values_rejected():
     cfg = parse_config({"camera": {"view_angle_deg": 0.0},
                         "reconstruction": {"n_views": 2, "chart_margin": 0.0}})
     assert (cfg.view_angle, cfg.n_views, cfg.chart_margin) == (0.0, 2, 0.0)
+    cfg = parse_config({"phantom": {"grid_n": 2, "cap_height": 0.1, "contact_damping": 0.0},
+                        "markers": {"noise_sigma": 0.0}, "contact": {"hold_duration": 0.0}})
+    assert (cfg.phantom_grid_n, cfg.cap_height, cfg.contact_damping) == (2, 0.1, 0.0)
+    assert (cfg.marker_noise_sigma, cfg.hold_duration) == (0.0, 0.0)
 
 
 def test_shipped_configs_parse(tmp_path):
@@ -259,6 +276,20 @@ def test_failed_simulation_writes_partial_log(tmp_path):
     assert "FAILED:" in (tmp_path / "run" / "report.txt").read_text()
 
 
+def test_velocity_breach_writes_partial_log(tmp_path):
+    model = reference_arm()
+    joints = tuple(dataclasses.replace(j, velocity_limit=0.01) for j in model.joints)
+    save_arm_model(dataclasses.replace(model, joints=joints), tmp_path / "slow.yaml")
+    doc = {"arm": {"model": str(tmp_path / "slow.yaml")}, "contact": {"hold_duration": 1.0}}
+    with pytest.raises(StageError, match="stage contact") as err:
+        run_scenario(doc, tmp_path / "run", stages=("contact",))
+    assert isinstance(err.value.__cause__, JointVelocityError)
+    assert not (tmp_path / "run" / "contact_log.csv").exists()
+    log = parse_log(tmp_path / "run" / "contact_log.partial.csv")
+    assert log.t[0] == 0.0 and len(log) >= 2
+    assert "FAILED:" in (tmp_path / "run" / "report.txt").read_text()
+
+
 def test_raster_on_truth_chart(tmp_path):
     doc = {
         "contact": {"d_start": 0.004},
@@ -338,12 +369,16 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     for section, key, value in (
         ("sim", "dt", 0.01), ("sim", "sample_every", 0), ("controller", "nullspace_gain", -1.0),
         ("reconstruction", "n_views", 1), ("reconstruction", "resolution", 0.0),
-        ("camera", "view_distance", 0.0),
+        ("camera", "view_distance", 0.0), ("phantom", "grid_n", 1), ("phantom", "cap_height", 0.5),
+        ("phantom", "contact_stiffness", 0.0), ("markers", "size", 0.0),
+        ("contact", "d_hold", 0.0), ("raster", "d_hold", 0.0),
     ):
         bad.write_text(yaml.safe_dump({section: {key: value}}))
-        code = main(["scan", "--config", str(bad), "--out", str(tmp_path / "run")])
+        command = "localize" if section in ("phantom", "markers") else "scan"
+        code = main([command, "--config", str(bad), "--out", str(tmp_path / "run")])
         assert code == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and "Traceback" not in err
     bad.write_text(yaml.safe_dump({"camera": {"width": 0}}))
     code = main(["reconstruct", "--config", str(bad), "--out", str(tmp_path / "run")])
     assert code == 2

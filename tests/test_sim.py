@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from surfscan.arm import JointLimitError, forward_kinematics, reference_arm
+from surfscan.arm import JointLimitError, JointVelocityError, forward_kinematics, reference_arm
 from surfscan.chart import SurfaceChart, SurfaceCoords
 from surfscan.controller import (
     ContactProfile,
@@ -215,6 +215,34 @@ def test_simulate_attaches_partial_log_on_limit_breach():
     log = ei.value.partial_log
     assert log is not None and len(log) >= 1
     assert log.t[0] == 0.0
+
+
+def slow_model(limit: float):
+    return dataclasses.replace(
+        MODEL, joints=tuple(dataclasses.replace(j, velocity_limit=limit) for j in MODEL.joints)
+    )
+
+
+def test_step_raises_on_velocity_limit():
+    chart, phantom = flat_rig(0.010)
+    qdot = np.zeros(7)
+    qdot[2] = 0.2
+    st = init_state(MODEL, chart, phantom, Q_SCAN, qdot)
+    step(slow_model(0.3), chart, phantom, None, hold_setpoint(0.01), st, 1e-3)
+    with pytest.raises(JointVelocityError, match="joint 2") as ei:
+        step(slow_model(0.1), chart, phantom, None, hold_setpoint(0.01), st, 1e-3)
+    assert isinstance(ei.value, ValueError) and ei.value.joint_index == 2
+    assert ei.value.value > 0.1
+
+
+def test_simulate_attaches_partial_log_on_velocity_breach():
+    chart, phantom = flat_rig(0.010)
+    with pytest.raises(JointVelocityError) as ei:
+        simulate(slow_model(0.05), chart, phantom, GAINS, lambda t: hold_setpoint(-0.004), Q_SCAN, 2.0)
+    log = ei.value.partial_log
+    assert log is not None and log.t[0] == 0.0 and len(log) >= 2
+    # every logged step kept its rates within the limit
+    assert np.abs(np.diff(log.q, axis=0)).max() / 1e-3 <= 0.05 * (1.0 + 1e-9)
 
 
 def test_simulate_deadline_timeout():
