@@ -368,8 +368,8 @@ class _Accel:
         fmax = np.maximum(np.maximum(self.A, self.B), self.C)
         # pad the boxes far beyond the rounding of the box bounds, so no
         # box can ever prune a face whose kernel value ties the best
-        pad = 1e-9 * max(np.abs(fmin).max(), np.abs(fmax).max())
-        self.fmin, self.fmax = fmin, fmax = fmin - pad, fmax + pad
+        self.pad = pad = 1e-9 * max(np.abs(fmin).max(), np.abs(fmax).max())
+        fmin, fmax = fmin - pad, fmax + pad
         centroids = (self.A + self.B + self.C) / 3.0
         n = len(f)
         perm = np.arange(n)
@@ -468,11 +468,14 @@ class _Accel:
                 # the first visit: converting every face at build time costs
                 # time and memory on meshes queried only in batches
                 f = self.leaf_faces[node, : self.count[node]]
-                cols = (f, self.A[f], self.B[f], self.C[f], self.fmin[f], self.fmax[f])
-                rows = rows_l[node] = list(zip(*(x.tolist() for x in cols)))
+                A, B, C = self.A[f], self.B[f], self.C[f]
+                lo = np.minimum(np.minimum(A, B), C) - self.pad
+                hi = np.maximum(np.maximum(A, B), C) + self.pad
+                rows = rows_l[node] = list(zip(*(x.tolist() for x in (f, A, B, C, lo, hi))))
             for f, a, b, c, lo, hi in rows:
-                # the padded face box is a lower bound like the node boxes
-                if box_d2(lo, hi) > bound:
+                # the hint is in the lex-min already; the padded face box is
+                # a lower bound like the node boxes
+                if f == hint or box_d2(lo, hi) > bound:
                     continue
                 hit = _closest(p, a, b, c)
                 if hit[0] < bound or (hit[0] == bound and f < win):
