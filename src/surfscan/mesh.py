@@ -124,11 +124,10 @@ class TriMesh:
         distance resolve to the smallest face index, matching the
         exhaustive per-triangle reference exactly.
 
-        hint, if given, is a face index whose distance seeds the search
-        bound; the bound then tightens as the walk evaluates faces. The
-        result is bit-identical with or without it; a good hint (the
-        winning face of a nearby previous query) just prunes most of the
-        tree, which matters when the query sits in a tight loop.
+        hint, if given, is a face index that seeds the search bound, which
+        then tightens as the walk evaluates faces. The result is
+        bit-identical with or without it; a good hint (the winning face of
+        a nearby previous query) prunes most of the tree in a tight loop.
         """
         if hint is not None and not 0 <= hint < self.n_faces:
             raise ValueError(f"hint face {hint} out of range")
@@ -316,8 +315,7 @@ def closest_point_scalar(p, a, b, c) -> tuple:
 
 
 def _closest(p, a, b, c) -> tuple:
-    # the numpy kernel stands in where the scalar form divides by zero;
-    # it is elementwise, so a batch of this one face gives the face's lane
+    # where the scalar form divides by zero, the elementwise numpy kernel on this one face
     try:
         return closest_point_scalar(p, a, b, c)
     except ZeroDivisionError:
@@ -446,12 +444,11 @@ class _Accel:
                 l, r = left_l[node], right_l[node]
                 node = l if box_d2(bmin_l[l], bmax_l[l]) <= box_d2(bmin_l[r], bmax_l[r]) else r
             hint = int(self.leaf_faces[node, 0])
-        # Ericson's best-first walk: the hint face seeds the (d2, face)
-        # lex-min, each leaf's faces are evaluated as the walk reaches them,
-        # and the lex-min bounds the prune. A box is pruned only when
-        # strictly farther than the bound, and the bound never drops below
-        # the final d2, so every face that wins or ties is evaluated: the
-        # lex-min is the brute-force winner for any hint.
+        # Ericson's best-first walk: the hint seeds the (d2, face) lex-min,
+        # leaf faces are evaluated as the walk reaches them, and the lex-min
+        # bounds the prune. A box is pruned only when strictly farther than
+        # the bound, which never drops below the final d2, so every face that
+        # wins or ties is evaluated: the lex-min is the brute-force winner.
         best = _closest(p, *(x[hint].tolist() for x in (self.A, self.B, self.C)))
         bound, win = best[0], hint
         stack = [0]
@@ -464,17 +461,15 @@ class _Accel:
                 continue
             rows = rows_l[node]
             if rows is None:
-                # (face, a, b, c, box min, box max) in Python floats, built on
-                # the first visit: converting every face at build time costs
-                # time and memory on meshes queried only in batches
+                # (face, a, b, c, box min, box max) in floats, on first visit:
+                # converting all faces at build costs batch-only meshes too
                 f = self.leaf_faces[node, : self.count[node]]
                 A, B, C = self.A[f], self.B[f], self.C[f]
                 lo = np.minimum(np.minimum(A, B), C) - self.pad
                 hi = np.maximum(np.maximum(A, B), C) + self.pad
                 rows = rows_l[node] = list(zip(*(x.tolist() for x in (f, A, B, C, lo, hi))))
             for f, a, b, c, lo, hi in rows:
-                # the hint is in the lex-min already; the padded face box is
-                # a lower bound like the node boxes
+                # the hint is counted already; face boxes are padded like nodes
                 if f == hint or box_d2(lo, hi) > bound:
                     continue
                 hit = _closest(p, a, b, c)
