@@ -29,6 +29,7 @@ from .schema import (
     as_vector,
     check_keys,
     get_required,
+    load_yaml,
     require_mapping,
 )
 
@@ -381,8 +382,7 @@ def load_arm_model(path) -> ArmModel:
 
     Unknown fields anywhere in the document are rejected.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = load_yaml(path)
     where = str(path)
     doc = require_mapping(doc, where)
     check_keys(doc, _TOP_KEYS, where)

@@ -23,6 +23,7 @@ from .schema import (
     as_matrix,
     check_keys,
     get_required,
+    load_yaml,
     require_mapping,
 )
 
@@ -215,8 +216,7 @@ _MARKER_KEYS = ("id", "corners", "confidence")
 
 
 def load_markers(path) -> list[MarkerObservation]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = load_yaml(path)
     where = str(path)
     doc = require_mapping(doc, where)
     check_keys(doc, ("markers",), where)

@@ -7,18 +7,18 @@ the batched traversal; the single-point walk runs a scalar transcription
 that rounds identically. Accelerated queries reproduce the brute-force
 result bit for bit, including the (distance, face index) tie-break.
 
-Rays use Moller-Trumbore with double-sided hits. The hierarchy is a
-median-split AABB tree over face boxes whose leaves list their faces in
-ascending order and whose boxes are padded against rounding; traversal
-never prunes a node whose lower bound ties the current best, which is
-what makes the tie-break exact. Batched queries walk the tree breadth
-first over (member, node) pairs, one level at a time (packet traversal:
-Wald et al., "Interactive Rendering with Coherent Ray Tracing", 2001),
-and evaluate the leaves they reach in chunks through a padded per-leaf
-face table. Points seed their bound from a greedy descent; rays run a
-slab test on per-axis columns, evaluate their nearest-entry leaf first,
-then only the leaves entered at or before that hit. One ray is a batch
-of one.
+Point queries use a median-split AABB tree over face boxes whose leaves
+list their faces in ascending order and whose boxes are padded against
+rounding; traversal never prunes a node whose lower bound ties the current
+best, which is what makes the tie-break exact. Batched queries walk it
+breadth first over (point, node) pairs, seeded by a greedy descent.
+
+Rays use Moller-Trumbore with double-sided hits. Rays that share an origin
+are cast together (Wald et al., "Interactive Rendering with Coherent Ray
+Tracing", 2001) by the sort-middle binning of software rasterisers (Laine
+and Karras, "High-Performance Software Rasterization on GPUs", 2011): the
+faces are projected from the origin, and each is evaluated for the rays
+whose image points fall in its padded box. One ray is a group of one.
 """
 from __future__ import annotations
 
@@ -31,10 +31,33 @@ from .geometry import cross3
 
 LEAF_SIZE = 8
 POINT_BLOCK = 1024  # points per batched traversal; bounds its working set
-RAY_BLOCK = 4096  # rays per batched traversal; bounds its working set
-PAIR_CHUNK = 256  # (member, leaf) pairs per kernel call; bounds its temporaries
+PAIR_CHUNK = 256  # (point, leaf) pairs per kernel call; bounds its temporaries
+RAY_BLOCK = 4096  # rays per binning pass; bounds its working set
+RAYS_PER_CELL = 2  # mean rays per cell of a pass's image-space grid
+MIN_COS = 0.5  # a ray group stays whole while every ray is within 60 degrees of its axis
 DEGENERATE_AREA = 1e-12
 BARY_EPS = 1e-10  # ray tests: tolerance on barycentric bounds at shared edges
+
+# Ray binning pads. A group has origin o and frame (e1, e2, w); a point X has
+# depth z = (X - o).w and image p(X) = ((X - o).e1, (X - o).e2) / z. Rays of
+# a group have D.w > 0, so a ray's points at t > 0 share one image q. If the
+# kernel reports a hit on a binned face, q lies in the face's padded box:
+# 1. Rounding moves the kernel's u and v by far less than RAY_SLACK unless
+#    the ray is within about 1e-8 rad of the face's plane, where det is all
+#    rounding and the kernel returns noise. So with BARY_EPS the exact hit
+#    is X = sum l_k V_k, sum l_k = 1, at most two l_k < 0, all >= -RAY_SLACK.
+# 2. Binned faces have depths z_k > FRONT_COS r, r = max |V_k - o|, so
+#    z(X) >= z_min - 2 RAY_SLACK r > z_min / 2: X is at t > 0 and p(X) = q.
+# 3. q = sum m_k p(V_k), m_k = l_k z_k / z(X) summing to 1, each m_k >
+#    -2 RAY_SLACK / FRONT_COS: q is within PAD_REL box extents of the box.
+# 4. |p| < 1 / FRONT_COS at binned vertices; computed image points of
+#    vertices and rays are within 5 eps (1 + |p|)^2 of exact, and the
+#    PAD_ABS term, m the box's largest |coordinate|, is 30 times the sum.
+# By the mirror of 2, a face with every z_k < -FRONT_COS r has no hit.
+RAY_SLACK = 1e-6
+FRONT_COS = 1e-3
+PAD_REL = 4.0 * RAY_SLACK / FRONT_COS
+PAD_ABS = 1e-13  # times (1 + m)^2
 
 
 @dataclass(frozen=True)
@@ -61,13 +84,11 @@ class TriMesh:
             raise ValueError("face index out of range")
         if np.any(f[:, 0] == f[:, 1]) or np.any(f[:, 1] == f[:, 2]) or np.any(f[:, 0] == f[:, 2]):
             raise ValueError("face with repeated vertex")
-        v.setflags(write=False)
-        f.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "faces", f)
+        for name, x in (("vertices", v), ("faces", f)):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
         cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-        areas = 0.5 * np.linalg.norm(cross, axis=1)
-        if np.min(areas) <= DEGENERATE_AREA:
+        if np.min(0.5 * np.linalg.norm(cross, axis=1)) <= DEGENERATE_AREA:
             raise ValueError(f"degenerate face (area <= {DEGENERATE_AREA} m^2)")
         self._check_manifold(f, len(v))
 
@@ -75,11 +96,8 @@ class TriMesh:
     def _check_manifold(f: np.ndarray, nv: int) -> None:
         # an undirected edge used more than twice means non-manifold; a
         # directed edge used twice means inconsistent winding
-        a = f.ravel()
-        b = f[:, [1, 2, 0]].ravel()
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        _, counts = np.unique(lo * nv + hi, return_counts=True)
+        a, b = f.ravel(), f[:, [1, 2, 0]].ravel()
+        _, counts = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_counts=True)
         if counts.max() > 2:
             raise ValueError("non-manifold edge")
         directed = a * nv + b
@@ -99,9 +117,8 @@ class TriMesh:
         if acc.vertex_normals is None:
             n = np.zeros_like(self.vertices)
             # cross products carry the 2*area weighting already
-            np.add.at(n, self.faces[:, 0], acc.cross)
-            np.add.at(n, self.faces[:, 1], acc.cross)
-            np.add.at(n, self.faces[:, 2], acc.cross)
+            for corner in self.faces.T:
+                np.add.at(n, corner, acc.cross)
             lengths = np.linalg.norm(n, axis=1)
             lengths[lengths == 0.0] = 1.0  # isolated vertices keep a zero normal
             acc.vertex_normals = n / lengths[:, None]
@@ -153,27 +170,27 @@ class TriMesh:
 
     def raycast(self, origin, direction, t_min: float = 0.0) -> "RayHit | None":
         """First hit along one ray: raycast_batch on a batch of one."""
-        o = np.asarray(origin, dtype=float).reshape(1, 3)
-        d = np.asarray(direction, dtype=float).reshape(1, 3)
-        acc = self._accel()
-        t, face = acc.raycast_batch(o, d, t_min)
-        f = int(face[0])
-        if f < 0:
+        t, face = self.raycast_batch(origin, direction, t_min)
+        if face[0] < 0:
             return None
         # the winning lane again, alone: the kernel is elementwise, so u and
         # v round exactly as they did inside the batch
-        _, u, v = _moller_trumbore(o, d, acc.A[f], acc.eab[f], acc.eac[f], t_min)
-        u, v = float(u[0]), float(v[0])
-        point = acc.A[f] + u * acc.eab[f] + v * acc.eac[f]
-        return RayHit(f, float(t[0]), np.array([1.0 - u - v, u, v]), point)
+        acc, f = self._accel(), int(face[0])
+        A, eab, eac = acc.A[f], acc.eab[f], acc.eac[f]
+        o, d = (np.asarray(x, dtype=float).reshape(1, 3) for x in (origin, direction))
+        u, v = (float(x[0]) for x in _moller_trumbore(o, d, A, eab, eac, t_min)[1:])
+        return RayHit(f, float(t[0]), np.array([1.0 - u - v, u, v]), A + u * eab + v * eac)
 
-    def raycast_batch(self, origins: np.ndarray, directions: np.ndarray, t_min: float = 0.0):
-        """Vectorised first-hit query.
-
-        Returns (t, face) arrays; misses have t = inf and face = -1.
-        """
-        O = np.asarray(origins, dtype=float).reshape(-1, 3)
-        D = np.asarray(directions, dtype=float).reshape(-1, 3)
+    def raycast_batch(self, origins, directions, t_min: float = 0.0):
+        """First hits of rays from (n, 3) origins along (n, 3) directions (one
+        ray may come as two 3-vectors) at t >= t_min: (t, face) arrays, with
+        t = inf and face = -1 on a miss."""
+        O, D = (np.asarray(x, dtype=float) for x in (origins, directions))
+        if O.shape[-1:] != (3,) or O.ndim > 2 or O.shape != D.shape:
+            raise ValueError(f"origins and directions must both be (n, 3); got {O.shape} and {D.shape}")
+        O, D = O.reshape(-1, 3), D.reshape(-1, 3)
+        if not (np.isfinite(O).all() and np.isfinite(D).all() and 0.0 <= t_min < math.inf):
+            raise ValueError(f"rays must be finite, and t_min finite and >= 0 (t_min {t_min})")
         return self._accel().raycast_batch(O, D, t_min)
 
     def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,11 +200,9 @@ class TriMesh:
         cdf /= cdf[-1]
         fi = np.searchsorted(cdf, rng.random(n), side="right")
         fi = np.minimum(fi, self.n_faces - 1)
-        u = rng.random(n)
-        v = rng.random(n)
+        u, v = rng.random(n), rng.random(n)
         flip = u + v > 1.0
-        u[flip] = 1.0 - u[flip]
-        v[flip] = 1.0 - v[flip]
+        u, v = np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
         return acc.A[fi] + u[:, None] * acc.eab[fi] + v[:, None] * acc.eac[fi]
 
 
@@ -222,21 +237,10 @@ def closest_point_triangles(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.n
     elementwise arithmetic, so a (point, face) result does not depend on
     what else is in the batch; the hierarchy relies on that.
     """
-    ab = B - A
-    ac = C - A
-    ap = p - A
-    d1 = _dot3(ab, ap)
-    d2_ = _dot3(ac, ap)
-    bp = p - B
-    d3 = _dot3(ab, bp)
-    d4 = _dot3(ac, bp)
-    cp_ = p - C
-    d5 = _dot3(ab, cp_)
-    d6 = _dot3(ac, cp_)
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2_ - d1 * d6
-    vc = d1 * d4 - d3 * d2_
-
+    ab, ac, ap, bp, cp_ = B - A, C - A, p - A, p - B, p - C
+    d1, d2_, d3, d4 = _dot3(ab, ap), _dot3(ac, ap), _dot3(ab, bp), _dot3(ac, bp)
+    d5, d6 = _dot3(ab, cp_), _dot3(ac, cp_)
+    va, vb, vc = d3 * d6 - d5 * d4, d5 * d2_ - d1 * d6, d1 * d4 - d3 * d2_
     in_a = (d1 <= 0.0) & (d2_ <= 0.0)
     in_b = (d3 >= 0.0) & (d4 <= d3)
     in_c = (d6 >= 0.0) & (d5 <= d6)
@@ -245,33 +249,19 @@ def closest_point_triangles(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.n
     on_bc = (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_ab = d1 / (d1 - d3)
-        t_ac = d2_ / (d2_ - d6)
+        t_ab, t_ac = d1 / (d1 - d3), d2_ / (d2_ - d6)
         t_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
         denom = va + vb + vc
-        v_in = vb / denom
-        w_in = vc / denom
-
+        u, v = vb / denom, vc / denom
     # RTCD region priority: vertices, then edges, then face interior;
     # u is the weight on B, v the weight on C. Applied lowest priority
     # first so each later (higher-priority) region overrides.
-    u = np.where(on_bc, 1.0 - t_bc, v_in)
-    u = np.where(on_ac, 0.0, u)
-    u = np.where(on_ab, t_ab, u)
-    u = np.where(in_c, 0.0, u)
-    u = np.where(in_b, 1.0, u)
-    u = np.where(in_a, 0.0, u)
-    v = np.where(on_bc, t_bc, w_in)
-    v = np.where(on_ac, t_ac, v)
-    v = np.where(on_ab, 0.0, v)
-    v = np.where(in_c, 1.0, v)
-    v = np.where(in_b, 0.0, v)
-    v = np.where(in_a, 0.0, v)
+    for region, u_r, v_r in ((on_bc, 1.0 - t_bc, t_bc), (on_ac, 0.0, t_ac), (on_ab, t_ab, 0.0),
+                             (in_c, 0.0, 1.0), (in_b, 1.0, 0.0), (in_a, 0.0, 0.0)):
+        u, v = np.where(region, u_r, u), np.where(region, v_r, v)
     cp = A + u[..., None] * ab + v[..., None] * ac
     diff = p - cp
-    dist2 = _dot3(diff, diff)
-    bary = np.stack([1.0 - u - v, u, v], axis=-1)
-    return dist2, cp, bary
+    return _dot3(diff, diff), cp, np.stack([1.0 - u - v, u, v], axis=-1)
 
 
 def _sub(a, b) -> tuple:
@@ -348,11 +338,9 @@ class _Accel:
 
     def __init__(self, mesh: TriMesh):
         v, f = mesh.vertices, mesh.faces
-        self.A = v[f[:, 0]]
-        self.B = v[f[:, 1]]
-        self.C = v[f[:, 2]]
-        self.eab = self.B - self.A
-        self.eac = self.C - self.A
+        self.vertices, self.corners = v, f.T.copy()  # corners: (3, faces) vertex ids
+        self.A, self.B, self.C = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+        self.eab, self.eac = self.B - self.A, self.C - self.A
         self.cross = np.cross(self.eab, self.eac)
         norms = np.linalg.norm(self.cross, axis=1)
         self.face_areas = 0.5 * norms
@@ -386,25 +374,19 @@ class _Accel:
             bmax.append(fmax[sub].max(axis=0))
             left.append(-1)
             right.append(-1)
-            if hi - lo <= LEAF_SIZE:
-                start.append(lo)
-                count.append(hi - lo)
+            leaf = hi - lo <= LEAF_SIZE
+            start.append(lo if leaf else 0)
+            count.append(hi - lo if leaf else 0)
+            if leaf:
                 continue
-            start.append(0)
-            count.append(0)
             cen = centroids[sub]
             axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
             order = np.argsort(cen[:, axis], kind="stable")
             perm[lo:hi] = sub[order]
             mid = (lo + hi) // 2
-            stack.append((mid, hi, idx))
-            stack.append((lo, mid, idx))
-        self.bmin = np.array(bmin)
-        self.bmax = np.array(bmax)
-        self.left = np.array(left)
-        self.right = np.array(right)
-        self.start = np.array(start)
-        self.count = np.array(count)
+            stack += [(mid, hi, idx), (lo, mid, idx)]
+        self.bmin, self.bmax, self.left, self.right, self.start, self.count = (
+            np.array(x) for x in (bmin, bmax, left, right, start, count))
         # faces ascend within each leaf, so a leaf's first minimum is its
         # smallest tied face
         leaf = np.nonzero(self.count)[0]
@@ -412,10 +394,8 @@ class _Accel:
         perm = perm[np.lexsort((perm, which))]
         # plain-python mirrors for the point-query inner loop; indexing
         # numpy scalars per node costs more than the arithmetic
-        self._bmin_l = self.bmin.tolist()
-        self._bmax_l = self.bmax.tolist()
-        self._left_l = self.left.tolist()
-        self._right_l = self.right.tolist()
+        self._bmin_l, self._bmax_l, self._left_l, self._right_l = (
+            x.tolist() for x in (self.bmin, self.bmax, self.left, self.right))
         self._rows = [None] * len(self.count)  # per-leaf face rows, see nearest
         # each leaf's faces as one fixed-width row, padded with its last face
         cols = np.minimum(np.arange(LEAF_SIZE), self.count[leaf][:, None] - 1)
@@ -486,29 +466,21 @@ class _Accel:
         g = np.maximum(np.maximum(self.bmin[node] - P, P - self.bmax[node]), 0.0)
         return _dot3(g, g)
 
-    def _leaf_min(self, leaf: np.ndarray, kernel):
-        # (value, face) lex-min of each (member, leaf) pair, a chunk at a
-        # time; kernel(rows, f) gives the values of the chunk's pairs
-        # against their (chunk, LEAF_SIZE) face rows. Rows of leaf_faces
-        # ascend, so argmin picks the smallest tied face
+    def _point_min(self, P: np.ndarray, pt: np.ndarray, leaf: np.ndarray):
+        # (d2, face) lex-min of each (point, leaf) pair, a chunk of pairs at
+        # a time against their (chunk, LEAF_SIZE) face rows; rows of
+        # leaf_faces ascend, so argmin picks the smallest tied face
         val = np.empty(len(leaf))
         face = np.empty(len(leaf), dtype=np.int64)
         for a in range(0, len(leaf), PAIR_CHUNK):
             rows = slice(a, a + PAIR_CHUNK)
             f = self.leaf_faces[leaf[rows]]
-            v = kernel(rows, f)
-            k = np.argmin(v, axis=1)
+            d2 = closest_point_triangles(P[pt[rows]][:, None, :], self.A[f], self.B[f], self.C[f])[0]
+            k = np.argmin(d2, axis=1)
             r = np.arange(len(k))
-            val[rows] = v[r, k]
+            val[rows] = d2[r, k]
             face[rows] = f[r, k]
         return val, face
-
-    def _point_min(self, P: np.ndarray, pt: np.ndarray, leaf: np.ndarray):
-        # (d2, face) lex-min of each (point, leaf) pair
-        def d2(rows, f):
-            return closest_point_triangles(P[pt[rows]][:, None, :], self.A[f], self.B[f], self.C[f])[0]
-
-        return self._leaf_min(leaf, d2)
 
     def nearest_batch(self, P: np.ndarray):
         """Unsigned nearest for many points: (d2, face, cp, bary) arrays.
@@ -544,88 +516,129 @@ class _Accel:
         pt = pt[order]
         best_face = face[order[np.diff(pt, prepend=-1) != 0]]
         # recomputing the winners alone reproduces their batch lanes exactly
-        A, B, C = self.A[best_face], self.B[best_face], self.C[best_face]
-        d2, cp, bary = closest_point_triangles(P, A, B, C)
+        d2, cp, bary = closest_point_triangles(P, *(x[best_face] for x in (self.A, self.B, self.C)))
         return d2, best_face, cp, bary
 
-    def _ray_min(self, O: np.ndarray, D: np.ndarray, t_min: float, ray: np.ndarray, leaf: np.ndarray):
-        # (t, face) lex-min of each (ray, leaf) pair
-        def t(rows, f):
-            r = ray[rows]
-            return _moller_trumbore(O[r][:, None, :], D[r][:, None, :], self.A[f], self.eab[f], self.eac[f],
-                                    t_min)[0]
-
-        return self._leaf_min(leaf, t)
-
-    def _ray_leaves(self, O: np.ndarray, D: np.ndarray, t_min: float):
-        # the slab pass: (ray, leaf, entry) for every leaf whose slab
-        # interval a ray reaches at or past t_min, sorted by ray and then
-        # entry. The test runs on one 1-D column per axis. inv carries a
-        # placeholder on axes where d == 0; those axes are decided by the
-        # inside test instead, which sidesteps the 0 * inf corner of the
-        # usual slab recipe
-        bmin, bmax, o = self.bmin.T.copy(), self.bmax.T.copy(), O.T.copy()
-        with np.errstate(divide="ignore"):
-            inv = np.where(D == 0.0, 1.0, 1.0 / D).T.copy()
-        flat = [col if col.any() else None for col in D.T == 0.0]
-        ray = np.arange(len(O))
-        node = np.zeros(len(O), dtype=np.int64)
-        found = []
-        while len(ray):
-            for k in range(3):
-                b0, b1, ok, ik = bmin[k][node], bmax[k][node], o[k][ray], inv[k][ray]
-                t1 = (b0 - ok) * ik
-                t2 = (b1 - ok) * ik
-                lo_k, hi_k = np.minimum(t1, t2), np.maximum(t1, t2)
-                if flat[k] is not None:
-                    par = flat[k][ray]
-                    inside = (ok >= b0) & (ok <= b1)
-                    lo_k = np.where(par, np.where(inside, -np.inf, np.inf), lo_k)
-                    hi_k = np.where(par, np.where(inside, np.inf, -np.inf), hi_k)
-                lo = lo_k if k == 0 else np.maximum(lo, lo_k)
-                hi = hi_k if k == 0 else np.minimum(hi, hi_k)
-            keep = (lo <= hi) & (hi >= t_min)
-            ray, node, lo = ray[keep], node[keep], lo[keep]
-            at_leaf = self.count[node] > 0
-            found.append((ray[at_leaf], node[at_leaf], lo[at_leaf]))
-            ray, node = ray[~at_leaf], node[~at_leaf]
-            ray = np.concatenate([ray, ray])
-            node = np.concatenate([self.left[node], self.right[node]])
-        ray, leaf, lo = (np.concatenate(x) for x in zip(*found))
-        order = np.lexsort((lo, ray))
-        return ray[order], leaf[order], lo[order]
+    def _face_boxes(self, o: np.ndarray, frame: np.ndarray):
+        # the faces in front of o with their padded image boxes, (2, faces)
+        # arrays, and those straddling the plane through o normal to w
+        V = (self.vertices - o).T
+        z = _dot(frame[2], V)[self.corners]
+        r = np.sqrt(_dot(V, V))[self.corners].max(axis=0)
+        front = z.min(axis=0) > FRONT_COS * r
+        other = np.flatnonzero(~front & (z.max(axis=0) >= -FRONT_COS * r))
+        binned = np.flatnonzero(front)
+        c, z = self.corners[:, binned], z[:, binned]
+        p = np.array([_dot(e, V)[c] / z for e in frame[:2]])
+        lo, hi = p.min(axis=1), p.max(axis=1)
+        pad = PAD_REL * (hi - lo) + PAD_ABS * (1.0 + np.maximum(-lo, hi).max(axis=0)) ** 2
+        return binned, lo - pad, hi + pad, other
 
     def raycast_batch(self, O: np.ndarray, D: np.ndarray, t_min: float):
-        """First hits of many rays: (t, face) arrays, t = inf and face = -1
-        on a miss.
-
-        Rays go RAY_BLOCK at a time. The slab pass walks the tree breadth
-        first over (ray, node) pairs and lists the leaves each ray's slab
-        interval reaches. Each ray's nearest-entry leaf bounds it; the
-        bounded pass evaluates the ray's other leaves whose entry ties or
-        beats that hit. A leaf entered after the final hit holds no face
-        that wins or ties, so the (t, face) lex-min over the evaluated
-        leaves is the brute-force winner.
-        """
+        """First hits: (t, face) arrays, t = inf and face = -1 on a miss.
+        Every face a ray can hit is among its candidates (see the pads
+        above), so the kernel's (t, face) lex-min is the brute-force one."""
         best_t = np.full(len(O), np.inf)
-        best_face = np.full(len(O), -1, dtype=np.int64)
-        for a in range(0, len(O), RAY_BLOCK):
-            o, d = O[a : a + RAY_BLOCK], D[a : a + RAY_BLOCK]
-            ray, leaf, lo = self._ray_leaves(o, d, t_min)
-            first = np.diff(ray, prepend=-1) != 0
-            t1, f1 = self._ray_min(o, d, t_min, ray[first], leaf[first])
-            bound = np.full(len(o), np.inf)
-            bound[ray[first]] = t1
-            rest = ~first & (lo <= bound[ray])
-            t2, f2 = self._ray_min(o, d, t_min, ray[rest], leaf[rest])
-            ray = np.concatenate([ray[first], ray[rest]])
-            t, face = np.concatenate([t1, t2]), np.concatenate([f1, f2])
-            order = np.lexsort((face, t, ray))
-            win = order[np.diff(ray[order], prepend=-1) != 0]
-            win = win[np.isfinite(t[win])]
-            best_t[a + ray[win]] = t[win]
-            best_face[a + ray[win]] = face[win]
-        return best_t, best_face
+        best_face = np.full(len(O), len(self.A))  # past every face until a hit
+        for rays, image, frame in _ray_groups(O, D):
+            o = O[rays[0]]  # the group's rows are this one bit for bit
+            binned, lo, hi, other = self._face_boxes(o, frame)
+            for block, ray, face in _binned_pairs(image, lo, hi):
+                ray = np.concatenate([rays[ray], np.repeat(rays[block], len(other))])
+                face = np.concatenate([binned[face], np.tile(other, len(block))])
+                tri = (x.take(face, axis=0) for x in (self.A, self.eab, self.eac))
+                t = _moller_trumbore(o, D.take(ray, axis=0), *tri, t_min)[0]
+                # a ray's lanes all lie in this block: its least t, the least
+                # face at that t, and that lane's t (a zero may carry either sign)
+                np.minimum.at(best_t, ray, t)
+                tie = t == best_t[ray]
+                np.minimum.at(best_face, ray[tie], face[tie])
+                win = tie & (face == best_face[ray])
+                best_t[ray[win]] = t[win]
+        return best_t, np.where(best_t < np.inf, best_face, -1)
+
+
+def _frame(w: np.ndarray) -> np.ndarray:
+    # rows e1, e2, w: an orthonormal frame around the unit vector w
+    e1 = cross3(w, np.eye(3)[np.argmin(np.abs(w))])
+    e1 /= math.sqrt(_dot(e1, e1))
+    return np.array([e1, cross3(w, e1), w])
+
+
+def _ray_groups(O: np.ndarray, D: np.ndarray) -> list:
+    # (rays, image, frame) per group of rays that share an origin bit for
+    # bit: each ray d is within 60 degrees of w, the frame's last row, and
+    # image is the (2, rays) array of (d.e1, d.e2) / d.w. A wider group splits
+    # by dominant axis, which keeps each ray within 55 degrees of its axis.
+    # Rays of zero direction hit nothing (det is 0) and join no group
+    bits = O.view(np.int64)
+    if len(O) and (bits == bits[0]).all():
+        groups = [np.arange(len(O))]
+    else:
+        _, which = np.unique(bits, axis=0, return_inverse=True)
+        order = np.argsort(which, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(which[order])) + 1)
+    out = []
+    for rays in groups:
+        d = np.ascontiguousarray(D[rays].T)
+        scale = np.abs(d).max(axis=0)  # max-norm 1 below: nothing overflows or underflows
+        rays, d = rays[scale > 0.0], d[:, scale > 0.0] / scale[scale > 0.0]
+        n = np.sqrt(_dot(d, d))
+        w = d @ (1.0 / n)
+        wn = math.sqrt(_dot(w, w))
+        if wn > 0.0 and np.all(_dot(w, d) >= MIN_COS * wn * n):
+            parts = [(slice(None), _frame(w / wn))]
+        else:
+            k = np.argmax(np.abs(d), axis=0)
+            side = 2 * k + (d[k, np.arange(len(rays))] < 0.0)
+            parts = [(side == s, _frame(np.eye(3)[s // 2] * (1 - 2 * (s % 2)))) for s in np.unique(side)]
+        for part, frame in parts:
+            p = d[:, part]
+            out.append((rays[part], np.array([_dot(e, p) for e in frame[:2]]) / _dot(frame[2], p), frame))
+    return out
+
+
+def _binned_pairs(q: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Yields (block, ray, face) for blocks of at most RAY_BLOCK of the (2, n)
+    image points q: the block's indices into q, and its pairs of a point in
+    box face of [lo, hi]. The points go on a uniform grid of about
+    RAYS_PER_CELL points per square cell; a block is a run of row-major cells."""
+    x, y = q
+    (x0, x1), (y0, y1) = (x.min(), x.max()), (y.min(), y.max())
+    cells = max(1, len(x) // RAYS_PER_CELL)
+    nx = max(1, min(cells, round(math.sqrt(cells * (x1 - x0) / (y1 - y0))))) if y1 > y0 else cells
+    ny = max(1, cells // nx)
+    sx, sy = (nx / (x1 - x0) if x1 > x0 else 0.0), (ny / (y1 - y0) if y1 > y0 else 0.0)
+
+    def index(v, v0, s, n):
+        # monotone in v, so a point inside a box lies in one of the box's cells
+        return np.clip(np.floor((v - v0) * s), 0, n - 1).astype(np.int64)
+    cell = index(y, y0, sy, ny) * nx + index(x, x0, sx, nx)
+    order = np.argsort(cell)  # the order within a cell does not matter
+    end = np.cumsum(np.bincount(cell, minlength=nx * ny))
+    first = np.concatenate([[0], end[:-1]])
+    f = np.flatnonzero((lo[0] <= x1) & (hi[0] >= x0) & (lo[1] <= y1) & (hi[1] >= y0))
+    fx0, fx1 = index(lo[0, f], x0, sx, nx), index(hi[0, f], x0, sx, nx)
+    fy0, fy1 = index(lo[1, f], y0, sy, ny), index(hi[1, f], y0, sy, ny)
+    for a in range(0, len(x), RAY_BLOCK):
+        b = min(a + RAY_BLOCK, len(x))
+        r0, r1 = cell[order[a]] // nx, cell[order[b - 1]] // nx
+        k = (fy0 <= r1) & (fy1 >= r0)
+        # every (face, cell) pair of each face's cells in the block's rows
+        g, gx, gy, w = f[k], fx0[k], np.maximum(fy0[k], r0), fx1[k] - fx0[k] + 1
+        n = w * (np.minimum(fy1[k], r1) - gy + 1)
+        pair = np.repeat(np.arange(len(g)), n)
+        j = np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
+        c = (gy[pair] + j // w[pair]) * nx + gx[pair] + j % w[pair]
+        # every (face, point) pair of those cells in the block, kept where
+        # the point is inside the box
+        s = np.maximum(first[c], a)
+        n = np.maximum(np.minimum(end[c], b) - s, 0)
+        face = np.repeat(g[pair], n)
+        ray = order[np.arange(len(face)) - np.repeat(np.cumsum(n) - n - s, n)]
+        qx, qy = x[ray], y[ray]
+        inside = (qx >= lo[0, face]) & (qx <= hi[0, face]) & (qy >= lo[1, face]) & (qy <= hi[1, face])
+        yield order[a:b], ray[inside], face[inside]
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +662,7 @@ def grid_surface_mesh(
     Cells are emitted only where all four corner nodes are unmasked; faces
     wind so normals have positive component along n (upward for u x v = n).
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    heights = np.asarray(heights, dtype=float)
+    xs, ys, heights = (np.asarray(x, dtype=float) for x in (xs, ys, heights))
     ni, nj = len(xs), len(ys)
     if heights.shape != (ni, nj):
         raise ValueError("heights shape must be (len(xs), len(ys))")
@@ -662,23 +673,15 @@ def grid_surface_mesh(
         raise ValueError("no fully covered grid cell")
     used = np.zeros((ni, nj), dtype=bool)
     ci, cj = np.nonzero(covered)
-    used[ci, cj] = True
-    used[ci + 1, cj] = True
-    used[ci + 1, cj + 1] = True
-    used[ci, cj + 1] = True
+    corners = ((0, 0), (1, 0), (1, 1), (0, 1))
+    for di, dj in corners:
+        used[ci + di, cj + dj] = True
     index = np.full((ni, nj), -1, dtype=np.int64)
     ui, uj = np.nonzero(used)  # row-major, deterministic
     index[ui, uj] = np.arange(len(ui))
-    pts = (
-        np.asarray(origin, dtype=float)[None, :]
-        + xs[ui][:, None] * np.asarray(u, dtype=float)[None, :]
-        + ys[uj][:, None] * np.asarray(v, dtype=float)[None, :]
-        + heights[ui, uj][:, None] * np.asarray(n, dtype=float)[None, :]
-    )
-    i00 = index[ci, cj]
-    i10 = index[ci + 1, cj]
-    i11 = index[ci + 1, cj + 1]
-    i01 = index[ci, cj + 1]
+    origin, u, v, n = (np.asarray(x, dtype=float) for x in (origin, u, v, n))
+    pts = origin + xs[ui][:, None] * u + ys[uj][:, None] * v + heights[ui, uj][:, None] * n
+    i00, i10, i11, i01 = (index[ci + di, cj + dj] for di, dj in corners)
     faces = np.empty((2 * len(ci), 3), dtype=np.int64)
     faces[0::2] = np.stack([i00, i10, i11], axis=1)
     faces[1::2] = np.stack([i00, i11, i01], axis=1)
@@ -696,10 +699,8 @@ def save_off(mesh: TriMesh, path) -> None:
     save -> load -> save is byte-identical.
     """
     lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.faces)} 0"]
-    for p in mesh.vertices:
-        lines.append(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
-    for f in mesh.faces:
-        lines.append(f"3 {f[0]} {f[1]} {f[2]}")
+    lines += [f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}" for p in mesh.vertices]
+    lines += [f"3 {f[0]} {f[1]} {f[2]}" for f in mesh.faces]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -717,12 +718,11 @@ def load_off(path) -> TriMesh:
     if len(tokens) < 4:
         raise ValueError(f"{path}: truncated OFF header")
     nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4  # skip edge count
-    flat = tokens[pos : pos + 3 * nv]
+    pos = 4 + 3 * nv  # past the edge count and the vertex block
+    flat = tokens[4:pos]
     if len(flat) != 3 * nv:
         raise ValueError(f"{path}: truncated vertex block")
     vertices = np.array(flat, dtype=float).reshape(nv, 3)
-    pos += 3 * nv
     block = tokens[pos : pos + 4 * nf]
     if len(block) != 4 * nf:
         raise ValueError(f"{path}: truncated face block")

@@ -65,6 +65,7 @@ from .schema import (
     as_int,
     as_vector,
     check_keys,
+    load_yaml,
     require_mapping,
 )
 from .sim import (
@@ -326,9 +327,7 @@ def parse_config(doc, where: str = "config") -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    return parse_config(doc, str(path))
+    return parse_config(load_yaml(path), str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,21 @@ from __future__ import annotations
 from typing import Any, Iterable, Mapping
 
 import numpy as np
+import yaml
 
 
 class SchemaError(ValueError):
     """A structured-text document does not match its documented schema."""
+
+
+def load_yaml(path) -> Any:
+    """The document in the YAML file at path; malformed YAML is a
+    SchemaError that names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise SchemaError(f"{path}: malformed YAML: {exc}") from None
 
 
 def require_mapping(node: Any, where: str) -> Mapping:

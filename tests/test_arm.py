@@ -279,6 +279,13 @@ def test_unknown_field_rejected(tmp_path):
         load_arm_model(path)
 
 
+def test_malformed_yaml_is_a_schema_error(tmp_path):
+    path = tmp_path / "arm.yaml"
+    path.write_text("a: [1, 2\n")
+    with pytest.raises(SchemaError, match="arm.yaml: malformed YAML"):
+        load_arm_model(path)
+
+
 def test_bad_version_rejected(tmp_path):
     path = tmp_path / "arm.yaml"
     save_arm_model(MODEL, path)

@@ -189,6 +189,13 @@ def test_marker_file_rejects_unknown_key(tmp_path):
         load_markers(path)
 
 
+def test_marker_file_malformed_yaml_is_a_schema_error(tmp_path):
+    path = tmp_path / "markers.yaml"
+    path.write_text("markers: [{id: 1\n")
+    with pytest.raises(SchemaError, match="markers.yaml: malformed YAML"):
+        load_markers(path)
+
+
 def test_marker_validation():
     bad = np.zeros((4, 3))
     with pytest.raises(ValueError, match="coincide"):

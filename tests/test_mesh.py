@@ -8,6 +8,7 @@ get an independent oracle via 3x3 linear solves instead of
 Moller-Trumbore.
 """
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from surfscan.mesh import (
     load_off,
     save_off,
 )
+from surfscan.localization import ScenePlane, orbit_trajectory
+from surfscan.reconstruction import CameraIntrinsics, render_depth
 from surfscan.sim import cap_phantom_mesh, flat_phantom_mesh
 
 
@@ -325,6 +328,53 @@ def test_raycast_blocks_match_rays_sent_one_at_a_time(monkeypatch):
     for i in range(len(O)):
         ti, fi = BUMPY.raycast_batch(O[i], D[i])
         assert (ti.tobytes(), fi[0]) == (t[i : i + 1].tobytes(), face[i])
+
+
+def test_raycast_batch_rejects_malformed_rays():
+    O, D = np.tile([0.0, 0.0, 0.3], (3, 1)), np.tile([0.0, 0.0, -1.0], (3, 1))
+    for bad_o, bad_d in ((np.zeros((5, 3)), D), (np.zeros((4, 2)), np.zeros((4, 2))),
+                         (np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            BUMPY.raycast_batch(bad_o, bad_d)
+    for value in (np.nan, np.inf):
+        bad = O.copy()
+        bad[1, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            BUMPY.raycast_batch(bad, D)
+        with pytest.raises(ValueError, match="finite"):
+            BUMPY.raycast_batch(O, bad)
+        with pytest.raises(ValueError, match="finite"):
+            BUMPY.raycast(O[0], [0.0, value, -1.0])
+    for t_min in (-1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_min"):
+            BUMPY.raycast_batch(O, D, t_min)
+
+
+def test_wide_ray_fans_split_into_groups_and_stay_brute_force():
+    o = np.array([0.01, -0.02, 0.05])
+    rng = np.random.default_rng(16)
+    narrow = np.column_stack([rng.uniform(-0.5, 0.5, (50, 2)), -np.ones(50)])
+    wide = rng.standard_normal((200, 3))
+    for D, groups in ((narrow, 1), (wide, 6)):
+        O = np.broadcast_to(o, D.shape)
+        assert len(list(mesh_module._ray_groups(O, D))) == groups
+        t, _ = assert_rays_are_brute(BUMPY, np.ascontiguousarray(O), D)
+        assert np.isfinite(t).sum() > len(D) // 4
+    assert not np.isfinite(t).all()  # the wide fan's upward rays miss
+
+
+def test_cap_depth_views_are_brute_force():
+    # the pipeline's cap phantom and orbit, at a sixth of the camera's
+    # resolution; the second view looks along a diagonal of the grid
+    cap = cap_phantom_mesh(np.zeros(3))
+    cam = CameraIntrinsics(30.0, 30.0, 20.0, 15.0, 40, 30)
+    plane = ScenePlane(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    for pose in orbit_trajectory(plane, 8, math.radians(45.0), 0.30)[:2]:
+        img = render_depth(cap, cam, pose)
+        D = cam.pixel_dirs() @ pose.rotation_matrix().T
+        t, _ = brute_rays(cap, np.broadcast_to(pose.translation, D.shape), D, 1e-9)
+        assert img.depths.tobytes() == np.where(np.isfinite(t), t, 0.0).reshape(30, 40).tobytes()
+        assert 0 < np.isfinite(t).sum() < len(t)
 
 
 def test_bvh_build_leaves_no_cyclic_garbage():

@@ -6,7 +6,10 @@ The batched closest-point query, the unhinted single query and the single
 query with an arbitrary valid hint must all return exactly that face,
 distance, point and barycentric weights. Query points include mesh
 vertices and points on shared edges, where exact and near ties occur.
-Rays include axis-parallel ones that run through vertices. The scalar
+Rays include axis-parallel ones that run through vertices, and fans of
+rays from one origin: through vertices, along edges, grazing the sheet,
+of zero direction, from an origin on or just above a face, and wider than
+90 degrees, which splits the fan into groups. The scalar
 transcription that the single-point walk evaluates faces with must
 reproduce the kernel's squared distance, weights and point bit for bit
 on every face.
@@ -135,6 +138,70 @@ def test_rays_are_brute_force(mesh, seed):
             continue
         assert (face[i], t[i]) == (k, t_all[k])
         assert (single.face, single.t) == (k, t_all[k])
+
+
+def brute_rays(mesh, O, D, t_min):
+    # every ray against every face; the first minimum is the smallest tied face
+    acc = mesh._accel()
+    t_all, _, _ = _moller_trumbore(O[:, None, :], D[:, None, :], acc.A, acc.eab, acc.eac, t_min)
+    k = np.argmin(t_all, axis=1)
+    t = t_all[np.arange(len(k)), k]
+    return t, np.where(np.isfinite(t), k, -1)
+
+
+@st.composite
+def shared_origin_rays(draw):
+    """A mesh, one origin, a fan of rays from it and a t_min."""
+    mesh = draw(meshes())
+    acc = mesh._accel()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = rng.integers(0, mesh.n_faces)
+    where = draw(st.sampled_from(["above", "on_face", "just_above_face", "on_vertex"]))
+    w = rng.dirichlet(np.ones(3))
+    on_face = w[0] * acc.A[f] + w[1] * acc.B[f] + w[2] * acc.C[f]
+    o = {
+        "above": np.array([*rng.uniform(-0.12, 0.12, 2), rng.uniform(0.05, 0.3)]),
+        "on_face": on_face,
+        "just_above_face": on_face + 1e-6 * acc.face_normals[f],
+        "on_vertex": acc.A[f],
+    }[where]
+    v, faces = mesh.vertices, mesh.faces
+    e = faces[rng.integers(0, mesh.n_faces, 6)]
+    # a tangent basis of the tilted sheet, for grazing rays
+    nrm = acc.face_normals.mean(axis=0)
+    t1 = np.cross(nrm, [0.0, 1.0, 0.0])
+    t2 = np.cross(nrm, t1)
+    graze = rng.standard_normal((6, 2)) @ np.array([t1, t2])
+    graze += rng.choice([1e-3, -1e-3, 1e-5, -1e-5], (6, 1)) * nrm
+    D = np.concatenate([
+        v[rng.integers(0, len(v), 8)] - o,  # through vertices
+        v[e[:, 1]] - v[e[:, 0]],  # along an edge when o is on its first vertex
+        0.5 * (v[e[:, 0]] + v[e[:, 1]]) - o,  # through edge midpoints
+        graze,
+        np.zeros((2, 3)),
+    ])
+    if draw(st.booleans()):
+        D = np.concatenate([D, rng.standard_normal((8, 3))])  # wider than 90 degrees
+    # A ray within 1e-6 rad of a face's plane (one from an origin on a flat
+    # sheet through its vertices, say) leaves the kernel's det at its own
+    # rounding, and the kernel's u, v and t for that face at noise; no
+    # culling reproduces noise, so such rays are left out
+    with np.errstate(invalid="ignore"):  # zero rows give nan and stay
+        sin = np.abs(D @ acc.face_normals.T) / np.linalg.norm(D, axis=1, keepdims=True)
+    D = D[~np.any(sin < 1e-6, axis=1)]
+    t_min = draw(st.sampled_from([0.0, 1e-9, 0.05]))
+    return mesh, o, D, t_min
+
+
+@SETTINGS
+@given(shared_origin_rays())
+def test_shared_origin_rays_are_brute_force(case):
+    mesh, o, D, t_min = case
+    O = np.broadcast_to(o, D.shape)
+    t, face = mesh.raycast_batch(O, D, t_min)
+    t_ref, face_ref = brute_rays(mesh, np.ascontiguousarray(O), D, t_min)
+    assert np.array_equal(face, face_ref)
+    assert t.tobytes() == t_ref.tobytes()
 
 
 @SETTINGS

@@ -357,6 +357,22 @@ def test_cli_failed_checks_exit_1(tmp_path, capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
+def test_malformed_config_yaml_is_a_schema_error(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("a: [1, 2\n")
+    with pytest.raises(SchemaError, match="bad.yaml: malformed YAML"):
+        load_config(path)
+
+
+def test_cli_malformed_config_yaml_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("a: [1, 2\n")
+    code = main(["localize", "--config", str(bad), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad.yaml: malformed YAML" in err and "Traceback" not in err
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     code = main(["localize", "--config", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path / "run")])
