@@ -34,7 +34,7 @@ POINT_BLOCK = 1024  # points per batched traversal; bounds its working set
 PAIR_CHUNK = 256  # (point, leaf) pairs per kernel call; bounds its temporaries
 RAY_BLOCK = 4096  # rays per binning pass; bounds its working set
 RAYS_PER_CELL = 2  # mean rays per cell of a pass's image-space grid
-MIN_COS = 0.5  # a ray group stays whole while every ray is within 60 degrees of its axis
+MIN_COS = 0.5  # a ray group stays whole while every ray is within 60 degrees of its mean
 DEGENERATE_AREA = 1e-12
 BARY_EPS = 1e-10  # ray tests: tolerance on barycentric bounds at shared edges
 
@@ -374,10 +374,10 @@ class _Accel:
             bmax.append(fmax[sub].max(axis=0))
             left.append(-1)
             right.append(-1)
-            leaf = hi - lo <= LEAF_SIZE
-            start.append(lo if leaf else 0)
-            count.append(hi - lo if leaf else 0)
-            if leaf:
+            is_leaf = hi - lo <= LEAF_SIZE
+            start.append(lo if is_leaf else 0)
+            count.append(hi - lo if is_leaf else 0)
+            if is_leaf:
                 continue
             cen = centroids[sub]
             axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
