@@ -167,21 +167,24 @@ def shared_origin_rays(draw):
     }[where]
     v, faces = mesh.vertices, mesh.faces
     e = faces[rng.integers(0, mesh.n_faces, 6)]
-    # a tangent basis of the tilted sheet, for grazing rays
-    nrm = acc.face_normals.mean(axis=0)
-    t1 = np.cross(nrm, [0.0, 1.0, 0.0])
-    t2 = np.cross(nrm, t1)
-    graze = rng.standard_normal((6, 2)) @ np.array([t1, t2])
-    graze += rng.choice([1e-3, -1e-3, 1e-5, -1e-5], (6, 1)) * nrm
     D = np.concatenate([
         v[rng.integers(0, len(v), 8)] - o,  # through vertices
-        v[e[:, 1]] - v[e[:, 0]],  # along an edge when o is on its first vertex
-        0.5 * (v[e[:, 0]] + v[e[:, 1]]) - o,  # through edge midpoints
-        graze,
-        np.zeros((2, 3)),
+        0.5 * (v[e[:, 0]] + v[e[:, 1]]) - o,  # through edge midpoints, where faces tie
+        v[e[:, 0]] + rng.random((6, 1)) * (v[e[:, 2]] - v[e[:, 0]]) - o,  # through diagonals
     ])
     if draw(st.booleans()):
-        D = np.concatenate([D, rng.standard_normal((8, 3))])  # wider than 90 degrees
+        # a fan wider than 90 degrees, which splits: grazing rays along the
+        # tilted sheet's tangent plane, and rays in every direction
+        nrm = acc.face_normals.mean(axis=0)
+        t1 = np.cross(nrm, [0.0, 1.0, 0.0])
+        graze = rng.standard_normal((6, 2)) @ np.array([t1, np.cross(nrm, t1)])
+        graze += rng.choice([1e-3, -1e-3, 1e-5, -1e-5], (6, 1)) * nrm
+        D = np.concatenate([D, graze, rng.standard_normal((8, 3))])
+    else:
+        # a fan within 50 degrees of its mean, which stays one group
+        u = D / np.linalg.norm(D, axis=1, keepdims=True).clip(1e-300)  # zero rows stay 0
+        D = D[u @ u.mean(axis=0) >= np.cos(np.radians(50.0)) * np.linalg.norm(u.mean(axis=0))]
+    D = np.concatenate([D, np.zeros((2, 3))])
     # A ray within 1e-6 rad of a face's plane (one from an origin on a flat
     # sheet through its vertices, say) leaves the kernel's det at its own
     # rounding, and the kernel's u, v and t for that face at noise; no
