@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import ArmModel, arm_snapshot
 from .geometry import Pose, cross3, quat_from_matrix, skew, unchecked
 from .localization import ScenePlane
 from .mesh import ClosestHit, TriMesh
@@ -184,11 +183,6 @@ class SurfaceChart:
 
     # ---- task coordinates ----
 
-    def task_coordinates(self, probe_pose: Pose) -> SurfaceCoords:
-        point, dist, frame = self.closest_point(probe_pose.translation)
-        eta, eps = orientation_error(probe_pose.rotation_matrix(), frame)
-        return SurfaceCoords(float(point.s[0]), float(point.s[1]), dist, eps, eta)
-
     def coordinate_map(self, frame: SurfaceFrame, eta: float, eps: np.ndarray) -> np.ndarray:
         """T with rhodot = T @ (v, omega) of the probe, frame held frozen."""
         T = np.zeros((6, 6))
@@ -197,11 +191,6 @@ class SurfaceChart:
         T[2, :3] = frame.n
         T[3:, 3:] = eps_rate_map(eta, eps)
         return T
-
-    def task_jacobian(self, model: ArmModel, q) -> np.ndarray:
-        """6x7 J with rhodot = J @ qdot; exact on flat charts."""
-        snap = arm_snapshot(model, q)
-        return self.evaluate_probe(snap.probe, snap.jacobian, np.zeros(7))[2]
 
     def evaluate_probe(
         self, probe_pose: Pose, probe_jacobian: np.ndarray, qdot, hint: int | None = None

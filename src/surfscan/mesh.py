@@ -7,11 +7,12 @@ the batched traversal; the single-point walk runs a scalar transcription
 that rounds identically. Accelerated queries reproduce the brute-force
 result bit for bit, including the (distance, face index) tie-break.
 
-Point queries use a median-split AABB tree over face boxes whose leaves
-list their faces in ascending order and whose boxes are padded against
-rounding; traversal never prunes a node whose lower bound ties the current
-best, which is what makes the tie-break exact. Batched queries walk it
-breadth first over (point, node) pairs, seeded by a greedy descent.
+Point queries use a median-split AABB tree over face boxes, built level by
+level, whose leaves list their faces in ascending order and whose boxes are
+padded against rounding; traversal never prunes a node whose lower bound
+ties the current best, which is what makes the tie-break exact. Batched
+queries walk it breadth first over (point, node) pairs, seeded by a greedy
+descent.
 
 Rays use Moller-Trumbore with double-sided hits. Rays that share an origin
 are cast together (Wald et al., "Interactive Rendering with Coherent Ray
@@ -359,38 +360,51 @@ class _Accel:
         centroids = (self.A + self.B + self.C) / 3.0
         n = len(f)
         perm = np.arange(n)
-        bmin, bmax, left, right, start, count = [], [], [], [], [], []
-        # preorder with an explicit stack: node ids and the perm sort order
-        # match a recursive build, and no closure cycle outlives the build
-        stack = [(0, n, -1)]  # (lo, hi, parent)
-        while stack:
-            lo, hi, parent = stack.pop()
-            idx = len(bmin)
-            if parent >= 0:
-                # the left child is always visited first
-                (left if left[parent] < 0 else right)[parent] = idx
-            sub = perm[lo:hi]
-            bmin.append(fmin[sub].min(axis=0))
-            bmax.append(fmax[sub].max(axis=0))
-            left.append(-1)
-            right.append(-1)
-            is_leaf = hi - lo <= LEAF_SIZE
-            start.append(lo if is_leaf else 0)
-            count.append(hi - lo if is_leaf else 0)
-            if is_leaf:
-                continue
+        # level by level (Lauterbach et al., "Fast BVH Construction on GPUs",
+        # 2009): a depth's nodes are arrays of face-run start lo, size m and
+        # right turns on the root path; a node of m > LEAF_SIZE faces sorts
+        # its run by centroid on its widest axis and splits it at m // 2
+        levels = [(np.zeros(1, np.int64), np.array([n]), np.zeros(1, np.int64))]
+        while (levels[-1][1] > LEAF_SIZE).any():
+            lo, m, turns = (x[levels[-1][1] > LEAF_SIZE] for x in levels[-1])
+            # one stable sort per depth: by run, then by centroid on the run's axis
+            seg, first = np.repeat(np.arange(len(m)), m), np.cumsum(m) - m
+            pos = np.arange(len(seg)) + (lo - first)[seg]
+            sub = perm[pos]
             cen = centroids[sub]
-            axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
-            order = np.argsort(cen[:, axis], kind="stable")
-            perm[lo:hi] = sub[order]
-            mid = (lo + hi) // 2
-            stack += [(mid, hi, idx), (lo, mid, idx)]
-        self.bmin, self.bmax, self.left, self.right, self.start, self.count = (
-            np.array(x) for x in (bmin, bmax, left, right, start, count))
+            axis = np.argmax(np.maximum.reduceat(cen, first) - np.minimum.reduceat(cen, first), axis=1)
+            perm[pos] = sub[np.lexsort((cen[np.arange(len(seg)), axis[seg]], seg))]
+            # the next depth: each split node's left then right child, in order
+            levels.append(tuple(np.column_stack(x).ravel() for x in (
+                (lo, lo + m // 2), (m // 2, m - m // 2), (turns, turns + 1))))
+        depth = np.repeat(np.arange(len(levels)), [len(x[0]) for x in levels])
+        lo, m, turns = (np.concatenate(x) for x in zip(*levels))
+        # preorder id: the ancestors, then the nodes of the subtrees left of
+        # this one, which hold the leaves that start before lo; a subtree of
+        # k leaves has 2k - 1 nodes, and there is one such subtree per turn
+        is_leaf = m <= LEAF_SIZE
+        leaf_lo = np.sort(lo[is_leaf])
+        ids = depth + 2 * np.searchsorted(leaf_lo, lo) - turns
+        # the nodes past the root pair up as the split nodes' children
+        nodes, inner, kids = 2 * len(leaf_lo) - 1, ids[~is_leaf], ids[1:].reshape(-1, 2)
+        self.left, self.right = np.full(nodes, -1), np.full(nodes, -1)
+        self.left[inner], self.right[inner] = kids.T
+        self.start, self.count = np.zeros(nodes, np.int64), np.zeros(nodes, np.int64)
+        self.start[ids[is_leaf]], self.count[ids[is_leaf]] = lo[is_leaf], m[is_leaf]
+        # leaf boxes over their runs, then inner boxes from their children,
+        # deepest first; min and max are exact, so any grouping agrees
+        self.bmin, self.bmax = np.empty((nodes, 3)), np.empty((nodes, 3))
+        leaf = np.sort(ids[is_leaf])  # preorder meets the leaves in face order
+        self.bmin[leaf] = np.minimum.reduceat(fmin[perm], leaf_lo)
+        self.bmax[leaf] = np.maximum.reduceat(fmax[perm], leaf_lo)
+        for d in range(len(levels) - 2, -1, -1):
+            at = depth[~is_leaf] == d
+            l, r = kids[at].T
+            self.bmin[inner[at]] = np.minimum(self.bmin[l], self.bmin[r])
+            self.bmax[inner[at]] = np.maximum(self.bmax[l], self.bmax[r])
         # faces ascend within each leaf, so a leaf's first minimum is its
         # smallest tied face
-        leaf = np.nonzero(self.count)[0]
-        which = np.searchsorted(np.sort(self.start[leaf]), np.arange(n), side="right")
+        which = np.searchsorted(leaf_lo, np.arange(n), side="right")
         perm = perm[np.lexsort((perm, which))]
         # plain-python mirrors for the point-query inner loop; indexing
         # numpy scalars per node costs more than the arithmetic
@@ -699,8 +713,9 @@ def save_off(mesh: TriMesh, path) -> None:
     save -> load -> save is byte-identical.
     """
     lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.faces)} 0"]
-    lines += [f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}" for p in mesh.vertices]
-    lines += [f"3 {f[0]} {f[1]} {f[2]}" for f in mesh.faces]
+    # row by row as in export_log; a whole-array tolist() holds every value at once
+    lines += ["%r %r %r" % tuple(p.tolist()) for p in mesh.vertices]
+    lines += ["3 %d %d %d" % tuple(f.tolist()) for f in mesh.faces]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -11,6 +11,7 @@ accumulated dissipation exactly, so the audit isolates integrator error.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -371,14 +372,20 @@ def parse_log(path) -> ScanLog:
     if not lines or lines[0].rstrip("\r") != CSV_HEADER:
         raise ValueError(f"{path}: unexpected log header")
     rows = []
-    for ln in lines[1:]:
+    for number, ln in enumerate(lines[1:], start=2):
         ln = ln.rstrip("\r")
         if not ln:
             continue
         parts = ln.split(",")
         if len(parts) != 16:
-            raise ValueError(f"{path}: expected 16 columns, got {len(parts)}")
-        rows.append([float(p) for p in parts])
+            raise ValueError(f"{path}: line {number}: expected 16 columns, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}: line {number}: non-finite value")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: log has no rows")
     a = np.array(rows)

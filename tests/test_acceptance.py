@@ -32,6 +32,7 @@ from surfscan.sim import (
     simulate,
     steady_state_force,
 )
+from test_chart import task_coordinates, task_jacobian
 
 MODEL = reference_arm()
 Q_SCAN = np.array([0.0, 0.5, 0.0, -1.0, 0.0, 0.5, 0.0])
@@ -86,9 +87,9 @@ def test_criterion_1_jacobians():
     for _ in range(1000):
         q = Q_SCAN + rng.uniform(-0.05, 0.05, 7)
         qdot = rng.normal(0.0, 1.0, 7)
-        J = chart.task_jacobian(MODEL, q)
-        rp = chart.task_coordinates(forward_kinematics(MODEL, q + h * qdot, "probe")).rho
-        rm = chart.task_coordinates(forward_kinematics(MODEL, q - h * qdot, "probe")).rho
+        J = task_jacobian(chart, MODEL, q)
+        rp = task_coordinates(chart, forward_kinematics(MODEL, q + h * qdot, "probe")).rho
+        rm = task_coordinates(chart, forward_kinematics(MODEL, q - h * qdot, "probe")).rho
         worst_task = max(worst_task, float(np.max(np.abs(J @ qdot - (rp - rm) / (2 * h)))))
 
     elapsed = time.monotonic() - t0

@@ -9,6 +9,7 @@ Moller-Trumbore.
 """
 import gc
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -390,6 +391,67 @@ def test_bvh_build_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def reference_tree(mesh):
+    """The median-split tree built one node at a time in preorder: the
+    _Accel arrays bmin, bmax, left, right, start, count and leaf_faces."""
+    v, f = mesh.vertices, mesh.faces
+    A, B, C = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    fmin = np.minimum(np.minimum(A, B), C)
+    fmax = np.maximum(np.maximum(A, B), C)
+    pad = 1e-9 * max(np.abs(fmin).max(), np.abs(fmax).max())
+    fmin, fmax = fmin - pad, fmax + pad
+    centroids = (A + B + C) / 3.0
+    perm = np.arange(len(f))
+    tree = {k: [] for k in ("bmin", "bmax", "left", "right", "start", "count")}
+    stack = [(0, len(f), -1)]  # (lo, hi, parent); a left child pops first
+    while stack:
+        lo, hi, parent = stack.pop()
+        idx = len(tree["bmin"])
+        if parent >= 0:
+            tree["left" if tree["left"][parent] < 0 else "right"][parent] = idx
+        sub = perm[lo:hi]
+        is_leaf = hi - lo <= LEAF_SIZE
+        for k, x in (("bmin", fmin[sub].min(axis=0)), ("bmax", fmax[sub].max(axis=0)), ("left", -1),
+                     ("right", -1), ("start", lo if is_leaf else 0), ("count", hi - lo if is_leaf else 0)):
+            tree[k].append(x)
+        if is_leaf:
+            continue
+        cen = centroids[sub]
+        axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
+        perm[lo:hi] = sub[np.argsort(cen[:, axis], kind="stable")]
+        mid = (lo + hi) // 2
+        stack += [(mid, hi, idx), (lo, mid, idx)]
+    tree = {k: np.array(x) for k, x in tree.items()}
+    tree["leaf_faces"] = np.zeros((len(tree["count"]), LEAF_SIZE), dtype=np.int64)
+    for node in np.flatnonzero(tree["count"]):
+        run = np.sort(perm[tree["start"][node] : tree["start"][node] + tree["count"][node]])
+        tree["leaf_faces"][node] = run[np.minimum(np.arange(LEAF_SIZE), len(run) - 1)]
+    return tree
+
+
+def assert_same_tree(mesh):
+    acc = mesh._accel()
+    for name, want in reference_tree(mesh).items():
+        got = getattr(acc, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("make", [lambda: flat_phantom_mesh(np.zeros(3)),
+                                  lambda: cap_phantom_mesh(np.zeros(3))], ids=["flat", "cap"])
+def test_level_build_is_the_reference_tree(make):
+    assert_same_tree(make())
+
+
+@pytest.mark.parametrize("k, leaves", [(1, 1), (LEAF_SIZE, 1), (LEAF_SIZE + 1, 2),
+                                       (2 * LEAF_SIZE + 1, 3), (3 * LEAF_SIZE, 4)])
+def test_level_build_on_face_subsets(k, leaves):
+    # root leaves, and splits whose two sides end at different depths
+    mesh = TriMesh(BUMPY.vertices, BUMPY.faces[:: len(BUMPY.faces) // k][:k])
+    assert mesh.n_faces == k and (mesh._accel().count > 0).sum() == leaves
+    assert_same_tree(mesh)
+
+
 def test_closest_points_rows_match_single_queries():
     rng = np.random.default_rng(8)
     pts = np.vstack([rng.uniform(-0.15, 0.15, (40, 3)), BUMPY.vertices[:10]])
@@ -573,6 +635,26 @@ def test_off_roundtrip_bytes(tmp_path):
     assert np.array_equal(mesh2.faces, BUMPY.faces)
     save_off(mesh2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def fstring_off(vertices, faces) -> bytes:
+    # the OFF writer spelled with f-strings and repr, one value at a time
+    lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
+    lines += [f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}" for p in vertices]
+    lines += [f"3 {f[0]} {f[1]} {f[2]}" for f in faces]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_off_bytes_match_repr_formatting(tmp_path):
+    # save_off reads only the two arrays, so extreme values need no valid mesh
+    vertices = np.array([[-0.0, 5e-324, 1e-300], [0.1 + 0.2, 1e16, -1.5e-7], [1e300, -2.0**-1074, 123.0]])
+    faces = np.array([[0, 1, 2], [2**40, 2**62, 9_999_999_999]], dtype=np.int64)
+    path = tmp_path / "extreme.off"
+    save_off(SimpleNamespace(vertices=vertices, faces=faces), path)
+    assert path.read_bytes() == fstring_off(vertices, faces)
+    cap = cap_phantom_mesh(np.zeros(3))
+    save_off(cap, path)
+    assert path.read_bytes() == fstring_off(cap.vertices, cap.faces)
 
 
 def test_off_rejects_garbage(tmp_path):

@@ -12,18 +12,21 @@ of zero direction, from an origin on or just above a face, and wider than
 90 degrees, which splits the fan into groups. The scalar
 transcription that the single-point walk evaluates faces with must
 reproduce the kernel's squared distance, weights and point bit for bit
-on every face.
+on every face. The level-by-level tree build must equal the node-by-node
+reference build array for array.
 """
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from surfscan.mesh import (
+    TriMesh,
     _moller_trumbore,
     closest_point_scalar,
     closest_point_triangles,
     grid_surface_mesh,
 )
+from test_mesh import assert_same_tree
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -77,6 +80,15 @@ def assert_is_brute(mesh, p, face, dist, point, bary):
     assert abs(dist) == np.sqrt(d2)
     assert np.array_equal(point, cp)
     assert np.array_equal(bary, b)
+
+
+@SETTINGS
+@given(meshes(), st.data())
+def test_level_build_is_the_reference_tree_on_height_fields(mesh, data):
+    assert_same_tree(mesh)
+    # any subset of the faces in any order: runs of every size, ties between centroids
+    order = data.draw(st.permutations(range(mesh.n_faces)))
+    assert_same_tree(TriMesh(mesh.vertices, mesh.faces[order[: data.draw(st.integers(1, len(order)))]]))
 
 
 @SETTINGS

@@ -487,6 +487,31 @@ def test_parse_rejects_malformed(tmp_path, short_run):
         parse_log(empty)
 
 
+def test_parse_names_the_file_and_line_of_a_bad_cell(tmp_path, short_run):
+    good = tmp_path / "good.csv"
+    export_log(short_run, good)
+    lines = good.read_text().split("\n")
+    cells = lines[2].split(",")
+    cells[5] = "x"
+    lines[2] = ",".join(cells)
+    bad = tmp_path / "garbage.csv"
+    bad.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=r"garbage\.csv: line 3: could not convert"):
+        parse_log(bad)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_cells(tmp_path, short_run, value):
+    good = tmp_path / "good.csv"
+    export_log(short_run, good)
+    lines = good.read_text().split("\n")
+    lines[1] = ",".join([lines[1].split(",")[0]] + [value] * 15)
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=r"nan\.csv: line 2: non-finite value"):
+        parse_log(bad)
+
+
 def test_scanlog_validation():
     n = 4
     t = np.linspace(0.0, 0.3, n)
