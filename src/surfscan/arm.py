@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .geometry import Pose, cross3, quat_from_matrix, skew, unchecked
+from .geometry import Pose, cross3, quat_from_matrix, quat_multiply, quat_normalize, quat_rotate, skew
 from .schema import (
     SchemaError,
     as_float,
@@ -164,12 +164,6 @@ def check_velocity(model: ArmModel, qdot: np.ndarray) -> None:
             raise JointVelocityError(i, v, -vmax[i], vmax[i])
 
 
-def _as_q(q) -> np.ndarray:
-    if isinstance(q, JointState):
-        return q.q
-    return np.asarray(q, dtype=float).reshape(7)
-
-
 def _joint_constants(model: ArmModel) -> tuple:
     """Per-joint fixed pieces of the frame recursion, cached on the model:
     origin rotation/translation, axes, the stacked Rodrigues building
@@ -194,7 +188,7 @@ def joint_frames(model: ArmModel, q) -> tuple[np.ndarray, np.ndarray, np.ndarray
     axes (7,3). No limit check; callers that accept external input check
     first.
     """
-    q = _as_q(q)
+    q = np.asarray(q, dtype=float).reshape(7)
     origin_R, origin_t, axes, outer, K = _joint_constants(model)[:5]
     R = np.empty((7, 3, 3))
     p = np.empty((7, 3))
@@ -217,7 +211,7 @@ def joint_frames(model: ArmModel, q) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _checked_frames(model: ArmModel, q, frame: str):
     if frame not in FRAMES:
         raise ValueError(f"unknown frame '{frame}'; expected one of {FRAMES}")
-    qv = _as_q(q)
+    qv = np.asarray(q, dtype=float).reshape(7)
     check_limits(model, qv)
     return joint_frames(model, qv)
 
@@ -337,10 +331,12 @@ def arm_snapshot(model: ArmModel, q) -> ArmSnapshot:
     position limits.
     """
     R, p, z = _checked_frames(model, q, "probe")
-    # frames of finite joint angles are valid poses: skip Pose's re-check
-    flange = unchecked(Pose, quat_from_matrix(R[6]), p[6])
+    # flange @ probe_offset, spelled out so the flange needs no Pose of its own
+    off, qf = model.probe_offset, quat_from_matrix(R[6])
+    probe = Pose(quat_normalize(quat_multiply(qf, off.rotation)),
+                 quat_rotate(qf, off.translation) + p[6])
     J = _jacobian_from_frames(p, z, _frame_point(model, R[6], p[6], "probe"))
-    return ArmSnapshot(flange @ model.probe_offset, J, _mass_from_frames(model, R, p, z))
+    return ArmSnapshot(probe, J, _mass_from_frames(model, R, p, z))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, cross3, quat_from_matrix, skew, unchecked
+from .geometry import Pose, cross3, quat_from_matrix, skew
 from .localization import ScenePlane
 from .mesh import ClosestHit, TriMesh
 
@@ -72,25 +72,6 @@ class SurfaceFrame:
     def rotation(self) -> np.ndarray:
         """Desired probe orientation: x = t1, y = t2, z = n."""
         return np.array([self.t1, self.t2, self.n]).T
-
-
-@dataclass(frozen=True)
-class SurfaceCoords:
-    s1: float
-    s2: float
-    d: float  # signed distance m, negative = penetration
-    eps: np.ndarray  # (3,) error-quaternion vector part
-    eta: float = 1.0  # matching scalar part, kept for the rate map
-
-    def __post_init__(self):
-        e = np.asarray(self.eps, dtype=float).reshape(3)
-        if np.linalg.norm(e) > 1.0 + 1e-9:
-            raise ValueError("orientation error vector cannot exceed unit length")
-        object.__setattr__(self, "eps", e)
-
-    @property
-    def rho(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.d, self.eps[0], self.eps[1], self.eps[2]])
 
 
 def eps_rate_map(eta: float, eps: np.ndarray) -> np.ndarray:
@@ -194,24 +175,23 @@ class SurfaceChart:
 
     def evaluate_probe(
         self, probe_pose: Pose, probe_jacobian: np.ndarray, qdot, hint: int | None = None
-    ) -> tuple[SurfaceCoords, np.ndarray, np.ndarray, SurfaceFrame]:
-        """One-query bundle for the control loop: (rho, rhodot, J_rho, frame)
-        from the probe pose and geometric Jacobian of one kinematics sweep.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SurfaceFrame]:
+        """One-query bundle for the control loop: (rho, rhodot, J_rho, frame),
+        rho and rhodot (6,) arrays, from one kinematics sweep's probe pose and
+        geometric Jacobian.
 
         The inputs derive from validated joint states, so only the checks
-        that can fire run here: the chart boundary, a degenerate frame,
-        the barycentric sum and the unit bound on the orientation error.
+        that can fire run here: the chart boundary, a degenerate frame and
+        the barycentric sum. eps is part of a unit quaternion: |eps| <= 1.
         """
         hit, s, frame = self._foot(probe_pose.translation, hint)
         b0, b1, b2 = hit.barycentric.tolist()
         if abs(b0 + b1 + b2 - 1.0) > 1e-9 or min(b0, b1, b2) < -1e-9:
             raise ValueError("barycentric weights must be non-negative and sum to 1")
         eta, eps = orientation_error(probe_pose.rotation_matrix(), frame)
-        if math.sqrt(eps.dot(eps)) > 1.0 + 1e-9:
-            raise ValueError("orientation error vector cannot exceed unit length")
-        coords = unchecked(SurfaceCoords, *s.tolist(), hit.distance, eps, eta)
+        rho = np.array([*s.tolist(), hit.distance, *eps.tolist()])
         J = self.coordinate_map(frame, eta, eps) @ probe_jacobian
-        return coords, J @ np.asarray(qdot, dtype=float).reshape(7), J, frame
+        return rho, J @ np.asarray(qdot, dtype=float).reshape(7), J, frame
 
 
 def orientation_error(R_probe: np.ndarray, frame: SurfaceFrame) -> tuple[float, np.ndarray]:

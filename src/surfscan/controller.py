@@ -2,21 +2,20 @@
 
 The torque law is tau = J_rho^T (K_rho (rho_d - rho) + D_rho (rhodot_d -
 rhodot)), verbatim: no feedforward, gravity, or Coriolis terms. Gravity
-is assumed perfectly compensated by the simulator.
+is assumed perfectly compensated by the simulator. rho, rhodot and the
+setpoint pair (rho_d, rhodot_d) are (6,) arrays that no call re-checks.
 
 Setpoint generators cover the two experiment phases: a distance ramp
 that establishes contact and holds a fixed penetration, and a constant
-speed boustrophedon raster over the chart domain.
+speed boustrophedon raster over the chart domain, each checked when built.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-from .chart import SurfaceCoords
-from .geometry import unchecked
 
 SYMMETRY_TOL = 1e-12
 NULLSPACE_RANK_TOL = 1e-10
@@ -56,20 +55,11 @@ class ImpedanceGains:
                               np.diag(np.asarray(damping, dtype=float)))
 
 
-@dataclass(frozen=True)
-class Setpoint:
-    """Desired surface coordinates and rates."""
+class Setpoint(NamedTuple):
+    """Desired rho_d = (s1, s2, d, eps1, eps2, eps3) and rates rhodot_d, (6,) arrays."""
 
-    rho_d: SurfaceCoords
-    rhodot_d: np.ndarray = field(default_factory=lambda: np.zeros(6))
-
-    def __post_init__(self):
-        v = np.asarray(self.rhodot_d, dtype=float)
-        if v.shape != (6,):
-            raise ValueError(f"rhodot_d must have 6 entries, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("rhodot_d must be finite")
-        object.__setattr__(self, "rhodot_d", v)
+    rho_d: np.ndarray
+    rhodot_d: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,32 +90,19 @@ class ContactProfile:
 
 def setpoint_at(s1: float, s2: float, d: float, rhodot: np.ndarray) -> Setpoint:
     """Setpoint at (s1, s2, d) with zero orientation error and rates rhodot
-    (a fresh (6,) array), for generators validated when built: unchecked."""
-    coords = unchecked(SurfaceCoords, float(s1), float(s2), float(d), np.zeros(3), 1.0)
-    return unchecked(Setpoint, coords, rhodot)
+    (a fresh (6,) array)."""
+    return Setpoint(np.array([float(s1), float(s2), float(d), 0.0, 0.0, 0.0]), rhodot)
 
 
 def impedance_torque(
     gains: ImpedanceGains,
     sp: Setpoint,
-    rho: SurfaceCoords,
+    rho: np.ndarray,
     rhodot: np.ndarray,
     J_rho: np.ndarray,
 ) -> np.ndarray:
     """tau = J_rho^T (K (rho_d - rho) + D (rhodot_d - rhodot)), nothing else."""
-    rhodot = np.asarray(rhodot, dtype=float)
-    J_rho = np.asarray(J_rho, dtype=float)
-    if rhodot.shape != (6,):
-        raise ValueError(f"rhodot must have 6 entries, got {rhodot.shape}")
-    if J_rho.ndim != 2 or J_rho.shape[0] != 6:
-        raise ValueError(f"J_rho must be 6xn, got {J_rho.shape}")
-    if not (np.isfinite(rhodot).all() and np.isfinite(J_rho).all()):
-        raise ValueError("controller inputs must be finite")
-    err = sp.rho_d.rho - rho.rho
-    verr = sp.rhodot_d - rhodot
-    if not np.isfinite(err).all():
-        raise ValueError("controller inputs must be finite")
-    return J_rho.T @ (gains.stiffness @ err + gains.damping @ verr)
+    return J_rho.T @ (gains.stiffness @ (sp.rho_d - rho) + gains.damping @ (sp.rhodot_d - rhodot))
 
 
 def contact_setpoints(
@@ -196,9 +173,6 @@ class RasterPath:
         lines = np.repeat(self.scan_lines(), 2)
         s1 = np.resize([self.s_min[0], self.s_max[0], self.s_max[0], self.s_min[0]], len(lines))
         return np.column_stack([s1, lines])
-
-    def total_length(self) -> float:
-        return self._total_length
 
     @property
     def duration(self) -> float:

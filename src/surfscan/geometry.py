@@ -126,14 +126,6 @@ def quat_rotate(q, v) -> np.ndarray:
     return v + 2.0 * (w * uv + cross3(u, uv, v.shape))
 
 
-def unchecked(cls, *values):
-    """Frozen dataclass `cls` holding `values` in field order, built without
-    its __post_init__ checks: for values derived from validated inputs."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
-
-
 def skew(v) -> np.ndarray:
     """Cross-product matrix: skew(v) @ u == cross(v, u)."""
     return np.array(
@@ -170,11 +162,6 @@ class Pose:
         return Pose()
 
     @staticmethod
-    def from_matrix(T) -> "Pose":
-        T = np.asarray(T, dtype=float)
-        return Pose(quat_from_matrix(T[:3, :3]), T[:3, 3].copy())
-
-    @staticmethod
     def from_rotation_matrix(R, t=(0.0, 0.0, 0.0)) -> "Pose":
         return Pose(quat_from_matrix(R), np.asarray(t, dtype=float))
 
@@ -198,9 +185,8 @@ class Pose:
         return Pose(qi, -quat_rotate(qi, self.translation))
 
     def __matmul__(self, other: "Pose") -> "Pose":
-        # the product of two valid poses is valid: skip the re-check
         q = quat_normalize(quat_multiply(self.rotation, other.rotation))
-        return unchecked(Pose, q, self.transform_point(other.translation))
+        return Pose(q, self.transform_point(other.translation))
 
 
 def plane_basis(normal) -> tuple[np.ndarray, np.ndarray]:

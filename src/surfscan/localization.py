@@ -61,12 +61,6 @@ class MarkerObservation:
     def centre(self) -> np.ndarray:
         return self.corners.mean(axis=0)
 
-    def planarity(self) -> float:
-        """Max corner distance from the best-fit corner plane."""
-        c = self.corners - self.corners.mean(axis=0)
-        _, s, vt = np.linalg.svd(c, full_matrices=False)
-        return float(np.max(np.abs(c @ vt[2])))
-
 
 @dataclass(frozen=True)
 class ScenePlane:

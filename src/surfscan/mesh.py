@@ -23,6 +23,7 @@ whose image points fall in its padded box. One ray is a group of one.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -406,21 +407,23 @@ class _Accel:
         # smallest tied face
         which = np.searchsorted(leaf_lo, np.arange(n), side="right")
         perm = perm[np.lexsort((perm, which))]
-        # plain-python mirrors for the point-query inner loop; indexing
-        # numpy scalars per node costs more than the arithmetic
-        self._bmin_l, self._bmax_l, self._left_l, self._right_l = (
-            x.tolist() for x in (self.bmin, self.bmax, self.left, self.right))
-        self._rows = [None] * len(self.count)  # per-leaf face rows, see nearest
         # each leaf's faces as one fixed-width row, padded with its last face
         cols = np.minimum(np.arange(LEAF_SIZE), self.count[leaf][:, None] - 1)
         self.leaf_faces = np.zeros((len(self.count), LEAF_SIZE), dtype=np.int64)
         self.leaf_faces[leaf] = perm[self.start[leaf][:, None] + cols]
 
+    @functools.cached_property
+    def _lists(self) -> tuple:
+        """Plain-python tree mirrors plus per-leaf face rows for nearest, where
+        indexing numpy scalars costs more than the arithmetic; built on the
+        first nearest, so batch-only meshes never convert."""
+        mirrors = (x.tolist() for x in (self.bmin, self.bmax, self.left, self.right))
+        return (*mirrors, [None] * len(self.count))
+
     def nearest(self, p: np.ndarray, hint: int | None = None) -> ClosestHit:
         p = p.tolist()
         px, py, pz = p
-        bmin_l, bmax_l = self._bmin_l, self._bmax_l
-        left_l, right_l, rows_l = self._left_l, self._right_l, self._rows
+        bmin_l, bmax_l, left_l, right_l, rows_l = self._lists
 
         def box_d2(lo, hi) -> float:
             # squared box distance from the per-axis gaps, summed x then y

@@ -81,9 +81,6 @@ class DepthImage:
             raise ValueError("negative depth; invalid pixels are encoded as 0")
         object.__setattr__(self, "depths", d)
 
-    def valid_mask(self) -> np.ndarray:
-        return self.depths > 0.0
-
     def backproject(self) -> np.ndarray:
         """World points of the valid pixels, row-major pixel order."""
         dirs = self.intrinsics.pixel_dirs()

@@ -5,6 +5,10 @@ with gravity assumed perfectly compensated, integrated by semi-implicit
 Euler. Contact is a frictionless normal penalty at the probe tip:
 F = (k_t (-d) + c max(0, -ddot)) n while d < 0, never adhesive.
 
+The loop state `SimState` is plain arrays plus the chart's surface frame.
+`init_state` checks q and qdot once; after that the divergence test is
+what catches a non-finite state.
+
 The energy audit assumes constant setpoints; on a flat chart the
 continuous-time loop then conserves kinetic + spring energy plus
 accumulated dissipation exactly, so the audit isolates integrator error.
@@ -17,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import ArmModel, ArmSnapshot, JointState, arm_snapshot, check_velocity
-from .chart import SurfaceChart, SurfaceCoords, SurfaceFrame
-from .geometry import unchecked
+from .arm import ArmModel, JointState, arm_snapshot, check_velocity
+from .chart import SurfaceChart, SurfaceFrame
 from .controller import ImpedanceGains, Setpoint, impedance_torque, nullspace_damping
 from .mesh import TriMesh, grid_surface_mesh
 
@@ -90,16 +93,18 @@ def cap_phantom_mesh(
 
 @dataclass(frozen=True)
 class SimState:
-    """Snapshot at time t; arm and chart bundles are consistent with q."""
+    """The loop's state at time t as plain arrays, all consistent with q."""
 
     t: float
-    joint: JointState
-    contact_wrench: np.ndarray
-    rho: SurfaceCoords
-    rhodot: np.ndarray
-    J_rho: np.ndarray
-    frame: SurfaceFrame
-    arm: ArmSnapshot
+    q: np.ndarray  # (7,) rad
+    qdot: np.ndarray  # (7,) rad/s
+    rho: np.ndarray  # (6,) (s1, s2, d, eps1, eps2, eps3)
+    rhodot: np.ndarray  # (6,)
+    J_rho: np.ndarray  # 6x7 task Jacobian
+    frame: SurfaceFrame  # at the foot point; its face seeds the next query
+    jacobian: np.ndarray  # 6x7 geometric Jacobian of the probe point
+    mass: np.ndarray  # 7x7 joint-space mass matrix
+    contact_wrench: np.ndarray  # (6,) world axes
 
     @property
     def force_normal(self) -> float:
@@ -108,16 +113,16 @@ class SimState:
 
 def contact_wrench(
     phantom: PhantomModel,
-    rho: SurfaceCoords,
+    rho: np.ndarray,
     rhodot: np.ndarray,
     normal: np.ndarray,
 ) -> np.ndarray:
     """Penalty wrench at the probe tip, world axes; zero torque."""
     w = np.zeros(6)
-    if rho.d >= 0.0:
+    d, ddot = float(rho[2]), float(rhodot[2])
+    if d >= 0.0:
         return w
-    ddot = float(np.asarray(rhodot, dtype=float)[2])
-    f = phantom.contact_stiffness * (-rho.d) + phantom.contact_damping * max(0.0, -ddot)
+    f = phantom.contact_stiffness * (-d) + phantom.contact_damping * max(0.0, -ddot)
     w[:3] = max(f, 0.0) * np.asarray(normal, dtype=float)
     return w
 
@@ -131,14 +136,15 @@ def init_state(
     t: float = 0.0,
 ) -> SimState:
     """The loop's entry edge: q and qdot are validated here, once."""
-    return _state_at(model, chart, phantom, t, JointState(q, np.zeros(7) if qdot is None else qdot))
+    joint = JointState(q, np.zeros(7) if qdot is None else qdot)
+    return _state_at(model, chart, phantom, t, joint.q, joint.qdot)
 
 
-def _state_at(model, chart, phantom, t: float, joint: JointState, hint=None) -> SimState:
-    snap = arm_snapshot(model, joint.q)  # raises on a limit breach
-    rho, rhodot, J, frame = chart.evaluate_probe(snap.probe, snap.jacobian, joint.qdot, hint)
+def _state_at(model, chart, phantom, t: float, q, qdot, hint=None) -> SimState:
+    snap = arm_snapshot(model, q)  # raises on a limit breach
+    rho, rhodot, J, frame = chart.evaluate_probe(snap.probe, snap.jacobian, qdot, hint)
     wrench = contact_wrench(phantom, rho, rhodot, frame.n)
-    return SimState(t, joint, wrench, rho, rhodot, J, frame, snap)
+    return SimState(t, q, qdot, rho, rhodot, J, frame, snap.jacobian, snap.mass, wrench)
 
 
 def step(
@@ -154,8 +160,7 @@ def step(
     """One semi-implicit Euler step using the forces of `state`."""
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
-    q = state.joint.q
-    qdot = state.joint.qdot
+    q, qdot = state.q, state.qdot
     tau = np.zeros(7)
     if gains is not None:
         tau = tau + impedance_torque(gains, setpoint, state.rho, state.rhodot, state.J_rho)
@@ -163,8 +168,8 @@ def step(
         tau = tau + nullspace_damping(state.J_rho, qdot, nullspace_gain)
     # frictionless tip contact: only the linear rows of the probe
     # jacobian see the wrench
-    tau = tau + state.arm.jacobian.T @ state.contact_wrench
-    qdd = np.linalg.solve(state.arm.mass, tau)
+    tau = tau + state.jacobian.T @ state.contact_wrench
+    qdd = np.linalg.solve(state.mass, tau)
     qdot_new = qdot + dt * qdd
     q_new = q + dt * qdot_new
     if not (np.isfinite(q_new).all() and np.isfinite(qdot_new).all()):
@@ -172,10 +177,8 @@ def step(
             f"integrator diverged at t = {state.t:.6f} s (step from dt = {dt})"
         )
     check_velocity(model, qdot_new)  # raises JointVelocityError
-    # q_new and qdot_new were just checked finite: skip JointState's re-check
-    joint = unchecked(JointState, q_new, qdot_new)
     hint = state.frame.face if state.frame.face >= 0 else None
-    return _state_at(model, chart, phantom, state.t + dt, joint, hint)
+    return _state_at(model, chart, phantom, state.t + dt, q_new, qdot_new, hint)
 
 
 def steady_state_force(k_controller: float, k_t: float, d_hold: float) -> float:
@@ -227,13 +230,13 @@ class _LogBuilder:
         self.rows = []
 
     def add(self, state: SimState, setpoint: Setpoint):
-        rho = state.rho
-        self.rows.append((state.t, state.joint.q.copy(), rho.s1, rho.s2, rho.d, rho.eps.copy(),
-                          setpoint.rho_d.d, state.force_normal))
+        d_d = float(setpoint.rho_d[2])
+        self.rows.append((state.t, state.q.copy(), state.rho, d_d, state.force_normal))
 
     def build(self) -> ScanLog:
-        t, q, s1, s2, d, eps, d_d, force_n = (np.array(c) for c in zip(*self.rows))
-        return ScanLog(t, q.reshape(-1, 7), s1, s2, d, eps.reshape(-1, 3), d_d, force_n)
+        t, q, rho, d_d, force_n = (np.array(c) for c in zip(*self.rows))
+        rho = rho.reshape(-1, 6)
+        return ScanLog(t, q.reshape(-1, 7), *rho[:, :3].T, rho[:, 3:], d_d, force_n)
 
 
 @dataclass(frozen=True)
@@ -270,23 +273,23 @@ class _EnergyAudit:
         ve = state.rhodot - setpoint.rhodot_d
         p = float(ve @ (self.gains.damping @ ve)) if self.gains is not None else 0.0
         ddot = float(state.rhodot[2])
-        if state.rho.d < 0.0:
+        if state.rho[2] < 0.0:
             p += self.phantom.contact_damping * max(0.0, -ddot) ** 2
         if self.nullspace_gain > 0.0:
-            qdot = state.joint.qdot
+            qdot = state.qdot
             tau_null = nullspace_damping(state.J_rho, qdot, self.nullspace_gain)
             p += float(-qdot @ tau_null)
         return p
 
     def add(self, state: SimState, setpoint: Setpoint):
-        qdot = state.joint.qdot
-        kin = 0.5 * float(qdot @ (state.arm.mass @ qdot))
+        qdot = state.qdot
+        kin = 0.5 * float(qdot @ (state.mass @ qdot))
         if self.gains is not None:
-            e = setpoint.rho_d.rho - state.rho.rho
+            e = setpoint.rho_d - state.rho
             spring = 0.5 * float(e @ (self.gains.stiffness @ e))
         else:
             spring = 0.0
-        pen = min(state.rho.d, 0.0)
+        pen = min(float(state.rho[2]), 0.0)
         contact = 0.5 * self.phantom.contact_stiffness * pen * pen
         power = self._power(state, setpoint)
         if self._last_power is not None:

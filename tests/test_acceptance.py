@@ -14,7 +14,7 @@ from surfscan.arm import (
     geometric_jacobian,
     reference_arm,
 )
-from surfscan.chart import SurfaceChart, SurfaceCoords
+from surfscan.chart import SurfaceChart
 from surfscan.controller import (
     ContactProfile,
     ImpedanceGains,
@@ -88,8 +88,8 @@ def test_criterion_1_jacobians():
         q = Q_SCAN + rng.uniform(-0.05, 0.05, 7)
         qdot = rng.normal(0.0, 1.0, 7)
         J = task_jacobian(chart, MODEL, q)
-        rp = task_coordinates(chart, forward_kinematics(MODEL, q + h * qdot, "probe")).rho
-        rm = task_coordinates(chart, forward_kinematics(MODEL, q - h * qdot, "probe")).rho
+        rp = task_coordinates(chart, forward_kinematics(MODEL, q + h * qdot, "probe"))
+        rm = task_coordinates(chart, forward_kinematics(MODEL, q - h * qdot, "probe"))
         worst_task = max(worst_task, float(np.max(np.abs(J @ qdot - (rp - rm) / (2 * h)))))
 
     elapsed = time.monotonic() - t0
@@ -103,10 +103,10 @@ def test_criterion_1_jacobians():
 # ---------------------------------------------------------------------------
 
 
-def _random_coords(rng) -> SurfaceCoords:
+def _random_coords(rng) -> np.ndarray:
     # small eps so affine combinations below stay inside the unit ball
     eps = rng.uniform(-0.1, 0.1, 3)
-    return SurfaceCoords(*rng.uniform(-0.1, 0.1, 3), eps)
+    return np.concatenate([rng.uniform(-0.1, 0.1, 3), eps])
 
 
 def test_criterion_2_torque_law():
@@ -138,10 +138,7 @@ def test_criterion_2_torque_law():
         sp2 = Setpoint(_random_coords(rng), rng.normal(0.0, 1.0, 6))
         a, b = rng.uniform(-1.0, 1.0, 2)
         combo = Setpoint(
-            SurfaceCoords(*(rho.rho[:3] + a * (sp1.rho_d.rho[:3] - rho.rho[:3])
-                            + b * (sp2.rho_d.rho[:3] - rho.rho[:3])),
-                          rho.eps + a * (sp1.rho_d.eps - rho.eps)
-                          + b * (sp2.rho_d.eps - rho.eps)),
+            rho + a * (sp1.rho_d - rho) + b * (sp2.rho_d - rho),
             rhodot + a * (sp1.rhodot_d - rhodot) + b * (sp2.rhodot_d - rhodot),
         )
         t1 = impedance_torque(gains, sp1, rho, rhodot, J)
@@ -150,7 +147,7 @@ def test_criterion_2_torque_law():
         worst_lin = max(worst_lin, float(np.max(np.abs(tc - (a * t1 + b * t2)))))
 
         # independent elementwise contraction of the same expression
-        err = sp1.rho_d.rho - rho.rho
+        err = sp1.rho_d - rho
         verr = sp1.rhodot_d - rhodot
         ref = np.einsum("ji,jk,k->i", J, gains.stiffness, err) + np.einsum(
             "ji,jk,k->i", J, gains.damping, verr)
@@ -286,7 +283,7 @@ def test_criterion_6_energy_and_order():
         np.diag([300.0, 300.0, 500.0, 5.0, 5.0, 1.0]),
         np.diag([35.0, 35.0, 140.0, 0.9, 0.9, 0.4]),
     )
-    hold = Setpoint(SurfaceCoords(0.0, 0.0, -0.004, np.zeros(3)))
+    hold = Setpoint(np.array([0.0, 0.0, -0.004, 0.0, 0.0, 0.0]), np.zeros(6))
     log, trace = simulate(MODEL, chart, phantom, gains, lambda t: hold, Q_SCAN,
                           duration=5.0, dt=1e-3, energy_audit=True)
     balance = trace.balance_error()
@@ -295,7 +292,7 @@ def test_criterion_6_energy_and_order():
     # dt-halving on a free-space reach, against a fine-dt reference
     mesh, chart = _flat_chart(0.010)
     phantom = PhantomModel(mesh, contact_stiffness=500.0, contact_damping=20.0)
-    target = Setpoint(SurfaceCoords(0.02, 0.0, 0.005, np.zeros(3)))
+    target = Setpoint(np.array([0.02, 0.0, 0.005, 0.0, 0.0, 0.0]), np.zeros(6))
     ends = {}
     for dt in (1e-3, 5e-4, 6.25e-5):
         run, _ = simulate(MODEL, chart, phantom, gains, lambda t: target, Q_SCAN,

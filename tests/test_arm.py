@@ -8,6 +8,8 @@ Jw_i^T I_i Jw_i.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfscan.arm import (
     ArmModel,
@@ -15,6 +17,7 @@ from surfscan.arm import (
     JointSpec,
     JointState,
     LinkInertia,
+    arm_snapshot,
     forward_kinematics,
     geometric_jacobian,
     load_arm_model,
@@ -314,3 +317,27 @@ def test_model_validation():
             position_limits=(-1.0, 1.0),
             velocity_limit=1.0,
         )
+
+
+@st.composite
+def joint_box(draw):
+    """q anywhere in the reference arm's position limits, endpoints included."""
+    return np.array([
+        draw(st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi)))
+        for lo, hi in MODEL.position_limits.tolist()
+    ])
+
+
+@settings(max_examples=200, deadline=None)
+@given(joint_box())
+def test_arm_snapshot_is_the_separate_sweeps(q):
+    """One sweep gives the same bits as the three separate entry points,
+    and its mass matrix is exactly symmetric and positive definite."""
+    snap = arm_snapshot(MODEL, q)
+    pose = forward_kinematics(MODEL, q, "probe")
+    assert np.array_equal(snap.probe.rotation, pose.rotation)
+    assert np.array_equal(snap.probe.translation, pose.translation)
+    assert np.array_equal(snap.jacobian, geometric_jacobian(MODEL, q, "probe"))
+    assert np.array_equal(snap.mass, mass_matrix(MODEL, q))
+    assert np.array_equal(snap.mass, snap.mass.T)
+    np.linalg.cholesky(snap.mass)  # raises LinAlgError unless positive definite

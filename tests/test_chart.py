@@ -15,7 +15,6 @@ from surfscan.arm import arm_snapshot, forward_kinematics, geometric_jacobian, r
 from surfscan.chart import (
     ChartBoundaryError,
     SurfaceChart,
-    SurfaceCoords,
     eps_rate_map,
     orientation_error,
 )
@@ -49,11 +48,11 @@ FLAT = flat_chart()
 DOME = dome_chart()
 
 
-def task_coordinates(chart, probe_pose):
+def task_coordinates(chart, probe_pose) -> np.ndarray:
     """rho of a probe pose through the chart's checked closest_point."""
     point, dist, frame = chart.closest_point(probe_pose.translation)
-    eta, eps = orientation_error(probe_pose.rotation_matrix(), frame)
-    return SurfaceCoords(float(point.s[0]), float(point.s[1]), dist, eps, eta)
+    _, eps = orientation_error(probe_pose.rotation_matrix(), frame)
+    return np.array([float(point.s[0]), float(point.s[1]), dist, *eps.tolist()])
 
 
 def task_jacobian(chart, model, q):
@@ -64,21 +63,21 @@ def task_jacobian(chart, model, q):
 
 def test_aligned_probe_above_flat():
     pose = Pose(np.array([1.0, 0, 0, 0]), np.array([0.03, -0.04, 1.02]))
-    rho = task_coordinates(FLAT, pose).rho
+    rho = task_coordinates(FLAT, pose)
     assert np.max(np.abs(rho - np.array([0.03, -0.04, 0.02, 0, 0, 0]))) < 1e-12
 
 
 def test_penetration_is_negative():
     pose = Pose(np.array([1.0, 0, 0, 0]), np.array([0.0, 0.0, 0.997]))
-    coords = task_coordinates(FLAT, pose)
-    assert abs(coords.d + 0.003) < 1e-12
+    rho = task_coordinates(FLAT, pose)
+    assert abs(rho[2] + 0.003) < 1e-12
 
 
 def test_tilt_90_degrees():
     q = quat_from_axis_angle(EX, math.pi / 2)  # tilt about t1
     pose = Pose(q, np.array([0.0, 0.0, 1.05]))
-    coords = task_coordinates(FLAT, pose)
-    assert abs(np.linalg.norm(coords.eps) - math.sin(math.pi / 4)) < 1e-12
+    rho = task_coordinates(FLAT, pose)
+    assert abs(np.linalg.norm(rho[3:]) - math.sin(math.pi / 4)) < 1e-12
 
 
 def test_eps_zero_only_when_aligned():
@@ -87,8 +86,8 @@ def test_eps_zero_only_when_aligned():
         axis = rng.normal(size=3)
         angle = rng.uniform(0.1, 2.5)
         pose = Pose(quat_from_axis_angle(axis, angle), np.array([0.0, 0.0, 1.03]))
-        coords = task_coordinates(FLAT, pose)
-        assert np.linalg.norm(coords.eps) > 1e-3
+        rho = task_coordinates(FLAT, pose)
+        assert np.linalg.norm(rho[3:]) > 1e-3
 
 
 def test_eps_reapplication():
@@ -99,10 +98,11 @@ def test_eps_reapplication():
         angle = rng.uniform(0.0, 2.6)
         q = quat_from_axis_angle(axis, angle)
         pose = Pose(q, np.array([0.02, 0.01, 1.04]))
-        coords = task_coordinates(FLAT, pose)
-        err_q = np.concatenate([[coords.eta], coords.eps])
+        _, _, frame = FLAT.closest_point(pose.translation)
+        eta, eps = orientation_error(pose.rotation_matrix(), frame)
+        err_q = np.concatenate([[eta], eps])
         fixed = Pose(quat_multiply(err_q, q), pose.translation)
-        assert np.linalg.norm(task_coordinates(FLAT, fixed).eps) < 1e-9
+        assert np.linalg.norm(task_coordinates(FLAT, fixed)[3:]) < 1e-9
 
 
 def test_eps_rate_map_against_quaternion_differencing():
@@ -143,8 +143,8 @@ def test_task_jacobian_matches_finite_difference():
     for q in probe_over_chart_states(rng, 150):
         qd = rng.uniform(-1.0, 1.0, 7)
         J = task_jacobian(FLAT, MODEL, q)
-        rho0 = task_coordinates(FLAT, forward_kinematics(MODEL, q, "probe")).rho
-        rho1 = task_coordinates(FLAT, forward_kinematics(MODEL, q + dt * qd, "probe")).rho
+        rho0 = task_coordinates(FLAT, forward_kinematics(MODEL, q, "probe"))
+        rho1 = task_coordinates(FLAT, forward_kinematics(MODEL, q + dt * qd, "probe"))
         fd = (rho1 - rho0) / dt
         assert np.max(np.abs(J @ qd - fd)) < 1e-4
 
@@ -170,7 +170,7 @@ def test_task_jacobian_nullspace():
         dt = 1e-6
         pose0 = forward_kinematics(MODEL, q, "probe")
         pose1 = forward_kinematics(MODEL, q + dt * null, "probe")
-        drho = task_coordinates(FLAT, pose1).rho - task_coordinates(FLAT, pose0).rho
+        drho = task_coordinates(FLAT, pose1) - task_coordinates(FLAT, pose0)
         assert np.max(np.abs(drho / dt)) < 1e-4
 
 
@@ -180,9 +180,9 @@ def evaluate_oracle(chart, model, q, qdot):
     pose = forward_kinematics(model, q, "probe")
     point, dist, frame = chart.closest_point(pose.translation)
     eta, eps = orientation_error(pose.rotation_matrix(), frame)
-    coords = SurfaceCoords(float(point.s[0]), float(point.s[1]), dist, eps, eta)
+    rho = np.array([float(point.s[0]), float(point.s[1]), dist, *eps.tolist()])
     J = chart.coordinate_map(frame, eta, eps) @ geometric_jacobian(model, q, "probe")
-    return coords, J @ qdot, J, frame
+    return rho, J @ qdot, J, frame
 
 
 def test_evaluate_bundle_consistent():
@@ -191,20 +191,20 @@ def test_evaluate_bundle_consistent():
         for q in probe_over_chart_states(rng, 10):
             qd = rng.uniform(-0.5, 0.5, 7)
             snap = arm_snapshot(MODEL, q)
-            coords, rhodot, J, frame = chart.evaluate_probe(snap.probe, snap.jacobian, qd)
+            rho, rhodot, J, frame = chart.evaluate_probe(snap.probe, snap.jacobian, qd)
             pose = forward_kinematics(MODEL, q, "probe")
-            assert np.max(np.abs(coords.rho - task_coordinates(chart, pose).rho)) < 1e-12
+            assert np.max(np.abs(rho - task_coordinates(chart, pose))) < 1e-12
             assert np.max(np.abs(J - task_jacobian(chart, MODEL, q))) < 1e-12
             assert np.max(np.abs(rhodot - J @ qd)) < 1e-12
             # the loop's lean path equals the fully checked one bit for bit
-            o_coords, o_rhodot, o_J, o_frame = evaluate_oracle(chart, MODEL, q, qd)
-            assert np.array_equal(coords.rho, o_coords.rho) and coords.eta == o_coords.eta
+            o_rho, o_rhodot, o_J, o_frame = evaluate_oracle(chart, MODEL, q, qd)
+            assert np.array_equal(rho, o_rho)
             assert np.array_equal(rhodot, o_rhodot) and np.array_equal(J, o_J)
             assert frame.face == o_frame.face
             assert np.array_equal(frame.rotation(), o_frame.rotation())
             # a hint changes nothing
             hinted = chart.evaluate_probe(snap.probe, snap.jacobian, qd, (frame.face + 7) % 50)
-            assert np.array_equal(hinted[0].rho, coords.rho) and np.array_equal(hinted[2], J)
+            assert np.array_equal(hinted[0], rho) and np.array_equal(hinted[2], J)
 
 
 def test_evaluate_probe_checks_the_chart_boundary():
@@ -245,7 +245,7 @@ def test_embed_height_invariant_flat():
         h = rng.uniform(0.005, 0.1)
         _, frame = FLAT.embed(s)
         pose = Pose(quat_from_matrix(frame.rotation()), frame.point + h * frame.n)
-        rho = task_coordinates(FLAT, pose).rho
+        rho = task_coordinates(FLAT, pose)
         assert np.max(np.abs(rho - np.array([s[0], s[1], h, 0, 0, 0]))) < 1e-9
 
 
@@ -258,10 +258,10 @@ def test_embed_height_approx_curved():
         h = 0.01
         _, frame = DOME.embed(s)
         pose = Pose(quat_from_matrix(frame.rotation()), frame.point + h * frame.n)
-        coords = task_coordinates(DOME, pose)
-        assert abs(coords.d - h) < 5e-4
-        assert np.max(np.abs(np.array([coords.s1, coords.s2]) - s)) < 2e-3
-        assert np.linalg.norm(coords.eps) < 0.05
+        rho = task_coordinates(DOME, pose)
+        assert abs(rho[2] - h) < 5e-4
+        assert np.max(np.abs(rho[:2] - s)) < 2e-3
+        assert np.linalg.norm(rho[3:]) < 0.05
 
 
 def test_anchor_is_origin():
@@ -276,13 +276,6 @@ def test_boundary_errors():
     pose = Pose(np.array([1.0, 0, 0, 0]), np.array([5.0, 0.0, 1.05]))
     with pytest.raises(ChartBoundaryError):
         task_coordinates(FLAT, pose)
-
-
-def test_surface_coords_validation():
-    with pytest.raises(ValueError):
-        SurfaceCoords(0.0, 0.0, 0.0, np.array([1.0, 1.0, 1.0]))
-    c = SurfaceCoords(0.1, -0.2, 0.05, np.zeros(3))
-    assert np.array_equal(c.rho, np.array([0.1, -0.2, 0.05, 0, 0, 0]))
 
 
 def test_orientation_error_canonical():

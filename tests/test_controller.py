@@ -1,11 +1,8 @@
 """Impedance law, setpoint generators, nullspace damping."""
-import math
-
 import numpy as np
 import pytest
 
 from surfscan import controller
-from surfscan.chart import SurfaceCoords
 from surfscan.controller import (
     ContactProfile,
     ImpedanceGains,
@@ -20,16 +17,8 @@ from surfscan.controller import (
 )
 
 
-def rho_from_vec(v) -> SurfaceCoords:
-    v = np.asarray(v, dtype=float)
-    eps = v[3:]
-    eta = math.sqrt(max(1.0 - float(eps @ eps), 0.0))
-    return SurfaceCoords(v[0], v[1], v[2], eps, eta)
-
-
-def random_rho(rng, scale=0.3) -> SurfaceCoords:
-    v = rng.uniform(-scale, scale, 6)
-    return rho_from_vec(v)
+def random_rho(rng, scale=0.3) -> np.ndarray:
+    return rng.uniform(-scale, scale, 6)
 
 
 # a representative gain set (our values; the source gives none)
@@ -64,8 +53,8 @@ def test_unit_distance_row_maps_five_newtons():
     gains = ImpedanceGains.diagonal([300.0, 300.0, 500.0, 5.0, 5.0, 1.0], np.ones(6))
     J = np.zeros((6, 7))
     J[2, 0] = 1.0
-    rho = rho_from_vec([0.0, 0.0, -0.013, 0.0, 0.0, 0.0])
-    sp = Setpoint(rho_from_vec([0.0, 0.0, -0.003, 0.0, 0.0, 0.0]))
+    rho = np.array([0.0, 0.0, -0.013, 0.0, 0.0, 0.0])
+    sp = Setpoint(np.array([0.0, 0.0, -0.003, 0.0, 0.0, 0.0]), np.zeros(6))
     tau = impedance_torque(gains, sp, rho, np.zeros(6), J)
     assert tau[0] == pytest.approx(5.0, abs=1e-12)
     assert np.array_equal(tau[1:], np.zeros(6))
@@ -73,7 +62,7 @@ def test_unit_distance_row_maps_five_newtons():
 
 def _torque_oracle(K, D, sp: Setpoint, rho, rhodot, J):
     """Same expression, summed element by element in plain Python."""
-    e = [sp.rho_d.rho[j] - rho.rho[j] for j in range(6)]
+    e = [sp.rho_d[j] - rho[j] for j in range(6)]
     ve = [sp.rhodot_d[j] - rhodot[j] for j in range(6)]
     f = [
         sum(K[i][j] * e[j] for j in range(6)) + sum(D[i][j] * ve[j] for j in range(6))
@@ -101,16 +90,16 @@ def test_torque_superposition():
     rng = np.random.default_rng(2)
     gains = DEFAULT_GAINS
     J = rng.standard_normal((6, 7))
-    rho0 = rho_from_vec(np.zeros(6))
+    rho0 = np.zeros(6)
     for _ in range(50):
         va = rng.uniform(-0.2, 0.2, 6)
         vb = rng.uniform(-0.2, 0.2, 6)
         ra = rng.standard_normal(6)
         rb = rng.standard_normal(6)
-        tau_a = impedance_torque(gains, Setpoint(rho_from_vec(va), ra), rho0, np.zeros(6), J)
-        tau_b = impedance_torque(gains, Setpoint(rho_from_vec(vb), rb), rho0, np.zeros(6), J)
+        tau_a = impedance_torque(gains, Setpoint(va, ra), rho0, np.zeros(6), J)
+        tau_b = impedance_torque(gains, Setpoint(vb, rb), rho0, np.zeros(6), J)
         tau_ab = impedance_torque(
-            gains, Setpoint(rho_from_vec(va + vb), ra + rb), rho0, np.zeros(6), J
+            gains, Setpoint(va + vb, ra + rb), rho0, np.zeros(6), J
         )
         assert np.max(np.abs(tau_ab - (tau_a + tau_b))) < 1e-12 * max(
             1.0, np.max(np.abs(tau_ab))
@@ -131,18 +120,6 @@ def test_gain_scaling_scales_torque():
     assert np.array_equal(tau2, 2.0 * tau)
     tau3 = impedance_torque(ImpedanceGains(3.0 * K, 3.0 * D), sp, rho, rhodot, J)
     assert np.max(np.abs(tau3 - 3.0 * tau)) < 1e-12 * max(1.0, np.max(np.abs(tau3)))
-
-
-def test_torque_rejects_bad_inputs():
-    gains = DEFAULT_GAINS
-    rho = rho_from_vec(np.zeros(6))
-    sp = Setpoint(rho)
-    with pytest.raises(ValueError, match="finite"):
-        impedance_torque(gains, sp, rho, np.full(6, np.nan), np.zeros((6, 7)))
-    with pytest.raises(ValueError, match="6xn"):
-        impedance_torque(gains, sp, rho, np.zeros(6), np.zeros((3, 7)))
-    with pytest.raises(ValueError, match="6 entries"):
-        impedance_torque(gains, sp, rho, np.zeros(5), np.zeros((6, 7)))
 
 
 def test_gain_validation():
@@ -166,21 +143,21 @@ PROFILE = ContactProfile(d_start=0.02, d_hold=-0.003, ramp_rate=0.01, hold_durat
 
 def test_ramp_start():
     sp = contact_setpoints(PROFILE, 0.0)
-    assert sp.rho_d.d == 0.02
+    assert sp.rho_d[2] == 0.02
     assert sp.rhodot_d[2] == -0.01
-    assert np.array_equal(sp.rho_d.eps, np.zeros(3))
+    assert np.array_equal(sp.rho_d[3:], np.zeros(3))
 
 
 def test_ramp_end_holds():
     assert PROFILE.ramp_duration == pytest.approx(2.3)
     sp = contact_setpoints(PROFILE, 100.0)
-    assert sp.rho_d.d == -0.003
+    assert sp.rho_d[2] == -0.003
     assert np.array_equal(sp.rhodot_d, np.zeros(6))
 
 
 def test_ramp_is_continuous_and_rate_bounded():
     ts = np.linspace(0.0, 2.0 * PROFILE.duration, 800)
-    ds = np.array([contact_setpoints(PROFILE, t).rho_d.d for t in ts])
+    ds = np.array([contact_setpoints(PROFILE, t).rho_d[2] for t in ts])
     dt = ts[1] - ts[0]
     assert np.all(np.abs(np.diff(ds)) <= PROFILE.ramp_rate * dt * (1.0 + 1e-9))
     assert np.all(np.diff(ds) <= 0.0)  # monotone descent
@@ -210,7 +187,7 @@ def square_path(spacing=0.05, speed=0.02) -> RasterPath:
 def test_square_raster_has_three_lines_and_expected_length():
     path = square_path()
     assert len(path.scan_lines()) == 3
-    assert path.total_length() == pytest.approx(0.4, abs=1e-12)
+    assert path.duration * path.speed == pytest.approx(0.4, abs=1e-12)
 
 
 def test_raster_speed_never_exceeds_configured():
@@ -218,14 +195,14 @@ def test_raster_speed_never_exceeds_configured():
     for t in np.linspace(0.0, path.duration * 1.2, 500):
         sp = path.setpoint(t)
         assert np.linalg.norm(sp.rhodot_d[:2]) <= path.speed + 1e-12
-        assert sp.rho_d.d == path.d_hold
+        assert sp.rho_d[2] == path.d_hold
         assert np.array_equal(sp.rhodot_d[2:], np.zeros(4))
 
 
 def test_raster_position_is_continuous():
     path = square_path()
     ts = np.linspace(0.0, path.duration * 1.1, 1200)
-    s = np.array([[path.setpoint(t).rho_d.s1, path.setpoint(t).rho_d.s2] for t in ts])
+    s = np.array([path.setpoint(t).rho_d[:2] for t in ts])
     step = np.linalg.norm(np.diff(s, axis=0), axis=1)
     assert np.all(step <= path.speed * (ts[1] - ts[0]) + 1e-9)
 
@@ -242,7 +219,7 @@ def test_raster_holds_endpoint_after_finish():
     path = square_path()
     end = path.setpoint(path.duration + 5.0)
     last = path.waypoints()[-1]
-    assert (end.rho_d.s1, end.rho_d.s2) == (last[0], last[1])
+    assert (end.rho_d[0], end.rho_d[1]) == (last[0], last[1])
     assert np.array_equal(end.rhodot_d, np.zeros(6))
 
 
@@ -263,7 +240,7 @@ def raster_setpoints(s_min, s_max, line_spacing, speed, t, d_hold) -> Setpoint:
 def test_raster_setpoints_function_matches_path():
     sp = raster_setpoints([0.0, 0.0], [0.1, 0.1], 0.05, 0.02, 3.0, -0.003)
     sp2 = square_path().setpoint(3.0)
-    assert sp.rho_d.rho == pytest.approx(sp2.rho_d.rho, abs=0)
+    assert sp.rho_d == pytest.approx(sp2.rho_d, abs=0)
     assert np.array_equal(sp.rhodot_d, sp2.rhodot_d)
 
 
@@ -301,10 +278,10 @@ def test_tabled_setpoint_matches_per_call_rebuild():
         for t in ts:
             sp = path.setpoint(float(t))
             s1, s2, rhodot = rebuilt_setpoint(path, float(t))
-            assert (sp.rho_d.s1, sp.rho_d.s2, sp.rho_d.d) == (s1, s2, path.d_hold)
+            assert tuple(sp.rho_d[:3]) == (s1, s2, path.d_hold)
             assert np.array_equal(sp.rhodot_d, rhodot)
         legs = np.linalg.norm(np.diff(path.waypoints(), axis=0), axis=1)
-        assert path.total_length() == float(np.sum(legs))
+        assert path.duration == float(np.sum(legs)) / path.speed
 
 
 def test_raster_validation():

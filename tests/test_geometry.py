@@ -127,14 +127,6 @@ def test_pose_norm_invariant():
         Pose(np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(3))
 
 
-def test_pose_from_matrix_roundtrip():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        p = Pose(random_quat(rng), rng.normal(size=3))
-        p2 = Pose.from_matrix(p.matrix())
-        assert np.max(np.abs(p2.matrix() - p.matrix())) < 1e-9
-
-
 def test_plane_basis_orthonormal_right_handed():
     rng = np.random.default_rng(6)
     for _ in range(300):

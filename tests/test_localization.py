@@ -203,7 +203,10 @@ def test_marker_validation():
     with pytest.raises(ValueError, match="confidence"):
         MarkerObservation(0, SQUARE, confidence=1.5)
     m = MarkerObservation(0, SQUARE)
-    assert m.planarity() < 1e-12
+    # max corner distance from the best-fit corner plane
+    c = m.corners - m.corners.mean(axis=0)
+    _, _, vt = np.linalg.svd(c, full_matrices=False)
+    assert float(np.max(np.abs(c @ vt[2]))) < 1e-12
 
 
 def test_plane_embed_project_roundtrip():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from surfscan.arm import JointLimitError, JointVelocityError, forward_kinematics, reference_arm
-from surfscan.chart import SurfaceChart, SurfaceCoords
+from surfscan.chart import SurfaceChart
 from surfscan.controller import (
     ContactProfile,
     ImpedanceGains,
@@ -58,7 +58,7 @@ def flat_rig(d_start: float, k_t: float = 500.0, damping: float = 20.0, tip=None
 
 
 def hold_setpoint(d_d: float) -> Setpoint:
-    return Setpoint(SurfaceCoords(0.0, 0.0, d_d, np.zeros(3)))
+    return Setpoint(rho_at(d_d), np.zeros(6))
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +66,8 @@ def hold_setpoint(d_d: float) -> Setpoint:
 # ---------------------------------------------------------------------------
 
 
-def rho_at(d: float) -> SurfaceCoords:
-    return SurfaceCoords(0.0, 0.0, d, np.zeros(3))
+def rho_at(d: float) -> np.ndarray:
+    return np.array([0.0, 0.0, d, 0.0, 0.0, 0.0])
 
 
 def test_no_force_above_surface():
@@ -150,10 +150,10 @@ def test_cap_mesh_lies_on_sphere():
 def test_init_state_reports_placement_distance():
     chart, phantom = flat_rig(0.010)
     st = init_state(MODEL, chart, phantom, Q_SCAN)
-    assert st.rho.d == pytest.approx(0.010, abs=1e-9)
-    assert abs(st.rho.s1) < 1e-9 and abs(st.rho.s2) < 1e-9
+    assert st.rho[2] == pytest.approx(0.010, abs=1e-9)
+    assert abs(st.rho[0]) < 1e-9 and abs(st.rho[1]) < 1e-9
     # pitch offsets cancel at the scan posture, so alignment is exact
-    assert np.linalg.norm(st.rho.eps) < 1e-12
+    assert np.linalg.norm(st.rho[3:]) < 1e-12
     assert st.force_normal == 0.0
     assert np.array_equal(st.contact_wrench, np.zeros(6))
 
@@ -164,8 +164,8 @@ def test_free_equilibrium_is_exact():
     st = init_state(MODEL, chart, phantom, Q_SCAN)
     for _ in range(50):
         st = step(MODEL, chart, phantom, None, hold_setpoint(0.01), st, 1e-3)
-    assert np.array_equal(st.joint.q, Q_SCAN)
-    assert np.array_equal(st.joint.qdot, np.zeros(7))
+    assert np.array_equal(st.q, Q_SCAN)
+    assert np.array_equal(st.qdot, np.zeros(7))
 
 
 def test_step_dt_validation():
@@ -180,13 +180,26 @@ def test_step_dt_validation():
         step(MODEL, chart, phantom, None, sp, st, -1e-3)
 
 
-def test_divergence_error_on_overflow():
+def _nan_at(v: np.ndarray, i: int) -> np.ndarray:
+    v = v.copy()
+    v[i] = np.nan
+    return v
+
+
+@pytest.mark.parametrize("make_bad, gains", [
+    # huge-but-finite wrench overflows the torque projection to inf
+    pytest.param(lambda st: {"contact_wrench": np.full(6, 1e308)}, None, id="wrench-overflow"),
+    # impedance_torque does not check its inputs: a NaN in rho or rhodot
+    # reaches the integrator, and the divergence test stops the step
+    pytest.param(lambda st: {"rho": _nan_at(st.rho, 2)}, GAINS, id="rho-nan"),
+    pytest.param(lambda st: {"rhodot": _nan_at(st.rhodot, 4)}, GAINS, id="rhodot-nan"),
+])
+def test_divergence_error_on_overflow(make_bad, gains):
     chart, phantom = flat_rig(0.010)
     st = init_state(MODEL, chart, phantom, Q_SCAN)
-    # huge-but-finite wrench overflows the torque projection to inf
-    bad = dataclasses.replace(st, contact_wrench=np.full(6, 1e308))
+    bad = dataclasses.replace(st, **make_bad(st))
     with pytest.raises(DivergenceError):
-        step(MODEL, chart, phantom, None, hold_setpoint(0.01), bad, 1e-3)
+        step(MODEL, chart, phantom, gains, hold_setpoint(0.01), bad, 1e-3)
 
 
 def test_step_raises_on_joint_limit():
@@ -284,7 +297,7 @@ def test_nullspace_damping_drains_self_motion():
     v = N @ np.random.default_rng(5).normal(0.0, 1.0, 7)
     assert np.linalg.norm(v) > 1e-6
     qdot0 = 0.3 * v / np.linalg.norm(v)
-    ke0 = 0.5 * float(qdot0 @ (st0.arm.mass @ qdot0))
+    ke0 = 0.5 * float(qdot0 @ (st0.mass @ qdot0))
     sp = hold_setpoint(0.01)  # matches the initial pose, so only qdot0 acts
 
     # gain must stay modest: the wrist roll inertia is about 1e-3, so an
@@ -292,16 +305,16 @@ def test_nullspace_damping_drains_self_motion():
     st = init_state(MODEL, chart, phantom, Q_SCAN, qdot0)
     for _ in range(1000):
         st = step(MODEL, chart, phantom, GAINS, sp, st, 1e-3, nullspace_gain=0.5)
-    ke1 = 0.5 * float(st.joint.qdot @ (st.arm.mass @ st.joint.qdot))
+    ke1 = 0.5 * float(st.qdot @ (st.mass @ st.qdot))
     assert ke1 < 0.05 * ke0  # residual rings in the softly damped wrist mode
     # posture coasts a little along the self-motion manifold, then stops
-    assert np.max(np.abs(st.joint.q - Q_SCAN)) < 0.2
+    assert np.max(np.abs(st.q - Q_SCAN)) < 0.2
 
     # without the term nothing opposes the self-motion and it just coasts
     st = init_state(MODEL, chart, phantom, Q_SCAN, qdot0)
     for _ in range(1000):
         st = step(MODEL, chart, phantom, GAINS, sp, st, 1e-3)
-    ke_free = 0.5 * float(st.joint.qdot @ (st.arm.mass @ st.joint.qdot))
+    ke_free = 0.5 * float(st.qdot @ (st.mass @ st.qdot))
     assert ke_free > 0.9 * ke0
 
 
@@ -364,7 +377,7 @@ def test_energy_balance_within_one_percent():
 def test_convergence_first_order_in_dt():
     """Global error must roughly halve when dt halves (free-space reach)."""
     chart, phantom = flat_rig(0.010)
-    target = Setpoint(SurfaceCoords(0.02, 0.0, 0.005, np.zeros(3)))
+    target = Setpoint(np.array([0.02, 0.0, 0.005, 0.0, 0.0, 0.0]), np.zeros(6))
     ends = {}
     for dt in (1e-3, 5e-4, 6.25e-5):
         log, _ = simulate(
