@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .geometry import Pose, cross3, quat_from_matrix, quat_multiply, quat_normalize, quat_rotate, skew
+from .geometry import Pose, cross3, skew
 from .schema import (
     SchemaError,
     as_float,
@@ -167,7 +167,8 @@ def check_velocity(model: ArmModel, qdot: np.ndarray) -> None:
 def _joint_constants(model: ArmModel) -> tuple:
     """Per-joint fixed pieces of the frame recursion, cached on the model:
     origin rotation/translation, axes, the stacked Rodrigues building
-    blocks, and the position and velocity limits as plain lists."""
+    blocks, the position and velocity limits as plain lists, and each
+    flange offset as a (rotation matrix, translation) pair by frame name."""
     cached = model.__dict__.get("_joint_constants")
     if cached is None:
         origin_R = [j.origin.rotation_matrix() for j in model.joints]
@@ -176,7 +177,12 @@ def _joint_constants(model: ArmModel) -> tuple:
         outer = axes[:, :, None] * axes[:, None, :]
         K = np.array([skew(a) for a in axes])
         lo, hi = model.position_limits.T.tolist()
-        cached = (origin_R, origin_t, axes, outer, K, (lo, hi), model.velocity_limits.tolist())
+        offsets = {
+            name: (pose.rotation_matrix(), pose.translation)
+            for name, pose in (("probe", model.probe_offset), ("camera", model.camera_offset))
+        }
+        vmax = model.velocity_limits.tolist()
+        cached = (origin_R, origin_t, axes, outer, K, (lo, hi), vmax, offsets)
         object.__setattr__(model, "_joint_constants", cached)
     return cached
 
@@ -216,6 +222,20 @@ def _checked_frames(model: ArmModel, q, frame: str):
     return joint_frames(model, qv)
 
 
+def _offset_frame(
+    model: ArmModel, R7: np.ndarray, p7: np.ndarray, frame: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """World rotation matrix and origin of `frame` from the flange's (R7, p7).
+
+    forward_kinematics, geometric_jacobian and arm_snapshot all take a
+    frame's origin from here, so a pose and its Jacobian share one point.
+    """
+    if frame == "flange":
+        return R7, p7
+    R_off, t_off = _joint_constants(model)[7][frame]
+    return R7 @ R_off, p7 + R7 @ t_off
+
+
 def forward_kinematics(model: ArmModel, q, frame: str = "probe") -> Pose:
     """Pose of the requested frame in the base frame.
 
@@ -223,18 +243,7 @@ def forward_kinematics(model: ArmModel, q, frame: str = "probe") -> Pose:
     ValueError for an unknown frame name.
     """
     R, p, _ = _checked_frames(model, q, frame)
-    flange = Pose.from_rotation_matrix(R[6], p[6])
-    if frame == "flange":
-        return flange
-    offset = model.probe_offset if frame == "probe" else model.camera_offset
-    return flange @ offset
-
-
-def _frame_point(model: ArmModel, R7: np.ndarray, p7: np.ndarray, frame: str) -> np.ndarray:
-    if frame == "flange":
-        return p7
-    offset = model.probe_offset if frame == "probe" else model.camera_offset
-    return p7 + R7 @ offset.translation
+    return Pose.from_rotation_matrix(*_offset_frame(model, R[6], p[6], frame))
 
 
 def _jacobian_from_frames(p: np.ndarray, z: np.ndarray, pe: np.ndarray) -> np.ndarray:
@@ -252,7 +261,7 @@ def geometric_jacobian(model: ArmModel, q, frame: str = "probe") -> np.ndarray:
     (z_i x (p_e - p_i), z_i).
     """
     R, p, z = _checked_frames(model, q, frame)
-    return _jacobian_from_frames(p, z, _frame_point(model, R[6], p[6], frame))
+    return _jacobian_from_frames(p, z, _offset_frame(model, R[6], p[6], frame)[1])
 
 
 def _link_arrays(model: ArmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,16 +323,23 @@ def mass_matrix(model: ArmModel, q) -> np.ndarray:
 @dataclass(frozen=True)
 class ArmSnapshot:
     """Everything the control loop needs at one joint configuration,
-    computed from a single frame pass: probe pose, probe Jacobian and the
-    joint-space mass matrix."""
+    computed from a single frame pass: the probe frame as a rotation
+    matrix and its tip, the probe Jacobian at that tip and the joint-space
+    mass matrix."""
 
-    probe: Pose
+    R_probe: np.ndarray  # 3x3, probe axes in world coordinates
+    tip: np.ndarray  # (3,) probe tip, world
     jacobian: np.ndarray  # 6x7, probe point
     mass: np.ndarray  # 7x7
 
+    @property
+    def probe(self) -> Pose:
+        """The probe frame as a checked Pose, for callers outside the loop."""
+        return Pose.from_rotation_matrix(self.R_probe, self.tip)
+
 
 def arm_snapshot(model: ArmModel, q) -> ArmSnapshot:
-    """Probe pose, Jacobian and mass matrix sharing one kinematics sweep.
+    """Probe frame, Jacobian and mass matrix sharing one kinematics sweep.
 
     Field values match forward_kinematics / geometric_jacobian /
     mass_matrix exactly; this just avoids recomputing the joint frames
@@ -331,12 +347,9 @@ def arm_snapshot(model: ArmModel, q) -> ArmSnapshot:
     position limits.
     """
     R, p, z = _checked_frames(model, q, "probe")
-    # flange @ probe_offset, spelled out so the flange needs no Pose of its own
-    off, qf = model.probe_offset, quat_from_matrix(R[6])
-    probe = Pose(quat_normalize(quat_multiply(qf, off.rotation)),
-                 quat_rotate(qf, off.translation) + p[6])
-    J = _jacobian_from_frames(p, z, _frame_point(model, R[6], p[6], "probe"))
-    return ArmSnapshot(probe, J, _mass_from_frames(model, R, p, z))
+    R_probe, tip = _offset_frame(model, R[6], p[6], "probe")
+    J = _jacobian_from_frames(p, z, tip)
+    return ArmSnapshot(R_probe, tip, J, _mass_from_frames(model, R, p, z))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ that aligns the probe axis with the inward surface normal. The 6x7 task
 Jacobian maps joint rates to rho rates; it is exact on flat charts and a
 quasi-static approximation on curved ones (the surface frame is treated
 as frozen during the step), which is also how the controller consumes it.
+
+`SurfaceChart.evaluate_probe` is the control loop's one entry point. It
+takes the probe frame as the kinematics sweep leaves it, a rotation
+matrix and the tip, so a step builds no Pose and no quaternion except
+the error quaternion itself.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, cross3, quat_from_matrix, skew
+from .geometry import cross3, quat_from_matrix, skew
 from .localization import ScenePlane
 from .mesh import ClosestHit, TriMesh
 
@@ -164,33 +169,30 @@ class SurfaceChart:
 
     # ---- task coordinates ----
 
-    def coordinate_map(self, frame: SurfaceFrame, eta: float, eps: np.ndarray) -> np.ndarray:
-        """T with rhodot = T @ (v, omega) of the probe, frame held frozen."""
-        T = np.zeros((6, 6))
-        T[0, :3] = frame.t1
-        T[1, :3] = frame.t2
-        T[2, :3] = frame.n
-        T[3:, 3:] = eps_rate_map(eta, eps)
-        return T
-
     def evaluate_probe(
-        self, probe_pose: Pose, probe_jacobian: np.ndarray, qdot, hint: int | None = None
+        self, R_probe: np.ndarray, tip: np.ndarray, probe_jacobian: np.ndarray, qdot,
+        hint: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SurfaceFrame]:
         """One-query bundle for the control loop: (rho, rhodot, J_rho, frame),
-        rho and rhodot (6,) arrays, from one kinematics sweep's probe pose and
-        geometric Jacobian.
+        rho and rhodot (6,) arrays, from one kinematics sweep's probe
+        rotation matrix, tip and geometric Jacobian (taken at that tip).
 
-        The inputs derive from validated joint states, so only the checks
-        that can fire run here: the chart boundary, a degenerate frame and
-        the barycentric sum. eps is part of a unit quaternion: |eps| <= 1.
+        J_rho maps joint rates to rho rates with the frame held frozen: its
+        position rows are the frame axes (t1, t2, n) times the Jacobian's
+        linear rows, its orientation rows eps_rate_map times the angular
+        rows. The inputs derive from validated joint states, so only the
+        checks that can fire run here: the chart boundary, a degenerate
+        frame and the barycentric sum.
         """
-        hit, s, frame = self._foot(probe_pose.translation, hint)
+        hit, s, frame = self._foot(tip, hint)
         b0, b1, b2 = hit.barycentric.tolist()
         if abs(b0 + b1 + b2 - 1.0) > 1e-9 or min(b0, b1, b2) < -1e-9:
             raise ValueError("barycentric weights must be non-negative and sum to 1")
-        eta, eps = orientation_error(probe_pose.rotation_matrix(), frame)
+        eta, eps = orientation_error(R_probe, frame)
         rho = np.array([*s.tolist(), hit.distance, *eps.tolist()])
-        J = self.coordinate_map(frame, eta, eps) @ probe_jacobian
+        J = np.empty((6, 7))
+        J[:3] = frame.rotation().T @ probe_jacobian[:3]
+        J[3:] = eps_rate_map(eta, eps) @ probe_jacobian[3:]
         return rho, J @ np.asarray(qdot, dtype=float).reshape(7), J, frame
 
 

@@ -16,7 +16,7 @@ UNIT_TOL = 1e-12
 
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
+    n = math.sqrt(q.dot(q))  # what np.linalg.norm computes, minus its overhead
     if n < 1e-9:
         raise ValueError("cannot normalize near-zero quaternion")
     return q / n
@@ -34,10 +34,6 @@ def quat_multiply(a, b) -> np.ndarray:
             aw * bz + ax * by - ay * bx + az * bw,
         ]
     )
-
-
-def quat_conjugate(q) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
@@ -147,19 +143,15 @@ class Pose:
     def __post_init__(self):
         q = np.asarray(self.rotation, dtype=float).reshape(4)
         t = np.asarray(self.translation, dtype=float).reshape(3)
-        n = np.linalg.norm(q)
+        n = math.sqrt(q.dot(q))
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"quaternion norm {n} too far from 1")
         if abs(n - 1.0) > UNIT_TOL:
             q = q / n
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(t))):
+        if not all(map(math.isfinite, q.tolist() + t.tolist())):
             raise ValueError("pose components must be finite")
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose()
 
     @staticmethod
     def from_rotation_matrix(R, t=(0.0, 0.0, 0.0)) -> "Pose":
@@ -168,21 +160,8 @@ class Pose:
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.rotation)
 
-    def matrix(self) -> np.ndarray:
-        T = np.eye(4)
-        T[:3, :3] = self.rotation_matrix()
-        T[:3, 3] = self.translation
-        return T
-
     def transform_point(self, p) -> np.ndarray:
         return quat_rotate(self.rotation, p) + self.translation
-
-    def transform_vector(self, v) -> np.ndarray:
-        return quat_rotate(self.rotation, v)
-
-    def inverse(self) -> "Pose":
-        qi = quat_conjugate(self.rotation)
-        return Pose(qi, -quat_rotate(qi, self.translation))
 
     def __matmul__(self, other: "Pose") -> "Pose":
         q = quat_normalize(quat_multiply(self.rotation, other.rotation))

@@ -458,8 +458,7 @@ def _build_phantom(cfg: ScenarioConfig, model: ArmModel) -> tuple[TriMesh, Scene
     """Ground-truth mesh placed so the probe tip starts d_start above the
     surface point below it; the scene plane is the base level under that
     point (flat top and base coincide)."""
-    snap = arm_snapshot(model, np.asarray(cfg.q_start, dtype=float))
-    tip = snap.probe.translation
+    tip = arm_snapshot(model, np.asarray(cfg.q_start, dtype=float)).tip
     top = tip - np.array([0.0, 0.0, cfg.d_start])
     if cfg.phantom_kind == "flat":
         mesh = flat_phantom_mesh(top, cfg.phantom_extent, cfg.phantom_grid_n)
@@ -488,7 +487,7 @@ def _resolve_gains(cfg: ScenarioConfig, run: _Run, chart: SurfaceChart) -> Imped
     if cfg.damping is not None:
         return ImpedanceGains(cfg.stiffness, cfg.damping)
     snap = arm_snapshot(run.model, run.q_start)
-    _, _, J_rho, _ = chart.evaluate_probe(snap.probe, snap.jacobian, np.zeros(7))
+    _, _, J_rho, _ = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, np.zeros(7))
     lam = task_space_inertia(snap.mass, J_rho)
     return ImpedanceGains(cfg.stiffness, critical_damping(cfg.stiffness, lam, cfg.zeta))
 

@@ -7,7 +7,9 @@ F = (k_t (-d) + c max(0, -ddot)) n while d < 0, never adhesive.
 
 The loop state `SimState` is plain arrays plus the chart's surface frame.
 `init_state` checks q and qdot once; after that the divergence test is
-what catches a non-finite state.
+what catches a non-finite state. Each state comes from one kinematics
+sweep (`arm_snapshot`), whose probe rotation matrix, tip and Jacobian go
+straight to the chart: a step builds no `Pose`.
 
 The energy audit assumes constant setpoints; on a flat chart the
 continuous-time loop then conserves kinetic + spring energy plus
@@ -142,7 +144,7 @@ def init_state(
 
 def _state_at(model, chart, phantom, t: float, q, qdot, hint=None) -> SimState:
     snap = arm_snapshot(model, q)  # raises on a limit breach
-    rho, rhodot, J, frame = chart.evaluate_probe(snap.probe, snap.jacobian, qdot, hint)
+    rho, rhodot, J, frame = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, qdot, hint)
     wrench = contact_wrench(phantom, rho, rhodot, frame.n)
     return SimState(t, q, qdot, rho, rhodot, J, frame, snap.jacobian, snap.mass, wrench)
 

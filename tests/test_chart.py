@@ -11,10 +11,17 @@ import math
 import numpy as np
 import pytest
 
-from surfscan.arm import arm_snapshot, forward_kinematics, geometric_jacobian, reference_arm
+from surfscan.arm import (
+    arm_snapshot,
+    forward_kinematics,
+    geometric_jacobian,
+    joint_frames,
+    reference_arm,
+)
 from surfscan.chart import (
     ChartBoundaryError,
     SurfaceChart,
+    SurfaceFrame,
     eps_rate_map,
     orientation_error,
 )
@@ -58,7 +65,17 @@ def task_coordinates(chart, probe_pose) -> np.ndarray:
 def task_jacobian(chart, model, q):
     """6x7 J with rhodot = J @ qdot from one kinematics sweep; exact on flat charts."""
     snap = arm_snapshot(model, q)
-    return chart.evaluate_probe(snap.probe, snap.jacobian, np.zeros(7))[2]
+    return chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, np.zeros(7))[2]
+
+
+def coordinate_map(frame: SurfaceFrame, eta: float, eps: np.ndarray) -> np.ndarray:
+    """T with rhodot = T @ (v, omega) of the probe, frame held frozen."""
+    T = np.zeros((6, 6))
+    T[0, :3] = frame.t1
+    T[1, :3] = frame.t2
+    T[2, :3] = frame.n
+    T[3:, 3:] = eps_rate_map(eta, eps)
+    return T
 
 
 def test_aligned_probe_above_flat():
@@ -176,12 +193,19 @@ def test_task_jacobian_nullspace():
 
 def evaluate_oracle(chart, model, q, qdot):
     """(rho, rhodot, J_rho, frame) from forward_kinematics, the chart's
-    closest_point and geometric_jacobian, each with its own checks."""
+    closest_point and geometric_jacobian, each with its own checks, and
+    the probe rotation matrix of the joint sweep (flange times offset).
+
+    The rotation is built by the same expression as arm_snapshot's, so the
+    bit-for-bit check of the orientation rows is not independent of the
+    code; test_fk_matches_chain_oracle and test_frozen_pose check the
+    probe rotation against independent oracles to 1e-12."""
     pose = forward_kinematics(model, q, "probe")
+    R_probe = joint_frames(model, q)[0][6] @ model.probe_offset.rotation_matrix()
     point, dist, frame = chart.closest_point(pose.translation)
-    eta, eps = orientation_error(pose.rotation_matrix(), frame)
+    eta, eps = orientation_error(R_probe, frame)
     rho = np.array([float(point.s[0]), float(point.s[1]), dist, *eps.tolist()])
-    J = chart.coordinate_map(frame, eta, eps) @ geometric_jacobian(model, q, "probe")
+    J = coordinate_map(frame, eta, eps) @ geometric_jacobian(model, q, "probe")
     return rho, J @ qdot, J, frame
 
 
@@ -191,7 +215,7 @@ def test_evaluate_bundle_consistent():
         for q in probe_over_chart_states(rng, 10):
             qd = rng.uniform(-0.5, 0.5, 7)
             snap = arm_snapshot(MODEL, q)
-            rho, rhodot, J, frame = chart.evaluate_probe(snap.probe, snap.jacobian, qd)
+            rho, rhodot, J, frame = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, qd)
             pose = forward_kinematics(MODEL, q, "probe")
             assert np.max(np.abs(rho - task_coordinates(chart, pose))) < 1e-12
             assert np.max(np.abs(J - task_jacobian(chart, MODEL, q))) < 1e-12
@@ -203,16 +227,18 @@ def test_evaluate_bundle_consistent():
             assert frame.face == o_frame.face
             assert np.array_equal(frame.rotation(), o_frame.rotation())
             # a hint changes nothing
-            hinted = chart.evaluate_probe(snap.probe, snap.jacobian, qd, (frame.face + 7) % 50)
+            hinted = chart.evaluate_probe(
+                snap.R_probe, snap.tip, snap.jacobian, qd, (frame.face + 7) % 50
+            )
             assert np.array_equal(hinted[0], rho) and np.array_equal(hinted[2], J)
 
 
 def test_evaluate_probe_checks_the_chart_boundary():
     q = np.zeros(7)
     snap = arm_snapshot(MODEL, q)
-    far = Pose(snap.probe.rotation, snap.probe.translation + np.array([1.0, 0.0, 0.0]))
+    far = snap.tip + np.array([1.0, 0.0, 0.0])
     with pytest.raises(ChartBoundaryError):
-        FLAT.evaluate_probe(far, snap.jacobian, np.zeros(7))
+        FLAT.evaluate_probe(snap.R_probe, far, snap.jacobian, np.zeros(7))
 
 
 def test_embed_round_trip_curved():

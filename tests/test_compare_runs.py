@@ -4,6 +4,7 @@ import io
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from surfscan.sim import ScanLog, export_log
 
@@ -51,3 +52,37 @@ def test_csv_deviation_per_column(tmp_path):
     assert "  q3: max |delta| = 0" in lines and "  t: max |delta| = 0" in lines
     assert compare_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert compare_runs.main([str(tmp_path / "a")]) == 2
+
+
+def _pair(tmp_path, name, text_a, text_b):
+    for side, text in (("a", text_a), ("b", text_b)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / name).write_text(text)
+    out = io.StringIO()
+    assert not compare_runs.compare(tmp_path / "a", tmp_path / "b", out)
+    return out.getvalue().splitlines()
+
+
+def test_report_numbers_deviation(tmp_path):
+    a = "stage contact\n  plane_centre_error_m = 2.588e-16 < 1e-09 PASS\noverall: PASS\n"
+    b = "stage contact\n  plane_centre_error_m = 2.546e-16 < 1e-09 PASS\noverall: PASS\n"
+    lines = _pair(tmp_path, "report.txt", a, b)
+    assert lines[0] == "report.txt: sha256 differs"
+    assert lines[1] == "  numbers: max |delta| = 4.2e-18"
+
+
+def test_off_numbers_deviation(tmp_path):
+    head = "OFF\n3 1 0\n"
+    a = head + "0.0 0.0 1.0\n1.0 0.0 1.0\n0.0 1.0 1.0000000000000002\n3 0 1 2\n"
+    b = head + "0.0 0.0 1.0\n1.0 -0.0 1.0\n0.0 1.0 1.0\n3 0 1 2\n"
+    lines = _pair(tmp_path, "truth.off", a, b)
+    assert lines == ["truth.off: sha256 differs", "  numbers: max |delta| = 2.22e-16"]
+
+
+@pytest.mark.parametrize("text_b, reason", [
+    ("overall: FAIL 1.0\n", "  non-numeric text differs"),
+    ("overall: PASS 1.0 2.0\n", "  number counts differ (1 vs 2)"),
+])
+def test_text_that_does_not_line_up(tmp_path, text_b, reason):
+    lines = _pair(tmp_path, "report.txt", "overall: PASS 1.0\n", text_b)
+    assert lines == ["report.txt: sha256 differs", reason]

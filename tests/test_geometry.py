@@ -11,7 +11,6 @@ from surfscan.geometry import (
     Pose,
     plane_basis,
     quat_canonical,
-    quat_conjugate,
     quat_from_axis_angle,
     quat_from_matrix,
     quat_multiply,
@@ -20,6 +19,10 @@ from surfscan.geometry import (
     quat_to_matrix,
     skew,
 )
+
+
+def quat_conjugate(q):
+    return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
 def rodrigues(axis, angle):
@@ -104,17 +107,30 @@ def test_skew():
     assert np.max(np.abs(skew(a) @ b - np.cross(a, b))) < 1e-15
 
 
+def pose_matrix(pose):
+    """4x4 homogeneous matrix of a Pose."""
+    T = np.eye(4)
+    T[:3, :3] = pose.rotation_matrix()
+    T[:3, 3] = pose.translation
+    return T
+
+
+def pose_inverse(pose):
+    qi = quat_conjugate(pose.rotation)
+    return Pose(qi, -quat_rotate(qi, pose.translation))
+
+
 def test_pose_compose_matches_matrix_product():
     rng = np.random.default_rng(4)
     for _ in range(200):
         pa = Pose(random_quat(rng), rng.normal(size=3))
         pb = Pose(random_quat(rng), rng.normal(size=3))
-        assert np.max(np.abs((pa @ pb).matrix() - pa.matrix() @ pb.matrix())) < 1e-12
-        inv = pa.inverse()
-        assert np.max(np.abs((pa @ inv).matrix() - np.eye(4))) < 1e-12
+        assert np.max(np.abs(pose_matrix(pa @ pb) - pose_matrix(pa) @ pose_matrix(pb))) < 1e-12
+        inv = pose_inverse(pa)
+        assert np.max(np.abs(pose_matrix(pa @ inv) - np.eye(4))) < 1e-12
         v = rng.normal(size=3)
-        assert np.max(np.abs(pa.transform_point(v) - (pa.matrix() @ np.r_[v, 1.0])[:3])) < 1e-12
-        assert np.max(np.abs(pa.transform_vector(v) - pa.rotation_matrix() @ v)) < 1e-12
+        assert np.max(np.abs(pa.transform_point(v) - (pose_matrix(pa) @ np.r_[v, 1.0])[:3])) < 1e-12
+        assert np.max(np.abs(quat_rotate(pa.rotation, v) - pa.rotation_matrix() @ v)) < 1e-12
 
 
 def test_pose_norm_invariant():
@@ -125,6 +141,26 @@ def test_pose_norm_invariant():
         Pose(np.array([1.0, 1.0, 0.0, 0.0]) * 10.0, np.zeros(3))  # way off unit
     with pytest.raises(ValueError):
         Pose(np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(3))
+
+
+@pytest.mark.parametrize("rotation, translation, match", [
+    ([np.inf, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0], "norm"),
+    ([1.0, np.nan, 0.0, 0.0], [0.0, 0.0, 0.0], "finite"),
+    ([1.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0], "finite"),
+    ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -np.inf], "finite"),
+    ([1.0, 0.0, 0.0, 2e-3], [0.0, 0.0, 0.0], "norm"),
+])
+def test_pose_rejects_non_finite_and_non_unit(rotation, translation, match):
+    with pytest.raises(ValueError, match=match):
+        Pose(np.array(rotation), np.array(translation))
+
+
+def test_quat_normalize_is_division_by_linalg_norm():
+    """Bit for bit q / np.linalg.norm(q), over scales from tiny to huge."""
+    rng = np.random.default_rng(12)
+    for _ in range(20000):
+        q = rng.normal(size=4) * 10.0 ** rng.uniform(-8.0, 8.0)
+        assert np.array_equal(quat_normalize(q), q / np.linalg.norm(q))
 
 
 def test_plane_basis_orthonormal_right_handed():

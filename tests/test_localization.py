@@ -61,12 +61,12 @@ def test_three_markers_exact():
     markers = square_markers(centres=CENTRES[:3])
     plane = fit_plane(markers, CAM)
     for m in markers:
-        world = to_cam(CAM.inverse(), m.centre)  # camera->world is the inverse map
+        world = CAM.transform_point(m.centre)  # camera->world
         assert abs(float(plane.height_of(world))) < 1e-12
 
 
 def test_normal_flips_toward_camera():
-    below = Pose(Pose.identity().rotation, np.array([0.0, 0.0, -0.5]))
+    below = Pose(translation=np.array([0.0, 0.0, -0.5]))
     plane = fit_plane(square_markers(cam=below), below)
     assert float(plane.normal[2]) < 0.0
 
@@ -100,7 +100,7 @@ def test_rigid_invariance():
         moved_cam = T @ CAM
         plane = fit_plane(square_markers(), moved_cam)  # same camera-frame input
         assert np.max(np.abs(plane.centre - T.transform_point(base.centre))) < 1e-10
-        assert np.max(np.abs(plane.normal - T.transform_vector(base.normal))) < 1e-10
+        assert np.max(np.abs(plane.normal - T.rotation_matrix() @ base.normal)) < 1e-10
 
 
 PLANE = ScenePlane(np.zeros(3), np.array([0.0, 0.0, 1.0]))

@@ -363,11 +363,11 @@ def test_intrinsics_validation():
 
 def test_depth_image_validation():
     with pytest.raises(ValueError, match="height, width"):
-        DepthImage(CAM, Pose.identity(), np.zeros((2, 2)))
+        DepthImage(CAM, Pose(), np.zeros((2, 2)))
     bad = np.zeros((120, 160))
     bad[0, 0] = -0.1
     with pytest.raises(ValueError, match="negative"):
-        DepthImage(CAM, Pose.identity(), bad)
+        DepthImage(CAM, Pose(), bad)
 
 
 def test_height_field_validation():

@@ -13,6 +13,7 @@ from surfscan.controller import (
     Setpoint,
     contact_setpoints,
 )
+from surfscan.geometry import Pose
 from surfscan.localization import ScenePlane
 from surfscan.sim import (
     CSV_HEADER,
@@ -166,6 +167,21 @@ def test_free_equilibrium_is_exact():
         st = step(MODEL, chart, phantom, None, hold_setpoint(0.01), st, 1e-3)
     assert np.array_equal(st.q, Q_SCAN)
     assert np.array_equal(st.qdot, np.zeros(7))
+
+
+def test_step_builds_no_pose(monkeypatch):
+    """The probe frame goes from the kinematics sweep to the chart as a
+    rotation matrix and a point: a step constructs no Pose."""
+    chart, phantom = flat_rig(0.001)
+    st = init_state(MODEL, chart, phantom, Q_SCAN)
+
+    def forbidden(self):
+        raise AssertionError("a Pose was constructed inside the control step")
+
+    monkeypatch.setattr(Pose, "__post_init__", forbidden)
+    for _ in range(5):
+        st = step(MODEL, chart, phantom, GAINS, hold_setpoint(-0.002), st, 1e-3, 1.0)
+    assert st.t == pytest.approx(5e-3)
 
 
 def test_step_dt_validation():

@@ -4,16 +4,24 @@ Usage: python tools/compare_runs.py A B
 
 Prints one line per file: whether its sha256 is the same in both trees.
 For a CSV file present in both with the same header and row count, it
-also prints the largest absolute difference of each numeric column.
-Exits 0 when every file is byte-identical, 1 otherwise.
+also prints the largest absolute difference of each numeric column. For
+another text file (report, OFF mesh, YAML) whose text matches once
+every number is taken out, it prints the largest absolute difference
+over the numbers, in order. Exits 0 when every file is byte-identical,
+1 otherwise.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import math
+import re
 import sys
 from pathlib import Path
+
+TEXT_SUFFIXES = (".txt", ".off", ".yaml")
+# a decimal number, optionally signed, with optional fraction and exponent
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def _files(root: Path) -> set[str]:
@@ -47,6 +55,25 @@ def column_deviation(a: Path, b: Path) -> dict[str, float] | str:
     return worst
 
 
+def token_deviation(a: Path, b: Path) -> float | str:
+    """Largest |a - b| over the files' numbers, paired in order, or a
+    reason the files do not line up (their text outside the numbers
+    differs)."""
+    parts_a = _NUMBER.split(a.read_text(encoding="utf-8"))
+    parts_b = _NUMBER.split(b.read_text(encoding="utf-8"))
+    # split with one capture group: text at even indices, numbers at odd
+    if len(parts_a) != len(parts_b):
+        return f"number counts differ ({len(parts_a) // 2} vs {len(parts_b) // 2})"
+    if parts_a[::2] != parts_b[::2]:
+        return "non-numeric text differs"
+    worst = 0.0
+    for x, y in zip(parts_a[1::2], parts_b[1::2]):
+        d = abs(float(x) - float(y))
+        if d > worst or math.isnan(d):
+            worst = d
+    return worst
+
+
 def compare(a: Path, b: Path, out=sys.stdout) -> bool:
     """Print the comparison; True when the trees are byte-identical."""
     fa, fb = _files(a), _files(b)
@@ -67,6 +94,12 @@ def compare(a: Path, b: Path, out=sys.stdout) -> bool:
             else:
                 for col, d in dev.items():
                     print(f"  {col}: max |delta| = {d:.3g}", file=out)
+        elif name.endswith(TEXT_SUFFIXES):
+            dev = token_deviation(a / name, b / name)
+            if isinstance(dev, str):
+                print(f"  {dev}", file=out)
+            else:
+                print(f"  numbers: max |delta| = {dev:.3g}", file=out)
     return same
 
 
