@@ -2,7 +2,11 @@
 and the joint-space mass matrix.
 
 Joints are revolute, described by a unit axis and a fixed parent-frame
-transform (product-of-exponentials style, no DH tables). Frame names:
+transform (product-of-exponentials style, no DH tables). One sweep serves
+every quantity: the seven joint transforms, stacked, are chained as 4x4
+homogeneous matrices; the Jacobian columns come from the frame origins
+and world axes; and the mass matrix is the composite-rigid-body algorithm
+on the links' 4x4 pseudo-inertias, summed from the tip. Frame names:
 
 * ``flange`` -- the moving frame after the last joint,
 * ``probe``  -- flange composed with the probe-tip offset,
@@ -16,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .geometry import Pose, cross3, skew
+from .geometry import Pose, skew
 from .schema import (
     SchemaError,
     as_float,
@@ -37,8 +40,15 @@ FRAMES = ("flange", "probe", "camera")
 
 ORTHONORMAL_TOL = 1e-12
 _EYE = np.eye(3)
+_EYE4 = np.eye(4)
+_ONES = np.ones(7)
+_ROLL = np.array([1, 2, 0, 2, 0, 1])  # rows k+1, then k+2, mod 3
+# (z, v) @ _TWIST is the flattened twist matrix [[z^, v], [0, 0]], z^ = skew(z)
+_TWIST = np.zeros((6, 4, 4))
+_TWIST[:3, :3, :3] = [skew(e) for e in _EYE]
+_TWIST[3:, :3, 3] = _EYE
+_TWIST = _TWIST.reshape(6, 16)
 _UPPER = np.triu(np.ones((7, 7), dtype=bool))
-_STRICT_UPPER = np.triu(np.ones((7, 7), dtype=bool), 1)
 
 
 class JointLimitError(ValueError):
@@ -68,16 +78,17 @@ class JointSpec:
     velocity_limit: float  # rad/s
 
     def __post_init__(self):
+        # each test is written so that NaN fails it
         axis = np.asarray(self.axis, dtype=float).reshape(3)
         n = np.linalg.norm(axis)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"joint '{self.name}': axis must be unit length, got norm {n}")
+        if not abs(n - 1.0) <= 1e-9:
+            raise ValueError(f"joint '{self.name}': axis must be a finite unit vector, got {axis}")
         object.__setattr__(self, "axis", axis / n)
         lo, hi = self.position_limits
-        if not lo < hi:
-            raise ValueError(f"joint '{self.name}': empty position limit range")
-        if self.velocity_limit <= 0.0:
-            raise ValueError(f"joint '{self.name}': velocity limit must be positive")
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"joint '{self.name}': position_limits must be finite and lo < hi")
+        if not 0.0 < self.velocity_limit < np.inf:
+            raise ValueError(f"joint '{self.name}': velocity_limit must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -91,10 +102,13 @@ class LinkInertia:
     inertia: np.ndarray
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError(f"link mass must be positive, got {self.mass}")
         com = np.asarray(self.com, dtype=float).reshape(3)
         inertia = np.asarray(self.inertia, dtype=float).reshape(3, 3)
+        for name, value in (("mass", self.mass), ("com", com), ("inertia", inertia)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"link {name} must be finite, got {value}")
+        if self.mass <= 0.0:
+            raise ValueError(f"link mass must be positive, got {self.mass}")
         if np.max(np.abs(inertia - inertia.T)) > 1e-12:
             raise ValueError("inertia tensor must be symmetric")
         if np.min(np.linalg.eigvalsh(inertia)) <= 0.0:
@@ -151,88 +165,100 @@ class JointState:
 
 
 def check_limits(model: ArmModel, q: np.ndarray) -> None:
-    lo, hi = _joint_constants(model)[5]
+    lo, hi = _joint_constants(model)[2]
     for i, v in enumerate(q.tolist()):
         if not lo[i] <= v <= hi[i]:
             raise JointLimitError(i, v, lo[i], hi[i])
 
 
 def check_velocity(model: ArmModel, qdot: np.ndarray) -> None:
-    vmax = _joint_constants(model)[6]
+    vmax = _joint_constants(model)[3]
     for i, v in enumerate(qdot.tolist()):
         if not abs(v) <= vmax[i]:
             raise JointVelocityError(i, v, -vmax[i], vmax[i])
 
 
 def _joint_constants(model: ArmModel) -> tuple:
-    """Per-joint fixed pieces of the frame recursion, cached on the model:
-    origin rotation/translation, axes, the stacked Rodrigues building
-    blocks, the position and velocity limits as plain lists, and each
-    flange offset as a (rotation matrix, translation) pair by frame name."""
+    """Fixed pieces of the kinematics sweep, cached on the model: the
+    joint-transform blocks, the joint axes in their parents' frames, the
+    limits as plain lists, the flange offsets by frame name as (rotation
+    matrix, translation) pairs, and the link moments.
+
+    With Rodrigues' Rot = I cos q + a a^T (1 - cos q) + [a]x sin q, joint
+    i's transform L_i = [origin_R_i Rot(a_i, q_i), origin_t_i; 0 1] is
+    blocks[:, i] weighted by (cos q_i, 1 - cos q_i, sin q_i, 1). Link i's
+    moments about its joint frame's origin are the pseudo-inertia
+    P = [[Sigma, m c], [m c^T, m]] with second moment
+    Sigma = tr(I)/2 I3 - I + m c c^T; T P T^T holds them about the world.
+    """
     cached = model.__dict__.get("_joint_constants")
     if cached is None:
-        origin_R = [j.origin.rotation_matrix() for j in model.joints]
-        origin_t = [j.origin.translation for j in model.joints]
+        origin_R = np.array([j.origin.rotation_matrix() for j in model.joints])
         axes = np.array([j.axis for j in model.joints])
-        outer = axes[:, :, None] * axes[:, None, :]
-        K = np.array([skew(a) for a in axes])
-        lo, hi = model.position_limits.T.tolist()
-        offsets = {
-            name: (pose.rotation_matrix(), pose.translation)
-            for name, pose in (("probe", model.probe_offset), ("camera", model.camera_offset))
-        }
-        vmax = model.velocity_limits.tolist()
-        cached = (origin_R, origin_t, axes, outer, K, (lo, hi), vmax, offsets)
+        blocks = np.zeros((4, 7, 4, 4))
+        blocks[0, :, :3, :3] = origin_R @ _EYE
+        blocks[1, :, :3, :3] = origin_R @ (axes[:, :, None] * axes[:, None, :])
+        blocks[2, :, :3, :3] = origin_R @ np.array([skew(a) for a in axes])
+        blocks[3, :, :3, 3] = [j.origin.translation for j in model.joints]
+        blocks[3, :, 3, 3] = 1.0
+        moments = np.zeros((7, 4, 4))
+        for P, link in zip(moments, model.link_inertias):
+            m, c, inertia = link.mass, link.com, link.inertia
+            P[:3, :3] = 0.5 * np.trace(inertia) * _EYE - inertia + m * np.outer(c, c)
+            P[:3, 3] = P[3, :3] = m * c
+            P[3, 3] = m
+        poses = (("probe", model.probe_offset), ("camera", model.camera_offset))
+        offsets = {name: (pose.rotation_matrix(), pose.translation) for name, pose in poses}
+        limits = model.position_limits.T.tolist(), model.velocity_limits.tolist()
+        cached = (blocks, origin_R @ axes[:, :, None], *limits, offsets, moments)
         object.__setattr__(model, "_joint_constants", cached)
     return cached
+
+
+def _chain(model: ArmModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """World transforms T (8,4,4), T[0] the base and T[i + 1] = T[i] L_i
+    joint i's frame after its own rotation, and the world joint axes
+    z (7,3): joint i's axis in its parent's frame, rotated by T[i]."""
+    blocks, axes = _joint_constants(model)[:2]
+    c = np.cos(q)
+    L = (blocks * np.array([c, 1.0 - c, np.sin(q), _ONES])[:, :, None, None]).sum(axis=0)
+    T = np.empty((8, 4, 4))
+    T[0] = _EYE4
+    for i in range(7):
+        np.dot(T[i], L[i], out=T[i + 1])
+    return T, (T[:7, :3, :3] @ axes)[:, :, 0]
 
 
 def joint_frames(model: ArmModel, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """World pose of every joint frame after its own rotation.
 
     Returns (R, p, z): rotations (7,3,3), origins (7,3) and world joint
-    axes (7,3). No limit check; callers that accept external input check
-    first.
+    axes (7,3), read off the homogeneous chain T_i = L_1 ... L_i of the
+    joint transforms. No limit check; callers that accept external input
+    check first.
     """
-    q = np.asarray(q, dtype=float).reshape(7)
-    origin_R, origin_t, axes, outer, K = _joint_constants(model)[:5]
-    R = np.empty((7, 3, 3))
-    p = np.empty((7, 3))
-    z = np.empty((7, 3))
-    Rw = _EYE
-    pw = np.zeros(3)
-    c = np.cos(q)[:, None, None]
-    Rj = _EYE * c + outer * (1.0 - c) + K * np.sin(q)[:, None, None]  # Rodrigues
-    for i in range(7):
-        # origin translation is expressed in the parent frame
-        pw = pw + Rw @ origin_t[i]
-        Rw = Rw @ origin_R[i]
-        z[i] = Rw @ axes[i]
-        Rw = Rw @ Rj[i]
-        R[i] = Rw
-        p[i] = pw
-    return R, p, z
+    T, z = _chain(model, np.asarray(q, dtype=float).reshape(7))
+    return T[1:, :3, :3], T[1:, :3, 3], z
 
 
-def _checked_frames(model: ArmModel, q, frame: str):
+def _checked_chain(model: ArmModel, q, frame: str):
     if frame not in FRAMES:
         raise ValueError(f"unknown frame '{frame}'; expected one of {FRAMES}")
     qv = np.asarray(q, dtype=float).reshape(7)
     check_limits(model, qv)
-    return joint_frames(model, qv)
+    return _chain(model, qv)
 
 
-def _offset_frame(
-    model: ArmModel, R7: np.ndarray, p7: np.ndarray, frame: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """World rotation matrix and origin of `frame` from the flange's (R7, p7).
+def _offset_frame(model: ArmModel, T7: np.ndarray, frame: str) -> tuple[np.ndarray, np.ndarray]:
+    """World rotation matrix and origin of `frame` from the flange's T7.
 
     forward_kinematics, geometric_jacobian and arm_snapshot all take a
     frame's origin from here, so a pose and its Jacobian share one point.
     """
+    R7, p7 = T7[:3, :3], T7[:3, 3]
     if frame == "flange":
         return R7, p7
-    R_off, t_off = _joint_constants(model)[7][frame]
+    R_off, t_off = _joint_constants(model)[4][frame]
     return R7 @ R_off, p7 + R7 @ t_off
 
 
@@ -242,15 +268,8 @@ def forward_kinematics(model: ArmModel, q, frame: str = "probe") -> Pose:
     Raises JointLimitError if q is outside the model's position limits and
     ValueError for an unknown frame name.
     """
-    R, p, _ = _checked_frames(model, q, frame)
-    return Pose.from_rotation_matrix(*_offset_frame(model, R[6], p[6], frame))
-
-
-def _jacobian_from_frames(p: np.ndarray, z: np.ndarray, pe: np.ndarray) -> np.ndarray:
-    J = np.empty((6, 7))
-    J[:3] = cross3(z, pe - p, (7, 3)).T
-    J[3:] = z.T
-    return J
+    T, _ = _checked_chain(model, q, frame)
+    return Pose.from_rotation_matrix(*_offset_frame(model, T[7], frame))
 
 
 def geometric_jacobian(model: ArmModel, q, frame: str = "probe") -> np.ndarray:
@@ -260,64 +279,44 @@ def geometric_jacobian(model: ArmModel, q, frame: str = "probe") -> np.ndarray:
     rows 3..5 to its angular velocity (rad/s): column i is
     (z_i x (p_e - p_i), z_i).
     """
-    R, p, z = _checked_frames(model, q, frame)
-    return _jacobian_from_frames(p, z, _offset_frame(model, R[6], p[6], frame)[1])
+    T, z = _checked_chain(model, q, frame)
+    return _sweep(model, T, z, _offset_frame(model, T[7], frame)[1])[0]
 
 
-def _link_arrays(model: ArmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # stacked (mass, com, inertia) arrays, cached on the frozen model
-    cached = model.__dict__.get("_link_arrays")
-    if cached is None:
-        cached = (
-            np.array([l.mass for l in model.link_inertias]),
-            np.array([l.com for l in model.link_inertias]),
-            np.array([l.inertia for l in model.link_inertias]),
-        )
-        for a in cached:
-            a.setflags(write=False)
-        object.__setattr__(model, "_link_arrays", cached)
-    return cached
+def _sweep(model: ArmModel, T: np.ndarray, z: np.ndarray, point: np.ndarray):
+    """(J, M) from the chain (T, z): the 6x7 Jacobian at `point` and the
+    7x7 mass matrix.
 
-
-def _skew_batch(v: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(v), 3, 3))
-    out[:, 0, 1] = -v[:, 2]
-    out[:, 0, 2] = v[:, 1]
-    out[:, 1, 0] = v[:, 2]
-    out[:, 1, 2] = -v[:, 0]
-    out[:, 2, 0] = -v[:, 1]
-    out[:, 2, 1] = v[:, 0]
-    return out
-
-
-def _mass_from_frames(model: ArmModel, R: np.ndarray, p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    mass, com, inertia = _link_arrays(model)
-    c = p + (R @ com[:, :, None])[:, :, 0]
-    Ic = R @ inertia @ np.swapaxes(R, 1, 2)
-    cx = _skew_batch(c)
-    m = mass[:, None, None]
-    spatial = np.empty((7, 6, 6))
-    spatial[:, :3, :3] = Ic - m * (cx @ cx)
-    spatial[:, :3, 3:] = m * cx
-    spatial[:, 3:, :3] = -m * cx
-    spatial[:, 3:, 3:] = m * _EYE
-    # composite[i] = spatial[i] + ... + spatial[6], accumulated from the tip
-    composite = np.add.accumulate(spatial[::-1])[::-1]
-    S = np.concatenate([z, cross3(p, z, (7, 3))], axis=1)
-    F = (composite @ S[:, :, None])[:, :, 0]
-    # G[i, j] = S_i . (I^C_j S_j) is the mass matrix only on i <= j
-    G = S @ F.T
-    return np.where(_UPPER, G, 0.0) + np.where(_STRICT_UPPER, G, 0.0).T
+    Summed from the tip, the links' pseudo-inertias T P T^T give the mass
+    moments J^C_j of links j..7 about the world origin. Joint i moves a
+    point r of those links at Xi_i [r; 1], with the twist matrix
+    Xi_i = [[z_i^, v_i], [0, 0]] and v_i = p_i x z_i, so
+    M_ij = tr(Xi_i J^C_j Xi_j^T), the Frobenius product of Xi_i and
+    Xi_j J^C_j, for i <= j.
+    """
+    pT, zT = T[1:, :3, 3].T, z.T
+    # rows k+1 and k+2 of the (3, 14) stacks, for np.cross's products:
+    # v_j = p_j x z_j beside the Jacobian's z_j x (point - p_j)
+    a = np.concatenate((pT, zT), axis=1)[_ROLL]
+    b = np.concatenate((zT, point[:, None] - pT), axis=1)[_ROLL]
+    vJ = a[:3] * b[3:] - a[3:] * b[:3]
+    moments = T[1:] @ _joint_constants(model)[5] @ T[1:].transpose(0, 2, 1)
+    composite = np.add.accumulate(moments[::-1])[::-1]
+    twist = np.dot(np.concatenate((zT, vJ[:, :7])).T, _TWIST)
+    # G[i, j] = <Xi_i, Xi_j J^C_j> is M_ij only on i <= j
+    G = twist @ (twist.reshape(7, 4, 4) @ composite).reshape(7, 16).T
+    return np.concatenate((vJ[:, 7:], zT)), np.where(_UPPER, G, G.T)
 
 
 def mass_matrix(model: ArmModel, q) -> np.ndarray:
-    """Joint-space mass matrix via the composite-rigid-body recursion.
-
-    Spatial inertias are expressed about the world origin with motion
-    coordinates (omega, v_origin); the composite inertia of links i..7 is
-    accumulated backwards and M_ij = S_i . (I^C_j S_j) for i <= j.
+    """Joint-space mass matrix by the composite-rigid-body algorithm
+    (Featherstone, *Rigid Body Dynamics Algorithms*, ch. 6) on 4x4
+    pseudo-inertias: M_ij = tr(Xi_i J^C_j Xi_j^T) for i <= j, J^C_j the
+    mass moments of links j..7 summed from the tip in one pass and Xi_i
+    joint i's world twist matrix.
     """
-    return _mass_from_frames(model, *joint_frames(model, q))
+    T, z = _chain(model, np.asarray(q, dtype=float).reshape(7))
+    return _sweep(model, T, z, T[7, :3, 3])[1]  # the point moves only J
 
 
 @dataclass(frozen=True)
@@ -346,10 +345,9 @@ def arm_snapshot(model: ArmModel, q) -> ArmSnapshot:
     three times per control step. Raises JointLimitError outside the
     position limits.
     """
-    R, p, z = _checked_frames(model, q, "probe")
-    R_probe, tip = _offset_frame(model, R[6], p[6], "probe")
-    J = _jacobian_from_frames(p, z, tip)
-    return ArmSnapshot(R_probe, tip, J, _mass_from_frames(model, R, p, z))
+    T, z = _checked_chain(model, q, "probe")
+    R_probe, tip = _offset_frame(model, T[7], "probe")
+    return ArmSnapshot(R_probe, tip, *_sweep(model, T, z, tip))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,9 @@ def _run(args, stages) -> int:
     try:
         result = run_scenario(config, args.out, stages=stages, seed=args.seed,
                               stage_timeout=args.stage_timeout)
+    except SchemaError as exc:  # an arm model or mesh file the config names
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except StageError as exc:
         # partial artifacts stay in --out; the report marks the failed stage
         print(f"error: {exc}", file=sys.stderr)

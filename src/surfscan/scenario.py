@@ -451,7 +451,17 @@ class _Run:
 def _load_model(cfg: ScenarioConfig) -> ArmModel:
     if cfg.arm_model == "reference":
         return reference_arm()
-    return load_arm_model(cfg.arm_model)
+    return _load_file(load_arm_model, cfg.arm_model, "arm.model")
+
+
+def _load_file(load, path: str, key: str):
+    """load(path) for a file the config names at `key`; a file that is
+    missing or does not parse is a SchemaError naming the key and the file."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        text = str(exc)
+        raise SchemaError(f"{key}: {text if path in text else f'{path}: {text}'}") from None
 
 
 def _build_phantom(cfg: ScenarioConfig, model: ArmModel) -> tuple[TriMesh, ScenePlane]:
@@ -469,13 +479,13 @@ def _build_phantom(cfg: ScenarioConfig, model: ArmModel) -> tuple[TriMesh, Scene
             base, cfg.sphere_radius, cfg.cap_height, cfg.phantom_extent, cfg.phantom_grid_n
         )
         return mesh, ScenePlane(base, UP)
-    raw = load_off(cfg.phantom_mesh)
+    raw = _load_file(load_off, cfg.phantom_mesh, "phantom.mesh")
     lo = raw.vertices.min(axis=0)
     hi = raw.vertices.max(axis=0)
     origin = np.array([0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]), hi[2] + 1.0])
     t, _ = raw.raycast_batch(origin[None, :], np.array([[0.0, 0.0, -1.0]]))
     if not np.isfinite(t[0]):
-        raise ValueError(f"{cfg.phantom_mesh}: no surface under the bounding-box centre")
+        raise SchemaError(f"phantom.mesh: {cfg.phantom_mesh}: no surface under the bounding-box centre")
     apex = origin + t[0] * np.array([0.0, 0.0, -1.0])
     shift = top - apex
     mesh = TriMesh(raw.vertices + shift, raw.faces)
@@ -675,7 +685,9 @@ def run_scenario(
     overrides the config seed. Each stage gets its own cooperative
     `stage_timeout` budget in seconds. A stage that cannot finish raises
     StageError naming it; the report still lists completed checks and
-    flags the failure.
+    flags the failure. An arm model or mesh file named by the config that
+    is missing or does not load is a SchemaError, raised before `out_dir`
+    is made.
     """
     if isinstance(config, ScenarioConfig):
         cfg = config
@@ -695,8 +707,8 @@ def run_scenario(
         raise ValueError("reconstruct stage needs the localize stage first")
 
     out = Path(out_dir)
+    run = _Run(cfg, out)  # loads the files the config names, before --out exists
     out.mkdir(parents=True, exist_ok=True)
-    run = _Run(cfg, out)
     reports = []
     report_path = out / "report.txt"
     for stage in stages:

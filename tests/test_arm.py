@@ -8,6 +8,7 @@ Jw_i^T I_i Jw_i.
 """
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,21 +163,22 @@ def test_joint_state_validation():
     assert st.qdot.shape == (7,)
 
 
-def _fd_jacobian(q, frame, h=1e-6):
+def fd_jacobian(chain, q, h=1e-6):
+    """Central-difference 6x7 Jacobian of the end frame of a 4x4 chain."""
+    R0 = chain(q)[:3, :3]
     J = np.zeros((6, 7))
-    R0 = forward_kinematics(MODEL, q, frame).rotation_matrix()
     for i in range(7):
-        qp = q.copy()
-        qm = q.copy()
-        qp[i] += h
-        qm[i] -= h
-        pp = forward_kinematics(MODEL, qp, frame)
-        pm = forward_kinematics(MODEL, qm, frame)
-        J[:3, i] = (pp.translation - pm.translation) / (2.0 * h)
-        dR = (pp.rotation_matrix() - pm.rotation_matrix()) / (2.0 * h)
-        W = dR @ R0.T
-        J[3:, i] = np.array([W[2, 1], W[0, 2], W[1, 0]])
+        dq = np.zeros(7)
+        dq[i] = h
+        Tp, Tm = chain(q + dq), chain(q - dq)
+        J[:3, i] = (Tp[:3, 3] - Tm[:3, 3]) / (2.0 * h)
+        W = (Tp[:3, :3] - Tm[:3, :3]) / (2.0 * h) @ R0.T
+        J[3:, i] = [W[2, 1], W[0, 2], W[1, 0]]
     return J
+
+
+def _fd_jacobian(q, frame):
+    return fd_jacobian(lambda x: pose_matrix(forward_kinematics(MODEL, x, frame)), q)
 
 
 def test_jacobian_matches_finite_difference():
@@ -221,10 +223,11 @@ def test_twist_matches_pose_differencing():
         assert np.max(np.abs(tw[3:] - w)) < 1e-5
 
 
-def mass_oracle(q):
-    Rs, ps, zs = oracle_joint_frames(q)
+def point_jacobian_mass(Rs, ps, zs, links):
+    """M = sum_i Jv_i^T m_i Jv_i + Jw_i^T I_i Jw_i over the links' centres
+    of mass, from per-joint world frames and axes."""
     M = np.zeros((7, 7))
-    for i, link in enumerate(MODEL.link_inertias):
+    for i, link in enumerate(links):
         c = ps[i] + Rs[i] @ link.com
         Iw = Rs[i] @ link.inertia @ Rs[i].T
         Jv = np.zeros((3, 7))
@@ -234,6 +237,10 @@ def mass_oracle(q):
             Jw[:, k] = zs[k]
         M += Jv.T @ (link.mass * Jv) + Jw.T @ Iw @ Jw
     return M
+
+
+def mass_oracle(q):
+    return point_jacobian_mass(*oracle_joint_frames(q), MODEL.link_inertias)
 
 
 def test_mass_matrix_matches_point_jacobian_oracle():
@@ -328,11 +335,11 @@ def test_model_validation():
 
 
 @st.composite
-def joint_box(draw):
-    """q anywhere in the reference arm's position limits, endpoints included."""
+def joint_box(draw, model=MODEL):
+    """q anywhere in a model's position limits, endpoints included."""
     return np.array([
         draw(st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi)))
-        for lo, hi in MODEL.position_limits.tolist()
+        for lo, hi in model.position_limits.tolist()
     ])
 
 
@@ -371,3 +378,127 @@ def test_arm_snapshot_probe_frame(q):
     assert np.max(np.abs(R.T @ R - np.eye(3))) <= ORTHONORMAL_BOUND
     R_fk = quat_to_matrix(forward_kinematics(MODEL, q, "probe").rotation)
     assert np.max(np.abs(R - R_fk)) <= ORTHONORMAL_BOUND
+
+
+@pytest.mark.parametrize("section, index, key, value", [
+    ("link_inertias", 2, "mass", float("nan")),
+    ("link_inertias", 1, "com", [0.0, float("inf"), 0.1]),
+    ("link_inertias", 0, "inertia", [[float("nan"), 0.0, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]]),
+    ("joints", 3, "axis", [float("nan"), 1.0, 0.0]),
+    ("joints", 4, "velocity_limit", float("nan")),
+    ("joints", 0, "position_limits", [float("-inf"), 1.0]),
+])
+def test_non_finite_model_value_rejected(tmp_path, section, index, key, value):
+    path = tmp_path / "arm.yaml"
+    save_arm_model(MODEL, path)
+    doc = yaml.safe_load(path.read_text())
+    doc[section][index][key] = value
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ValueError, match=key):
+        load_arm_model(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(joint_box())
+def test_sweep_matches_oracles_over_joint_box(q):
+    R, p, z = joint_frames(MODEL, q)
+    for got, want in zip((R, p, z), oracle_joint_frames(q)):
+        assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(mass_matrix(MODEL, q) - mass_oracle(q))) < 1e-12
+    J = geometric_jacobian(MODEL, q, "probe")
+    assert np.max(np.abs(J - fd_jacobian(chain_oracle, q))) < 1e-5
+
+
+# A second model with nothing aligned: rotated joint origins, tilted axes,
+# a rotated probe offset, off-axis centres of mass and full inertia
+# tensors. On the reference arm every origin rotation is the identity and
+# every centre of mass sits on the joint axis, so a transform composed in
+# the wrong order would still pass there.
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _rot(axis, angle):
+    """Rodrigues' rotation about a unit axis."""
+    a = _unit(axis)
+    K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def _homog(R, t=(0.0, 0.0, 0.0)):
+    T = np.eye(4)
+    T[:3, :3] = R
+    T[:3, 3] = t
+    return T
+
+
+def _pose(axis, angle, t):
+    """Pose whose rotation is the quaternion of (axis, angle)."""
+    return Pose(np.array([np.cos(angle / 2.0), *(np.sin(angle / 2.0) * _unit(axis))]), t)
+
+
+_rng = np.random.default_rng(2024)
+GENERAL = [
+    {
+        "axis": _unit(_rng.normal(size=3)),
+        "origin": (_rng.normal(size=3), _rng.uniform(-2.0, 2.0), _rng.uniform(-0.15, 0.15, 3)),
+        "link": LinkInertia(
+            mass=_rng.uniform(0.5, 4.0),
+            com=_rng.uniform(-0.08, 0.08, 3),
+            inertia=(lambda Q, e: Q @ np.diag(e) @ Q.T)(
+                _rot(_rng.normal(size=3), _rng.uniform(0.0, np.pi)), _rng.uniform(0.01, 0.02, 3)),
+        ),
+    }
+    for _ in range(7)
+]
+GENERAL_PROBE = (_rng.normal(size=3), 0.7, np.array([0.03, -0.02, 0.15]))
+GENERAL_MODEL = ArmModel(
+    joints=tuple(
+        JointSpec(name=f"g{i}", axis=g["axis"], origin=_pose(*g["origin"]),
+                  position_limits=(-2.5, 2.5), velocity_limit=2.0)
+        for i, g in enumerate(GENERAL)
+    ),
+    link_inertias=tuple(g["link"] for g in GENERAL),
+    probe_offset=_pose(*GENERAL_PROBE),
+    camera_offset=Pose(),
+)
+
+
+def general_frames(q):
+    """Per-joint world rotation, origin and axis from an explicit 4x4 chain."""
+    T = np.eye(4)
+    Rs, ps, zs = [], [], []
+    for g, a in zip(GENERAL, q):
+        axis, angle, t = g["origin"]
+        T = T @ _homog(_rot(axis, angle), t) @ _homog(_rot(g["axis"], a))
+        Rs.append(T[:3, :3].copy())
+        ps.append(T[:3, 3].copy())
+        zs.append(T[:3, :3] @ g["axis"])
+    return np.array(Rs), np.array(ps), np.array(zs)
+
+
+def general_chain(q):
+    Rs, ps, _ = general_frames(q)
+    axis, angle, t = GENERAL_PROBE
+    return _homog(Rs[-1], ps[-1]) @ _homog(_rot(axis, angle), t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(joint_box(GENERAL_MODEL))
+def test_general_model_matches_oracles(q):
+    R, p, z = joint_frames(GENERAL_MODEL, q)
+    Rs, ps, zs = general_frames(q)
+    for got, want in ((R, Rs), (p, ps), (z, zs)):
+        assert np.max(np.abs(got - want)) < 1e-12
+    T = pose_matrix(forward_kinematics(GENERAL_MODEL, q, "probe"))
+    assert np.max(np.abs(T - general_chain(q))) < 1e-12
+    M = mass_matrix(GENERAL_MODEL, q)
+    assert np.max(np.abs(M - point_jacobian_mass(Rs, ps, zs, GENERAL_MODEL.link_inertias))) < 1e-12
+    J = geometric_jacobian(GENERAL_MODEL, q, "probe")
+    assert np.max(np.abs(J - fd_jacobian(general_chain, q))) < 1e-5
+    snap = arm_snapshot(GENERAL_MODEL, q)
+    assert np.array_equal(snap.jacobian, J) and np.array_equal(snap.mass, M)
+    assert np.array_equal(snap.mass, snap.mass.T)
+    np.linalg.cholesky(snap.mass)

@@ -400,6 +400,22 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "camera:" in err and "width" in err and "Traceback" not in err
+    # files the config names: one error line naming the file, no --out
+    model = tmp_path / "arm_bogus.yaml"
+    save_arm_model(reference_arm(), model)
+    model.write_text(model.read_text() + "bogus: 1\n")
+    for section, key, path in (
+        ("arm", "model", tmp_path / "arm_missing.yaml"),
+        ("arm", "model", model),
+        ("phantom", "mesh", tmp_path / "phantom_missing.off"),
+    ):
+        node = {key: str(path), **({"kind": "mesh"} if section == "phantom" else {})}
+        bad.write_text(yaml.safe_dump({section: node}))
+        code = main(["localize", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}.{key}: ") and err.count("\n") == 1
+        assert path.name in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 
