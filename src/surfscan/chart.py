@@ -13,10 +13,16 @@ Jacobian maps joint rates to rho rates; it is exact on flat charts and a
 quasi-static approximation on curved ones (the surface frame is treated
 as frozen during the step), which is also how the controller consumes it.
 
-`SurfaceChart.evaluate_probe` is the control loop's one entry point. It
-takes the probe frame as the kinematics sweep leaves it, a rotation
-matrix and the tip, so a step builds no Pose and no quaternion except
-the error quaternion itself.
+`SurfaceChart.evaluate_probe` is the chart's one entry point; the control
+loop calls it once per step. It takes the probe frame as the kinematics
+sweep leaves it, a rotation matrix and the tip, and works on plain floats
+from there: the chart coordinates, the surface frame, the error
+quaternion and the eps rate map are scalar expressions over 3-vectors,
+whose numpy forms cost more in per-call overhead than in arithmetic. Only
+the BVH query, the one 6x6-by-6x7 product for J_rho, its product with
+qdot and the returned arrays are numpy calls. The float sums round
+differently from numpy's fused dot kernels, by an ulp or so; the numpy
+formulas live on in the tests as the oracle.
 """
 from __future__ import annotations
 
@@ -25,13 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import cross3, quat_from_matrix, skew
+from .geometry import shepperd
 from .localization import ScenePlane
-from .mesh import ClosestHit, TriMesh
+from .mesh import TriMesh
 
 FRAME_TOL = 1e-6
-RAY_CLEARANCE = 0.25  # m above the mesh top for embedding rays
-_EYE = np.eye(3)
 
 
 class ChartBoundaryError(ValueError):
@@ -51,20 +55,6 @@ class DegenerateFrameError(ValueError):
 
 
 @dataclass(frozen=True)
-class ChartPoint:
-    face: int
-    barycentric: np.ndarray  # (3,) non-negative, sums to 1
-    s: np.ndarray  # (2,) chart coordinates m
-
-    def __post_init__(self):
-        b = np.asarray(self.barycentric, dtype=float).reshape(3)
-        if abs(float(b.sum()) - 1.0) > 1e-9 or b.min() < -1e-9:
-            raise ValueError("barycentric weights must be non-negative and sum to 1")
-        object.__setattr__(self, "barycentric", np.clip(b, 0.0, None) / np.clip(b, 0.0, None).sum())
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=float).reshape(2))
-
-
-@dataclass(frozen=True)
 class SurfaceFrame:
     """Right-handed orthonormal (t1, t2, n) at a surface point."""
 
@@ -73,15 +63,6 @@ class SurfaceFrame:
     t2: np.ndarray
     n: np.ndarray
     face: int = -1  # mesh face the point lies on; seeds the next query
-
-    def rotation(self) -> np.ndarray:
-        """Desired probe orientation: x = t1, y = t2, z = n."""
-        return np.array([self.t1, self.t2, self.n]).T
-
-
-def eps_rate_map(eta: float, eps: np.ndarray) -> np.ndarray:
-    """E with epsdot = E @ omega_world for the error quaternion (eta, eps)."""
-    return -0.5 * (eta * _EYE + skew(eps))
 
 
 class SurfaceChart:
@@ -92,80 +73,52 @@ class SurfaceChart:
         self.plane = plane
         anchor_hit = mesh.closest_point(plane.centre)
         self.anchor = anchor_hit.point
-        self._s_origin = plane.project(anchor_hit.point)
-        proj = plane.project(mesh.vertices) - self._s_origin
+        s_origin = plane.project(anchor_hit.point)
+        proj = plane.project(mesh.vertices) - s_origin
         self.s_min = proj.min(axis=0) + margin
         self.s_max = proj.max(axis=0) - margin
         if np.any(self.s_min >= self.s_max):
             raise ValueError("chart domain is empty; margin too large or mesh too small")
-        self._ray_height = float(plane.height_of(mesh.vertices).max()) + RAY_CLEARANCE
-        # per-query lookups, fetched once
-        self._u, self._v, _ = plane.frame()
-        self._vertex_normals = mesh.vertex_normals()
+        # per-query constants as floats
+        u, v, _ = plane.frame()
+        self._u, self._v = u.tolist(), v.tolist()
+        self._centre = plane.centre.tolist()
+        self._s_origin = s_origin.tolist()
         self._bounds = (self.s_min.tolist(), self.s_max.tolist())
-
-    # ---- domain ----
-
-    def contains(self, s) -> bool:
-        (s1, s2), (lo, hi) = np.asarray(s, dtype=float).reshape(2).tolist(), self._bounds
-        return lo[0] <= s1 <= hi[0] and lo[1] <= s2 <= hi[1]
+        self._corner_normals: dict[int, list] = {}  # face -> its vertex normals, on first visit
 
     def clamp(self, s) -> np.ndarray:
         return np.clip(np.asarray(s, dtype=float), self.s_min, self.s_max)
 
-    def chart_coords(self, p) -> np.ndarray:
-        """(s1, s2) of one world point."""
-        d = np.asarray(p, dtype=float) - self.plane.centre
-        return np.array([d @ self._u, d @ self._v]) - self._s_origin
+    def _coords(self, p) -> tuple[float, float]:
+        """(s1, s2) of a world point given as three floats."""
+        (x, y, z), (cx, cy, cz) = p, self._centre
+        dx, dy, dz = x - cx, y - cy, z - cz
+        (ux, uy, uz), (vx, vy, vz), (o1, o2) = self._u, self._v, self._s_origin
+        return dx * ux + dy * uy + dz * uz - o1, dx * vx + dy * vy + dz * vz - o2
 
-    # ---- geometry ----
-
-    def _frame_at(self, hit_point: np.ndarray, face: int, bary: np.ndarray) -> SurfaceFrame:
-        n = bary @ self._vertex_normals[self.mesh.faces[face]]
-        norm = math.sqrt(n.dot(n))
+    def _frame_axes(self, face: int, b0: float, b1: float, b2: float) -> tuple:
+        """Unit (t1, t2, n) as float triples at barycentric (b0, b1, b2) on
+        `face`: n interpolates the vertex normals, t1 is the chart's u axis
+        with its n component removed, and t2 = n x t1."""
+        rows = self._corner_normals.get(face)
+        if rows is None:
+            rows = self.mesh.vertex_normals()[self.mesh.faces[face]].tolist()
+            self._corner_normals[face] = rows
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = rows
+        nx, ny, nz = b0 * ax + b1 * bx + b2 * cx, b0 * ay + b1 * by + b2 * cy, b0 * az + b1 * bz + b2 * cz
+        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
         if norm < FRAME_TOL:
             raise DegenerateFrameError(f"interpolated normal vanished on face {face}")
-        n = n / norm
-        u = self._u
-        t1 = u - (u @ n) * n
-        nt = math.sqrt(t1.dot(t1))
+        nx, ny, nz = nx / norm, ny / norm, nz / norm
+        ux, uy, uz = self._u
+        un = ux * nx + uy * ny + uz * nz
+        tx, ty, tz = ux - un * nx, uy - un * ny, uz - un * nz
+        nt = math.sqrt(tx * tx + ty * ty + tz * tz)
         if nt < FRAME_TOL:
             raise DegenerateFrameError(f"surface normal parallel to the chart axis on face {face}")
-        t1 = t1 / nt
-        t2 = cross3(n, t1, (3,))
-        return SurfaceFrame(hit_point, t1, t2, n, int(face))
-
-    def embed(self, s) -> tuple[ChartPoint, SurfaceFrame]:
-        """Surface point over chart coordinates s, via a vertical ray."""
-        s = np.asarray(s, dtype=float).reshape(2)
-        if not self.contains(s):
-            raise ChartBoundaryError(s, self.clamp(s))
-        origin = self.plane.embed(s + self._s_origin, height=self._ray_height)
-        hit = self.mesh.raycast(origin, -self.plane.normal)
-        if hit is None:
-            raise ChartBoundaryError(s, self.clamp(s))  # hole in the reconstruction
-        point = ChartPoint(hit.face, hit.barycentric, s)
-        return point, self._frame_at(hit.point, hit.face, hit.barycentric)
-
-    def _foot(self, p: np.ndarray, hint) -> tuple[ClosestHit, np.ndarray, SurfaceFrame]:
-        s_query = self.chart_coords(p)
-        if not self.contains(s_query):
-            raise ChartBoundaryError(s_query, self.clamp(s_query))
-        hit: ClosestHit = self.mesh.closest_point(p, hint)
-        frame = self._frame_at(hit.point, hit.face, hit.barycentric)
-        return hit, self.chart_coords(hit.point), frame
-
-    def closest_point(self, p, hint: int | None = None) -> tuple[ChartPoint, float, SurfaceFrame]:
-        """Chart point under a world point, plus its signed distance.
-
-        Distance sign follows the winning face's outward normal (positive
-        above the surface). The query point itself must project inside
-        the domain; its foot point then clamps to the boundary at worst.
-        hint (a face index, typically last step's foot point) only speeds
-        the search up; the result is identical with or without it.
-        """
-        hit, s, frame = self._foot(np.asarray(p, dtype=float).reshape(3), hint)
-        return ChartPoint(hit.face, hit.barycentric, s), hit.distance, frame
+        tx, ty, tz = tx / nt, ty / nt, tz / nt
+        return (tx, ty, tz), (ny * tz - nz * ty, nz * tx - nx * tz, nx * ty - ny * tx), (nx, ny, nz)
 
     # ---- task coordinates ----
 
@@ -177,28 +130,53 @@ class SurfaceChart:
         rho and rhodot (6,) arrays, from one kinematics sweep's probe
         rotation matrix, tip and geometric Jacobian (taken at that tip).
 
-        J_rho maps joint rates to rho rates with the frame held frozen: its
-        position rows are the frame axes (t1, t2, n) times the Jacobian's
-        linear rows, its orientation rows eps_rate_map times the angular
-        rows. The inputs derive from validated joint states, so only the
-        checks that can fire run here: the chart boundary, a degenerate
-        frame and the barycentric sum.
+        The frame sits at the tip's closest mesh point (hint, a face index,
+        only speeds that search up). The distance's sign follows the winning
+        face's outward normal (positive above). The tip itself must project
+        inside the domain; its foot point then clamps to the boundary at
+        worst. eps is the vector part of the canonical (eta >= 0) quaternion
+        of R_err = F R_probe^T, F = [t1 t2 n], which takes the probe onto
+        the frame, so eps = 0 exactly at alignment.
+
+        J_rho = G @ probe_jacobian maps joint rates to rho rates with the
+        frame held frozen, where G = [[F^T, 0], [0, E]] and E, with
+        epsdot = E omega_world, is -(eta I + [eps]x) / 2. The inputs derive
+        from validated joint states, so only the checks that can fire run
+        here: the chart boundary, a degenerate frame and the barycentric
+        sum. (The quaternion needs no guard: Shepperd's largest component
+        is at least 1/2.)
         """
-        hit, s, frame = self._foot(tip, hint)
+        s1, s2 = self._coords(tip.tolist())
+        (lo1, lo2), (hi1, hi2) = self._bounds
+        if not (lo1 <= s1 <= hi1 and lo2 <= s2 <= hi2):
+            raise ChartBoundaryError((s1, s2), self.clamp((s1, s2)))
+        hit = self.mesh.closest_point(tip, hint)
         b0, b1, b2 = hit.barycentric.tolist()
+        (x1, y1, z1), (x2, y2, z2), (xn, yn, zn) = self._frame_axes(hit.face, b0, b1, b2)
+        f1, f2 = self._coords(hit.point.tolist())
         if abs(b0 + b1 + b2 - 1.0) > 1e-9 or min(b0, b1, b2) < -1e-9:
             raise ValueError("barycentric weights must be non-negative and sum to 1")
-        eta, eps = orientation_error(R_probe, frame)
-        rho = np.array([*s.tolist(), hit.distance, *eps.tolist()])
-        J = np.empty((6, 7))
-        J[:3] = frame.rotation().T @ probe_jacobian[:3]
-        J[3:] = eps_rate_map(eta, eps) @ probe_jacobian[3:]
-        return rho, J @ np.asarray(qdot, dtype=float).reshape(7), J, frame
-
-
-def orientation_error(R_probe: np.ndarray, frame: SurfaceFrame) -> tuple[float, np.ndarray]:
-    """(eta, eps) of the world-frame rotation taking the probe onto the
-    surface frame; eps = 0 exactly at alignment."""
-    R_err = frame.rotation() @ R_probe.T
-    q = quat_from_matrix(R_err)  # canonical, eta >= 0
-    return float(q[0]), q[1:].copy()
+        (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = R_probe.tolist()
+        w, x, y, z = shepperd(
+            x1 * p00 + x2 * p01 + xn * p02, x1 * p10 + x2 * p11 + xn * p12, x1 * p20 + x2 * p21 + xn * p22,
+            y1 * p00 + y2 * p01 + yn * p02, y1 * p10 + y2 * p11 + yn * p12, y1 * p20 + y2 * p21 + yn * p22,
+            z1 * p00 + z2 * p01 + zn * p02, z1 * p10 + z2 * p11 + zn * p12, z1 * p20 + z2 * p21 + zn * p22,
+        )
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        if w < 0.0:
+            norm = -norm  # the canonical sign, eta >= 0
+        eta, e1, e2, e3 = w / norm, x / norm, y / norm, z / norm
+        h = -0.5 * eta
+        G = np.array([
+            x1, y1, z1, 0.0, 0.0, 0.0,
+            x2, y2, z2, 0.0, 0.0, 0.0,
+            xn, yn, zn, 0.0, 0.0, 0.0,
+            0.0, 0.0, 0.0, h, 0.5 * e3, -0.5 * e2,
+            0.0, 0.0, 0.0, -0.5 * e3, h, 0.5 * e1,
+            0.0, 0.0, 0.0, 0.5 * e2, -0.5 * e1, h,
+        ]).reshape(6, 6)
+        J = G.dot(probe_jacobian)  # the same bits as G @ probe_jacobian, at half the cost
+        rho = np.array([f1, f2, hit.distance, e1, e2, e3])
+        # the frame's axes are the rows of G's upper-left block
+        frame = SurfaceFrame(hit.point, G[0, :3], G[1, :3], G[2, :3], hit.face)
+        return rho, J.dot(qdot), J, frame

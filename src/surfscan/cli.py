@@ -75,7 +75,7 @@ def _run(args, stages) -> int:
     try:
         result = run_scenario(config, args.out, stages=stages, seed=args.seed,
                               stage_timeout=args.stage_timeout)
-    except SchemaError as exc:  # an arm model or mesh file the config names
+    except SchemaError as exc:  # a file the config names, or q_start against the model
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StageError as exc:

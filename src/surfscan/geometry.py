@@ -60,29 +60,34 @@ def quat_to_matrix(q) -> np.ndarray:
     )
 
 
-def quat_from_matrix(R) -> np.ndarray:
-    """Rotation matrix -> unit quaternion (w >= 0).
+def shepperd(r00, r01, r02, r10, r11, r12, r20, r21, r22) -> list[float]:
+    """Quaternion (w, x, y, z) of a rotation matrix given as nine floats,
+    before normalisation and without a sign convention.
 
     Shepperd's method: pick the largest of the four squared components
     so the division is always well conditioned (the square root's
     argument is then at least 1, or NaN for a non-finite R).
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(R, dtype=float).tolist()
     tr = r00 + r11 + r22
     choices = (tr, r00, r11, r22)
     k = choices.index(max(choices))
     if k == 0:
         s = math.sqrt(tr + 1.0) * 2.0
-        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
-    elif k == 1:
+        return [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    if k == 1:
         s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
-        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
-    elif k == 2:
+        return [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+    if k == 2:
         s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
-        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
-    else:
-        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
-        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
+        return [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
+    s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+    return [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
+
+
+def quat_from_matrix(R) -> np.ndarray:
+    """Rotation matrix -> unit quaternion (w >= 0), by `shepperd`."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(R, dtype=float).tolist()
+    q = shepperd(r00, r01, r02, r10, r11, r12, r20, r21, r22)
     return quat_canonical(quat_normalize(np.array(q)))
 
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .arm import ArmModel, arm_snapshot, load_arm_model, reference_arm
+from .arm import ArmModel, JointLimitError, arm_snapshot, check_limits, load_arm_model, reference_arm
 from .chart import SurfaceChart
 from .controller import (
     ContactProfile,
@@ -439,6 +439,10 @@ class _Run:
         self.out = out_dir
         self.model = _load_model(cfg)
         self.q_start = np.asarray(cfg.q_start, dtype=float)
+        try:  # the limits live in the model file, so the parse cannot check them
+            check_limits(self.model, self.q_start)
+        except JointLimitError as exc:
+            raise SchemaError(f"arm.q_start: {exc}") from None
         self.truth_mesh, self.truth_plane = _build_phantom(cfg, self.model)
         self.phantom = PhantomModel(
             self.truth_mesh, cfg.contact_stiffness, cfg.contact_damping, cfg.phantom_label
@@ -686,8 +690,8 @@ def run_scenario(
     `stage_timeout` budget in seconds. A stage that cannot finish raises
     StageError naming it; the report still lists completed checks and
     flags the failure. An arm model or mesh file named by the config that
-    is missing or does not load is a SchemaError, raised before `out_dir`
-    is made.
+    is missing or does not load, or an `arm.q_start` outside the model's
+    position limits, is a SchemaError, raised before `out_dir` is made.
     """
     if isinstance(config, ScenarioConfig):
         cfg = config

@@ -5,11 +5,16 @@ oracle: there the coordinate map is closed-form (s = xy offset, d =
 height, frame = plane frame), so finite differences of the full
 task_coordinates pipeline must match the task Jacobian tightly. The
 orientation-error rate map gets its own quaternion-differencing oracle.
+`SurfaceChart.evaluate_probe` computes in plain floats; the numpy
+formulas in chart_oracle.py check it to 1e-14 on a flat, a tilted and a
+cap chart.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from surfscan.arm import (
     arm_snapshot,
@@ -18,16 +23,22 @@ from surfscan.arm import (
     joint_frames,
     reference_arm,
 )
-from surfscan.chart import (
-    ChartBoundaryError,
-    SurfaceChart,
-    SurfaceFrame,
-    eps_rate_map,
-    orientation_error,
-)
+from surfscan.chart import ChartBoundaryError, DegenerateFrameError, SurfaceChart, SurfaceFrame
 from surfscan.geometry import Pose, quat_from_axis_angle, quat_from_matrix, quat_multiply, quat_to_matrix
 from surfscan.localization import ScenePlane
-from surfscan.mesh import grid_surface_mesh
+from surfscan.mesh import TriMesh, grid_surface_mesh
+from surfscan.sim import cap_phantom_mesh
+
+from chart_oracle import (
+    chart_coords,
+    closest_point,
+    contains,
+    embed,
+    eps_rate_map,
+    frame_rotation,
+    orientation_error,
+)
+from chart_oracle import evaluate_probe as oracle_evaluate_probe
 
 MODEL = reference_arm()
 EX = np.array([1.0, 0.0, 0.0])
@@ -57,7 +68,7 @@ DOME = dome_chart()
 
 def task_coordinates(chart, probe_pose) -> np.ndarray:
     """rho of a probe pose through the chart's checked closest_point."""
-    point, dist, frame = chart.closest_point(probe_pose.translation)
+    point, dist, frame = closest_point(chart, probe_pose.translation)
     _, eps = orientation_error(probe_pose.rotation_matrix(), frame)
     return np.array([float(point.s[0]), float(point.s[1]), dist, *eps.tolist()])
 
@@ -115,7 +126,7 @@ def test_eps_reapplication():
         angle = rng.uniform(0.0, 2.6)
         q = quat_from_axis_angle(axis, angle)
         pose = Pose(q, np.array([0.02, 0.01, 1.04]))
-        _, _, frame = FLAT.closest_point(pose.translation)
+        _, _, frame = closest_point(FLAT, pose.translation)
         eta, eps = orientation_error(pose.rotation_matrix(), frame)
         err_q = np.concatenate([[eta], eps])
         fixed = Pose(quat_multiply(err_q, q), pose.translation)
@@ -148,8 +159,8 @@ def probe_over_chart_states(rng, n, spread=0.06):
     while len(out) < n:
         q = rng.uniform(-spread, spread, 7)
         pos = forward_kinematics(MODEL, q, "probe").translation
-        s = FLAT.chart_coords(pos)
-        if FLAT.contains(s) and pos[2] > 1.001:
+        s = chart_coords(FLAT, pos)
+        if contains(FLAT, s) and pos[2] > 1.001:
             out.append(q)
     return out
 
@@ -197,12 +208,12 @@ def evaluate_oracle(chart, model, q, qdot):
     the probe rotation matrix of the joint sweep (flange times offset).
 
     The rotation is built by the same expression as arm_snapshot's, so the
-    bit-for-bit check of the orientation rows is not independent of the
-    code; test_fk_matches_chain_oracle and test_frozen_pose check the
-    probe rotation against independent oracles to 1e-12."""
+    check of the orientation rows is not independent of the code;
+    test_fk_matches_chain_oracle and test_frozen_pose check the probe
+    rotation against independent oracles to 1e-12."""
     pose = forward_kinematics(model, q, "probe")
     R_probe = joint_frames(model, q)[0][6] @ model.probe_offset.rotation_matrix()
-    point, dist, frame = chart.closest_point(pose.translation)
+    point, dist, frame = closest_point(chart, pose.translation)
     eta, eps = orientation_error(R_probe, frame)
     rho = np.array([float(point.s[0]), float(point.s[1]), dist, *eps.tolist()])
     J = coordinate_map(frame, eta, eps) @ geometric_jacobian(model, q, "probe")
@@ -220,12 +231,14 @@ def test_evaluate_bundle_consistent():
             assert np.max(np.abs(rho - task_coordinates(chart, pose))) < 1e-12
             assert np.max(np.abs(J - task_jacobian(chart, MODEL, q))) < 1e-12
             assert np.max(np.abs(rhodot - J @ qd)) < 1e-12
-            # the loop's lean path equals the fully checked one bit for bit
+            # the float pass equals the numpy formulas, each with its own
+            # checks, to the last few ulps (the fused dot kernels round once
+            # per product-sum, the float sums twice)
             o_rho, o_rhodot, o_J, o_frame = evaluate_oracle(chart, MODEL, q, qd)
-            assert np.array_equal(rho, o_rho)
-            assert np.array_equal(rhodot, o_rhodot) and np.array_equal(J, o_J)
+            assert np.max(np.abs(rho - o_rho)) <= 1e-14
+            assert np.max(np.abs(rhodot - o_rhodot)) <= 1e-14 and np.max(np.abs(J - o_J)) <= 1e-14
             assert frame.face == o_frame.face
-            assert np.array_equal(frame.rotation(), o_frame.rotation())
+            assert np.max(np.abs(frame_rotation(frame) - frame_rotation(o_frame))) <= 1e-14
             # a hint changes nothing
             hinted = chart.evaluate_probe(
                 snap.R_probe, snap.tip, snap.jacobian, qd, (frame.face + 7) % 50
@@ -241,13 +254,119 @@ def test_evaluate_probe_checks_the_chart_boundary():
         FLAT.evaluate_probe(snap.R_probe, far, snap.jacobian, np.zeros(7))
 
 
+def tilted_chart(n=21, extent=0.2):
+    """A gently bumped sheet over a plane whose normal is not +z, so every
+    frame axis and the chart's u axis have three non-zero components."""
+    normal = np.array([0.3, -0.2, 1.0]) / np.linalg.norm([0.3, -0.2, 1.0])
+    plane = ScenePlane(np.array([0.1, -0.05, 0.9]), normal)
+    u, v, nn = plane.frame()
+    xs = np.linspace(-extent / 2, extent / 2, n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    h = 0.01 * np.exp(-(X**2 + Y**2) / 0.002)
+    return SurfaceChart(grid_surface_mesh(plane.centre, u, v, nn, xs, xs, h), plane)
+
+
+def cap_chart():
+    base = np.array([0.0, 0.0, 0.8])
+    return SurfaceChart(cap_phantom_mesh(base, n=31), ScenePlane(base, EZ))
+
+
+TILTED = tilted_chart()
+CAP = cap_chart()
+PROPERTY_CHARTS = {"flat": FLAT, "tilted": TILTED, "cap": CAP}
+
+
+@st.composite
+def probe_queries(draw):
+    """(chart, R_probe, tip, probe_jacobian, qdot): a random probe rotation
+    and a tip inside the chart domain, from 1 cm below the plane to
+    5 cm above the mesh's top."""
+    chart = PROPERTY_CHARTS[draw(st.sampled_from(sorted(PROPERTY_CHARTS)))]
+    unit = st.floats(-1.0, 1.0)
+    q = np.array(draw(st.tuples(unit, unit, unit, unit).filter(lambda q: np.dot(q, q) > 0.01)))
+    R_probe = quat_to_matrix(q / np.linalg.norm(q))
+    # off the domain's edge by more than the embedding's rounding
+    inner = st.floats(0.001, 0.999)
+    f = np.array(draw(st.tuples(inner, inner)))
+    s = chart.s_min + f * (chart.s_max - chart.s_min)
+    top = float(chart.plane.height_of(chart.mesh.vertices).max())
+    height = draw(st.floats(-0.01, top + 0.05))
+    tip = chart.plane.embed(s + np.asarray(chart._s_origin), height=height)
+    jac = draw(st.lists(unit, min_size=42, max_size=42))
+    qdot = draw(st.lists(unit, min_size=7, max_size=7))
+    return chart, R_probe, tip, np.array(jac).reshape(6, 7), np.array(qdot)
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_queries())
+def test_evaluate_probe_matches_the_numpy_formulas(query):
+    chart, R_probe, tip, jac, qdot = query
+    o_rho, o_rhodot, o_J, o_frame, o_eta = oracle_evaluate_probe(chart, R_probe, tip, jac, qdot)
+    # at eta = 0 the canonical sign flips eps whole, and one ulp of R_err decides it
+    assume(o_eta > 1e-12)
+    rho, rhodot, J, frame = chart.evaluate_probe(R_probe, tip, jac, qdot)
+    assert frame.face == o_frame.face
+    assert np.array_equal(frame.point, o_frame.point)
+    for got, want in ((rho, o_rho), (rhodot, o_rhodot), (J, o_J), (frame.t1, o_frame.t1),
+                      (frame.t2, o_frame.t2), (frame.n, o_frame.n)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_evaluate_probe_boundary_error_carries_the_clamped_s():
+    snap = arm_snapshot(MODEL, np.zeros(7))
+    for chart in (FLAT, TILTED, CAP):
+        for offset in ((1.0, 0.0, 0.0), (0.0, -0.4, 0.0), (-0.3, 0.5, 0.02)):
+            tip = chart.anchor + np.array(offset)
+            with pytest.raises(ChartBoundaryError) as exc:
+                chart.evaluate_probe(snap.R_probe, tip, snap.jacobian, np.zeros(7))
+            with pytest.raises(ChartBoundaryError) as want:
+                oracle_evaluate_probe(chart, snap.R_probe, tip, snap.jacobian, np.zeros(7))
+            assert str(exc.value) == str(want.value)
+            assert np.max(np.abs(exc.value.s - want.value.s)) <= 1e-15
+            assert np.array_equal(exc.value.clamped, np.clip(exc.value.s, chart.s_min, chart.s_max))
+            assert not np.array_equal(exc.value.clamped, exc.value.s)
+
+
+def trap_chart():
+    """A level sheet with two traps above it: a vertical wall whose normal
+    is the chart's u axis (+x), and a pillow of two opposite faces on the
+    same three vertices, whose vertex normals cancel."""
+    vertices = np.array([
+        [-0.1, -0.1, 0.0], [0.1, -0.1, 0.0], [0.1, 0.1, 0.0], [-0.1, 0.1, 0.0],
+        [0.05, -0.05, 0.01], [0.05, 0.05, 0.01], [0.05, 0.05, 0.1], [0.05, -0.05, 0.1],
+        [-0.06, -0.02, 0.05], [-0.02, -0.02, 0.05], [-0.04, 0.02, 0.05],
+    ])
+    faces = np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6], [4, 6, 7], [8, 9, 10], [8, 10, 9]])
+    return SurfaceChart(TriMesh(vertices, faces), ScenePlane(np.zeros(3), EZ))
+
+
+def test_evaluate_probe_degenerate_frames():
+    chart = trap_chart()
+    snap = arm_snapshot(MODEL, np.zeros(7))
+    for tip, face, message in (
+        ((0.06, 0.0, 0.05), 2, "surface normal parallel to the chart axis on face 2"),
+        ((-0.04, -0.005, 0.06), 4, "interpolated normal vanished on face 4"),
+    ):
+        tip = np.array(tip)
+        assert chart.mesh.closest_point(tip).face == face
+        with pytest.raises(DegenerateFrameError) as exc:
+            chart.evaluate_probe(snap.R_probe, tip, snap.jacobian, np.zeros(7))
+        with pytest.raises(DegenerateFrameError) as want:
+            oracle_evaluate_probe(chart, snap.R_probe, tip, snap.jacobian, np.zeros(7))
+        assert str(exc.value) == str(want.value) == message
+    # the sheet itself is a proper chart
+    rho = chart.evaluate_probe(snap.R_probe, np.array([0.0, -0.08, 0.02]), snap.jacobian, np.zeros(7))[0]
+    assert abs(rho[2] - 0.02) < 1e-15
+
+
 def test_embed_round_trip_curved():
     rng = np.random.default_rng(7)
     lo, hi = DOME.s_min * 0.95, DOME.s_max * 0.95
     for _ in range(1000):
         s = rng.uniform(lo, hi)
-        point, frame = DOME.embed(s)
-        back, dist, _ = DOME.closest_point(frame.point)
+        point, frame = embed(DOME, s)
+        back, dist, _ = closest_point(DOME, frame.point)
         assert np.max(np.abs(back.s - s)) < 1e-9
         assert abs(dist) < 1e-9
 
@@ -258,7 +377,7 @@ def test_frames_orthonormal_everywhere():
         lo, hi = chart.s_min * 0.98, chart.s_max * 0.98
         for _ in range(200):
             s = rng.uniform(lo, hi)
-            _, frame = chart.embed(s)
+            _, frame = embed(chart, s)
             B = np.column_stack([frame.t1, frame.t2, frame.n])
             assert np.max(np.abs(B.T @ B - np.eye(3))) < 1e-10
             assert np.linalg.det(B) > 0.99999
@@ -269,8 +388,8 @@ def test_embed_height_invariant_flat():
     for _ in range(100):
         s = rng.uniform(-0.09, 0.09, 2)
         h = rng.uniform(0.005, 0.1)
-        _, frame = FLAT.embed(s)
-        pose = Pose(quat_from_matrix(frame.rotation()), frame.point + h * frame.n)
+        _, frame = embed(FLAT, s)
+        pose = Pose(quat_from_matrix(frame_rotation(frame)), frame.point + h * frame.n)
         rho = task_coordinates(FLAT, pose)
         assert np.max(np.abs(rho - np.array([s[0], s[1], h, 0, 0, 0]))) < 1e-9
 
@@ -282,8 +401,8 @@ def test_embed_height_approx_curved():
     for _ in range(50):
         s = rng.uniform(DOME.s_min * 0.5, DOME.s_max * 0.5)
         h = 0.01
-        _, frame = DOME.embed(s)
-        pose = Pose(quat_from_matrix(frame.rotation()), frame.point + h * frame.n)
+        _, frame = embed(DOME, s)
+        pose = Pose(quat_from_matrix(frame_rotation(frame)), frame.point + h * frame.n)
         rho = task_coordinates(DOME, pose)
         assert abs(rho[2] - h) < 5e-4
         assert np.max(np.abs(rho[:2] - s)) < 2e-3
@@ -291,13 +410,13 @@ def test_embed_height_approx_curved():
 
 
 def test_anchor_is_origin():
-    point, frame = DOME.embed(np.zeros(2))
+    point, frame = embed(DOME, np.zeros(2))
     assert np.max(np.abs(frame.point - DOME.anchor)) < 1e-9
 
 
 def test_boundary_errors():
     with pytest.raises(ChartBoundaryError) as exc:
-        FLAT.embed(np.array([0.5, 0.0]))
+        embed(FLAT, np.array([0.5, 0.0]))
     assert np.max(np.abs(exc.value.clamped - np.array([0.1, 0.0]))) < 1e-12
     pose = Pose(np.array([1.0, 0, 0, 0]), np.array([5.0, 0.0, 1.05]))
     with pytest.raises(ChartBoundaryError):
@@ -306,7 +425,7 @@ def test_boundary_errors():
 
 def test_orientation_error_canonical():
     rng = np.random.default_rng(11)
-    _, frame = FLAT.embed(np.zeros(2))
+    _, frame = embed(FLAT, np.zeros(2))
     for _ in range(100):
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)

@@ -357,6 +357,19 @@ def test_cli_failed_checks_exit_1(tmp_path, capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
+def test_cli_q_start_outside_the_model_limits_exits_2(tmp_path, capsys):
+    # joint 1's limit on the reference arm is 2.094 rad; the parse cannot
+    # see it, the model load must
+    cfg = tmp_path / "q_start.yaml"
+    cfg.write_text(yaml.safe_dump({"arm": {"q_start": [0.0, 2.5, 0.0, -1.0, 0.0, 0.5, 0.0]}}))
+    code = main(["localize", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: arm.q_start: joint 1: value 2.500000 outside limits")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_malformed_config_yaml_is_a_schema_error(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("a: [1, 2\n")
