@@ -18,13 +18,13 @@ the compensated dynamics directly.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-import yaml
 
-from .geometry import Pose, skew
+from .geometry import Pose, read_only, skew
 from .schema import (
     SchemaError,
     as_float,
@@ -69,7 +69,8 @@ class JointVelocityError(JointLimitError):
 @dataclass(frozen=True)
 class JointSpec:
     """One revolute joint: rotation axis in its own frame plus the fixed
-    transform from the parent frame to this joint's frame."""
+    transform from the parent frame to this joint's frame. The axis is a
+    read-only copy."""
 
     name: str
     axis: np.ndarray  # unit 3-vector, joint frame
@@ -83,7 +84,7 @@ class JointSpec:
         n = np.linalg.norm(axis)
         if not abs(n - 1.0) <= 1e-9:
             raise ValueError(f"joint '{self.name}': axis must be a finite unit vector, got {axis}")
-        object.__setattr__(self, "axis", axis / n)
+        object.__setattr__(self, "axis", read_only(axis / n))
         lo, hi = self.position_limits
         if not -np.inf < lo < hi < np.inf:
             raise ValueError(f"joint '{self.name}': position_limits must be finite and lo < hi")
@@ -95,15 +96,15 @@ class JointSpec:
 class LinkInertia:
     """Rigid-body parameters of the link that moves with a joint, in that
     joint's frame: mass (kg), centre of mass (m), rotational inertia about
-    the centre of mass (kg m^2)."""
+    the centre of mass (kg m^2). The arrays are read-only copies."""
 
     mass: float
     com: np.ndarray
     inertia: np.ndarray
 
     def __post_init__(self):
-        com = np.asarray(self.com, dtype=float).reshape(3)
-        inertia = np.asarray(self.inertia, dtype=float).reshape(3, 3)
+        com = np.array(self.com, dtype=float).reshape(3)
+        inertia = np.array(self.inertia, dtype=float).reshape(3, 3)
         for name, value in (("mass", self.mass), ("com", com), ("inertia", inertia)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"link {name} must be finite, got {value}")
@@ -113,8 +114,8 @@ class LinkInertia:
             raise ValueError("inertia tensor must be symmetric")
         if np.min(np.linalg.eigvalsh(inertia)) <= 0.0:
             raise ValueError("inertia tensor must be positive-definite")
-        object.__setattr__(self, "com", com)
-        object.__setattr__(self, "inertia", inertia)
+        object.__setattr__(self, "com", read_only(com))
+        object.__setattr__(self, "inertia", read_only(inertia))
 
 
 @dataclass(frozen=True)
@@ -208,9 +209,11 @@ def _joint_constants(model: ArmModel) -> tuple:
             P[:3, 3] = P[3, :3] = m * c
             P[3, 3] = m
         poses = (("probe", model.probe_offset), ("camera", model.camera_offset))
-        offsets = {name: (pose.rotation_matrix(), pose.translation) for name, pose in poses}
+        offsets = {name: (read_only(pose.rotation_matrix()), pose.translation) for name, pose in poses}
         limits = model.position_limits.T.tolist(), model.velocity_limits.tolist()
-        cached = (blocks, origin_R @ axes[:, :, None], *limits, offsets, moments)
+        # read-only like the model's own arrays: the reference model is shared
+        axes = origin_R @ axes[:, :, None]
+        cached = (read_only(blocks), read_only(axes), *limits, offsets, read_only(moments))
         object.__setattr__(model, "_joint_constants", cached)
     return cached
 
@@ -377,13 +380,6 @@ def _pose_from_node(node, where: str) -> Pose:
     return Pose(r, t)
 
 
-def _pose_to_node(pose: Pose) -> dict:
-    return {
-        "translation": [float(x) for x in pose.translation],
-        "rotation": [float(x) for x in pose.rotation],
-    }
-
-
 def load_arm_model(path) -> ArmModel:
     """Parse an arm model file (YAML, ``model_version: 1``).
 
@@ -443,43 +439,14 @@ def load_arm_model(path) -> ArmModel:
     )
 
 
-def save_arm_model(model: ArmModel, path) -> None:
-    doc = {
-        "model_version": 1,
-        "name": model.name,
-        "notes": model.notes,
-        "joints": [
-            {
-                "name": j.name,
-                "axis": [float(x) for x in j.axis],
-                "origin": _pose_to_node(j.origin),
-                "position_limits": [float(j.position_limits[0]), float(j.position_limits[1])],
-                "velocity_limit": float(j.velocity_limit),
-            }
-            for j in model.joints
-        ],
-        "link_inertias": [
-            {
-                "mass": float(l.mass),
-                "com": [float(x) for x in l.com],
-                "inertia": [[float(x) for x in row] for row in l.inertia],
-            }
-            for l in model.link_inertias
-        ],
-        "probe_offset": _pose_to_node(model.probe_offset),
-        "camera_offset": _pose_to_node(model.camera_offset),
-    }
-    if model.home_probe_pose is not None:
-        doc["home_probe_pose"] = _pose_to_node(model.home_probe_pose)
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
-
-
+@functools.cache
 def reference_arm() -> ArmModel:
     """The bundled representative 7-DoF model (see models/reference_arm.yaml).
 
-    Geometry is a stand-in at realistic desk scale, not calibrated against
-    any physical arm.
+    The file is parsed once per process: every call returns that one
+    shared model, whose arrays are all read-only, so no run can change
+    what the next one sees. Geometry is a stand-in at realistic desk
+    scale, not calibrated against any physical arm.
     """
     with resources.as_file(resources.files("surfscan.models") / "reference_arm.yaml") as p:
         return load_arm_model(p)

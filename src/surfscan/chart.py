@@ -151,9 +151,9 @@ class SurfaceChart:
         if not (lo1 <= s1 <= hi1 and lo2 <= s2 <= hi2):
             raise ChartBoundaryError((s1, s2), self.clamp((s1, s2)))
         hit = self.mesh.closest_point(tip, hint)
-        b0, b1, b2 = hit.barycentric.tolist()
+        b0, b1, b2 = hit.weights
         (x1, y1, z1), (x2, y2, z2), (xn, yn, zn) = self._frame_axes(hit.face, b0, b1, b2)
-        f1, f2 = self._coords(hit.point.tolist())
+        f1, f2 = self._coords(hit.xyz)
         if abs(b0 + b1 + b2 - 1.0) > 1e-9 or min(b0, b1, b2) < -1e-9:
             raise ValueError("barycentric weights must be non-negative and sum to 1")
         (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = R_probe.tolist()

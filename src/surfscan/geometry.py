@@ -36,16 +36,6 @@ def quat_multiply(a, b) -> np.ndarray:
     )
 
 
-def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n < 1e-12:
-        raise ValueError("rotation axis must be non-zero")
-    half = 0.5 * angle
-    s = np.sin(half) / n
-    return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
-
-
 def quat_to_matrix(q) -> np.ndarray:
     w, x, y, z = np.asarray(q, dtype=float).tolist()
     xx, yy, zz = x * x, y * y, z * z
@@ -138,16 +128,25 @@ def skew(v) -> np.ndarray:
     )
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, no longer writeable; pass an array of your own, never one a
+    caller handed in."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform: rotation as unit quaternion (w, x, y, z), translation in m."""
+    """Rigid transform: rotation as unit quaternion (w, x, y, z), translation
+    in m. Both arrays are read-only copies, so a shared Pose cannot change."""
 
     rotation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        q = np.asarray(self.rotation, dtype=float).reshape(4)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
+        # copies, so that freezing them leaves the caller's arrays writeable
+        q = np.array(self.rotation, dtype=float).reshape(4)
+        t = np.array(self.translation, dtype=float).reshape(3)
         n = math.sqrt(q.dot(q))
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"quaternion norm {n} too far from 1")
@@ -155,8 +154,8 @@ class Pose:
             q = q / n
         if not all(map(math.isfinite, q.tolist() + t.tolist())):
             raise ValueError("pose components must be finite")
-        object.__setattr__(self, "rotation", q)
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "rotation", read_only(q))
+        object.__setattr__(self, "translation", read_only(t))
 
     @staticmethod
     def from_rotation_matrix(R, t=(0.0, 0.0, 0.0)) -> "Pose":

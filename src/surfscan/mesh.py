@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,12 +209,22 @@ class TriMesh:
         return acc.A[fi] + u[:, None] * acc.eab[fi] + v[:, None] * acc.eac[fi]
 
 
-@dataclass(frozen=True)
-class ClosestHit:
+class ClosestHit(NamedTuple):
+    """One closest-point query's winner, as the walk leaves it in floats;
+    `point` and `barycentric` build the arrays on demand."""
+
     face: int
-    point: np.ndarray  # (3,) closest surface point
-    barycentric: np.ndarray  # (3,) weights on the winning face
+    xyz: tuple  # closest surface point, three floats
+    weights: tuple  # (b0, b1, b2) on the winning face's corners
     distance: float  # signed, positive on the normal side
+
+    @property
+    def point(self) -> np.ndarray:
+        return np.array(self.xyz)
+
+    @property
+    def barycentric(self) -> np.ndarray:
+        return np.array(self.weights)
 
 
 @dataclass(frozen=True)
@@ -476,7 +487,7 @@ class _Accel:
         dist = math.sqrt(d2)
         if _dot(_sub(p, point), self.face_normals[win].tolist()) < 0.0:
             dist = -dist
-        return ClosestHit(win, np.array(point), np.array([1.0 - u - v, u, v]), dist)
+        return ClosestHit(win, point, (1.0 - u - v, u, v), dist)
 
     def _box_d2(self, P: np.ndarray, node) -> np.ndarray:
         # squared point-box distance per row; node is one index or one per row

@@ -6,6 +6,8 @@ blocks, Jacobians against central finite differences, and the mass matrix
 against the per-link point-Jacobian sum  M = sum_i Jv_i^T m_i Jv_i +
 Jw_i^T I_i Jw_i.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
@@ -18,6 +20,7 @@ from surfscan.arm import (
     JointSpec,
     JointState,
     LinkInertia,
+    _joint_constants,
     arm_snapshot,
     forward_kinematics,
     geometric_jacobian,
@@ -25,10 +28,11 @@ from surfscan.arm import (
     mass_matrix,
     joint_frames,
     reference_arm,
-    save_arm_model,
 )
 from surfscan.geometry import Pose, quat_to_matrix
 from surfscan.schema import SchemaError
+
+from helpers import save_arm_model
 
 MODEL = reference_arm()
 
@@ -302,6 +306,60 @@ def test_malformed_yaml_is_a_schema_error(tmp_path):
     path.write_text("a: [1, 2\n")
     with pytest.raises(SchemaError, match="arm.yaml: malformed YAML"):
         load_arm_model(path)
+
+
+def test_reference_arm_is_parsed_once():
+    assert reference_arm() is reference_arm() is MODEL
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        lambda m: m.joints[0].axis,
+        lambda m: m.joints[3].origin.translation,
+        lambda m: m.joints[3].origin.rotation,
+        lambda m: m.link_inertias[2].com,
+        lambda m: m.link_inertias[2].inertia,
+        lambda m: m.probe_offset.translation,
+        lambda m: m.camera_offset.rotation,
+        lambda m: m.home_probe_pose.translation,
+    ],
+    ids=["axis", "origin.translation", "origin.rotation", "com", "inertia",
+         "probe_offset.translation", "camera_offset.rotation", "home_probe_pose.translation"],
+)
+def test_shared_model_arrays_are_read_only(array):
+    with pytest.raises(ValueError, match="read-only"):
+        array(reference_arm())[0] = 1.0
+
+
+def test_shared_sweep_constants_are_read_only():
+    arm_snapshot(MODEL, np.zeros(7))
+    blocks, axes, *_, offsets, moments = _joint_constants(MODEL)
+    for a in (blocks, axes, moments, *offsets["probe"], *offsets["camera"]):
+        assert not a.flags.writeable
+
+
+def test_value_types_copy_the_callers_arrays():
+    axis, com, inertia = np.array([0.0, 0.0, 1.0]), np.zeros(3), np.eye(3) * 1e-3
+    origin = (np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.1]))
+    joint = JointSpec("j", axis, Pose(*origin), (-1.0, 1.0), 1.0)
+    link = LinkInertia(1.0, com, inertia)
+    for mine in (axis, com, inertia, *origin):
+        assert mine.flags.writeable
+        mine[0] = 0.5  # the built values keep what they were given
+    assert joint.axis.tolist() == [0.0, 0.0, 1.0]
+    assert joint.origin.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert link.com.tolist() == [0.0, 0.0, 0.0] and link.inertia[0, 0] == 1e-3
+
+
+def test_load_arm_model_reads_the_file_each_call(tmp_path):
+    path = tmp_path / "arm.yaml"
+    save_arm_model(MODEL, path)
+    assert load_arm_model(path).joints[0].velocity_limit == MODEL.joints[0].velocity_limit
+    joints = (dataclasses.replace(MODEL.joints[0], velocity_limit=0.25), *MODEL.joints[1:])
+    save_arm_model(dataclasses.replace(MODEL, joints=joints), path)
+    assert load_arm_model(path).joints[0].velocity_limit == 0.25
+    assert reference_arm().joints[0].velocity_limit == MODEL.joints[0].velocity_limit
 
 
 def test_bad_version_rejected(tmp_path):

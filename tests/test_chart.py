@@ -24,7 +24,7 @@ from surfscan.arm import (
     reference_arm,
 )
 from surfscan.chart import ChartBoundaryError, DegenerateFrameError, SurfaceChart, SurfaceFrame
-from surfscan.geometry import Pose, quat_from_axis_angle, quat_from_matrix, quat_multiply, quat_to_matrix
+from surfscan.geometry import Pose, quat_from_matrix, quat_multiply, quat_to_matrix
 from surfscan.localization import ScenePlane
 from surfscan.mesh import TriMesh, grid_surface_mesh
 from surfscan.sim import cap_phantom_mesh
@@ -39,6 +39,7 @@ from chart_oracle import (
     orientation_error,
 )
 from chart_oracle import evaluate_probe as oracle_evaluate_probe
+from helpers import quat_from_axis_angle
 
 MODEL = reference_arm()
 EX = np.array([1.0, 0.0, 0.0])

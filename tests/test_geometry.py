@@ -11,7 +11,6 @@ from surfscan.geometry import (
     Pose,
     plane_basis,
     quat_canonical,
-    quat_from_axis_angle,
     quat_from_matrix,
     quat_multiply,
     quat_normalize,
@@ -19,6 +18,8 @@ from surfscan.geometry import (
     quat_to_matrix,
     skew,
 )
+
+from helpers import quat_from_axis_angle
 
 
 def quat_conjugate(q):
@@ -153,6 +154,18 @@ def test_pose_norm_invariant():
 def test_pose_rejects_non_finite_and_non_unit(rotation, translation, match):
     with pytest.raises(ValueError, match=match):
         Pose(np.array(rotation), np.array(translation))
+
+
+def test_pose_freezes_a_copy_of_the_callers_arrays():
+    q, t = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.1, 0.2, 0.3])
+    pose = Pose(q, t)
+    assert q.flags.writeable and t.flags.writeable
+    q[0], t[0] = 0.0, 9.0
+    assert pose.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert pose.translation.tolist() == [0.1, 0.2, 0.3]
+    for a in (pose.rotation, pose.translation):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 2.0
 
 
 def test_quat_normalize_is_division_by_linalg_norm():

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from surfscan.geometry import Pose, quat_from_axis_angle, quat_from_matrix
+from surfscan.geometry import Pose, quat_from_matrix
 from surfscan.localization import (
     DegenerateMarkerError,
     MarkerObservation,
@@ -21,6 +21,8 @@ from surfscan.localization import (
     save_markers,
 )
 from surfscan.schema import SchemaError
+
+from helpers import quat_from_axis_angle
 
 CAM = Pose(quat_from_axis_angle([1.0, 0, 0], math.pi), np.array([0.0, 0.0, 0.5]))
 HALF = 0.015

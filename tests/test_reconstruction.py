@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from surfscan.geometry import Pose, quat_from_axis_angle
+from surfscan.geometry import Pose
 from surfscan.localization import ScenePlane, orbit_trajectory
 from surfscan.mesh import TriMesh, grid_surface_mesh
 from surfscan.reconstruction import (
@@ -19,6 +19,8 @@ from surfscan.reconstruction import (
     render_depth,
     save_pfm,
 )
+
+from helpers import quat_from_axis_angle
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])

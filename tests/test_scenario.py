@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from surfscan.arm import JointLimitError, JointVelocityError, reference_arm, save_arm_model
+from surfscan.arm import JointLimitError, JointVelocityError, reference_arm
 from surfscan.cli import _COMMAND_STAGES, main
 from surfscan.localization import alignment_pose, fit_plane, ScenePlane
 from surfscan.scenario import (
@@ -22,6 +22,8 @@ from surfscan.scenario import (
 )
 from surfscan.schema import SchemaError
 from surfscan.sim import parse_log
+
+from helpers import save_arm_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -319,6 +321,19 @@ def test_seeded_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes(), name
+
+
+def test_contact_rerun_on_the_shared_model_is_byte_identical(tmp_path):
+    """Both runs use the one reference_arm() model; the first cannot change
+    what the second sees."""
+    doc = {"contact": {"hold_duration": 0.3}, "sim": {"sample_every": 5}}
+    run_scenario(doc, tmp_path / "a", stages=("contact",))
+    run_scenario(doc, tmp_path / "b", stages=("contact",))
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert "contact_log.csv" in names
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

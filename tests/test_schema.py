@@ -1,7 +1,14 @@
-"""Strict document-parsing helpers."""
+"""Strict document-parsing helpers and the YAML read path."""
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
+from surfscan import schema
+from surfscan.arm import load_arm_model
+from surfscan.localization import load_markers
+from surfscan.scenario import load_config, run_scenario
 from surfscan.schema import (
     SchemaError,
     as_float,
@@ -10,6 +17,7 @@ from surfscan.schema import (
     as_vector,
     check_keys,
     get_required,
+    load_yaml,
     require_mapping,
 )
 
@@ -67,3 +75,46 @@ def test_as_matrix():
         as_matrix([[1, 0], [0]], 2, 2, "x")
     with pytest.raises(SchemaError):
         as_matrix([[1, 0]], 2, 2, "x")
+
+
+# ---------------------------------------------------------------------------
+# the YAML read path
+# ---------------------------------------------------------------------------
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_load_yaml_uses_libyaml_where_pyyaml_has_it():
+    assert schema._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+def test_every_loader_reads_the_same_documents(tmp_path):
+    paths = sorted((ROOT / "configs").glob("*.yaml"))
+    assert paths
+    paths.append(ROOT / "src" / "surfscan" / "models" / "reference_arm.yaml")
+    run_scenario({}, tmp_path / "run", stages=("localize",))
+    paths.append(tmp_path / "run" / "markers.yaml")
+    for path in paths:
+        docs = []
+        for loader in LOADERS:
+            with open(path, encoding="utf-8") as fh:
+                docs.append(yaml.load(fh, Loader=loader))
+        assert docs[0] is not None, path
+        assert all(doc == docs[0] for doc in docs), path
+        assert load_yaml(path) == docs[0], path
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_malformed_yaml_names_the_file_under_every_loader(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(schema, "_LOADER", loader)
+    cases = [
+        ("bad.yaml", "a: [1, 2\n", load_config),
+        ("arm.yaml", "a: [1, 2\n", load_arm_model),
+        ("markers.yaml", "markers: [{id: 1\n", load_markers),
+    ]
+    for name, text, read in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=f"{name}: malformed YAML"):
+            read(path)
