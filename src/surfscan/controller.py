@@ -21,7 +21,7 @@ SYMMETRY_TOL = 1e-12
 NULLSPACE_RANK_TOL = 1e-10
 
 
-def _check_spd(m: np.ndarray, name: str) -> np.ndarray:
+def check_spd(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (6, 6):
         raise ValueError(f"{name} must be 6x6, got {m.shape}")
@@ -46,8 +46,8 @@ class ImpedanceGains:
     damping: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "stiffness", _check_spd(self.stiffness, "stiffness"))
-        object.__setattr__(self, "damping", _check_spd(self.damping, "damping"))
+        object.__setattr__(self, "stiffness", check_spd(self.stiffness, "stiffness"))
+        object.__setattr__(self, "damping", check_spd(self.damping, "damping"))
 
     @staticmethod
     def diagonal(stiffness, damping) -> "ImpedanceGains":
@@ -263,8 +263,8 @@ def critical_damping(
     Lambda commute and stays symmetric positive-definite otherwise."""
     if zeta <= 0.0:
         raise ValueError("damping ratio must be positive")
-    K = _check_spd(stiffness, "stiffness")
-    lam = _check_spd(task_inertia, "task inertia")
+    K = check_spd(stiffness, "stiffness")
+    lam = check_spd(task_inertia, "task inertia")
     root_lam = _spd_sqrt(lam)
     inv_root = np.linalg.inv(root_lam)
     inner = _spd_sqrt(inv_root @ K @ inv_root)

@@ -227,7 +227,10 @@ def load_markers(path) -> list[MarkerObservation]:
             raise SchemaError(f"{mwhere}: 'id' must be an integer")
         corners = as_matrix(get_required(node, "corners", mwhere), 4, 3, mwhere)
         conf = as_float(node["confidence"], mwhere) if "confidence" in node else 1.0
-        out.append(MarkerObservation(mid, corners, conf))
+        try:
+            out.append(MarkerObservation(mid, corners, conf))
+        except ValueError as exc:
+            raise SchemaError(f"{mwhere}: {exc}") from None
     return out
 
 

@@ -735,27 +735,32 @@ def save_off(mesh: TriMesh, path) -> None:
 
 
 def load_off(path) -> TriMesh:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = []
-        for line in fh:
-            hash_at = line.find("#")
-            if hash_at >= 0:
-                line = line[:hash_at]
-            tokens.extend(line.split())
-    if not tokens or tokens[0] != "OFF":
-        raise ValueError(f"{path}: not an OFF file")
-    if len(tokens) < 4:
-        raise ValueError(f"{path}: truncated OFF header")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4 + 3 * nv  # past the edge count and the vertex block
-    flat = tokens[4:pos]
-    if len(flat) != 3 * nv:
-        raise ValueError(f"{path}: truncated vertex block")
-    vertices = np.array(flat, dtype=float).reshape(nv, 3)
-    block = tokens[pos : pos + 4 * nf]
-    if len(block) != 4 * nf:
-        raise ValueError(f"{path}: truncated face block")
-    block = np.array(block, dtype=str).reshape(nf, 4)
-    if np.any(block[:, 0] != "3"):
-        raise ValueError(f"{path}: only triangle faces supported")
-    return TriMesh(vertices, block[:, 1:].astype(np.int64))
+    """The triangle mesh in the OFF file at path; a malformed file is a
+    ValueError that names it."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = []
+            for line in fh:
+                hash_at = line.find("#")
+                if hash_at >= 0:
+                    line = line[:hash_at]
+                tokens.extend(line.split())
+        if not tokens or tokens[0] != "OFF":
+            raise ValueError("not an OFF file")
+        if len(tokens) < 4:
+            raise ValueError("truncated OFF header")
+        nv, nf = int(tokens[1]), int(tokens[2])
+        pos = 4 + 3 * nv  # past the edge count and the vertex block
+        flat = tokens[4:pos]
+        if len(flat) != 3 * nv:
+            raise ValueError("truncated vertex block")
+        vertices = np.array(flat, dtype=float).reshape(nv, 3)
+        block = tokens[pos : pos + 4 * nf]
+        if len(block) != 4 * nf:
+            raise ValueError("truncated face block")
+        block = np.array(block, dtype=str).reshape(nf, 4)
+        if np.any(block[:, 0] != "3"):
+            raise ValueError("only triangle faces supported")
+        return TriMesh(vertices, block[:, 1:].astype(np.int64))
+    except (ValueError, OverflowError) as exc:  # OverflowError: an index beyond int64
+        raise ValueError(f"{path}: {exc}") from None

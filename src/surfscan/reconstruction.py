@@ -13,6 +13,7 @@ result is bit-identical under any permutation of the view list.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +44,13 @@ class CameraIntrinsics:
         # each message names its fields; written so NaN fails every test
         if not (self.width >= 1 and self.height >= 1):
             raise ValueError(f"width and height must be at least 1, got {self.width} x {self.height}")
-        if not (self.fx > 0.0 and self.fy > 0.0):
-            raise ValueError(f"focal lengths fx, fy must be positive, got {self.fx}, {self.fy}")
+        if not (0.0 < self.fx < np.inf and 0.0 < self.fy < np.inf):
+            raise ValueError(f"focal lengths fx, fy must be positive and finite, got {self.fx}, {self.fy}")
         if not (0.0 <= self.cx < self.width and 0.0 <= self.cy < self.height):
             raise ValueError(f"principal point cx, cy must lie inside the image, got {self.cx}, {self.cy}")
-        if not self.depth_noise_sigma >= 0.0:
-            raise ValueError(f"depth_noise_sigma must be non-negative, got {self.depth_noise_sigma}")
+        sigma = self.depth_noise_sigma
+        if not 0.0 <= sigma < np.inf:
+            raise ValueError(f"depth_noise_sigma must be non-negative and finite, got {sigma}")
 
     def pixel_dirs(self) -> np.ndarray:
         """(height*width, 3) camera-frame ray directions, z = 1 so the ray
@@ -290,7 +292,9 @@ def load_pfm(path) -> np.ndarray:
             raise ValueError(f"{path}: malformed PFM header (size or scale line)") from None
         if width < 1 or height < 1 or not np.isfinite(scale) or scale == 0.0:
             raise ValueError(f"{path}: malformed PFM header (size {width} x {height}, scale {scale})")
+        # checked before the read, which a forged size would turn into a
+        # MemoryError or OverflowError
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 4 * width * height:
+            raise ValueError(f"{path}: truncated pixel data for {width} x {height} pixels")
         data = np.frombuffer(fh.read(4 * width * height), dtype="<f4" if scale < 0 else ">f4")
-        if data.size != width * height:
-            raise ValueError(f"{path}: truncated pixel data")
     return data.reshape(height, width)[::-1].astype(np.float32)

@@ -24,8 +24,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -37,6 +38,7 @@ from .controller import (
     ImpedanceGains,
     RasterPath,
     Setpoint,
+    check_spd,
     contact_setpoints,
     critical_damping,
     setpoint_at,
@@ -97,46 +99,39 @@ class StageError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    name: str
-    seed: int
-    arm_model: str  # "reference" or a file path
-    q_start: np.ndarray
-    phantom_kind: str  # flat | cap | mesh
-    phantom_mesh: str | None
-    phantom_extent: float
-    phantom_grid_n: int
-    sphere_radius: float
-    cap_height: float
-    contact_stiffness: float
-    contact_damping: float
-    phantom_label: str
-    marker_half_extents: np.ndarray
-    marker_size: float
-    marker_noise_sigma: float
-    fit_use_corners: bool
-    camera: CameraIntrinsics
-    view_angle: float  # rad
-    view_distance: float
-    n_views: int
-    resolution: float
-    chart_margin: float
-    stiffness: np.ndarray  # (6, 6)
-    damping: np.ndarray | None  # None = critical mode
-    zeta: float
-    nullspace_gain: float
-    d_start: float
-    d_hold: float
-    ramp_rate: float
-    hold_duration: float
-    raster_half_extents: np.ndarray
-    line_spacing: float
-    raster_speed: float
-    raster_d_hold: float
-    settle_time: float
-    dt: float
-    sample_every: int
+class Bound(NamedTuple):
+    """The range a config value must lie in, and its wording in errors.
+
+    The value, or each entry of a vector, must lie between lo and hi, open
+    at each end unless closed there. An infinite end is left open, so
+    infinities fail, and each comparison is written so that NaN fails it."""
+
+    need: str
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_closed: bool = False
+    hi_closed: bool = False
+
+    def __call__(self, value, name: str) -> None:
+        shown = value.tolist() if isinstance(value, np.ndarray) else value
+        for x in shown if isinstance(shown, list) else (shown,):
+            if not ((self.lo <= x if self.lo_closed else self.lo < x)
+                    and (x <= self.hi if self.hi_closed else x < self.hi)):
+                raise SchemaError(f"{name} must be {self.need}, got {shown}")
+
+
+_POSITIVE = Bound("positive", lo=0.0)
+_NON_NEGATIVE = Bound("non-negative", lo=0.0, lo_closed=True)
+_PENETRATION = Bound("negative (command penetration)", hi=0.0)
+_AT_LEAST_2 = Bound("at least 2", 2, lo_closed=True)
+
+
+def _spd(value: np.ndarray, name: str) -> None:
+    """The bound on impedance gains: the rule ImpedanceGains applies."""
+    try:
+        check_spd(value, name.rpartition(".")[2])
+    except ValueError as exc:
+        raise SchemaError(f"{name}: {exc}") from None
 
 
 def _as_bool(value, where: str) -> bool:
@@ -151,6 +146,10 @@ def _as_str(value, where: str) -> str:
     return value
 
 
+def _vector(n: int):
+    return lambda value, where: as_vector(value, n, where)
+
+
 def _gain_matrix(node, where: str) -> np.ndarray:
     """6 diagonal entries or a full 6x6 row list."""
     if isinstance(node, (list, tuple)) and len(node) == 6 and node and not isinstance(node[0], (list, tuple)):
@@ -163,167 +162,151 @@ def _gain_matrix(node, where: str) -> np.ndarray:
     raise SchemaError(f"{where}: expected 6 numbers or 6 rows of 6")
 
 
-_TOP_KEYS = (
-    "name", "seed", "arm", "phantom", "markers", "camera",
-    "reconstruction", "controller", "contact", "raster", "sim",
+def _damping(node, where: str) -> np.ndarray | None:
+    """Explicit gains, or None for 'critical' (resolved at run time)."""
+    if node == "critical":
+        return None
+    if isinstance(node, str):
+        raise SchemaError(f"{where}: expected gains or 'critical'")
+    return _gain_matrix(node, where)
+
+
+class ConfigKey(NamedTuple):
+    """One key of the config file.
+
+    `name` is the dotted YAML key ("section.key", or "key" at the top
+    level). `default` is written as in YAML and goes through `conv` like a
+    given value; None leaves the value None unless the key is given.
+    `bound` checks the converted value when it is not None."""
+
+    name: str
+    default: Any
+    conv: Callable
+    bound: Callable | None = None
+
+    def read(self, nodes: dict, where: str):
+        section, _, key = self.name.rpartition(".")
+        if key not in nodes[section] and self.default is None:
+            return None
+        name = f"{where}.{self.name}"
+        value = self.conv(nodes[section].get(key, self.default), name)
+        if value is not None and self.bound is not None:
+            self.bound(value, name)
+        return value
+
+
+def _key(name: str, default, conv, bound=None):
+    """A ScenarioConfig field read from the config key `name`."""
+    return field(metadata={"key": ConfigKey(name, default, conv, bound)})
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A parsed scenario config. Each field but `camera` is declared with
+    the config key it is read from (see ConfigKey); parse_config reads
+    these declarations."""
+
+    name: str = _key("name", "scenario", _as_str)
+    seed: int = _key("seed", 0, as_int, _NON_NEGATIVE)
+    arm_model: str = _key("arm.model", "reference", _as_str)  # "reference" or a file path
+    q_start: np.ndarray = _key("arm.q_start", [0.0, 0.5, 0.0, -1.0, 0.0, 0.5, 0.0], _vector(7))
+    phantom_kind: str = _key("phantom.kind", "flat", _as_str)  # flat | cap | mesh
+    phantom_mesh: str | None = _key("phantom.mesh", None, _as_str)
+    phantom_extent: float = _key("phantom.extent", None, as_float, _POSITIVE)  # default by kind
+    phantom_grid_n: int = _key("phantom.grid_n", None, as_int, _AT_LEAST_2)  # default by kind
+    sphere_radius: float = _key("phantom.sphere_radius", 0.10, as_float, _POSITIVE)
+    cap_height: float = _key("phantom.cap_height", 0.04, as_float, _POSITIVE)  # also <= sphere_radius
+    contact_stiffness: float = _key("phantom.contact_stiffness", 300.0, as_float, _POSITIVE)
+    contact_damping: float = _key("phantom.contact_damping", 20.0, as_float, _NON_NEGATIVE)
+    phantom_label: str = _key("phantom.label", "", _as_str)
+    marker_half_extents: np.ndarray = _key("markers.half_extents", [0.10, 0.09], _vector(2), _POSITIVE)
+    marker_size: float = _key("markers.size", 0.02, as_float, _POSITIVE)
+    marker_noise_sigma: float = _key("markers.noise_sigma", 0.0, as_float, _NON_NEGATIVE)
+    fit_use_corners: bool = _key("markers.use_corners", False, _as_bool)
+    camera: CameraIntrinsics  # from the _CAMERA_INTRINSICS keys
+    view_angle: float = _key(  # rad; read in degrees
+        "camera.view_angle_deg", 45.0, as_float, Bound("in [0, 90) deg", 0.0, 90.0, lo_closed=True))
+    view_distance: float = _key("camera.view_distance", 0.30, as_float, _POSITIVE)
+    n_views: int = _key("reconstruction.n_views", 8, as_int, _AT_LEAST_2)
+    resolution: float = _key("reconstruction.resolution", 0.005, as_float, _POSITIVE)
+    chart_margin: float = _key("reconstruction.chart_margin", 0.01, as_float, _NON_NEGATIVE)
+    # vertical stiffness an order above the contact spring keeps the
+    # held distance within the raster tolerance (series equilibrium);
+    # orientation rows stiff enough that the D/K tracking lag stays
+    # small while the surface frame rotates under a moving probe
+    stiffness: np.ndarray = _key(  # (6, 6)
+        "controller.stiffness", [300.0, 300.0, 3000.0, 20.0, 20.0, 4.0], _gain_matrix, _spd)
+    damping: np.ndarray | None = _key("controller.damping", "critical", _damping, _spd)  # None = critical
+    zeta: float = _key("controller.zeta", 0.7, as_float, _POSITIVE)
+    nullspace_gain: float = _key("controller.nullspace_gain", 0.5, as_float, _NON_NEGATIVE)
+    d_start: float = _key(
+        "contact.d_start", 0.010, as_float, Bound("positive (start above the surface)", lo=0.0))
+    d_hold: float = _key("contact.d_hold", -0.004, as_float, _PENETRATION)
+    ramp_rate: float = _key("contact.ramp_rate", 0.005, as_float, _POSITIVE)
+    hold_duration: float = _key("contact.hold_duration", 5.0, as_float, _NON_NEGATIVE)
+    raster_half_extents: np.ndarray = _key("raster.half_extents", [0.03, 0.02], _vector(2), _POSITIVE)
+    line_spacing: float = _key("raster.line_spacing", 0.01, as_float, _POSITIVE)
+    raster_speed: float = _key("raster.speed", 0.01, as_float, _POSITIVE)
+    raster_d_hold: float = _key("raster.d_hold", -0.004, as_float, _PENETRATION)
+    settle_time: float = _key("raster.settle_time", 2.0, as_float, _NON_NEGATIVE)
+    dt: float = _key("sim.dt", 1e-3, as_float, Bound(f"in (0, {MAX_DT}] s", 0.0, MAX_DT, hi_closed=True))
+    sample_every: int = _key("sim.sample_every", 1, as_int, Bound("at least 1", 1, lo_closed=True))
+
+
+# CameraIntrinsics checks these as a group
+_CAMERA_INTRINSICS = (
+    ConfigKey("camera.fx", 180.0, as_float), ConfigKey("camera.fy", 180.0, as_float),
+    ConfigKey("camera.cx", 120.0, as_float), ConfigKey("camera.cy", 90.0, as_float),
+    ConfigKey("camera.width", 240, as_int), ConfigKey("camera.height", 180, as_int),
+    ConfigKey("camera.depth_noise_sigma", 0.0, as_float),
 )
-_ARM_KEYS = ("model", "q_start")
-_PHANTOM_KEYS = (
-    "kind", "mesh", "extent", "grid_n", "sphere_radius", "cap_height",
-    "contact_stiffness", "contact_damping", "label",
-)
-_MARKER_KEYS = ("half_extents", "size", "noise_sigma", "use_corners")
-_CAMERA_KEYS = (
-    "fx", "fy", "cx", "cy", "width", "height", "depth_noise_sigma",
-    "view_angle_deg", "view_distance",
-)
-_RECON_KEYS = ("n_views", "resolution", "chart_margin")
-_CONTROLLER_KEYS = ("stiffness", "damping", "zeta", "nullspace_gain")
-_CONTACT_KEYS = ("d_start", "d_hold", "ramp_rate", "hold_duration")
-_RASTER_KEYS = ("half_extents", "line_spacing", "speed", "d_hold", "settle_time")
-_SIM_KEYS = ("dt", "sample_every")
+_FIELD_KEYS = {f.name: f.metadata["key"] for f in fields(ScenarioConfig) if f.metadata}
+CONFIG_KEYS = (*_FIELD_KEYS.values(), *_CAMERA_INTRINSICS)
+
+
+def _allowed_keys() -> dict[str, set]:
+    """section -> the keys it may hold; the top level ("") also holds the sections."""
+    allowed = {"": set()}
+    for k in CONFIG_KEYS:
+        section, _, key = k.name.rpartition(".")
+        allowed.setdefault(section, set()).add(key)
+        allowed[""].add(section or key)
+    return allowed
+
+
+_ALLOWED = _allowed_keys()
 
 
 def parse_config(doc, where: str = "config") -> ScenarioConfig:
-    doc = require_mapping(doc, where)
-    check_keys(doc, _TOP_KEYS, where)
+    nodes = {"": require_mapping(doc, where)}
+    for section, allowed in _ALLOWED.items():
+        here = f"{where}.{section}" if section else where
+        if section:
+            nodes[section] = require_mapping(nodes[""].get(section, {}), here)
+        check_keys(nodes[section], allowed, here)
+    values = {attr: key.read(nodes, where) for attr, key in _FIELD_KEYS.items()}
 
-    def section(key, allowed):
-        node = require_mapping(doc.get(key, {}), f"{where}.{key}")
-        check_keys(node, allowed, f"{where}.{key}")
-        return node
-
-    arm = section("arm", _ARM_KEYS)
-    phantom = section("phantom", _PHANTOM_KEYS)
-    markers = section("markers", _MARKER_KEYS)
-    camera = section("camera", _CAMERA_KEYS)
-    recon = section("reconstruction", _RECON_KEYS)
-    ctrl = section("controller", _CONTROLLER_KEYS)
-    contact = section("contact", _CONTACT_KEYS)
-    raster = section("raster", _RASTER_KEYS)
-    sim = section("sim", _SIM_KEYS)
-
-    def opt(node, key, default, conv, sub):
-        if key not in node:
-            return default
-        prefix = f"{where}.{sub}" if sub else where
-        return conv(node[key], f"{prefix}.{key}")
-
-    kind = opt(phantom, "kind", "flat", _as_str, "phantom")
+    kind = values["phantom_kind"]
     if kind not in ("flat", "cap", "mesh"):
         raise SchemaError(f"{where}.phantom.kind: expected flat|cap|mesh, got {kind!r}")
-    mesh_path = opt(phantom, "mesh", None, _as_str, "phantom")
-    if kind == "mesh" and mesh_path is None:
+    if kind == "mesh" and values["phantom_mesh"] is None:
         raise SchemaError(f"{where}.phantom: kind 'mesh' needs a 'mesh' file path")
-    if kind != "mesh" and mesh_path is not None:
+    if kind != "mesh" and values["phantom_mesh"] is not None:
         raise SchemaError(f"{where}.phantom: 'mesh' is only valid with kind 'mesh'")
-
-    damping_node = ctrl.get("damping", "critical")
-    if isinstance(damping_node, str):
-        if damping_node != "critical":
-            raise SchemaError(f"{where}.controller.damping: expected gains or 'critical'")
-        damping = None
-    else:
-        damping = _gain_matrix(damping_node, f"{where}.controller.damping")
-
-    intr_fields = {
-        key: opt(camera, key, default, conv, "camera")
-        for key, default, conv in (
-            ("fx", 180.0, as_float), ("fy", 180.0, as_float), ("cx", 120.0, as_float),
-            ("cy", 90.0, as_float), ("width", 240, as_int), ("height", 180, as_int),
-            ("depth_noise_sigma", 0.0, as_float),
-        )
-    }
+    if values["phantom_extent"] is None:
+        values["phantom_extent"] = 0.15 if kind == "flat" else 0.12
+    if values["phantom_grid_n"] is None:
+        values["phantom_grid_n"] = 31 if kind == "flat" else 61
+    r, h = values["sphere_radius"], values["cap_height"]
+    if not h <= r:
+        raise SchemaError(f"{where}.phantom.cap_height must be in (0, sphere_radius = {r}], got {h}")
+    intrinsics = {k.name.partition(".")[2]: k.read(nodes, where) for k in _CAMERA_INTRINSICS}
     try:
-        intr = CameraIntrinsics(**intr_fields)
+        values["camera"] = CameraIntrinsics(**intrinsics)
     except ValueError as exc:
         raise SchemaError(f"{where}.camera: {exc}") from None
-    view_angle_deg = opt(camera, "view_angle_deg", 45.0, as_float, "camera")
-
-    cfg = ScenarioConfig(
-        name=opt(doc, "name", "scenario", _as_str, ""),
-        seed=opt(doc, "seed", 0, as_int, ""),
-        arm_model=opt(arm, "model", "reference", _as_str, "arm"),
-        q_start=opt(arm, "q_start", np.array([0.0, 0.5, 0.0, -1.0, 0.0, 0.5, 0.0]),
-                    lambda v, w: as_vector(v, 7, w), "arm"),
-        phantom_kind=kind,
-        phantom_mesh=mesh_path,
-        phantom_extent=opt(phantom, "extent", 0.15 if kind == "flat" else 0.12,
-                           as_float, "phantom"),
-        phantom_grid_n=opt(phantom, "grid_n", 31 if kind == "flat" else 61,
-                           as_int, "phantom"),
-        sphere_radius=opt(phantom, "sphere_radius", 0.10, as_float, "phantom"),
-        cap_height=opt(phantom, "cap_height", 0.04, as_float, "phantom"),
-        contact_stiffness=opt(phantom, "contact_stiffness", 300.0, as_float, "phantom"),
-        contact_damping=opt(phantom, "contact_damping", 20.0, as_float, "phantom"),
-        phantom_label=opt(phantom, "label", "", _as_str, "phantom"),
-        marker_half_extents=opt(markers, "half_extents", np.array([0.10, 0.09]),
-                                lambda v, w: as_vector(v, 2, w), "markers"),
-        marker_size=opt(markers, "size", 0.02, as_float, "markers"),
-        marker_noise_sigma=opt(markers, "noise_sigma", 0.0, as_float, "markers"),
-        fit_use_corners=opt(markers, "use_corners", False, _as_bool, "markers"),
-        camera=intr,
-        view_angle=math.radians(view_angle_deg),
-        view_distance=opt(camera, "view_distance", 0.30, as_float, "camera"),
-        n_views=opt(recon, "n_views", 8, as_int, "reconstruction"),
-        resolution=opt(recon, "resolution", 0.005, as_float, "reconstruction"),
-        chart_margin=opt(recon, "chart_margin", 0.01, as_float, "reconstruction"),
-        # vertical stiffness an order above the contact spring keeps the
-        # held distance within the raster tolerance (series equilibrium);
-        # orientation rows stiff enough that the D/K tracking lag stays
-        # small while the surface frame rotates under a moving probe
-        stiffness=opt(ctrl, "stiffness", np.diag([300.0, 300.0, 3000.0, 20.0, 20.0, 4.0]),
-                      _gain_matrix, "controller"),
-        damping=damping,
-        zeta=opt(ctrl, "zeta", 0.7, as_float, "controller"),
-        nullspace_gain=opt(ctrl, "nullspace_gain", 0.5, as_float, "controller"),
-        d_start=opt(contact, "d_start", 0.010, as_float, "contact"),
-        d_hold=opt(contact, "d_hold", -0.004, as_float, "contact"),
-        ramp_rate=opt(contact, "ramp_rate", 0.005, as_float, "contact"),
-        hold_duration=opt(contact, "hold_duration", 5.0, as_float, "contact"),
-        raster_half_extents=opt(raster, "half_extents", np.array([0.03, 0.02]),
-                                lambda v, w: as_vector(v, 2, w), "raster"),
-        line_spacing=opt(raster, "line_spacing", 0.01, as_float, "raster"),
-        raster_speed=opt(raster, "speed", 0.01, as_float, "raster"),
-        raster_d_hold=opt(raster, "d_hold", -0.004, as_float, "raster"),
-        settle_time=opt(raster, "settle_time", 2.0, as_float, "raster"),
-        dt=opt(sim, "dt", 1e-3, as_float, "sim"),
-        sample_every=opt(sim, "sample_every", 1, as_int, "sim"),
-    )
-    if not np.all(cfg.raster_half_extents > 0.0):
-        raise SchemaError(f"{where}.raster.half_extents must be positive")
-    # the stages trust these; reject them here as config errors. Each
-    # test is written so that NaN fails it
-    gain, margin, r, h = cfg.nullspace_gain, cfg.chart_margin, cfg.sphere_radius, cfg.cap_height
-    for key, value, ok, need in (
-        ("phantom.grid_n", cfg.phantom_grid_n, cfg.phantom_grid_n >= 2, "at least 2"),
-        ("phantom.extent", cfg.phantom_extent, cfg.phantom_extent > 0.0, "positive"),
-        ("phantom.sphere_radius", r, r > 0.0, "positive"),
-        ("phantom.cap_height", h, 0.0 < h <= r, f"in (0, sphere_radius = {r}]"),
-        ("phantom.contact_stiffness", cfg.contact_stiffness, cfg.contact_stiffness > 0.0, "positive"),
-        ("phantom.contact_damping", cfg.contact_damping, cfg.contact_damping >= 0.0, "non-negative"),
-        ("markers.size", cfg.marker_size, cfg.marker_size > 0.0, "positive"),
-        ("markers.noise_sigma", cfg.marker_noise_sigma, cfg.marker_noise_sigma >= 0.0, "non-negative"),
-        ("contact.d_start", cfg.d_start, cfg.d_start > 0.0, "positive (start above the surface)"),
-        ("contact.d_hold", cfg.d_hold, cfg.d_hold < 0.0, "negative (command penetration)"),
-        ("contact.ramp_rate", cfg.ramp_rate, cfg.ramp_rate > 0.0, "positive"),
-        ("contact.hold_duration", cfg.hold_duration, cfg.hold_duration >= 0.0, "non-negative"),
-        ("raster.d_hold", cfg.raster_d_hold, cfg.raster_d_hold < 0.0, "negative (command penetration)"),
-        ("raster.speed", cfg.raster_speed, cfg.raster_speed > 0.0, "positive"),
-        ("raster.line_spacing", cfg.line_spacing, cfg.line_spacing > 0.0, "positive"),
-        ("raster.settle_time", cfg.settle_time, cfg.settle_time >= 0.0, "non-negative"),
-        ("sim.dt", cfg.dt, 0.0 < cfg.dt <= MAX_DT, f"in (0, {MAX_DT}] s"),
-        ("sim.sample_every", cfg.sample_every, cfg.sample_every >= 1, "at least 1"),
-        ("controller.nullspace_gain", gain, gain >= 0.0, "non-negative"),
-        ("camera.view_distance", cfg.view_distance, cfg.view_distance > 0.0, "positive"),
-        ("camera.view_angle_deg", view_angle_deg, 0.0 <= view_angle_deg < 90.0, "in [0, 90) deg"),
-        ("reconstruction.n_views", cfg.n_views, cfg.n_views >= 2, "at least 2"),
-        ("reconstruction.resolution", cfg.resolution, cfg.resolution > 0.0, "positive"),
-        ("reconstruction.chart_margin", margin, margin >= 0.0, "non-negative"),
-    ):
-        if not ok:
-            raise SchemaError(f"{where}.{key} must be {need}, got {value}")
-    return cfg
+    values["view_angle"] = math.radians(values["view_angle"])
+    return ScenarioConfig(**values)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -28,7 +28,7 @@ def load_yaml(path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return yaml.load(fh, Loader=_LOADER)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise SchemaError(f"{path}: malformed YAML: {exc}") from None
 
 
@@ -53,7 +53,10 @@ def get_required(node: Mapping, key: str, where: str) -> Any:
 def as_float(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(f"{where}: integer too large for a float") from None
 
 
 def as_int(value: Any, where: str) -> int:

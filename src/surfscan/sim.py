@@ -372,7 +372,10 @@ def export_log(log: ScanLog, path) -> None:
 
 def parse_log(path) -> ScanLog:
     with open(path, "r", newline="") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     lines = text.split("\n")
     if not lines or lines[0].rstrip("\r") != CSV_HEADER:
         raise ValueError(f"{path}: unexpected log header")
@@ -394,6 +397,9 @@ def parse_log(path) -> ScanLog:
     if not rows:
         raise ValueError(f"{path}: log has no rows")
     a = np.array(rows)
-    return ScanLog(
-        a[:, 0], a[:, 1:8], a[:, 8], a[:, 9], a[:, 10], a[:, 11:14], a[:, 14], a[:, 15]
-    )
+    try:
+        return ScanLog(
+            a[:, 0], a[:, 1:8], a[:, 8], a[:, 9], a[:, 10], a[:, 11:14], a[:, 14], a[:, 15]
+        )
+    except ValueError as exc:  # the time column out of order
+        raise ValueError(f"{path}: {exc}") from None

@@ -9,6 +9,7 @@ Moller-Trumbore.
 """
 import gc
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -668,6 +669,20 @@ def test_off_rejects_header_only(tmp_path):
     p = tmp_path / "header.off"
     p.write_text("OFF\n")
     with pytest.raises(ValueError, match="header.off"):
+        load_off(p)
+
+
+@pytest.mark.parametrize("body, text", [
+    ("OFF\n3 x 0\n", "invalid literal for int()"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", "face index out of range"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 zero\n0 1 0\n3 0 1 2\n", "could not convert string to float"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n", "too large"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 \u00e9\n3 0 1 2\n", "codec can't decode"),
+])
+def test_off_errors_name_the_file(tmp_path, body, text):
+    p = tmp_path / "named.off"
+    p.write_bytes(body.encode("utf-8"))
+    with pytest.raises(ValueError, match=f"named.off: .*{re.escape(text)}"):
         load_off(p)
 
 

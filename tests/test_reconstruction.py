@@ -320,6 +320,18 @@ def test_pfm_rejects_truncated_pixels(tmp_path):
         load_pfm(path)
 
 
+@pytest.mark.parametrize("size, pixels", [
+    (b"100000 100000", 16),  # 40 GB asked of read(): a MemoryError before the check
+    (b"4000000000 4000000000", 16),  # beyond what read() takes: an OverflowError
+    (b"2 2", 15),  # a block that is not whole float32s: numpy's message, no file name
+])
+def test_pfm_checks_the_pixel_count_against_the_file(tmp_path, size, pixels):
+    path = tmp_path / "forged.pfm"
+    path.write_bytes(b"Pf\n" + size + b"\n-1.0\n" + b"\x00" * pixels)
+    with pytest.raises(ValueError, match="forged.pfm: truncated pixel data"):
+        load_pfm(path)
+
+
 @pytest.mark.parametrize("header", [
     b"Pf\n",  # no size or scale line
     b"Pf\n2\n-1.0\n",  # one size
