@@ -1,16 +1,13 @@
-"""7-DoF serial arm: kinematic description, forward kinematics, Jacobians,
-and the joint-space mass matrix.
+"""7-DoF serial arm: kinematic description and the kinematics sweep.
 
 Joints are revolute, described by a unit axis and a fixed parent-frame
-transform (product-of-exponentials style, no DH tables). One sweep serves
-every quantity: the seven joint transforms, stacked, are chained as 4x4
-homogeneous matrices; the Jacobian columns come from the frame origins
-and world axes; and the mass matrix is the composite-rigid-body algorithm
-on the links' 4x4 pseudo-inertias, summed from the tip. Frame names:
-
-* ``flange`` -- the moving frame after the last joint,
-* ``probe``  -- flange composed with the probe-tip offset,
-* ``camera`` -- flange composed with the camera optical-frame offset.
+transform (product-of-exponentials style, no DH tables). One sweep,
+`arm_snapshot`, serves every caller: the seven joint transforms, stacked,
+are chained as 4x4 homogeneous matrices; the probe frame is the flange
+composed with the probe-tip offset; the Jacobian columns come from the
+frame origins and world axes; and the mass matrix is the
+composite-rigid-body algorithm on the links' 4x4 pseudo-inertias, summed
+from the tip.
 
 Gravity is assumed perfectly compensated by the drive electronics, so no
 gravity vector appears anywhere in this package; the simulator integrates
@@ -35,8 +32,6 @@ from .schema import (
     load_yaml,
     require_mapping,
 )
-
-FRAMES = ("flange", "probe", "camera")
 
 ORTHONORMAL_TOL = 1e-12
 _EYE = np.eye(3)
@@ -182,8 +177,8 @@ def check_velocity(model: ArmModel, qdot: np.ndarray) -> None:
 def _joint_constants(model: ArmModel) -> tuple:
     """Fixed pieces of the kinematics sweep, cached on the model: the
     joint-transform blocks, the joint axes in their parents' frames, the
-    limits as plain lists, the flange offsets by frame name as (rotation
-    matrix, translation) pairs, and the link moments.
+    limits as plain lists, the probe offset from the flange as a (rotation
+    matrix, translation) pair, and the link moments.
 
     With Rodrigues' Rot = I cos q + a a^T (1 - cos q) + [a]x sin q, joint
     i's transform L_i = [origin_R_i Rot(a_i, q_i), origin_t_i; 0 1] is
@@ -208,12 +203,11 @@ def _joint_constants(model: ArmModel) -> tuple:
             P[:3, :3] = 0.5 * np.trace(inertia) * _EYE - inertia + m * np.outer(c, c)
             P[:3, 3] = P[3, :3] = m * c
             P[3, 3] = m
-        poses = (("probe", model.probe_offset), ("camera", model.camera_offset))
-        offsets = {name: (read_only(pose.rotation_matrix()), pose.translation) for name, pose in poses}
+        probe = read_only(model.probe_offset.rotation_matrix()), model.probe_offset.translation
         limits = model.position_limits.T.tolist(), model.velocity_limits.tolist()
         # read-only like the model's own arrays: the reference model is shared
         axes = origin_R @ axes[:, :, None]
-        cached = (read_only(blocks), read_only(axes), *limits, offsets, read_only(moments))
+        cached = (read_only(blocks), read_only(axes), *limits, probe, read_only(moments))
         object.__setattr__(model, "_joint_constants", cached)
     return cached
 
@@ -232,63 +226,10 @@ def _chain(model: ArmModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return T, (T[:7, :3, :3] @ axes)[:, :, 0]
 
 
-def joint_frames(model: ArmModel, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """World pose of every joint frame after its own rotation.
-
-    Returns (R, p, z): rotations (7,3,3), origins (7,3) and world joint
-    axes (7,3), read off the homogeneous chain T_i = L_1 ... L_i of the
-    joint transforms. No limit check; callers that accept external input
-    check first.
-    """
-    T, z = _chain(model, np.asarray(q, dtype=float).reshape(7))
-    return T[1:, :3, :3], T[1:, :3, 3], z
-
-
-def _checked_chain(model: ArmModel, q, frame: str):
-    if frame not in FRAMES:
-        raise ValueError(f"unknown frame '{frame}'; expected one of {FRAMES}")
-    qv = np.asarray(q, dtype=float).reshape(7)
-    check_limits(model, qv)
-    return _chain(model, qv)
-
-
-def _offset_frame(model: ArmModel, T7: np.ndarray, frame: str) -> tuple[np.ndarray, np.ndarray]:
-    """World rotation matrix and origin of `frame` from the flange's T7.
-
-    forward_kinematics, geometric_jacobian and arm_snapshot all take a
-    frame's origin from here, so a pose and its Jacobian share one point.
-    """
-    R7, p7 = T7[:3, :3], T7[:3, 3]
-    if frame == "flange":
-        return R7, p7
-    R_off, t_off = _joint_constants(model)[4][frame]
-    return R7 @ R_off, p7 + R7 @ t_off
-
-
-def forward_kinematics(model: ArmModel, q, frame: str = "probe") -> Pose:
-    """Pose of the requested frame in the base frame.
-
-    Raises JointLimitError if q is outside the model's position limits and
-    ValueError for an unknown frame name.
-    """
-    T, _ = _checked_chain(model, q, frame)
-    return Pose.from_rotation_matrix(*_offset_frame(model, T[7], frame))
-
-
-def geometric_jacobian(model: ArmModel, q, frame: str = "probe") -> np.ndarray:
-    """6x7 geometric Jacobian of the requested frame, base coordinates.
-
-    Rows 0..2 map joint rates to the frame point's linear velocity (m/s),
-    rows 3..5 to its angular velocity (rad/s): column i is
-    (z_i x (p_e - p_i), z_i).
-    """
-    T, z = _checked_chain(model, q, frame)
-    return _sweep(model, T, z, _offset_frame(model, T[7], frame)[1])[0]
-
-
 def _sweep(model: ArmModel, T: np.ndarray, z: np.ndarray, point: np.ndarray):
     """(J, M) from the chain (T, z): the 6x7 Jacobian at `point` and the
-    7x7 mass matrix.
+    7x7 mass matrix by the composite-rigid-body algorithm (Featherstone,
+    *Rigid Body Dynamics Algorithms*, ch. 6).
 
     Summed from the tip, the links' pseudo-inertias T P T^T give the mass
     moments J^C_j of links j..7 about the world origin. Joint i moves a
@@ -311,17 +252,6 @@ def _sweep(model: ArmModel, T: np.ndarray, z: np.ndarray, point: np.ndarray):
     return np.concatenate((vJ[:, 7:], zT)), np.where(_UPPER, G, G.T)
 
 
-def mass_matrix(model: ArmModel, q) -> np.ndarray:
-    """Joint-space mass matrix by the composite-rigid-body algorithm
-    (Featherstone, *Rigid Body Dynamics Algorithms*, ch. 6) on 4x4
-    pseudo-inertias: M_ij = tr(Xi_i J^C_j Xi_j^T) for i <= j, J^C_j the
-    mass moments of links j..7 summed from the tip in one pass and Xi_i
-    joint i's world twist matrix.
-    """
-    T, z = _chain(model, np.asarray(q, dtype=float).reshape(7))
-    return _sweep(model, T, z, T[7, :3, 3])[1]  # the point moves only J
-
-
 @dataclass(frozen=True)
 class ArmSnapshot:
     """Everything the control loop needs at one joint configuration,
@@ -341,16 +271,19 @@ class ArmSnapshot:
 
 
 def arm_snapshot(model: ArmModel, q) -> ArmSnapshot:
-    """Probe frame, Jacobian and mass matrix sharing one kinematics sweep.
+    """Probe frame, Jacobian and mass matrix from one kinematics sweep.
 
-    Field values match forward_kinematics / geometric_jacobian /
-    mass_matrix exactly; this just avoids recomputing the joint frames
-    three times per control step. Raises JointLimitError outside the
-    position limits.
+    The probe frame is the flange's composed with the probe offset, and
+    its tip is the point the Jacobian is taken at. Raises JointLimitError
+    outside the position limits.
     """
-    T, z = _checked_chain(model, q, "probe")
-    R_probe, tip = _offset_frame(model, T[7], "probe")
-    return ArmSnapshot(R_probe, tip, *_sweep(model, T, z, tip))
+    q = np.asarray(q, dtype=float).reshape(7)
+    check_limits(model, q)
+    T, z = _chain(model, q)
+    R_off, t_off = _joint_constants(model)[4]
+    R7, p7 = T[7, :3, :3], T[7, :3, 3]
+    tip = p7 + R7 @ t_off
+    return ArmSnapshot(R7 @ R_off, tip, *_sweep(model, T, z, tip))
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,6 @@ class ImpedanceGains:
         object.__setattr__(self, "stiffness", check_spd(self.stiffness, "stiffness"))
         object.__setattr__(self, "damping", check_spd(self.damping, "damping"))
 
-    @staticmethod
-    def diagonal(stiffness, damping) -> "ImpedanceGains":
-        return ImpedanceGains(np.diag(np.asarray(stiffness, dtype=float)),
-                              np.diag(np.asarray(damping, dtype=float)))
-
 
 class Setpoint(NamedTuple):
     """Desired rho_d = (s1, s2, d, eps1, eps2, eps3) and rates rhodot_d, (6,) arrays."""

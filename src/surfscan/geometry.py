@@ -22,20 +22,6 @@ def quat_normalize(q) -> np.ndarray:
     return q / n
 
 
-def quat_multiply(a, b) -> np.ndarray:
-    """Hamilton product a*b, both (w, x, y, z)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
-
-
 def quat_to_matrix(q) -> np.ndarray:
     w, x, y, z = np.asarray(q, dtype=float).tolist()
     xx, yy, zz = x * x, y * y, z * z
@@ -87,17 +73,15 @@ def quat_canonical(q) -> np.ndarray:
     return -q if q[0] < 0.0 else q
 
 
-def cross3(a, b, shape=None) -> np.ndarray:
+def cross3(a, b) -> np.ndarray:
     """Cross product along the last axis.
 
     Same two-product expression np.cross evaluates, minus its axis
-    bookkeeping, which dominates the cost on tiny inputs. Callers passing
-    float arrays of known broadcast `shape` skip the conversion too.
+    bookkeeping, which dominates the cost on tiny inputs.
     """
-    if shape is None:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        shape = np.broadcast_shapes(a.shape, b.shape)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    shape = np.broadcast_shapes(a.shape, b.shape)
     if shape == (3,):
         (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
         return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
@@ -106,15 +90,6 @@ def cross3(a, b, shape=None) -> np.ndarray:
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     return out
-
-
-def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector v by unit quaternion q (equivalent to R(q) @ v)."""
-    w, x, y, z = q
-    u = np.array([x, y, z])
-    v = np.asarray(v, dtype=float)
-    uv = cross3(u, v, v.shape)
-    return v + 2.0 * (w * uv + cross3(u, uv, v.shape))
 
 
 def skew(v) -> np.ndarray:
@@ -163,13 +138,6 @@ class Pose:
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.rotation)
-
-    def transform_point(self, p) -> np.ndarray:
-        return quat_rotate(self.rotation, p) + self.translation
-
-    def __matmul__(self, other: "Pose") -> "Pose":
-        q = quat_normalize(quat_multiply(self.rotation, other.rotation))
-        return Pose(q, self.transform_point(other.translation))
 
 
 def plane_basis(normal) -> tuple[np.ndarray, np.ndarray]:

@@ -102,16 +102,6 @@ class ScenePlane:
         p = np.asarray(points, dtype=float) - self.centre
         return np.stack([p @ u, p @ v], axis=-1)
 
-    def embed(self, s: np.ndarray, height=0.0) -> np.ndarray:
-        u, v, n = self.frame()
-        s = np.asarray(s, dtype=float)
-        return (
-            self.centre
-            + s[..., 0, None] * u
-            + s[..., 1, None] * v
-            + np.asarray(height)[..., None] * n
-        )
-
 
 def fit_plane(
     markers: list[MarkerObservation],

@@ -211,7 +211,7 @@ class TriMesh:
 
 class ClosestHit(NamedTuple):
     """One closest-point query's winner, as the walk leaves it in floats;
-    `point` and `barycentric` build the arrays on demand."""
+    `point` builds the array on demand."""
 
     face: int
     xyz: tuple  # closest surface point, three floats
@@ -221,10 +221,6 @@ class ClosestHit(NamedTuple):
     @property
     def point(self) -> np.ndarray:
         return np.array(self.xyz)
-
-    @property
-    def barycentric(self) -> np.ndarray:
-        return np.array(self.weights)
 
 
 @dataclass(frozen=True)
@@ -750,6 +746,9 @@ def load_off(path) -> TriMesh:
         if len(tokens) < 4:
             raise ValueError("truncated OFF header")
         nv, nf = int(tokens[1]), int(tokens[2])
+        for name, count in (("vertex", nv), ("face", nf)):
+            if count < 0:
+                raise ValueError(f"negative {name} count {count}")
         pos = 4 + 3 * nv  # past the edge count and the vertex block
         flat = tokens[4:pos]
         if len(flat) != 3 * nv:

@@ -152,14 +152,15 @@ def _vector(n: int):
 
 def _gain_matrix(node, where: str) -> np.ndarray:
     """6 diagonal entries or a full 6x6 row list."""
-    if isinstance(node, (list, tuple)) and len(node) == 6 and node and not isinstance(node[0], (list, tuple)):
+    if not isinstance(node, (list, tuple)):
+        raise SchemaError(f"{where}: expected 6 numbers or 6 rows of 6")
+    if not node or not isinstance(node[0], (list, tuple)):
+        if len(node) != 6:
+            raise SchemaError(f"{where}: expected 6 numbers or 6 rows of 6, got a list of {len(node)}")
         return np.diag(as_vector(node, 6, where))
-    if isinstance(node, (list, tuple)):
-        m = np.vstack([as_vector(row, 6, f"{where}[{k}]") for k, row in enumerate(node)])
-        if m.shape != (6, 6):
-            raise SchemaError(f"{where}: expected 6 rows")
-        return m
-    raise SchemaError(f"{where}: expected 6 numbers or 6 rows of 6")
+    if len(node) != 6:
+        raise SchemaError(f"{where}: expected 6 rows of 6, got {len(node)} rows")
+    return np.vstack([as_vector(row, 6, f"{where}[{k}]") for k, row in enumerate(node)])
 
 
 def _damping(node, where: str) -> np.ndarray | None:
@@ -563,7 +564,7 @@ def _stage_contact(run: _Run, deadline) -> _StageReport:
     chart = SurfaceChart(run.truth_mesh, run.truth_plane)
     gains = _resolve_gains(cfg, run, chart)
     profile = ContactProfile(cfg.d_start, cfg.d_hold, cfg.ramp_rate, cfg.hold_duration)
-    log, _ = simulate(
+    log = simulate(
         run.model, chart, run.phantom, gains,
         lambda t: contact_setpoints(profile, t),
         run.q_start, duration=profile.duration, dt=cfg.dt,
@@ -627,7 +628,7 @@ def _stage_raster(run: _Run, deadline) -> _StageReport:
         return path.setpoint(u - t_glide)
 
     duration = approach.duration + t_glide + path.duration + 1.0
-    log, _ = simulate(
+    log = simulate(
         run.model, chart, run.phantom, gains, setpoints, run.q_start,
         duration=duration, dt=cfg.dt, sample_every=cfg.sample_every,
         nullspace_gain=cfg.nullspace_gain, deadline=deadline,

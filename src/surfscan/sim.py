@@ -10,10 +10,6 @@ The loop state `SimState` is plain arrays plus the chart's surface frame.
 what catches a non-finite state. Each state comes from one kinematics
 sweep (`arm_snapshot`), whose probe rotation matrix, tip and Jacobian go
 straight to the chart: a step builds no `Pose`.
-
-The energy audit assumes constant setpoints; on a flat chart the
-continuous-time loop then conserves kinetic + spring energy plus
-accumulated dissipation exactly, so the audit isolates integrator error.
 """
 from __future__ import annotations
 
@@ -241,69 +237,6 @@ class _LogBuilder:
         return ScanLog(t, q.reshape(-1, 7), *rho[:, :3].T, rho[:, 3:], d_d, force_n)
 
 
-@dataclass(frozen=True)
-class EnergyTrace:
-    """Energy bookkeeping along a constant-setpoint run."""
-
-    t: np.ndarray
-    kinetic: np.ndarray
-    controller_spring: np.ndarray
-    contact_spring: np.ndarray
-    dissipated: np.ndarray  # cumulative
-
-    def total(self) -> np.ndarray:
-        return self.kinetic + self.controller_spring + self.contact_spring
-
-    def balance_error(self) -> float:
-        """Max |E(t) + D(t) - E(0)| over the run, relative to peak energy."""
-        e = self.total()
-        drift = np.abs(e + self.dissipated - e[0])
-        return float(drift.max() / max(e.max(), 1e-300))
-
-
-class _EnergyAudit:
-    def __init__(self, phantom, gains, nullspace_gain):
-        self.phantom = phantom
-        self.gains = gains
-        self.nullspace_gain = nullspace_gain
-        self.samples = []  # (t, kinetic, controller spring, contact spring, dissipated)
-        self._acc = 0.0
-        self._last_power = None
-        self._last_t = None
-
-    def _power(self, state: SimState, setpoint: Setpoint) -> float:
-        ve = state.rhodot - setpoint.rhodot_d
-        p = float(ve @ (self.gains.damping @ ve)) if self.gains is not None else 0.0
-        ddot = float(state.rhodot[2])
-        if state.rho[2] < 0.0:
-            p += self.phantom.contact_damping * max(0.0, -ddot) ** 2
-        if self.nullspace_gain > 0.0:
-            qdot = state.qdot
-            tau_null = nullspace_damping(state.J_rho, qdot, self.nullspace_gain)
-            p += float(-qdot @ tau_null)
-        return p
-
-    def add(self, state: SimState, setpoint: Setpoint):
-        qdot = state.qdot
-        kin = 0.5 * float(qdot @ (state.mass @ qdot))
-        if self.gains is not None:
-            e = setpoint.rho_d - state.rho
-            spring = 0.5 * float(e @ (self.gains.stiffness @ e))
-        else:
-            spring = 0.0
-        pen = min(float(state.rho[2]), 0.0)
-        contact = 0.5 * self.phantom.contact_stiffness * pen * pen
-        power = self._power(state, setpoint)
-        if self._last_power is not None:
-            self._acc += 0.5 * (self._last_power + power) * (state.t - self._last_t)
-        self._last_power = power
-        self._last_t = state.t
-        self.samples.append((state.t, kin, spring, contact, self._acc))
-
-    def build(self) -> EnergyTrace:
-        return EnergyTrace(*(np.array(c) for c in zip(*self.samples)))
-
-
 def simulate(
     model: ArmModel,
     chart: SurfaceChart,
@@ -315,9 +248,8 @@ def simulate(
     dt: float = 1e-3,
     sample_every: int = 1,
     nullspace_gain: float = 0.0,
-    energy_audit: bool = False,
     deadline: float | None = None,
-) -> tuple[ScanLog, EnergyTrace | None]:
+) -> ScanLog:
     """Run the loop for `duration` seconds; setpoints is t -> Setpoint.
 
     Samples every `sample_every` steps (always including t = 0 and the
@@ -330,26 +262,21 @@ def simulate(
         raise ValueError("sample_every must be at least 1")
     n_steps = max(1, int(round(duration / dt)))
     builder = _LogBuilder()
-    audit = _EnergyAudit(phantom, gains, nullspace_gain) if energy_audit else None
     state = init_state(model, chart, phantom, q0)
     sp = setpoints(0.0)
     builder.add(state, sp)
-    if audit:
-        audit.add(state, sp)
     try:
         for k in range(n_steps):
             state = step(model, chart, phantom, gains, sp, state, dt, nullspace_gain)
             sp = setpoints(state.t)
             if (k + 1) % sample_every == 0 or k + 1 == n_steps:
                 builder.add(state, sp)
-                if audit:
-                    audit.add(state, sp)
             if deadline is not None and k % 200 == 0 and time.monotonic() > deadline:
                 raise TimeoutError(f"simulation exceeded its deadline at t = {state.t:.3f} s")
     except Exception as exc:
         exc.partial_log = builder.build() if builder.rows else None
         raise
-    return builder.build(), (audit.build() if audit else None)
+    return builder.build()
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ import numpy as np
 from surfscan.chart import ChartBoundaryError, DegenerateFrameError, FRAME_TOL, SurfaceFrame
 from surfscan.geometry import cross3, quat_from_matrix, skew
 
+from helpers import plane_embed
+
 RAY_CLEARANCE = 0.25  # m above the mesh top for embedding rays
 
 
@@ -63,7 +65,7 @@ def frame_at(chart, hit_point, face: int, bary) -> SurfaceFrame:
     if nt < FRAME_TOL:
         raise DegenerateFrameError(f"surface normal parallel to the chart axis on face {face}")
     t1 = t1 / nt
-    t2 = cross3(n, t1, (3,))
+    t2 = cross3(n, t1)
     return SurfaceFrame(hit_point, t1, t2, n, int(face))
 
 
@@ -73,7 +75,7 @@ def embed(chart, s) -> tuple[ChartPoint, SurfaceFrame]:
     if not contains(chart, s):
         raise ChartBoundaryError(s, chart.clamp(s))
     height = float(chart.plane.height_of(chart.mesh.vertices).max()) + RAY_CLEARANCE
-    origin = chart.plane.embed(s + np.asarray(chart._s_origin), height=height)
+    origin = plane_embed(chart.plane, s + np.asarray(chart._s_origin), height=height)
     hit = chart.mesh.raycast(origin, -chart.plane.normal)
     if hit is None:
         raise ChartBoundaryError(s, chart.clamp(s))  # hole in the reconstruction
@@ -86,14 +88,14 @@ def foot(chart, p, hint=None):
     if not contains(chart, s_query):
         raise ChartBoundaryError(s_query, chart.clamp(s_query))
     hit = chart.mesh.closest_point(p, hint)
-    frame = frame_at(chart, hit.point, hit.face, hit.barycentric)
+    frame = frame_at(chart, hit.point, hit.face, hit.weights)
     return hit, chart_coords(chart, hit.point), frame
 
 
 def closest_point(chart, p, hint=None) -> tuple[ChartPoint, float, SurfaceFrame]:
     """Chart point under a world point, plus its signed distance."""
     hit, s, frame = foot(chart, np.asarray(p, dtype=float).reshape(3), hint)
-    return ChartPoint(hit.face, hit.barycentric, s), hit.distance, frame
+    return ChartPoint(hit.face, hit.weights, s), hit.distance, frame
 
 
 def eps_rate_map(eta: float, eps: np.ndarray) -> np.ndarray:
@@ -111,7 +113,7 @@ def orientation_error(R_probe: np.ndarray, frame: SurfaceFrame) -> tuple[float, 
 def evaluate_probe(chart, R_probe, tip, probe_jacobian, qdot, hint=None):
     """(rho, rhodot, J_rho, frame, eta) by the numpy formulas, block by block."""
     hit, s, frame = foot(chart, tip, hint)
-    b0, b1, b2 = hit.barycentric.tolist()
+    b0, b1, b2 = hit.weights
     if abs(b0 + b1 + b2 - 1.0) > 1e-9 or min(b0, b1, b2) < -1e-9:
         raise ValueError("barycentric weights must be non-negative and sum to 1")
     eta, eps = orientation_error(R_probe, frame)

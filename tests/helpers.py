@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: writing an arm model file and building
-a quaternion from an axis and an angle."""
+"""Helpers that only the tests use: writing an arm model file, building
+a quaternion from an axis and an angle, and placing points on a scene
+plane by their in-plane coordinates."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,6 +8,7 @@ import yaml
 
 from surfscan.arm import ArmModel
 from surfscan.geometry import Pose
+from surfscan.localization import ScenePlane
 
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
@@ -17,6 +19,19 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     half = 0.5 * angle
     s = np.sin(half) / n
     return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
+
+
+def plane_embed(plane: ScenePlane, s, height=0.0) -> np.ndarray:
+    """World points at in-plane coordinates s (..., 2) and `height` along
+    the normal: the inverse of `plane.project` and `plane.height_of`."""
+    u, v, n = plane.frame()
+    s = np.asarray(s, dtype=float)
+    return (
+        plane.centre
+        + s[..., 0, None] * u
+        + s[..., 1, None] * v
+        + np.asarray(height)[..., None] * n
+    )
 
 
 def _pose_to_node(pose: Pose) -> dict:

@@ -8,12 +8,7 @@ import time
 
 import numpy as np
 
-from surfscan.arm import (
-    arm_snapshot,
-    forward_kinematics,
-    geometric_jacobian,
-    reference_arm,
-)
+from surfscan.arm import arm_snapshot, reference_arm
 from surfscan.chart import SurfaceChart
 from surfscan.controller import (
     ContactProfile,
@@ -32,11 +27,12 @@ from surfscan.sim import (
     simulate,
     steady_state_force,
 )
+from energy_oracle import audited_run
 from test_chart import task_coordinates, task_jacobian
 
 MODEL = reference_arm()
 Q_SCAN = np.array([0.0, 0.5, 0.0, -1.0, 0.0, 0.5, 0.0])
-TIP = forward_kinematics(MODEL, Q_SCAN, "probe").translation
+TIP = arm_snapshot(MODEL, Q_SCAN).probe.translation
 UP = np.array([0.0, 0.0, 1.0])
 
 
@@ -67,13 +63,13 @@ def test_criterion_1_jacobians():
     worst_geom = 0.0
     for _ in range(1000):
         q = Q_SCAN + rng.uniform(-0.3, 0.3, 7)
-        J = geometric_jacobian(MODEL, q, "probe")
+        J = arm_snapshot(MODEL, q).jacobian
         fd = np.zeros((6, 7))
         for j in range(7):
             e = np.zeros(7)
             e[j] = h
-            pp = forward_kinematics(MODEL, q + e, "probe")
-            pm = forward_kinematics(MODEL, q - e, "probe")
+            pp = arm_snapshot(MODEL, q + e).probe
+            pm = arm_snapshot(MODEL, q - e).probe
             fd[:3, j] = (pp.translation - pm.translation) / (2 * h)
             dR = pp.rotation_matrix() @ pm.rotation_matrix().T
             fd[3:, j] = [dR[2, 1] - dR[1, 2], dR[0, 2] - dR[2, 0], dR[1, 0] - dR[0, 1]]
@@ -88,8 +84,8 @@ def test_criterion_1_jacobians():
         q = Q_SCAN + rng.uniform(-0.05, 0.05, 7)
         qdot = rng.normal(0.0, 1.0, 7)
         J = task_jacobian(chart, MODEL, q)
-        rp = task_coordinates(chart, forward_kinematics(MODEL, q + h * qdot, "probe"))
-        rm = task_coordinates(chart, forward_kinematics(MODEL, q - h * qdot, "probe"))
+        rp = task_coordinates(chart, arm_snapshot(MODEL, q + h * qdot).probe)
+        rm = task_coordinates(chart, arm_snapshot(MODEL, q - h * qdot).probe)
         worst_task = max(worst_task, float(np.max(np.abs(J @ qdot - (rp - rm) / (2 * h)))))
 
     elapsed = time.monotonic() - t0
@@ -246,7 +242,7 @@ def test_criterion_5_contact_experiment():
         _, _, J, _ = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, np.zeros(7))
         gains = ImpedanceGains(K, critical_damping(K, task_space_inertia(snap.mass, J)))
         prof = ContactProfile(0.010, float(d_hold), 0.005, hold_duration=2.5)
-        log, _ = simulate(
+        log = simulate(
             MODEL, chart, phantom, gains, lambda t: contact_setpoints(prof, t),
             Q_SCAN, duration=prof.duration, dt=1e-3,
         )
@@ -284,10 +280,9 @@ def test_criterion_6_energy_and_order():
         np.diag([35.0, 35.0, 140.0, 0.9, 0.9, 0.4]),
     )
     hold = Setpoint(np.array([0.0, 0.0, -0.004, 0.0, 0.0, 0.0]), np.zeros(6))
-    log, trace = simulate(MODEL, chart, phantom, gains, lambda t: hold, Q_SCAN,
-                          duration=5.0, dt=1e-3, energy_audit=True)
+    trace = audited_run(MODEL, chart, phantom, gains, hold, Q_SCAN, duration=5.0, dt=1e-3)
     balance = trace.balance_error()
-    touched = float(np.min(log.d)) < 0.0
+    touched = float(np.min(trace.d)) < 0.0
 
     # dt-halving on a free-space reach, against a fine-dt reference
     mesh, chart = _flat_chart(0.010)
@@ -295,8 +290,8 @@ def test_criterion_6_energy_and_order():
     target = Setpoint(np.array([0.02, 0.0, 0.005, 0.0, 0.0, 0.0]), np.zeros(6))
     ends = {}
     for dt in (1e-3, 5e-4, 6.25e-5):
-        run, _ = simulate(MODEL, chart, phantom, gains, lambda t: target, Q_SCAN,
-                          duration=0.3, dt=dt, sample_every=10 ** 6)
+        run = simulate(MODEL, chart, phantom, gains, lambda t: target, Q_SCAN,
+                       duration=0.3, dt=dt, sample_every=10 ** 6)
         ends[dt] = run.q[-1]
     e1 = float(np.max(np.abs(ends[1e-3] - ends[6.25e-5])))
     e2 = float(np.max(np.abs(ends[5e-4] - ends[6.25e-5])))

@@ -1,10 +1,12 @@
 """Arm model tests.
 
-Oracles are written independently of the package code: forward kinematics
-against an explicit homogeneous-matrix chain with hand-written Rz/Ry
-blocks, Jacobians against central finite differences, and the mass matrix
-against the per-link point-Jacobian sum  M = sum_i Jv_i^T m_i Jv_i +
-Jw_i^T I_i Jw_i.
+`arm_snapshot` is the one kinematics entry point; the tests read the
+probe pose, Jacobian and mass matrix from it, and per-joint frames from
+the private chain `_chain` it runs. Oracles are written independently of
+the package code: forward kinematics against an explicit
+homogeneous-matrix chain with hand-written Rz/Ry blocks, Jacobians
+against central finite differences, and the mass matrix against the
+per-link point-Jacobian sum  M = sum_i Jv_i^T m_i Jv_i + Jw_i^T I_i Jw_i.
 """
 import dataclasses
 
@@ -20,13 +22,11 @@ from surfscan.arm import (
     JointSpec,
     JointState,
     LinkInertia,
+    _chain,
     _joint_constants,
+    _sweep,
     arm_snapshot,
-    forward_kinematics,
-    geometric_jacobian,
     load_arm_model,
-    mass_matrix,
-    joint_frames,
     reference_arm,
 )
 from surfscan.geometry import Pose, quat_to_matrix
@@ -79,6 +79,13 @@ def oracle_joint_frames(q):
     return np.array(Rs), np.array(ps), np.array(zs)
 
 
+def joint_frames(model, q):
+    """World rotation (7,3,3), origin (7,3) and axis (7,3) of every joint
+    frame after its own rotation, from the package's chain."""
+    T, z = _chain(model, np.asarray(q, dtype=float))
+    return T[1:, :3, :3], T[1:, :3, 3], z
+
+
 def pose_matrix(pose):
     """4x4 homogeneous matrix of a Pose."""
     T = np.eye(4)
@@ -105,12 +112,12 @@ FROZEN_T = np.array(
 
 
 def test_frozen_pose():
-    T = pose_matrix(forward_kinematics(MODEL, FROZEN_Q, "probe"))
+    T = pose_matrix(arm_snapshot(MODEL, FROZEN_Q).probe)
     assert np.max(np.abs(T - FROZEN_T)) < 1e-12
 
 
 def test_home_pose_matches_model_file():
-    pose = forward_kinematics(MODEL, np.zeros(7), "probe")
+    pose = arm_snapshot(MODEL, np.zeros(7)).probe
     assert MODEL.home_probe_pose is not None
     assert np.max(np.abs(pose.translation - MODEL.home_probe_pose.translation)) < 1e-12
     assert np.max(np.abs(pose.rotation - MODEL.home_probe_pose.rotation)) < 1e-12
@@ -119,7 +126,7 @@ def test_home_pose_matches_model_file():
 def test_joint1_half_turn():
     q = np.zeros(7)
     q[0] = np.pi * 0.9  # stay inside the +-2.967 limit? pi*0.9 = 2.827, yes
-    pose = forward_kinematics(MODEL, q, "probe")
+    pose = arm_snapshot(MODEL, q).probe
     T = chain_oracle(q)
     assert np.max(np.abs(pose_matrix(pose) - T)) < 1e-12
     # rotation purely about base z, translation unchanged on the axis
@@ -130,33 +137,26 @@ def test_fk_matches_chain_oracle():
     rng = np.random.default_rng(7)
     for _ in range(300):
         q = random_q(rng)
-        for frame, tz in (("probe", PROBE_Z), ("flange", 0.0)):
-            T = pose_matrix(forward_kinematics(MODEL, q, frame))
-            assert np.max(np.abs(T - chain_oracle(q, tz))) < 1e-12
-        cam = pose_matrix(forward_kinematics(MODEL, q, "camera"))
-        Tc = chain_oracle(q, 0.0).copy()
-        Tc[:3, 3] += Tc[:3, :3] @ np.array([0.05, 0.0, 0.10])
-        assert np.max(np.abs(cam - Tc)) < 1e-12
+        T = pose_matrix(arm_snapshot(MODEL, q).probe)
+        assert np.max(np.abs(T - chain_oracle(q, PROBE_Z))) < 1e-12
+        flange = _chain(MODEL, q)[0][7]
+        assert np.max(np.abs(flange - chain_oracle(q, 0.0))) < 1e-12
 
 
 def test_fk_repeatable_bitwise():
     q = FROZEN_Q
-    a = forward_kinematics(MODEL, q, "probe")
-    b = forward_kinematics(MODEL, q, "probe")
-    assert np.array_equal(a.translation, b.translation)
-    assert np.array_equal(a.rotation, b.rotation)
-
-
-def test_unknown_frame_rejected():
-    with pytest.raises(ValueError, match="frame"):
-        forward_kinematics(MODEL, np.zeros(7), "wrist")
+    a = arm_snapshot(MODEL, q)
+    b = arm_snapshot(MODEL, q)
+    for x, y in ((a.R_probe, b.R_probe), (a.tip, b.tip), (a.jacobian, b.jacobian), (a.mass, b.mass)):
+        assert np.array_equal(x, y)
+    assert np.array_equal(a.probe.rotation, b.probe.rotation)
 
 
 def test_limit_violation_reports_index():
     q = np.zeros(7)
     q[3] = 2.5  # above the 2.094 pitch limit
     with pytest.raises(JointLimitError) as exc:
-        forward_kinematics(MODEL, q, "probe")
+        arm_snapshot(MODEL, q)
     assert exc.value.joint_index == 3
 
 
@@ -181,23 +181,19 @@ def fd_jacobian(chain, q, h=1e-6):
     return J
 
 
-def _fd_jacobian(q, frame):
-    return fd_jacobian(lambda x: pose_matrix(forward_kinematics(MODEL, x, frame)), q)
-
-
 def test_jacobian_matches_finite_difference():
     rng = np.random.default_rng(11)
     for _ in range(60):
         q = random_q(rng)
-        for frame in ("probe", "flange", "camera"):
-            J = geometric_jacobian(MODEL, q, frame)
-            assert np.max(np.abs(J - _fd_jacobian(q, frame))) < 1e-5
+        J = arm_snapshot(MODEL, q).jacobian
+        fd = fd_jacobian(lambda x: pose_matrix(arm_snapshot(MODEL, x).probe), q)
+        assert np.max(np.abs(J - fd)) < 1e-5
 
 
 def test_jacobian_zero_linear_when_axis_hits_probe():
     # at home every roll joint's axis is the base z line, which passes
     # through the probe point
-    J = geometric_jacobian(MODEL, np.zeros(7), "probe")
+    J = arm_snapshot(MODEL, np.zeros(7)).jacobian
     for col in (0, 2, 4, 6):
         assert np.max(np.abs(J[:3, col])) < 1e-15
 
@@ -205,7 +201,7 @@ def test_jacobian_zero_linear_when_axis_hits_probe():
 def test_jacobian_angular_columns_unit():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        J = geometric_jacobian(MODEL, random_q(rng), "probe")
+        J = arm_snapshot(MODEL, random_q(rng)).jacobian
         norms = np.linalg.norm(J[3:, :], axis=0)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
@@ -216,10 +212,10 @@ def test_twist_matches_pose_differencing():
     for _ in range(60):
         q = random_q(rng)
         qd = rng.uniform(-1.0, 1.0, 7)
-        J = geometric_jacobian(MODEL, q, "probe")
-        tw = J @ qd
-        p0 = forward_kinematics(MODEL, q, "probe")
-        p1 = forward_kinematics(MODEL, q + dt * qd, "probe")
+        snap = arm_snapshot(MODEL, q)
+        tw = snap.jacobian @ qd
+        p0 = snap.probe
+        p1 = arm_snapshot(MODEL, q + dt * qd).probe
         v = (p1.translation - p0.translation) / dt
         W = (p1.rotation_matrix() - p0.rotation_matrix()) / dt @ p0.rotation_matrix().T
         w = np.array([W[2, 1], W[0, 2], W[1, 0]])
@@ -251,14 +247,14 @@ def test_mass_matrix_matches_point_jacobian_oracle():
     rng = np.random.default_rng(17)
     for _ in range(80):
         q = random_q(rng)
-        M = mass_matrix(MODEL, q)
+        M = arm_snapshot(MODEL, q).mass
         assert np.max(np.abs(M - mass_oracle(q))) < 1e-12
 
 
 def test_mass_matrix_spd():
     rng = np.random.default_rng(19)
     for _ in range(40):
-        M = mass_matrix(MODEL, random_q(rng))
+        M = arm_snapshot(MODEL, random_q(rng)).mass
         assert np.max(np.abs(M - M.T)) == 0.0
         assert np.min(np.linalg.eigvalsh(M)) > 0.0
 
@@ -334,8 +330,8 @@ def test_shared_model_arrays_are_read_only(array):
 
 def test_shared_sweep_constants_are_read_only():
     arm_snapshot(MODEL, np.zeros(7))
-    blocks, axes, *_, offsets, moments = _joint_constants(MODEL)
-    for a in (blocks, axes, moments, *offsets["probe"], *offsets["camera"]):
+    blocks, axes, *_, probe_offset, moments = _joint_constants(MODEL)
+    for a in (blocks, axes, moments, *probe_offset):
         assert not a.flags.writeable
 
 
@@ -404,14 +400,12 @@ def joint_box(draw, model=MODEL):
 @settings(max_examples=200, deadline=None)
 @given(joint_box())
 def test_arm_snapshot_is_the_separate_sweeps(q):
-    """One sweep gives the same bits as the three separate entry points,
-    and its mass matrix is exactly symmetric and positive definite."""
+    """The snapshot's mass matrix has the same bits as a separate sweep
+    taken at the flange origin (the point moves only the Jacobian), and it
+    is exactly symmetric and positive definite."""
     snap = arm_snapshot(MODEL, q)
-    pose = forward_kinematics(MODEL, q, "probe")
-    assert np.array_equal(snap.probe.rotation, pose.rotation)
-    assert np.array_equal(snap.probe.translation, pose.translation)
-    assert np.array_equal(snap.jacobian, geometric_jacobian(MODEL, q, "probe"))
-    assert np.array_equal(snap.mass, mass_matrix(MODEL, q))
+    T, z = _chain(MODEL, q)
+    assert np.array_equal(snap.mass, _sweep(MODEL, T, z, T[7, :3, 3])[1])
     assert np.array_equal(snap.mass, snap.mass.T)
     np.linalg.cholesky(snap.mass)  # raises LinAlgError unless positive definite
 
@@ -426,15 +420,15 @@ ORTHONORMAL_BOUND = 2e-15
 @given(joint_box())
 def test_arm_snapshot_probe_frame(q):
     """The snapshot's tip is the point the Jacobian is taken at, bit for
-    bit, and its rotation matrix is orthonormal and the forward-kinematics
+    bit, and its rotation matrix is orthonormal and the checked probe
     pose's rotation."""
     snap = arm_snapshot(MODEL, q)
     _, p, z = joint_frames(MODEL, q)
     J_at_tip = np.vstack([np.cross(z, snap.tip - p).T, z.T])
-    assert np.array_equal(geometric_jacobian(MODEL, q, "probe"), J_at_tip)
+    assert np.array_equal(snap.jacobian, J_at_tip)
     R = snap.R_probe
     assert np.max(np.abs(R.T @ R - np.eye(3))) <= ORTHONORMAL_BOUND
-    R_fk = quat_to_matrix(forward_kinematics(MODEL, q, "probe").rotation)
+    R_fk = quat_to_matrix(snap.probe.rotation)
     assert np.max(np.abs(R - R_fk)) <= ORTHONORMAL_BOUND
 
 
@@ -462,9 +456,9 @@ def test_sweep_matches_oracles_over_joint_box(q):
     R, p, z = joint_frames(MODEL, q)
     for got, want in zip((R, p, z), oracle_joint_frames(q)):
         assert np.max(np.abs(got - want)) < 1e-12
-    assert np.max(np.abs(mass_matrix(MODEL, q) - mass_oracle(q))) < 1e-12
-    J = geometric_jacobian(MODEL, q, "probe")
-    assert np.max(np.abs(J - fd_jacobian(chain_oracle, q))) < 1e-5
+    snap = arm_snapshot(MODEL, q)
+    assert np.max(np.abs(snap.mass - mass_oracle(q))) < 1e-12
+    assert np.max(np.abs(snap.jacobian - fd_jacobian(chain_oracle, q))) < 1e-5
 
 
 # A second model with nothing aligned: rotated joint origins, tilted axes,
@@ -550,13 +544,10 @@ def test_general_model_matches_oracles(q):
     Rs, ps, zs = general_frames(q)
     for got, want in ((R, Rs), (p, ps), (z, zs)):
         assert np.max(np.abs(got - want)) < 1e-12
-    T = pose_matrix(forward_kinematics(GENERAL_MODEL, q, "probe"))
-    assert np.max(np.abs(T - general_chain(q))) < 1e-12
-    M = mass_matrix(GENERAL_MODEL, q)
-    assert np.max(np.abs(M - point_jacobian_mass(Rs, ps, zs, GENERAL_MODEL.link_inertias))) < 1e-12
-    J = geometric_jacobian(GENERAL_MODEL, q, "probe")
-    assert np.max(np.abs(J - fd_jacobian(general_chain, q))) < 1e-5
     snap = arm_snapshot(GENERAL_MODEL, q)
-    assert np.array_equal(snap.jacobian, J) and np.array_equal(snap.mass, M)
-    assert np.array_equal(snap.mass, snap.mass.T)
+    assert np.max(np.abs(pose_matrix(snap.probe) - general_chain(q))) < 1e-12
+    M = snap.mass
+    assert np.max(np.abs(M - point_jacobian_mass(Rs, ps, zs, GENERAL_MODEL.link_inertias))) < 1e-12
+    assert np.max(np.abs(snap.jacobian - fd_jacobian(general_chain, q))) < 1e-5
+    assert np.array_equal(M, M.T)
     np.linalg.cholesky(snap.mass)

@@ -16,15 +16,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from surfscan.arm import (
-    arm_snapshot,
-    forward_kinematics,
-    geometric_jacobian,
-    joint_frames,
-    reference_arm,
-)
+from surfscan.arm import _chain, arm_snapshot, reference_arm
 from surfscan.chart import ChartBoundaryError, DegenerateFrameError, SurfaceChart, SurfaceFrame
-from surfscan.geometry import Pose, quat_from_matrix, quat_multiply, quat_to_matrix
+from surfscan.geometry import Pose, quat_from_matrix, quat_to_matrix
 from surfscan.localization import ScenePlane
 from surfscan.mesh import TriMesh, grid_surface_mesh
 from surfscan.sim import cap_phantom_mesh
@@ -39,7 +33,7 @@ from chart_oracle import (
     orientation_error,
 )
 from chart_oracle import evaluate_probe as oracle_evaluate_probe
-from helpers import quat_from_axis_angle
+from helpers import plane_embed, quat_from_axis_angle
 
 MODEL = reference_arm()
 EX = np.array([1.0, 0.0, 0.0])
@@ -130,7 +124,7 @@ def test_eps_reapplication():
         _, _, frame = closest_point(FLAT, pose.translation)
         eta, eps = orientation_error(pose.rotation_matrix(), frame)
         err_q = np.concatenate([[eta], eps])
-        fixed = Pose(quat_multiply(err_q, q), pose.translation)
+        fixed = Pose.from_rotation_matrix(quat_to_matrix(err_q) @ quat_to_matrix(q), pose.translation)
         assert np.linalg.norm(task_coordinates(FLAT, fixed)[3:]) < 1e-9
 
 
@@ -159,7 +153,7 @@ def probe_over_chart_states(rng, n, spread=0.06):
     out = []
     while len(out) < n:
         q = rng.uniform(-spread, spread, 7)
-        pos = forward_kinematics(MODEL, q, "probe").translation
+        pos = arm_snapshot(MODEL, q).probe.translation
         s = chart_coords(FLAT, pos)
         if contains(FLAT, s) and pos[2] > 1.001:
             out.append(q)
@@ -172,19 +166,17 @@ def test_task_jacobian_matches_finite_difference():
     for q in probe_over_chart_states(rng, 150):
         qd = rng.uniform(-1.0, 1.0, 7)
         J = task_jacobian(FLAT, MODEL, q)
-        rho0 = task_coordinates(FLAT, forward_kinematics(MODEL, q, "probe"))
-        rho1 = task_coordinates(FLAT, forward_kinematics(MODEL, q + dt * qd, "probe"))
+        rho0 = task_coordinates(FLAT, arm_snapshot(MODEL, q).probe)
+        rho1 = task_coordinates(FLAT, arm_snapshot(MODEL, q + dt * qd).probe)
         fd = (rho1 - rho0) / dt
         assert np.max(np.abs(J @ qd - fd)) < 1e-4
 
 
 def test_task_jacobian_d_row_is_normal_projection():
-    from surfscan.arm import geometric_jacobian
-
     rng = np.random.default_rng(4)
     for q in probe_over_chart_states(rng, 20):
         J_rho = task_jacobian(FLAT, MODEL, q)
-        J_geom = geometric_jacobian(MODEL, q, "probe")
+        J_geom = arm_snapshot(MODEL, q).jacobian
         assert np.max(np.abs(J_rho[2] - EZ @ J_geom[:3])) < 1e-12
 
 
@@ -197,27 +189,28 @@ def test_task_jacobian_nullspace():
         assert np.max(np.abs(J @ null)) < 1e-9
         # and the full pipeline barely moves along it
         dt = 1e-6
-        pose0 = forward_kinematics(MODEL, q, "probe")
-        pose1 = forward_kinematics(MODEL, q + dt * null, "probe")
+        pose0 = arm_snapshot(MODEL, q).probe
+        pose1 = arm_snapshot(MODEL, q + dt * null).probe
         drho = task_coordinates(FLAT, pose1) - task_coordinates(FLAT, pose0)
         assert np.max(np.abs(drho / dt)) < 1e-4
 
 
 def evaluate_oracle(chart, model, q, qdot):
-    """(rho, rhodot, J_rho, frame) from forward_kinematics, the chart's
-    closest_point and geometric_jacobian, each with its own checks, and
-    the probe rotation matrix of the joint sweep (flange times offset).
+    """(rho, rhodot, J_rho, frame) from the snapshot's checked probe pose
+    and Jacobian, the chart's closest_point, each with its own checks,
+    and the probe rotation matrix of the joint chain (flange times
+    offset).
 
     The rotation is built by the same expression as arm_snapshot's, so the
     check of the orientation rows is not independent of the code;
     test_fk_matches_chain_oracle and test_frozen_pose check the probe
     rotation against independent oracles to 1e-12."""
-    pose = forward_kinematics(model, q, "probe")
-    R_probe = joint_frames(model, q)[0][6] @ model.probe_offset.rotation_matrix()
-    point, dist, frame = closest_point(chart, pose.translation)
+    snap = arm_snapshot(model, q)
+    R_probe = _chain(model, q)[0][7, :3, :3] @ model.probe_offset.rotation_matrix()
+    point, dist, frame = closest_point(chart, snap.probe.translation)
     eta, eps = orientation_error(R_probe, frame)
     rho = np.array([float(point.s[0]), float(point.s[1]), dist, *eps.tolist()])
-    J = coordinate_map(frame, eta, eps) @ geometric_jacobian(model, q, "probe")
+    J = coordinate_map(frame, eta, eps) @ snap.jacobian
     return rho, J @ qdot, J, frame
 
 
@@ -228,8 +221,7 @@ def test_evaluate_bundle_consistent():
             qd = rng.uniform(-0.5, 0.5, 7)
             snap = arm_snapshot(MODEL, q)
             rho, rhodot, J, frame = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, qd)
-            pose = forward_kinematics(MODEL, q, "probe")
-            assert np.max(np.abs(rho - task_coordinates(chart, pose))) < 1e-12
+            assert np.max(np.abs(rho - task_coordinates(chart, snap.probe))) < 1e-12
             assert np.max(np.abs(J - task_jacobian(chart, MODEL, q))) < 1e-12
             assert np.max(np.abs(rhodot - J @ qd)) < 1e-12
             # the float pass equals the numpy formulas, each with its own
@@ -292,7 +284,7 @@ def probe_queries(draw):
     s = chart.s_min + f * (chart.s_max - chart.s_min)
     top = float(chart.plane.height_of(chart.mesh.vertices).max())
     height = draw(st.floats(-0.01, top + 0.05))
-    tip = chart.plane.embed(s + np.asarray(chart._s_origin), height=height)
+    tip = plane_embed(chart.plane, s + np.asarray(chart._s_origin), height=height)
     jac = draw(st.lists(unit, min_size=42, max_size=42))
     qdot = draw(st.lists(unit, min_size=7, max_size=7))
     return chart, R_probe, tip, np.array(jac).reshape(6, 7), np.array(qdot)

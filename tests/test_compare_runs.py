@@ -1,4 +1,5 @@
-"""tools/compare_runs.py: per-file sha256 and per-column CSV deviation."""
+"""tools/compare_runs.py: per-file sha256, per-column CSV deviation and
+per-pixel depth-map deviation."""
 import importlib.util
 import io
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from surfscan.reconstruction import save_pfm
 from surfscan.sim import ScanLog, export_log
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -86,3 +88,21 @@ def test_off_numbers_deviation(tmp_path):
 def test_text_that_does_not_line_up(tmp_path, text_b, reason):
     lines = _pair(tmp_path, "report.txt", "overall: PASS 1.0\n", text_b)
     assert lines == ["report.txt: sha256 differs", reason]
+
+
+def test_pfm_pixel_deviation(tmp_path):
+    depths = np.linspace(0.0, 0.5, 12, dtype=np.float32).reshape(3, 4)
+    moved = depths.copy()
+    moved[2, 1] += np.float32(0.25)
+    for side, name, d in (("a", "depth_00.pfm", depths), ("b", "depth_00.pfm", moved),
+                          ("a", "depth_01.pfm", depths), ("b", "depth_01.pfm", depths[:2])):
+        (tmp_path / side).mkdir(exist_ok=True)
+        save_pfm(d, tmp_path / side / name)
+    out = io.StringIO()
+    assert not compare_runs.compare(tmp_path / "a", tmp_path / "b", out)
+    assert out.getvalue().splitlines() == [
+        "depth_00.pfm: sha256 differs",
+        "  pixels: max |delta| = 0.25",
+        "depth_01.pfm: sha256 differs",
+        "  sizes differ (4 x 3 vs 4 x 2)",
+    ]

@@ -169,6 +169,10 @@ def test_messages_of_the_new_bounds():
          "config.controller.stiffness: stiffness must be positive-definite"),
         ({"controller": {"damping": [[1, 1, 0, 0, 0, 0]] + [[0, 1, 0, 0, 0, 0]] * 5}},
          "config.controller.damping: damping must be symmetric"),
+        ({"controller": {"stiffness": [1, 2, 3]}},
+         "config.controller.stiffness: expected 6 numbers or 6 rows of 6, got a list of 3"),
+        ({"controller": {"stiffness": [[1, 0, 0, 0, 0, 0]] * 5}},
+         "config.controller.stiffness: expected 6 rows of 6, got 5 rows"),
         ({"seed": -3}, "config.seed must be non-negative, got -3"),
         ({"camera": {"fx": math.inf}},
          "config.camera: focal lengths fx, fy must be positive and finite, got inf, 180.0"),

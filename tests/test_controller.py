@@ -22,9 +22,9 @@ def random_rho(rng, scale=0.3) -> np.ndarray:
 
 
 # a representative gain set (our values; the source gives none)
-DEFAULT_GAINS = ImpedanceGains.diagonal(
-    [300.0, 300.0, 500.0, 5.0, 5.0, 1.0],
-    [35.0, 35.0, 45.0, 0.9, 0.9, 0.4],
+DEFAULT_GAINS = ImpedanceGains(
+    np.diag([300.0, 300.0, 500.0, 5.0, 5.0, 1.0]),
+    np.diag([35.0, 35.0, 45.0, 0.9, 0.9, 0.4]),
 )
 
 
@@ -50,7 +50,7 @@ def test_zero_error_gives_exactly_zero_torque():
 
 
 def test_unit_distance_row_maps_five_newtons():
-    gains = ImpedanceGains.diagonal([300.0, 300.0, 500.0, 5.0, 5.0, 1.0], np.ones(6))
+    gains = ImpedanceGains(np.diag([300.0, 300.0, 500.0, 5.0, 5.0, 1.0]), np.eye(6))
     J = np.zeros((6, 7))
     J[2, 0] = 1.0
     rho = np.array([0.0, 0.0, -0.013, 0.0, 0.0, 0.0])

@@ -1,4 +1,4 @@
-"""Quaternion and pose algebra tests.
+"""Quaternion and pose tests.
 
 The rotation oracle is the explicit direction-cosine matrix for an
 axis-angle rotation (Rodrigues formula written out), kept separate from
@@ -12,18 +12,12 @@ from surfscan.geometry import (
     plane_basis,
     quat_canonical,
     quat_from_matrix,
-    quat_multiply,
     quat_normalize,
-    quat_rotate,
     quat_to_matrix,
     skew,
 )
 
 from helpers import quat_from_axis_angle
-
-
-def quat_conjugate(q):
-    return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
 def rodrigues(axis, angle):
@@ -73,24 +67,6 @@ def test_quat_from_matrix_near_pi_branches():
         assert np.max(np.abs(quat_to_matrix(q) - R)) < 1e-9
 
 
-def test_quat_multiply_matches_matrix_product():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        a, b = random_quat(rng), random_quat(rng)
-        Rab = quat_to_matrix(quat_multiply(a, b))
-        assert np.max(np.abs(Rab - quat_to_matrix(a) @ quat_to_matrix(b))) < 1e-12
-
-
-def test_quat_rotate_and_conjugate():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        q = random_quat(rng)
-        v = rng.normal(size=3)
-        assert np.max(np.abs(quat_rotate(q, v) - quat_to_matrix(q) @ v)) < 1e-12
-        ident = quat_multiply(q, quat_conjugate(q))
-        assert np.max(np.abs(ident - np.array([1.0, 0, 0, 0]))) < 1e-12
-
-
 def test_quat_canonical():
     q = np.array([-0.5, 0.5, 0.5, 0.5])
     qc = quat_canonical(q)
@@ -106,32 +82,6 @@ def test_quat_normalize_rejects_zero():
 def test_skew():
     a, b = np.array([1.0, 2.0, 3.0]), np.array([-2.0, 0.5, 4.0])
     assert np.max(np.abs(skew(a) @ b - np.cross(a, b))) < 1e-15
-
-
-def pose_matrix(pose):
-    """4x4 homogeneous matrix of a Pose."""
-    T = np.eye(4)
-    T[:3, :3] = pose.rotation_matrix()
-    T[:3, 3] = pose.translation
-    return T
-
-
-def pose_inverse(pose):
-    qi = quat_conjugate(pose.rotation)
-    return Pose(qi, -quat_rotate(qi, pose.translation))
-
-
-def test_pose_compose_matches_matrix_product():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        pa = Pose(random_quat(rng), rng.normal(size=3))
-        pb = Pose(random_quat(rng), rng.normal(size=3))
-        assert np.max(np.abs(pose_matrix(pa @ pb) - pose_matrix(pa) @ pose_matrix(pb))) < 1e-12
-        inv = pose_inverse(pa)
-        assert np.max(np.abs(pose_matrix(pa @ inv) - np.eye(4))) < 1e-12
-        v = rng.normal(size=3)
-        assert np.max(np.abs(pa.transform_point(v) - (pose_matrix(pa) @ np.r_[v, 1.0])[:3])) < 1e-12
-        assert np.max(np.abs(quat_rotate(pa.rotation, v) - pa.rotation_matrix() @ v)) < 1e-12
 
 
 def test_pose_norm_invariant():

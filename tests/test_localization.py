@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from surfscan.geometry import Pose, quat_from_matrix
+from surfscan.geometry import Pose, quat_from_matrix, quat_to_matrix
 from surfscan.localization import (
     DegenerateMarkerError,
     MarkerObservation,
@@ -22,7 +22,7 @@ from surfscan.localization import (
 )
 from surfscan.schema import SchemaError
 
-from helpers import quat_from_axis_angle
+from helpers import plane_embed, quat_from_axis_angle
 
 CAM = Pose(quat_from_axis_angle([1.0, 0, 0], math.pi), np.array([0.0, 0.0, 0.5]))
 HALF = 0.015
@@ -63,7 +63,7 @@ def test_three_markers_exact():
     markers = square_markers(centres=CENTRES[:3])
     plane = fit_plane(markers, CAM)
     for m in markers:
-        world = CAM.transform_point(m.centre)  # camera->world
+        world = CAM.rotation_matrix() @ m.centre + CAM.translation  # camera->world
         assert abs(float(plane.height_of(world))) < 1e-12
 
 
@@ -98,11 +98,11 @@ def test_rigid_invariance():
     base = fit_plane(square_markers(), CAM)
     for _ in range(20):
         q = rng.normal(size=4)
-        T = Pose(q / np.linalg.norm(q), rng.normal(size=3))
-        moved_cam = T @ CAM
+        R, t = quat_to_matrix(q / np.linalg.norm(q)), rng.normal(size=3)
+        moved_cam = Pose.from_rotation_matrix(R @ CAM.rotation_matrix(), R @ CAM.translation + t)
         plane = fit_plane(square_markers(), moved_cam)  # same camera-frame input
-        assert np.max(np.abs(plane.centre - T.transform_point(base.centre))) < 1e-10
-        assert np.max(np.abs(plane.normal - T.rotation_matrix() @ base.normal)) < 1e-10
+        assert np.max(np.abs(plane.centre - (R @ base.centre + t))) < 1e-10
+        assert np.max(np.abs(plane.normal - R @ base.normal)) < 1e-10
 
 
 PLANE = ScenePlane(np.zeros(3), np.array([0.0, 0.0, 1.0]))
@@ -216,9 +216,9 @@ def test_plane_embed_project_roundtrip():
     plane = ScenePlane(np.array([0.05, -0.03, 0.2]), n / np.linalg.norm(n))
     rng = np.random.default_rng(10)
     s = rng.uniform(-0.2, 0.2, (50, 2))
-    pts = plane.embed(s, height=0.0)
+    pts = plane_embed(plane, s, height=0.0)
     back = plane.project(pts)
     assert np.max(np.abs(back - s)) < 1e-12
     assert np.max(np.abs(plane.height_of(pts))) < 1e-12
-    lifted = plane.embed(s, height=np.full(50, 0.07))
+    lifted = plane_embed(plane, s, height=np.full(50, 0.07))
     assert np.max(np.abs(plane.height_of(lifted) - 0.07)) < 1e-12

@@ -126,7 +126,7 @@ def test_bvh_bitwise_equal_to_brute_same_kernel():
         assert hit.face == k
         assert abs(hit.distance) == float(np.sqrt(d2[k]))
         assert np.array_equal(hit.point, cp[k])
-        assert np.array_equal(hit.barycentric, bary[k])
+        assert np.array_equal(np.array(hit.weights), bary[k])
 
 
 def test_bvh_bitwise_on_large_mesh():
@@ -461,7 +461,7 @@ def test_closest_points_rows_match_single_queries():
     for i, p in enumerate(pts):
         hit = BUMPY.closest_point(p)
         assert (hit.face, hit.distance) == (face[i], dist[i])
-        assert np.array_equal(hit.point, point[i]) and np.array_equal(hit.barycentric, bary[i])
+        assert np.array_equal(hit.point, point[i]) and np.array_equal(np.array(hit.weights), bary[i])
     assert len(BUMPY.closest_points(np.empty((0, 3)))[0]) == 0
     with pytest.raises(ValueError, match="finite"):
         BUMPY.closest_points(np.array([[0.0, np.nan, 0.0]]))
@@ -473,7 +473,7 @@ def hit_bits(face, distance, point, bary):
 
 def single_bits(mesh, p, hint=None):
     hit = mesh.closest_point(p, hint)
-    return hit_bits(hit.face, hit.distance, hit.point, hit.barycentric)
+    return hit_bits(hit.face, hit.distance, hit.point, np.array(hit.weights))
 
 
 @pytest.mark.parametrize("make", [lambda: flat_phantom_mesh(np.zeros(3)),
@@ -678,6 +678,8 @@ def test_off_rejects_header_only(tmp_path):
     ("OFF\n3 1 0\n0 0 0\n1 0 zero\n0 1 0\n3 0 1 2\n", "could not convert string to float"),
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n", "too large"),
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 \u00e9\n3 0 1 2\n", "codec can't decode"),
+    ("OFF\n-1 0 0\n", "negative vertex count -1"),
+    ("OFF\n3 -2 0\n0 0 0\n1 0 0\n0 1 0\n", "negative face count -2"),
 ])
 def test_off_errors_name_the_file(tmp_path, body, text):
     p = tmp_path / "named.off"

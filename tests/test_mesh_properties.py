@@ -107,7 +107,7 @@ def test_unhinted_single_nearest_is_brute_force_and_batch(case):
     dist, face, point, bary = mesh.closest_points(pts)
     for i, p in enumerate(pts):
         hit = mesh.closest_point(p)
-        assert_is_brute(mesh, p, hit.face, hit.distance, hit.point, hit.barycentric)
+        assert_is_brute(mesh, p, hit.face, hit.distance, hit.point, np.array(hit.weights))
         assert hit.distance == dist[i]  # sign included
 
 
@@ -118,7 +118,7 @@ def test_hinted_single_nearest_is_brute_force(case, data):
     for p in pts:
         hint = data.draw(st.integers(0, mesh.n_faces - 1))
         hit = mesh.closest_point(p, hint)
-        assert_is_brute(mesh, p, hit.face, hit.distance, hit.point, hit.barycentric)
+        assert_is_brute(mesh, p, hit.face, hit.distance, hit.point, np.array(hit.weights))
         assert hit.distance == mesh.closest_point(p).distance
 
 

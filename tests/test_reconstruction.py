@@ -1,8 +1,11 @@
 """Depth rendering, height-field fusion, mesh extraction, error metrics."""
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfscan.geometry import Pose
 from surfscan.localization import ScenePlane, orbit_trajectory
@@ -166,18 +169,31 @@ def test_flat_view_fuses_to_zero_height():
     assert np.max(np.abs(field.heights[field.covered()])) < 1e-6
 
 
-def test_fusion_is_permutation_invariant_bitwise():
-    cam = CameraIntrinsics(120.0, 120.0, 80.0, 60.0, 160, 120, depth_noise_sigma=0.001)
+@functools.cache
+def noisy_orbit_views(n: int) -> tuple:
+    """n low-resolution noisy views of the cap from an orbit."""
+    cam = CameraIntrinsics(80.0, 80.0, 40.0, 30.0, 80, 60, depth_noise_sigma=0.001)
     mesh = height_mesh(cap_height)
-    views = [
+    return tuple(
         render_depth(mesh, cam, pose, np.random.default_rng(100 + k))
-        for k, pose in enumerate(orbit_trajectory(PLANE, 3))
-    ]
-    a = fuse_views(views, PLANE, 0.005)
-    b = fuse_views([views[2], views[0], views[1]], PLANE, 0.005)
+        for k, pose in enumerate(orbit_trajectory(PLANE, n))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fusion_is_permutation_invariant_bitwise(data):
+    """Any order of the views, one of them given twice, fuses to the same
+    heights bit for bit and to exact sample counts."""
+    views = noisy_orbit_views(data.draw(st.sampled_from((3, 4)), label="views"))
+    dup = data.draw(st.sampled_from(range(len(views))), label="duplicated")
+    order = data.draw(st.permutations([*range(len(views)), dup]), label="order")
+    a = fuse_views([*views, views[dup]], PLANE, 0.005)
+    b = fuse_views([views[k] for k in order], PLANE, 0.005)
     assert a.index_origin == b.index_origin
     assert np.array_equal(a.heights, b.heights)
     assert np.array_equal(a.weights, b.weights)
+    assert a.weights.sum() == sum(np.count_nonzero(views[k].depths > 0) for k in order)
 
 
 def test_duplicated_views_average_idempotently():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from surfscan.arm import JointLimitError, JointVelocityError, forward_kinematics, reference_arm
+from surfscan.arm import JointLimitError, JointVelocityError, arm_snapshot, reference_arm
 from surfscan.chart import SurfaceChart
 from surfscan.controller import (
     ContactProfile,
@@ -31,12 +31,14 @@ from surfscan.sim import (
     step,
 )
 
+from energy_oracle import audited_run
+
 MODEL = reference_arm()
 
 # bent scan posture: pitch offsets cancel so the probe axis points
 # straight down and the elbow keeps the vertical direction controllable
 Q_SCAN = np.array([0.0, 0.5, 0.0, -1.0, 0.0, 0.5, 0.0])
-TIP = forward_kinematics(MODEL, Q_SCAN, "probe").translation
+TIP = arm_snapshot(MODEL, Q_SCAN).probe.translation
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -223,7 +225,7 @@ def test_step_raises_on_joint_limit():
     q = Q_SCAN.copy()
     q[3] = lo + 1e-6
     # the folded posture puts the tip elsewhere; centre the rig under it
-    tip = forward_kinematics(MODEL, q, "probe").translation
+    tip = arm_snapshot(MODEL, q).probe.translation
     chart, phantom = flat_rig(0.010, tip=tip)
     qdot = np.zeros(7)
     qdot[3] = -0.01
@@ -295,7 +297,7 @@ def test_simulate_argument_validation():
 
 def test_sample_every_keeps_first_and_last():
     chart, phantom = flat_rig(0.010)
-    log, _ = simulate(
+    log = simulate(
         MODEL, chart, phantom, None, lambda t: hold_setpoint(0.01), Q_SCAN,
         duration=0.010, dt=1e-3, sample_every=3,
     )
@@ -344,7 +346,7 @@ def ramp_run():
     """Approach from 10 mm, ramp to 4 mm penetration, hold."""
     chart, phantom = flat_rig(0.010, k_t=500.0, damping=20.0)
     profile = ContactProfile(d_start=0.010, d_hold=-0.004, ramp_rate=0.005)
-    log, _ = simulate(
+    log = simulate(
         MODEL, chart, phantom, GAINS,
         lambda t: contact_setpoints(profile, t),
         Q_SCAN, duration=6.0, dt=1e-3,
@@ -379,14 +381,15 @@ def test_hold_force_settles_to_series_value(ramp_run):
 
 def test_energy_balance_within_one_percent():
     chart, phantom = flat_rig(0.002, k_t=500.0, damping=20.0)
-    log, trace = simulate(
-        MODEL, chart, phantom, GAINS, lambda t: hold_setpoint(-0.004), Q_SCAN,
-        duration=5.0, dt=1e-3, energy_audit=True,
-    )
-    assert trace is not None
-    assert len(trace.t) == len(log)
+    trace = audited_run(MODEL, chart, phantom, GAINS, hold_setpoint(-0.004), Q_SCAN,
+                        duration=5.0, dt=1e-3)
+    # the oracle visits the states simulate logs, bit for bit
+    log = simulate(MODEL, chart, phantom, GAINS, lambda t: hold_setpoint(-0.004), Q_SCAN,
+                   duration=0.5, dt=1e-3)
+    assert len(trace.t) == 5001
+    assert np.array_equal(trace.t[:len(log)], log.t) and np.array_equal(trace.d[:len(log)], log.d)
     assert trace.balance_error() < 0.01
-    assert np.min(log.d) < 0.0  # the audit run does reach contact
+    assert np.min(trace.d) < 0.0  # the audit run does reach contact
     assert np.all(np.diff(trace.dissipated) >= 0.0)
 
 
@@ -396,7 +399,7 @@ def test_convergence_first_order_in_dt():
     target = Setpoint(np.array([0.02, 0.0, 0.005, 0.0, 0.0, 0.0]), np.zeros(6))
     ends = {}
     for dt in (1e-3, 5e-4, 6.25e-5):
-        log, _ = simulate(
+        log = simulate(
             MODEL, chart, phantom, GAINS, lambda t: target, Q_SCAN,
             duration=0.3, dt=dt, sample_every=10**6,
         )
@@ -456,7 +459,7 @@ def test_steady_state_force_matches_root_oracle():
 @pytest.fixture(scope="module")
 def short_run():
     chart, phantom = flat_rig(0.002)
-    log, _ = simulate(
+    log = simulate(
         MODEL, chart, phantom, GAINS, lambda t: hold_setpoint(-0.004), Q_SCAN,
         duration=0.3, dt=1e-3, sample_every=5,
     )
@@ -491,7 +494,7 @@ def test_identical_runs_export_identical_bytes(tmp_path):
     blobs = []
     for k in range(2):
         chart, phantom = flat_rig(0.002)
-        log, _ = simulate(
+        log = simulate(
             MODEL, chart, phantom, GAINS, lambda t: hold_setpoint(-0.004), Q_SCAN,
             duration=0.3, dt=1e-3,
         )

@@ -7,8 +7,9 @@ For a CSV file present in both with the same header and row count, it
 also prints the largest absolute difference of each numeric column. For
 another text file (report, OFF mesh, YAML) whose text matches once
 every number is taken out, it prints the largest absolute difference
-over the numbers, in order. Exits 0 when every file is byte-identical,
-1 otherwise.
+over the numbers, in order. For a PFM depth map of the same size in
+both, it prints the largest per-pixel absolute difference. Exits 0 when
+every file is byte-identical, 1 otherwise.
 """
 from __future__ import annotations
 
@@ -18,6 +19,11 @@ import math
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from surfscan.reconstruction import load_pfm  # noqa: E402
 
 TEXT_SUFFIXES = (".txt", ".off", ".yaml")
 # a decimal number, optionally signed, with optional fraction and exponent
@@ -74,6 +80,18 @@ def token_deviation(a: Path, b: Path) -> float | str:
     return worst
 
 
+def pixel_deviation(a: Path, b: Path) -> float | str:
+    """Largest per-pixel |a - b| of two PFM depth maps, or a reason the
+    maps do not line up."""
+    try:
+        da, db = load_pfm(a), load_pfm(b)
+    except ValueError as exc:
+        return str(exc)
+    if da.shape != db.shape:
+        return f"sizes differ ({da.shape[1]} x {da.shape[0]} vs {db.shape[1]} x {db.shape[0]})"
+    return float(np.max(np.abs(da.astype(float) - db)))
+
+
 def compare(a: Path, b: Path, out=sys.stdout) -> bool:
     """Print the comparison; True when the trees are byte-identical."""
     fa, fb = _files(a), _files(b)
@@ -94,12 +112,11 @@ def compare(a: Path, b: Path, out=sys.stdout) -> bool:
             else:
                 for col, d in dev.items():
                     print(f"  {col}: max |delta| = {d:.3g}", file=out)
-        elif name.endswith(TEXT_SUFFIXES):
-            dev = token_deviation(a / name, b / name)
-            if isinstance(dev, str):
-                print(f"  {dev}", file=out)
-            else:
-                print(f"  numbers: max |delta| = {dev:.3g}", file=out)
+        elif name.endswith((".pfm", *TEXT_SUFFIXES)):
+            pfm = name.endswith(".pfm")
+            dev = (pixel_deviation if pfm else token_deviation)(a / name, b / name)
+            label = "pixels" if pfm else "numbers"
+            print(f"  {dev}" if isinstance(dev, str) else f"  {label}: max |delta| = {dev:.3g}", file=out)
     return same
 
 
