@@ -11,7 +11,9 @@ from the tip.
 
 Gravity is assumed perfectly compensated by the drive electronics, so no
 gravity vector appears anywhere in this package; the simulator integrates
-the compensated dynamics directly.
+the compensated dynamics directly. The model's `camera_offset` is schema
+only: nothing reads it, since the reconstruct stage poses its camera by
+`localization.orbit_trajectory`, independent of the arm.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .geometry import Pose, read_only, skew
+from .geometry import Pose, quat_to_matrix, read_only, skew
 from .schema import (
     SchemaError,
     as_float,
@@ -33,7 +35,6 @@ from .schema import (
     require_mapping,
 )
 
-ORTHONORMAL_TOL = 1e-12
 _EYE = np.eye(3)
 _EYE4 = np.eye(4)
 _ONES = np.ones(7)
@@ -130,10 +131,6 @@ class ArmModel:
             raise ValueError(f"model must have exactly 7 joints, got {len(self.joints)}")
         if len(self.link_inertias) != 7:
             raise ValueError("model must have exactly 7 link inertias")
-        for pose in (self.probe_offset, self.camera_offset):
-            R = pose.rotation_matrix()
-            if np.max(np.abs(R.T @ R - np.eye(3))) > ORTHONORMAL_TOL * 10:
-                raise ValueError("offset rotation is not orthonormal")
 
     @property
     def position_limits(self) -> np.ndarray:
@@ -189,7 +186,7 @@ def _joint_constants(model: ArmModel) -> tuple:
     """
     cached = model.__dict__.get("_joint_constants")
     if cached is None:
-        origin_R = np.array([j.origin.rotation_matrix() for j in model.joints])
+        origin_R = np.array([j.origin.rotation for j in model.joints])
         axes = np.array([j.axis for j in model.joints])
         blocks = np.zeros((4, 7, 4, 4))
         blocks[0, :, :3, :3] = origin_R @ _EYE
@@ -203,7 +200,7 @@ def _joint_constants(model: ArmModel) -> tuple:
             P[:3, :3] = 0.5 * np.trace(inertia) * _EYE - inertia + m * np.outer(c, c)
             P[:3, 3] = P[3, :3] = m * c
             P[3, 3] = m
-        probe = read_only(model.probe_offset.rotation_matrix()), model.probe_offset.translation
+        probe = model.probe_offset.rotation, model.probe_offset.translation
         limits = model.position_limits.T.tolist(), model.velocity_limits.tolist()
         # read-only like the model's own arrays: the reference model is shared
         axes = origin_R @ axes[:, :, None]
@@ -267,7 +264,7 @@ class ArmSnapshot:
     @property
     def probe(self) -> Pose:
         """The probe frame as a checked Pose, for callers outside the loop."""
-        return Pose.from_rotation_matrix(self.R_probe, self.tip)
+        return Pose(self.R_probe, self.tip)
 
 
 def arm_snapshot(model: ArmModel, q) -> ArmSnapshot:
@@ -306,11 +303,20 @@ _TOP_KEYS = (
 
 
 def _pose_from_node(node, where: str) -> Pose:
+    """A pose node; its rotation, a unit quaternion (w, x, y, z), is the one quaternion read."""
     node = require_mapping(node, where)
     check_keys(node, _POSE_KEYS, where)
     t = as_vector(get_required(node, "translation", where), 3, f"{where}.translation")
-    r = as_vector(get_required(node, "rotation", where), 4, f"{where}.rotation")
-    return Pose(r, t)
+    q = as_vector(get_required(node, "rotation", where), 4, f"{where}.rotation")
+    n = float(np.linalg.norm(q))
+    if not abs(n - 1.0) <= 1e-6:  # NaN fails too
+        raise SchemaError(f"{where}.rotation: quaternion norm {n} too far from 1")
+    if abs(n - 1.0) > 1e-12:
+        q = q / n
+    try:
+        return Pose(quat_to_matrix(q), t)
+    except ValueError as exc:  # a non-finite translation
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def load_arm_model(path) -> ArmModel:

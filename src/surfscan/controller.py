@@ -100,12 +100,9 @@ def impedance_torque(
     return J_rho.T @ (gains.stiffness @ (sp.rho_d - rho) + gains.damping @ (sp.rhodot_d - rhodot))
 
 
-def contact_setpoints(
-    profile: ContactProfile,
-    t: float,
-    s: tuple[float, float] = (0.0, 0.0),
-) -> Setpoint:
-    """d_d(t) = max(d_hold, d_start - ramp_rate t); s and orientation held."""
+def contact_setpoints(profile: ContactProfile, t: float) -> Setpoint:
+    """d_d(t) = max(d_hold, d_start - ramp_rate t) at s = (0, 0);
+    orientation held."""
     if t < 0.0:
         raise ValueError("time must be non-negative")
     ramping = profile.d_start - profile.ramp_rate * t > profile.d_hold
@@ -113,7 +110,7 @@ def contact_setpoints(
     rhodot = np.zeros(6)
     if ramping:
         rhodot[2] = -profile.ramp_rate
-    return setpoint_at(s[0], s[1], d_d, rhodot)
+    return setpoint_at(0.0, 0.0, d_d, rhodot)
 
 
 @dataclass(frozen=True)

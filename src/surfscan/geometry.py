@@ -1,8 +1,10 @@
-"""Rigid-transform primitives: unit quaternions, rotation matrices, poses.
+"""Rigid-transform primitives: poses, rotation matrices, cross products.
 
-Quaternions are stored as (w, x, y, z) numpy arrays and kept unit-norm.
-All rotations are right-handed; vectors are plain (3,) float64 arrays in
-metres.
+A rotation is a right-handed 3x3 matrix everywhere; vectors are plain
+(3,) float64 arrays in metres. Quaternions (w, x, y, z) appear at two
+edges only: the arm-model reader turns the file's unit quaternions into
+matrices (`quat_to_matrix`), and the chart takes the error quaternion's
+vector part from a matrix (`shepperd`).
 """
 from __future__ import annotations
 
@@ -11,18 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-UNIT_TOL = 1e-12
-
-
-def quat_normalize(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = math.sqrt(q.dot(q))  # what np.linalg.norm computes, minus its overhead
-    if n < 1e-9:
-        raise ValueError("cannot normalize near-zero quaternion")
-    return q / n
+ROTATION_TOL = 1e-11  # largest entry of |R^T R - I| a Pose accepts
 
 
 def quat_to_matrix(q) -> np.ndarray:
+    """Rotation matrix of a unit quaternion (w, x, y, z)."""
     w, x, y, z = np.asarray(q, dtype=float).tolist()
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
@@ -60,19 +55,6 @@ def shepperd(r00, r01, r02, r10, r11, r12, r20, r21, r22) -> list[float]:
     return [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
 
 
-def quat_from_matrix(R) -> np.ndarray:
-    """Rotation matrix -> unit quaternion (w >= 0), by `shepperd`."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(R, dtype=float).tolist()
-    q = shepperd(r00, r01, r02, r10, r11, r12, r20, r21, r22)
-    return quat_canonical(quat_normalize(np.array(q)))
-
-
-def quat_canonical(q) -> np.ndarray:
-    """Flip sign so the scalar part is non-negative."""
-    q = np.asarray(q, dtype=float)
-    return -q if q[0] < 0.0 else q
-
-
 def cross3(a, b) -> np.ndarray:
     """Cross product along the last axis.
 
@@ -81,11 +63,7 @@ def cross3(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    if shape == (3,):
-        (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    out = np.empty(shape)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -112,32 +90,24 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform: rotation as unit quaternion (w, x, y, z), translation
-    in m. Both arrays are read-only copies, so a shared Pose cannot change."""
+    """Rigid transform: a proper rotation matrix and a translation in m.
+    Both arrays are read-only copies, so a shared Pose cannot change."""
 
-    rotation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
+    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         # copies, so that freezing them leaves the caller's arrays writeable
-        q = np.array(self.rotation, dtype=float).reshape(4)
+        R = np.array(self.rotation, dtype=float).reshape(3, 3)
         t = np.array(self.translation, dtype=float).reshape(3)
-        n = math.sqrt(q.dot(q))
-        if abs(n - 1.0) > 1e-6:
-            raise ValueError(f"quaternion norm {n} too far from 1")
-        if abs(n - 1.0) > UNIT_TOL:
-            q = q / n
-        if not all(map(math.isfinite, q.tolist() + t.tolist())):
-            raise ValueError("pose components must be finite")
-        object.__setattr__(self, "rotation", read_only(q))
+        if not (np.isfinite(R).all() and np.max(np.abs(R.T @ R - np.eye(3))) <= ROTATION_TOL):
+            raise ValueError(f"rotation must be a finite orthonormal matrix, got {R.tolist()}")
+        if not np.linalg.det(R) > 0.0:
+            raise ValueError("rotation must be proper (det R > 0), got a reflection")
+        if not all(map(math.isfinite, t.tolist())):
+            raise ValueError("pose translation must be finite")
+        object.__setattr__(self, "rotation", read_only(R))
         object.__setattr__(self, "translation", read_only(t))
-
-    @staticmethod
-    def from_rotation_matrix(R, t=(0.0, 0.0, 0.0)) -> "Pose":
-        return Pose(quat_from_matrix(R), np.asarray(t, dtype=float))
-
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.rotation)
 
 
 def plane_basis(normal) -> tuple[np.ndarray, np.ndarray]:

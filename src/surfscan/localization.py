@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .geometry import Pose, plane_basis, quat_from_matrix
+from .geometry import Pose, plane_basis
 from .schema import (
     SchemaError,
     as_float,
@@ -121,7 +121,7 @@ def fit_plane(
         pts_cam = np.concatenate([m.corners for m in markers], axis=0)
     else:
         pts_cam = np.stack([m.centre for m in markers], axis=0)
-    R = camera_pose.rotation_matrix()
+    R = camera_pose.rotation
     centres_world = np.stack([m.centre for m in markers], axis=0) @ R.T + camera_pose.translation
     centre = centres_world.mean(axis=0)
     fit_pts = pts_cam @ R.T + camera_pose.translation if use_corners else centres_world
@@ -173,8 +173,7 @@ def alignment_pose(
     else:
         x_cam = x_cam / nx
     y_cam = np.cross(z_cam, x_cam)
-    R = np.column_stack([x_cam, y_cam, z_cam])
-    return Pose(quat_from_matrix(R), position)
+    return Pose(np.column_stack([x_cam, y_cam, z_cam]), position)
 
 
 def orbit_trajectory(

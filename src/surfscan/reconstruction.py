@@ -89,8 +89,7 @@ class DepthImage:
         depth = self.depths.reshape(-1)
         keep = depth > 0.0
         pts_cam = dirs[keep] * depth[keep, None]
-        R = self.pose.rotation_matrix()
-        return pts_cam @ R.T + self.pose.translation
+        return pts_cam @ self.pose.rotation.T + self.pose.translation
 
 
 def render_depth(
@@ -109,8 +108,7 @@ def render_depth(
     if intrinsics.depth_noise_sigma > 0.0 and rng is None:
         raise ValueError("depth noise requested but no generator supplied")
     dirs_cam = intrinsics.pixel_dirs()
-    R = pose.rotation_matrix()
-    dirs_world = dirs_cam @ R.T
+    dirs_world = dirs_cam @ pose.rotation.T
     origins = np.broadcast_to(pose.translation, dirs_world.shape)
     t, _ = mesh.raycast_batch(origins, dirs_world, t_min=1e-9)
     depth = np.where(np.isfinite(t), t, 0.0)

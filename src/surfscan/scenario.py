@@ -339,7 +339,7 @@ def synthetic_markers(
     if noise_sigma > 0.0 and rng is None:
         raise ValueError("corner noise requested but no generator supplied")
     u, v, _ = plane.frame()
-    R = camera_pose.rotation_matrix()
+    R = camera_pose.rotation
     t = camera_pose.translation
     offsets = 0.5 * size * np.array([[-1, 1], [1, 1], [1, -1], [-1, -1]], dtype=float)
     out = []
@@ -458,15 +458,17 @@ def _build_phantom(cfg: ScenarioConfig, model: ArmModel) -> tuple[TriMesh, Scene
     point (flat top and base coincide)."""
     tip = arm_snapshot(model, np.asarray(cfg.q_start, dtype=float)).tip
     top = tip - np.array([0.0, 0.0, cfg.d_start])
-    if cfg.phantom_kind == "flat":
-        mesh = flat_phantom_mesh(top, cfg.phantom_extent, cfg.phantom_grid_n)
-        return mesh, ScenePlane(top, UP)
-    if cfg.phantom_kind == "cap":
-        base = top - np.array([0.0, 0.0, cfg.cap_height])
-        mesh = cap_phantom_mesh(
-            base, cfg.sphere_radius, cfg.cap_height, cfg.phantom_extent, cfg.phantom_grid_n
-        )
-        return mesh, ScenePlane(base, UP)
+    try:  # each key is in bound, but a tiny extent over many grid points leaves degenerate faces
+        if cfg.phantom_kind == "flat":
+            return flat_phantom_mesh(top, cfg.phantom_extent, cfg.phantom_grid_n), ScenePlane(top, UP)
+        if cfg.phantom_kind == "cap":
+            base = top - np.array([0.0, 0.0, cfg.cap_height])
+            mesh = cap_phantom_mesh(
+                base, cfg.sphere_radius, cfg.cap_height, cfg.phantom_extent, cfg.phantom_grid_n
+            )
+            return mesh, ScenePlane(base, UP)
+    except ValueError as exc:
+        raise SchemaError(f"phantom.extent: {cfg.phantom_extent}: {exc}") from None
     raw = _load_file(load_off, cfg.phantom_mesh, "phantom.mesh")
     lo = raw.vertices.min(axis=0)
     hi = raw.vertices.max(axis=0)
@@ -499,7 +501,7 @@ def _stage_localize(run: _Run, deadline) -> _StageReport:
     cfg = run.cfg
     rep = _StageReport("localize")
     cam_pose = alignment_pose(run.truth_plane, cfg.view_angle, cfg.view_distance)
-    z_cam = cam_pose.rotation_matrix()[:, 2]
+    z_cam = cam_pose.rotation[:, 2]
     angle = math.acos(max(-1.0, min(1.0, float(z_cam @ (-run.truth_plane.normal)))))
     dist = float(np.linalg.norm(cam_pose.translation - run.truth_plane.centre))
     rep.check("alignment_angle_error_rad", abs(angle - cfg.view_angle), "<", 1e-12)
@@ -673,9 +675,9 @@ def run_scenario(
     overrides the config seed. Each stage gets its own cooperative
     `stage_timeout` budget in seconds. A stage that cannot finish raises
     StageError naming it; the report still lists completed checks and
-    flags the failure. An arm model or mesh file named by the config that
-    is missing or does not load, or an `arm.q_start` outside the model's
-    position limits, is a SchemaError, raised before `out_dir` is made.
+    flags the failure. A missing or malformed arm model or mesh file, an
+    `arm.q_start` outside the model's limits, or a `phantom.extent` too
+    small for its grid is a SchemaError, raised before `out_dir` is made.
     """
     if isinstance(config, ScenarioConfig):
         cfg = config

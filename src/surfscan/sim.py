@@ -260,6 +260,8 @@ def simulate(
         raise ValueError("duration must be positive")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
     n_steps = max(1, int(round(duration / dt)))
     builder = _LogBuilder()
     state = init_state(model, chart, phantom, q0)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from surfscan.chart import ChartBoundaryError, DegenerateFrameError, FRAME_TOL, SurfaceFrame
-from surfscan.geometry import cross3, quat_from_matrix, skew
+from surfscan.geometry import cross3, skew
 
-from helpers import plane_embed
+from helpers import plane_embed, quat_from_matrix
 
 RAY_CLEARANCE = 0.25  # m above the mesh top for embedding rays
 
@@ -106,7 +106,7 @@ def eps_rate_map(eta: float, eps: np.ndarray) -> np.ndarray:
 def orientation_error(R_probe: np.ndarray, frame: SurfaceFrame) -> tuple[float, np.ndarray]:
     """(eta, eps) of the world-frame rotation taking the probe onto the
     surface frame; eps = 0 exactly at alignment."""
-    q = quat_from_matrix(frame_rotation(frame) @ R_probe.T)  # canonical, eta >= 0
+    q = quat_from_matrix(frame_rotation(frame) @ R_probe.T)  # shepperd, normalised, eta >= 0
     return float(q[0]), q[1:].copy()
 
 

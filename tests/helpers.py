@@ -1,13 +1,16 @@
 """Helpers that only the tests use: writing an arm model file, building
-a quaternion from an axis and an angle, and placing points on a scene
-plane by their in-plane coordinates."""
+quaternions (from an axis and an angle, or from a rotation matrix) and
+poses from them, and placing points on a scene plane by their in-plane
+coordinates."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import yaml
 
 from surfscan.arm import ArmModel
-from surfscan.geometry import Pose
+from surfscan.geometry import Pose, quat_to_matrix, shepperd
 from surfscan.localization import ScenePlane
 
 
@@ -19,6 +22,19 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     half = 0.5 * angle
     s = np.sin(half) / n
     return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
+
+
+def quat_from_matrix(R) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) of a rotation matrix, w >= 0:
+    `shepperd`, normalised, with the chart's sign rule."""
+    q = np.array(shepperd(*np.asarray(R, dtype=float).ravel().tolist()))
+    q = q / math.sqrt(q.dot(q))
+    return -q if q[0] < 0.0 else q
+
+
+def pose_from_quat(q, t=(0.0, 0.0, 0.0)) -> Pose:
+    """Pose whose rotation is the unit quaternion q (w, x, y, z)."""
+    return Pose(quat_to_matrix(q), t)
 
 
 def plane_embed(plane: ScenePlane, s, height=0.0) -> np.ndarray:
@@ -37,7 +53,7 @@ def plane_embed(plane: ScenePlane, s, height=0.0) -> np.ndarray:
 def _pose_to_node(pose: Pose) -> dict:
     return {
         "translation": [float(x) for x in pose.translation],
-        "rotation": [float(x) for x in pose.rotation],
+        "rotation": [float(x) for x in quat_from_matrix(pose.rotation)],
     }
 
 

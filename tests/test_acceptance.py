@@ -71,7 +71,7 @@ def test_criterion_1_jacobians():
             pp = arm_snapshot(MODEL, q + e).probe
             pm = arm_snapshot(MODEL, q - e).probe
             fd[:3, j] = (pp.translation - pm.translation) / (2 * h)
-            dR = pp.rotation_matrix() @ pm.rotation_matrix().T
+            dR = pp.rotation @ pm.rotation.T
             fd[3:, j] = [dR[2, 1] - dR[1, 2], dR[0, 2] - dR[2, 0], dR[1, 0] - dR[0, 1]]
             fd[3:, j] /= 4 * h
         worst_geom = max(worst_geom, float(np.max(np.abs(J - fd))))
@@ -163,7 +163,7 @@ def test_criterion_2_torque_law():
 def test_criterion_3_localisation():
     plane = ScenePlane(np.array([0.3, -0.1, 0.2]), UP)
     pose = alignment_pose(plane, math.pi / 4, 0.30)
-    z_cam = pose.rotation_matrix()[:, 2]
+    z_cam = pose.rotation[:, 2]
     angle_err = abs(math.acos(float(z_cam @ -plane.normal)) - math.pi / 4)
     dist_err = abs(float(np.linalg.norm(pose.translation - plane.centre)) - 0.30)
 

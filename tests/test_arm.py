@@ -29,10 +29,10 @@ from surfscan.arm import (
     load_arm_model,
     reference_arm,
 )
-from surfscan.geometry import Pose, quat_to_matrix
+from surfscan.geometry import Pose
 from surfscan.schema import SchemaError
 
-from helpers import save_arm_model
+from helpers import pose_from_quat, save_arm_model
 
 MODEL = reference_arm()
 
@@ -89,7 +89,7 @@ def joint_frames(model, q):
 def pose_matrix(pose):
     """4x4 homogeneous matrix of a Pose."""
     T = np.eye(4)
-    T[:3, :3] = pose.rotation_matrix()
+    T[:3, :3] = pose.rotation
     T[:3, 3] = pose.translation
     return T
 
@@ -217,7 +217,7 @@ def test_twist_matches_pose_differencing():
         p0 = snap.probe
         p1 = arm_snapshot(MODEL, q + dt * qd).probe
         v = (p1.translation - p0.translation) / dt
-        W = (p1.rotation_matrix() - p0.rotation_matrix()) / dt @ p0.rotation_matrix().T
+        W = (p1.rotation - p0.rotation) / dt @ p0.rotation.T
         w = np.array([W[2, 1], W[0, 2], W[1, 0]])
         assert np.max(np.abs(tw[:3] - v)) < 1e-5
         assert np.max(np.abs(tw[3:] - w)) < 1e-5
@@ -288,6 +288,55 @@ def test_model_roundtrip(tmp_path):
     assert np.array_equal(MODEL.camera_offset.translation, loaded.camera_offset.translation)
 
 
+def test_general_model_roundtrip(tmp_path):
+    """A model file written from rotation matrices reads back within
+    rounding of the quaternion round trip."""
+    path = tmp_path / "arm.yaml"
+    save_arm_model(GENERAL_MODEL, path)
+    loaded = load_arm_model(path)
+    pairs = [(a.origin, b.origin) for a, b in zip(GENERAL_MODEL.joints, loaded.joints)]
+    for a, b in pairs + [(GENERAL_MODEL.probe_offset, loaded.probe_offset)]:
+        assert np.max(np.abs(a.rotation - b.rotation)) < 1e-15
+        assert np.array_equal(a.translation, b.translation)
+
+
+@pytest.mark.parametrize("rotation", [
+    [10.0, 10.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 2e-3],  # norm 1 + 2e-6
+    [float("nan"), 0.0, 0.0, 0.0],
+    [1.0, float("inf"), 0.0, 0.0],
+], ids=["large", "off-unit", "nan", "inf"])
+def test_model_quaternion_must_be_unit(tmp_path, rotation):
+    path = tmp_path / "arm.yaml"
+    save_arm_model(MODEL, path)
+    doc = yaml.safe_load(path.read_text())
+    doc["joints"][2]["origin"]["rotation"] = rotation
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(SchemaError, match=r"arm\.yaml\.joints\[2\]\.origin\.rotation: quaternion norm"):
+        load_arm_model(path)
+
+
+def test_model_quaternion_near_unit_is_renormalised(tmp_path):
+    path = tmp_path / "arm.yaml"
+    save_arm_model(MODEL, path)
+    doc = yaml.safe_load(path.read_text())
+    doc["probe_offset"]["rotation"] = [0.0, 0.6 * (1.0 + 9e-7), 0.8 * (1.0 + 9e-7), 0.0]
+    path.write_text(yaml.safe_dump(doc))
+    R = load_arm_model(path).probe_offset.rotation
+    want = np.array([[-0.28, 0.96, 0.0], [0.96, 0.28, 0.0], [0.0, 0.0, -1.0]])
+    assert np.max(np.abs(R - want)) < 1e-15
+
+
+def test_model_translation_must_be_finite(tmp_path):
+    path = tmp_path / "arm.yaml"
+    save_arm_model(MODEL, path)
+    doc = yaml.safe_load(path.read_text())
+    doc["camera_offset"]["translation"] = [0.0, float("nan"), 0.0]
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(SchemaError, match=r"arm\.yaml\.camera_offset: pose translation must be finite"):
+        load_arm_model(path)
+
+
 def test_unknown_field_rejected(tmp_path):
     path = tmp_path / "arm.yaml"
     save_arm_model(MODEL, path)
@@ -337,14 +386,14 @@ def test_shared_sweep_constants_are_read_only():
 
 def test_value_types_copy_the_callers_arrays():
     axis, com, inertia = np.array([0.0, 0.0, 1.0]), np.zeros(3), np.eye(3) * 1e-3
-    origin = (np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.1]))
+    origin = (np.eye(3), np.array([0.0, 0.0, 0.1]))
     joint = JointSpec("j", axis, Pose(*origin), (-1.0, 1.0), 1.0)
     link = LinkInertia(1.0, com, inertia)
     for mine in (axis, com, inertia, *origin):
         assert mine.flags.writeable
         mine[0] = 0.5  # the built values keep what they were given
     assert joint.axis.tolist() == [0.0, 0.0, 1.0]
-    assert joint.origin.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert joint.origin.rotation.tolist() == np.eye(3).tolist()
     assert link.com.tolist() == [0.0, 0.0, 0.0] and link.inertia[0, 0] == 1e-3
 
 
@@ -411,8 +460,7 @@ def test_arm_snapshot_is_the_separate_sweeps(q):
 
 
 # R_probe is a product of fifteen rotation matrices; over 200k draws from
-# the joint box its orthonormality error and its distance to the
-# quaternion round trip peaked at 1.44e-15 and 1.33e-15 (6-7 ulps of 1).
+# the joint box its orthonormality error peaked at 1.44e-15 (6-7 ulps of 1).
 ORTHONORMAL_BOUND = 2e-15
 
 
@@ -420,16 +468,15 @@ ORTHONORMAL_BOUND = 2e-15
 @given(joint_box())
 def test_arm_snapshot_probe_frame(q):
     """The snapshot's tip is the point the Jacobian is taken at, bit for
-    bit, and its rotation matrix is orthonormal and the checked probe
-    pose's rotation."""
+    bit, and its rotation matrix is orthonormal and, bit for bit, the
+    checked probe pose's rotation."""
     snap = arm_snapshot(MODEL, q)
     _, p, z = joint_frames(MODEL, q)
     J_at_tip = np.vstack([np.cross(z, snap.tip - p).T, z.T])
     assert np.array_equal(snap.jacobian, J_at_tip)
     R = snap.R_probe
     assert np.max(np.abs(R.T @ R - np.eye(3))) <= ORTHONORMAL_BOUND
-    R_fk = quat_to_matrix(snap.probe.rotation)
-    assert np.max(np.abs(R - R_fk)) <= ORTHONORMAL_BOUND
+    assert np.array_equal(snap.probe.rotation, R)
 
 
 @pytest.mark.parametrize("section, index, key, value", [
@@ -488,7 +535,7 @@ def _homog(R, t=(0.0, 0.0, 0.0)):
 
 def _pose(axis, angle, t):
     """Pose whose rotation is the quaternion of (axis, angle)."""
-    return Pose(np.array([np.cos(angle / 2.0), *(np.sin(angle / 2.0) * _unit(axis))]), t)
+    return pose_from_quat(np.array([np.cos(angle / 2.0), *(np.sin(angle / 2.0) * _unit(axis))]), t)
 
 
 _rng = np.random.default_rng(2024)

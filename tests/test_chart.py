@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from surfscan.arm import _chain, arm_snapshot, reference_arm
 from surfscan.chart import ChartBoundaryError, DegenerateFrameError, SurfaceChart, SurfaceFrame
-from surfscan.geometry import Pose, quat_from_matrix, quat_to_matrix
+from surfscan.geometry import Pose, quat_to_matrix
 from surfscan.localization import ScenePlane
 from surfscan.mesh import TriMesh, grid_surface_mesh
 from surfscan.sim import cap_phantom_mesh
@@ -33,7 +33,7 @@ from chart_oracle import (
     orientation_error,
 )
 from chart_oracle import evaluate_probe as oracle_evaluate_probe
-from helpers import plane_embed, quat_from_axis_angle
+from helpers import plane_embed, pose_from_quat, quat_from_axis_angle, quat_from_matrix
 
 MODEL = reference_arm()
 EX = np.array([1.0, 0.0, 0.0])
@@ -64,7 +64,7 @@ DOME = dome_chart()
 def task_coordinates(chart, probe_pose) -> np.ndarray:
     """rho of a probe pose through the chart's checked closest_point."""
     point, dist, frame = closest_point(chart, probe_pose.translation)
-    _, eps = orientation_error(probe_pose.rotation_matrix(), frame)
+    _, eps = orientation_error(probe_pose.rotation, frame)
     return np.array([float(point.s[0]), float(point.s[1]), dist, *eps.tolist()])
 
 
@@ -85,20 +85,20 @@ def coordinate_map(frame: SurfaceFrame, eta: float, eps: np.ndarray) -> np.ndarr
 
 
 def test_aligned_probe_above_flat():
-    pose = Pose(np.array([1.0, 0, 0, 0]), np.array([0.03, -0.04, 1.02]))
+    pose = Pose(np.eye(3), np.array([0.03, -0.04, 1.02]))
     rho = task_coordinates(FLAT, pose)
     assert np.max(np.abs(rho - np.array([0.03, -0.04, 0.02, 0, 0, 0]))) < 1e-12
 
 
 def test_penetration_is_negative():
-    pose = Pose(np.array([1.0, 0, 0, 0]), np.array([0.0, 0.0, 0.997]))
+    pose = Pose(np.eye(3), np.array([0.0, 0.0, 0.997]))
     rho = task_coordinates(FLAT, pose)
     assert abs(rho[2] + 0.003) < 1e-12
 
 
 def test_tilt_90_degrees():
     q = quat_from_axis_angle(EX, math.pi / 2)  # tilt about t1
-    pose = Pose(q, np.array([0.0, 0.0, 1.05]))
+    pose = pose_from_quat(q, np.array([0.0, 0.0, 1.05]))
     rho = task_coordinates(FLAT, pose)
     assert abs(np.linalg.norm(rho[3:]) - math.sin(math.pi / 4)) < 1e-12
 
@@ -108,7 +108,7 @@ def test_eps_zero_only_when_aligned():
     for _ in range(50):
         axis = rng.normal(size=3)
         angle = rng.uniform(0.1, 2.5)
-        pose = Pose(quat_from_axis_angle(axis, angle), np.array([0.0, 0.0, 1.03]))
+        pose = pose_from_quat(quat_from_axis_angle(axis, angle), np.array([0.0, 0.0, 1.03]))
         rho = task_coordinates(FLAT, pose)
         assert np.linalg.norm(rho[3:]) > 1e-3
 
@@ -120,11 +120,11 @@ def test_eps_reapplication():
         axis = rng.normal(size=3)
         angle = rng.uniform(0.0, 2.6)
         q = quat_from_axis_angle(axis, angle)
-        pose = Pose(q, np.array([0.02, 0.01, 1.04]))
+        pose = pose_from_quat(q, np.array([0.02, 0.01, 1.04]))
         _, _, frame = closest_point(FLAT, pose.translation)
-        eta, eps = orientation_error(pose.rotation_matrix(), frame)
+        eta, eps = orientation_error(pose.rotation, frame)
         err_q = np.concatenate([[eta], eps])
-        fixed = Pose.from_rotation_matrix(quat_to_matrix(err_q) @ quat_to_matrix(q), pose.translation)
+        fixed = Pose(quat_to_matrix(err_q) @ pose.rotation, pose.translation)
         assert np.linalg.norm(task_coordinates(FLAT, fixed)[3:]) < 1e-9
 
 
@@ -206,7 +206,7 @@ def evaluate_oracle(chart, model, q, qdot):
     test_fk_matches_chain_oracle and test_frozen_pose check the probe
     rotation against independent oracles to 1e-12."""
     snap = arm_snapshot(model, q)
-    R_probe = _chain(model, q)[0][7, :3, :3] @ model.probe_offset.rotation_matrix()
+    R_probe = _chain(model, q)[0][7, :3, :3] @ model.probe_offset.rotation
     point, dist, frame = closest_point(chart, snap.probe.translation)
     eta, eps = orientation_error(R_probe, frame)
     rho = np.array([float(point.s[0]), float(point.s[1]), dist, *eps.tolist()])
@@ -382,7 +382,7 @@ def test_embed_height_invariant_flat():
         s = rng.uniform(-0.09, 0.09, 2)
         h = rng.uniform(0.005, 0.1)
         _, frame = embed(FLAT, s)
-        pose = Pose(quat_from_matrix(frame_rotation(frame)), frame.point + h * frame.n)
+        pose = Pose(frame_rotation(frame), frame.point + h * frame.n)
         rho = task_coordinates(FLAT, pose)
         assert np.max(np.abs(rho - np.array([s[0], s[1], h, 0, 0, 0]))) < 1e-9
 
@@ -395,7 +395,7 @@ def test_embed_height_approx_curved():
         s = rng.uniform(DOME.s_min * 0.5, DOME.s_max * 0.5)
         h = 0.01
         _, frame = embed(DOME, s)
-        pose = Pose(quat_from_matrix(frame_rotation(frame)), frame.point + h * frame.n)
+        pose = Pose(frame_rotation(frame), frame.point + h * frame.n)
         rho = task_coordinates(DOME, pose)
         assert abs(rho[2] - h) < 5e-4
         assert np.max(np.abs(rho[:2] - s)) < 2e-3
@@ -411,7 +411,7 @@ def test_boundary_errors():
     with pytest.raises(ChartBoundaryError) as exc:
         embed(FLAT, np.array([0.5, 0.0]))
     assert np.max(np.abs(exc.value.clamped - np.array([0.1, 0.0]))) < 1e-12
-    pose = Pose(np.array([1.0, 0, 0, 0]), np.array([5.0, 0.0, 1.05]))
+    pose = Pose(np.eye(3), np.array([5.0, 0.0, 1.05]))
     with pytest.raises(ChartBoundaryError):
         task_coordinates(FLAT, pose)
 

@@ -232,6 +232,12 @@ def test_narrow_domain_falls_back_to_single_centre_line():
     assert np.all(np.abs(lines[0] - cover) <= 0.025 + 1e-12)
 
 
+def test_span_of_one_spacing_gets_two_lines():
+    # the single centre line is only for spans narrower than the spacing
+    path = RasterPath(np.array([0.0, 0.0]), np.array([0.1, 0.05]), 0.05, 0.02, -0.003)
+    assert path.scan_lines().tolist() == [0.0, 0.05]
+
+
 def raster_setpoints(s_min, s_max, line_spacing, speed, t, d_hold) -> Setpoint:
     """One-shot raster setpoint: a fresh path per call."""
     return RasterPath(s_min, s_max, line_spacing, speed, d_hold).setpoint(t)

@@ -1,4 +1,4 @@
-"""Quaternion and pose tests.
+"""Rotation and pose tests.
 
 The rotation oracle is the explicit direction-cosine matrix for an
 axis-angle rotation (Rodrigues formula written out), kept separate from
@@ -7,17 +7,9 @@ the package implementation.
 import numpy as np
 import pytest
 
-from surfscan.geometry import (
-    Pose,
-    plane_basis,
-    quat_canonical,
-    quat_from_matrix,
-    quat_normalize,
-    quat_to_matrix,
-    skew,
-)
+from surfscan.geometry import Pose, plane_basis, quat_to_matrix, shepperd, skew
 
-from helpers import quat_from_axis_angle
+from helpers import quat_from_axis_angle, quat_from_matrix
 
 
 def rodrigues(axis, angle):
@@ -59,24 +51,14 @@ def test_quat_matrix_roundtrip():
         assert np.max(np.abs(quat_to_matrix(q2) - R)) < 1e-9
 
 
-def test_quat_from_matrix_near_pi_branches():
-    # exercise all four Shepperd branches
-    for axis in (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]), np.array([1.0, 1.0, 0.2])):
-        R = rodrigues(axis, np.pi - 1e-7)
-        q = quat_from_matrix(R)
-        assert np.max(np.abs(quat_to_matrix(q) - R)) < 1e-9
-
-
-def test_quat_canonical():
-    q = np.array([-0.5, 0.5, 0.5, 0.5])
-    qc = quat_canonical(q)
-    assert qc[0] == 0.5 and np.all(qc[1:] == -0.5)
-    assert np.array_equal(quat_canonical(-q), qc)
-
-
-def test_quat_normalize_rejects_zero():
-    with pytest.raises(ValueError):
-        quat_normalize(np.zeros(4))
+def test_shepperd_near_pi_branches():
+    # exercise all four Shepperd branches: the trace, then the largest diagonal entry
+    for k, axis in enumerate((np.array([1.0, 1.0, 0.2]), np.array([1.0, 0, 0]),
+                              np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))):
+        R = rodrigues(axis, np.pi / 2 if k == 0 else np.pi - 1e-7)
+        q = np.array(shepperd(*R.ravel().tolist()))
+        assert np.argmax(np.abs(q)) == k
+        assert np.max(np.abs(quat_to_matrix(q / np.linalg.norm(q)) - R)) < 1e-9
 
 
 def test_skew():
@@ -85,21 +67,26 @@ def test_skew():
 
 
 def test_pose_norm_invariant():
-    q = np.array([1.0 + 5e-7, 0.0, 0.0, 0.0])
-    p = Pose(q, np.zeros(3))
-    assert abs(np.linalg.norm(p.rotation) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        Pose(np.array([1.0, 1.0, 0.0, 0.0]) * 10.0, np.zeros(3))  # way off unit
-    with pytest.raises(ValueError):
-        Pose(np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(3))
+    """A Pose keeps an orthonormal rotation bit for bit, and refuses one
+    off orthonormal by more than rounding, or a reflection."""
+    R = quat_to_matrix(quat_from_axis_angle([0.3, -1.0, 0.5], 2.0))
+    assert np.array_equal(Pose(R).rotation, R)
+    Pose(R * (1.0 + 1e-12))
+    with pytest.raises(ValueError, match="orthonormal"):
+        Pose(R * (1.0 + 1e-9))
+    with pytest.raises(ValueError, match="det R"):
+        Pose(-R)
+
+
+_TILT = quat_to_matrix([1.0, 0.0, 0.0, 2e-3])  # quaternion norm 1 + 2e-6
 
 
 @pytest.mark.parametrize("rotation, translation, match", [
-    ([np.inf, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0], "norm"),
-    ([1.0, np.nan, 0.0, 0.0], [0.0, 0.0, 0.0], "finite"),
-    ([1.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0], "finite"),
-    ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -np.inf], "finite"),
-    ([1.0, 0.0, 0.0, 2e-3], [0.0, 0.0, 0.0], "norm"),
+    ([[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 0.0, 0.0], "norm"),
+    ([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 0.0, 0.0], "finite"),
+    (np.eye(3), [0.0, np.nan, 0.0], "finite"),
+    (np.eye(3), [0.0, 0.0, -np.inf], "finite"),
+    (_TILT, [0.0, 0.0, 0.0], "norm"),
 ])
 def test_pose_rejects_non_finite_and_non_unit(rotation, translation, match):
     with pytest.raises(ValueError, match=match):
@@ -107,23 +94,15 @@ def test_pose_rejects_non_finite_and_non_unit(rotation, translation, match):
 
 
 def test_pose_freezes_a_copy_of_the_callers_arrays():
-    q, t = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.1, 0.2, 0.3])
-    pose = Pose(q, t)
-    assert q.flags.writeable and t.flags.writeable
-    q[0], t[0] = 0.0, 9.0
-    assert pose.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]
+    R, t = np.eye(3), np.array([0.1, 0.2, 0.3])
+    pose = Pose(R, t)
+    assert R.flags.writeable and t.flags.writeable
+    R[0, 0], t[0] = 0.0, 9.0
+    assert pose.rotation.tolist() == np.eye(3).tolist()
     assert pose.translation.tolist() == [0.1, 0.2, 0.3]
     for a in (pose.rotation, pose.translation):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 2.0
-
-
-def test_quat_normalize_is_division_by_linalg_norm():
-    """Bit for bit q / np.linalg.norm(q), over scales from tiny to huge."""
-    rng = np.random.default_rng(12)
-    for _ in range(20000):
-        q = rng.normal(size=4) * 10.0 ** rng.uniform(-8.0, 8.0)
-        assert np.array_equal(quat_normalize(q), q / np.linalg.norm(q))
 
 
 def test_plane_basis_orthonormal_right_handed():

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from surfscan.geometry import Pose, quat_from_matrix, quat_to_matrix
+from surfscan.geometry import Pose, quat_to_matrix
 from surfscan.localization import (
     DegenerateMarkerError,
     MarkerObservation,
@@ -22,16 +22,16 @@ from surfscan.localization import (
 )
 from surfscan.schema import SchemaError
 
-from helpers import plane_embed, quat_from_axis_angle
+from helpers import plane_embed, pose_from_quat, quat_from_axis_angle
 
-CAM = Pose(quat_from_axis_angle([1.0, 0, 0], math.pi), np.array([0.0, 0.0, 0.5]))
+CAM = pose_from_quat(quat_from_axis_angle([1.0, 0, 0], math.pi), np.array([0.0, 0.0, 0.5]))
 HALF = 0.015
 SQUARE = np.array([[-HALF, HALF, 0], [HALF, HALF, 0], [HALF, -HALF, 0], [-HALF, -HALF, 0]])
 CENTRES = np.array([[0.12, 0.12, 0], [-0.12, 0.12, 0], [-0.12, -0.12, 0], [0.12, -0.12, 0]])
 
 
 def to_cam(pose: Pose, pts: np.ndarray) -> np.ndarray:
-    return (pts - pose.translation) @ pose.rotation_matrix()
+    return (pts - pose.translation) @ pose.rotation
 
 
 def square_markers(noise=0.0, rng=None, cam=CAM, centres=CENTRES):
@@ -63,7 +63,7 @@ def test_three_markers_exact():
     markers = square_markers(centres=CENTRES[:3])
     plane = fit_plane(markers, CAM)
     for m in markers:
-        world = CAM.rotation_matrix() @ m.centre + CAM.translation  # camera->world
+        world = CAM.rotation @ m.centre + CAM.translation  # camera->world
         assert abs(float(plane.height_of(world))) < 1e-12
 
 
@@ -99,7 +99,7 @@ def test_rigid_invariance():
     for _ in range(20):
         q = rng.normal(size=4)
         R, t = quat_to_matrix(q / np.linalg.norm(q)), rng.normal(size=3)
-        moved_cam = Pose.from_rotation_matrix(R @ CAM.rotation_matrix(), R @ CAM.translation + t)
+        moved_cam = Pose(R @ CAM.rotation, R @ CAM.translation + t)
         plane = fit_plane(square_markers(), moved_cam)  # same camera-frame input
         assert np.max(np.abs(plane.centre - (R @ base.centre + t))) < 1e-10
         assert np.max(np.abs(plane.normal - R @ base.normal)) < 1e-10
@@ -111,16 +111,16 @@ PLANE = ScenePlane(np.zeros(3), np.array([0.0, 0.0, 1.0]))
 def test_alignment_defaults_exact():
     pose = alignment_pose(PLANE)
     assert abs(np.linalg.norm(pose.translation - PLANE.centre) - 0.30) < 1e-12
-    z = pose.rotation_matrix()[:, 2]
+    z = pose.rotation[:, 2]
     assert abs(float(z @ -PLANE.normal) - math.cos(math.pi / 4)) < 1e-12
     # x parallel to the plane
-    assert abs(float(pose.rotation_matrix()[:, 0] @ PLANE.normal)) < 1e-12
+    assert abs(float(pose.rotation[:, 0] @ PLANE.normal)) < 1e-12
 
 
 def test_alignment_straight_down():
     pose = alignment_pose(PLANE, angle=0.0)
     assert np.max(np.abs(pose.translation - np.array([0, 0, 0.30]))) < 1e-12
-    z = pose.rotation_matrix()[:, 2]
+    z = pose.rotation[:, 2]
     assert np.max(np.abs(z - np.array([0, 0, -1.0]))) < 1e-12
 
 
@@ -130,9 +130,9 @@ def test_alignment_axis_through_centre():
         az = rng.uniform(0.0, 2.0 * math.pi)
         ang = rng.uniform(0.0, math.pi / 2 * 0.98)
         pose = alignment_pose(PLANE, angle=ang, azimuth=az)
-        z = pose.rotation_matrix()[:, 2]
+        z = pose.rotation[:, 2]
         assert np.linalg.norm(np.cross(z, PLANE.centre - pose.translation)) < 1e-12
-        R = pose.rotation_matrix()
+        R = pose.rotation
         assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
 
 
@@ -148,9 +148,9 @@ def test_alignment_tilted_plane():
     plane = ScenePlane(np.array([0.1, 0.2, 0.05]), n / np.linalg.norm(n))
     pose = alignment_pose(plane, azimuth=1.1)
     assert abs(np.linalg.norm(pose.translation - plane.centre) - 0.30) < 1e-12
-    z = pose.rotation_matrix()[:, 2]
+    z = pose.rotation[:, 2]
     assert abs(float(z @ -plane.normal) - math.cos(math.pi / 4)) < 1e-12
-    assert abs(float(pose.rotation_matrix()[:, 0] @ plane.normal)) < 1e-12
+    assert abs(float(pose.rotation[:, 0] @ plane.normal)) < 1e-12
 
 
 def test_orbit_spacing_and_aim():
@@ -160,7 +160,7 @@ def test_orbit_spacing_and_aim():
     angles = []
     for pose in poses:
         assert abs(np.linalg.norm(pose.translation - PLANE.centre) - 0.30) < 1e-12
-        z = pose.rotation_matrix()[:, 2]
+        z = pose.rotation[:, 2]
         assert np.linalg.norm(np.cross(z, PLANE.centre - pose.translation)) < 1e-12
         off = pose.translation - PLANE.centre
         angles.append(math.atan2(float(off @ v), float(off @ u)))

@@ -373,7 +373,7 @@ def test_cap_depth_views_are_brute_force():
     plane = ScenePlane(np.zeros(3), np.array([0.0, 0.0, 1.0]))
     for pose in orbit_trajectory(plane, 8, math.radians(45.0), 0.30)[:2]:
         img = render_depth(cap, cam, pose)
-        D = cam.pixel_dirs() @ pose.rotation_matrix().T
+        D = cam.pixel_dirs() @ pose.rotation.T
         t, _ = brute_rays(cap, np.broadcast_to(pose.translation, D.shape), D, 1e-9)
         assert img.depths.tobytes() == np.where(np.isfinite(t), t, 0.0).reshape(30, 40).tobytes()
         assert 0 < np.isfinite(t).sum() < len(t)

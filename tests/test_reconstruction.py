@@ -23,7 +23,7 @@ from surfscan.reconstruction import (
     save_pfm,
 )
 
-from helpers import quat_from_axis_angle
+from helpers import pose_from_quat, quat_from_axis_angle
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -61,7 +61,7 @@ def flat_mesh(extent=0.15, n=31) -> TriMesh:
 
 def top_down_pose(height=0.30) -> Pose:
     # optical +z points down at the plane
-    return Pose(quat_from_axis_angle(EX, math.pi), np.array([0.0, 0.0, height]))
+    return pose_from_quat(quat_from_axis_angle(EX, math.pi), np.array([0.0, 0.0, height]))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_oblique_pixels_read_z_depth_not_range():
 
 
 def test_camera_facing_away_gives_all_invalid():
-    pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.3]))
+    pose = Pose(np.eye(3), np.array([0.0, 0.0, 0.3]))
     img = render_depth(flat_mesh(), CAM, pose)  # +z optical axis points up
     assert not (img.depths > 0).any()
 
@@ -113,13 +113,13 @@ def test_random_pixels_match_exhaustive_intersection():
     xs = np.linspace(-0.15, 0.15, 21)
     H = 0.03 * rng.standard_normal((21, 21)).cumsum(axis=0) * 0.1
     mesh = grid_surface_mesh(np.zeros(3), EX, EY, EZ, xs, xs, H)
-    pose = Pose(
+    pose = pose_from_quat(
         quat_from_axis_angle(np.array([1.0, 0.2, 0.0]), math.pi * 0.95),
         np.array([0.02, -0.03, 0.35]),
     )
     img = render_depth(mesh, CAM, pose)
     dirs = CAM.pixel_dirs().reshape(CAM.height, CAM.width, 3)
-    R = pose.rotation_matrix()
+    R = pose.rotation
     for _ in range(40):
         v = int(rng.integers(0, CAM.height))
         u = int(rng.integers(0, CAM.width))
@@ -143,12 +143,12 @@ def test_depth_noise_statistics_and_seeding():
 
 def test_backprojection_inverts_projection():
     rng = np.random.default_rng(11)
-    pose = Pose(quat_from_axis_angle(np.array([0.3, 1.0, 0.2]), 2.8), np.array([0.1, 0.0, 0.4]))
+    pose = pose_from_quat(quat_from_axis_angle(np.array([0.3, 1.0, 0.2]), 2.8), np.array([0.1, 0.0, 0.4]))
     img = render_depth(flat_mesh(), CAM, pose)
     pts = img.backproject()
     dirs = CAM.pixel_dirs()
     keep = img.depths.reshape(-1) > 0
-    R = pose.rotation_matrix()
+    R = pose.rotation
     for k in rng.choice(np.flatnonzero(keep), 20, replace=False):
         d = img.depths.reshape(-1)[k]
         expect = R @ (dirs[k] * d) + pose.translation
@@ -230,7 +230,7 @@ def test_orbit_fusion_tracks_analytic_cap(cap_orbit):
 def test_fuse_rejects_empty_inputs():
     with pytest.raises(EmptyReconstructionError):
         fuse_views([], PLANE, 0.005)
-    pose = Pose(np.array([1.0, 0, 0, 0]), np.array([0, 0, 0.3]))
+    pose = Pose(np.eye(3), np.array([0, 0, 0.3]))
     miss = render_depth(flat_mesh(), CAM, pose)
     with pytest.raises(EmptyReconstructionError):
         fuse_views([miss], PLANE, 0.005)

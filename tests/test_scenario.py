@@ -11,6 +11,7 @@ import yaml
 from surfscan.arm import JointLimitError, JointVelocityError, reference_arm
 from surfscan.cli import _COMMAND_STAGES, main
 from surfscan.localization import alignment_pose, fit_plane, ScenePlane
+from surfscan import scenario
 from surfscan.scenario import (
     STAGES,
     ScenarioConfig,
@@ -21,7 +22,7 @@ from surfscan.scenario import (
     synthetic_markers,
 )
 from surfscan.schema import SchemaError
-from surfscan.sim import parse_log
+from surfscan.sim import ScanLog, parse_log
 
 from helpers import save_arm_model
 
@@ -167,7 +168,7 @@ def test_markers_lie_on_plane_and_fit_back():
     plane, pose = _plane_and_pose()
     markers = synthetic_markers(plane, pose, (0.10, 0.09), 0.02)
     assert [m.marker_id for m in markers] == [0, 1, 2, 3]
-    R = pose.rotation_matrix()
+    R = pose.rotation
     for m in markers:
         world = m.corners @ R.T + pose.translation
         # exact plane membership and the configured marker side length
@@ -383,6 +384,49 @@ def test_cli_q_start_outside_the_model_limits_exits_2(tmp_path, capsys):
     assert err.startswith("error: arm.q_start: joint 1: value 2.500000 outside limits")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_phantom_extent_too_small_for_its_grid_exits_2(tmp_path, capsys):
+    # in bound on its own, but 31 points over 2e-7 m leave degenerate faces
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text(yaml.safe_dump({"phantom": {"extent": 1.0e-7}}))
+    code = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phantom.extent: 1e-07: degenerate face")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("rotation", [[2.0, 0.0, 0.0, 0.0], [float("nan"), 0.0, 0.0, 0.0]],
+                         ids=["non-unit", "nan"])
+def test_cli_model_quaternion_not_unit_exits_2(tmp_path, capsys, rotation):
+    model = tmp_path / "arm.yaml"
+    save_arm_model(reference_arm(), model)
+    doc = yaml.safe_load(model.read_text())
+    doc["joints"][5]["origin"]["rotation"] = rotation
+    model.write_text(yaml.safe_dump(doc))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"arm": {"model": str(model)}}))
+    code = main(["localize", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: arm.model: {model}.joints[5].origin.rotation: quaternion norm")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_approach_max_force_counts_only_samples_above_the_surface(tmp_path, monkeypatch):
+    # forces at and below the surface (d <= 0) belong to the ramp, not the approach
+    n = 5
+    log = ScanLog(
+        t=0.1 * np.arange(n), q=np.zeros((n, 7)), s1=np.zeros(n), s2=np.zeros(n),
+        d=np.array([0.02, 5e-4, 0.0, -1e-3, -2e-3]), eps=np.zeros((n, 3)), d_d=np.zeros(n),
+        force_n=np.array([0.0, 0.5, 7.0, 9.0, 9.0]),
+    )
+    monkeypatch.setattr(scenario, "simulate", lambda *args, **kwargs: log)
+    result = run_scenario({}, tmp_path, stages=("contact",))
+    assert result.metrics["contact"]["approach_max_force_n"] == 0.5
 
 
 def test_malformed_config_yaml_is_a_schema_error(tmp_path):

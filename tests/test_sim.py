@@ -196,6 +196,10 @@ def test_step_dt_validation():
         step(MODEL, chart, phantom, None, sp, st, 6e-3)
     with pytest.raises(ValueError):
         step(MODEL, chart, phantom, None, sp, st, -1e-3)
+    # simulate checks dt before its step count divides by it
+    for dt in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="dt must be in"):
+            simulate(MODEL, chart, phantom, None, lambda t: sp, Q_SCAN, 0.01, dt=dt)
 
 
 def _nan_at(v: np.ndarray, i: int) -> np.ndarray:
@@ -264,6 +268,16 @@ def test_step_raises_on_velocity_limit():
         step(slow_model(0.1), chart, phantom, None, hold_setpoint(0.01), st, 1e-3)
     assert isinstance(ei.value, ValueError) and ei.value.joint_index == 2
     assert ei.value.value > 0.1
+
+
+def test_step_raises_on_negative_velocity_past_limit():
+    chart, phantom = flat_rig(0.010)
+    qdot = np.zeros(7)
+    qdot[4] = -0.2
+    st = init_state(MODEL, chart, phantom, Q_SCAN, qdot)
+    with pytest.raises(JointVelocityError, match="joint 4") as ei:
+        step(slow_model(0.1), chart, phantom, None, hold_setpoint(0.01), st, 1e-3)
+    assert ei.value.joint_index == 4 and ei.value.value < -0.1
 
 
 def test_simulate_attaches_partial_log_on_velocity_breach():
