@@ -25,14 +25,19 @@ import numpy as np
 
 from .geometry import Pose, quat_to_matrix, read_only, skew
 from .schema import (
+    REQUIRED,
+    Bound,
+    ConfigKey,
     SchemaError,
     as_float,
+    as_int,
     as_matrix,
+    as_str,
     as_vector,
-    check_keys,
-    get_required,
+    list_of,
     load_yaml,
-    require_mapping,
+    read_node,
+    vector,
 )
 
 _EYE = np.eye(3)
@@ -66,7 +71,7 @@ class JointVelocityError(JointLimitError):
 class JointSpec:
     """One revolute joint: rotation axis in its own frame plus the fixed
     transform from the parent frame to this joint's frame. The axis is a
-    read-only copy."""
+    read-only copy, the position limits a pair of floats."""
 
     name: str
     axis: np.ndarray  # unit 3-vector, joint frame
@@ -81,9 +86,10 @@ class JointSpec:
         if not abs(n - 1.0) <= 1e-9:
             raise ValueError(f"joint '{self.name}': axis must be a finite unit vector, got {axis}")
         object.__setattr__(self, "axis", read_only(axis / n))
-        lo, hi = self.position_limits
+        lo, hi = limits = tuple(map(float, self.position_limits))
         if not -np.inf < lo < hi < np.inf:
             raise ValueError(f"joint '{self.name}': position_limits must be finite and lo < hi")
+        object.__setattr__(self, "position_limits", limits)
         if not 0.0 < self.velocity_limit < np.inf:
             raise ValueError(f"joint '{self.name}': velocity_limit must be positive and finite")
 
@@ -287,95 +293,55 @@ def arm_snapshot(model: ArmModel, q) -> ArmSnapshot:
 # Model file I/O (schema version 1)
 # ---------------------------------------------------------------------------
 
-_JOINT_KEYS = ("name", "axis", "origin", "position_limits", "velocity_limit")
-_LINK_KEYS = ("mass", "com", "inertia")
-_POSE_KEYS = ("translation", "rotation")
-_TOP_KEYS = (
-    "model_version",
-    "name",
-    "notes",
-    "joints",
-    "link_inertias",
-    "probe_offset",
-    "camera_offset",
-    "home_probe_pose",
+def _unit_quaternion(value, where: str) -> np.ndarray:
+    """The rotation matrix of a pose's unit quaternion (w, x, y, z), the one quaternion read."""
+    q = as_vector(value, 4, where)
+    n = float(np.linalg.norm(q))
+    if not abs(n - 1.0) <= 1e-6:  # NaN fails too
+        raise SchemaError(f"{where}: quaternion norm {n} too far from 1")
+    return quat_to_matrix(q / n if abs(n - 1.0) > 1e-12 else q)
+
+
+# Each table's rows are the keys of one node, named as the arguments of the
+# type it builds: Pose, JointSpec, LinkInertia and ArmModel.
+POSE_ROWS = (
+    ConfigKey("translation", REQUIRED, vector(3)),
+    ConfigKey("rotation", REQUIRED, _unit_quaternion),
+)
+_pose = lambda value, where: read_node(value, POSE_ROWS, where, Pose)
+JOINT_ROWS = (
+    ConfigKey("name", REQUIRED, as_str),
+    ConfigKey("axis", REQUIRED, vector(3)),
+    ConfigKey("origin", REQUIRED, _pose),
+    ConfigKey("position_limits", REQUIRED, vector(2)),
+    ConfigKey("velocity_limit", REQUIRED, as_float),
+)
+LINK_ROWS = (
+    ConfigKey("mass", REQUIRED, as_float),
+    ConfigKey("com", REQUIRED, vector(3)),
+    ConfigKey("inertia", REQUIRED, lambda value, where: as_matrix(value, 3, 3, where)),
+)
+MODEL_ROWS = (
+    ConfigKey("model_version", REQUIRED, as_int, Bound("1", 1, 1, lo_closed=True, hi_closed=True)),
+    ConfigKey("name", "arm", as_str),
+    ConfigKey("notes", "", as_str),
+    ConfigKey("joints", REQUIRED, list_of(JOINT_ROWS, JointSpec)),
+    ConfigKey("link_inertias", REQUIRED, list_of(LINK_ROWS, LinkInertia)),
+    ConfigKey("probe_offset", REQUIRED, _pose),
+    ConfigKey("camera_offset", REQUIRED, _pose),
+    ConfigKey("home_probe_pose", None,  # an explicit null is None too
+              lambda value, where: None if value is None else _pose(value, where)),
 )
 
 
-def _pose_from_node(node, where: str) -> Pose:
-    """A pose node; its rotation, a unit quaternion (w, x, y, z), is the one quaternion read."""
-    node = require_mapping(node, where)
-    check_keys(node, _POSE_KEYS, where)
-    t = as_vector(get_required(node, "translation", where), 3, f"{where}.translation")
-    q = as_vector(get_required(node, "rotation", where), 4, f"{where}.rotation")
-    n = float(np.linalg.norm(q))
-    if not abs(n - 1.0) <= 1e-6:  # NaN fails too
-        raise SchemaError(f"{where}.rotation: quaternion norm {n} too far from 1")
-    if abs(n - 1.0) > 1e-12:
-        q = q / n
-    try:
-        return Pose(quat_to_matrix(q), t)
-    except ValueError as exc:  # a non-finite translation
-        raise SchemaError(f"{where}: {exc}") from None
-
-
 def load_arm_model(path) -> ArmModel:
-    """Parse an arm model file (YAML, ``model_version: 1``).
+    """Parse an arm model file (YAML, ``model_version: 1``) through MODEL_ROWS.
 
-    Unknown fields anywhere in the document are rejected.
+    Unknown fields anywhere in the document are rejected, and every error
+    names the file and the node.
     """
     doc = load_yaml(path)
-    where = str(path)
-    doc = require_mapping(doc, where)
-    check_keys(doc, _TOP_KEYS, where)
-    version = get_required(doc, "model_version", where)
-    if version != 1:
-        raise SchemaError(f"{where}: unsupported model_version {version!r}")
-    joints = []
-    joints_node = get_required(doc, "joints", where)
-    if not isinstance(joints_node, list):
-        raise SchemaError(f"{where}: 'joints' must be a list")
-    for k, jnode in enumerate(joints_node):
-        jwhere = f"{where}.joints[{k}]"
-        jnode = require_mapping(jnode, jwhere)
-        check_keys(jnode, _JOINT_KEYS, jwhere)
-        limits = as_vector(get_required(jnode, "position_limits", jwhere), 2, jwhere)
-        joints.append(
-            JointSpec(
-                name=str(get_required(jnode, "name", jwhere)),
-                axis=as_vector(get_required(jnode, "axis", jwhere), 3, jwhere),
-                origin=_pose_from_node(get_required(jnode, "origin", jwhere), f"{jwhere}.origin"),
-                position_limits=(float(limits[0]), float(limits[1])),
-                velocity_limit=as_float(get_required(jnode, "velocity_limit", jwhere), jwhere),
-            )
-        )
-    links = []
-    links_node = get_required(doc, "link_inertias", where)
-    if not isinstance(links_node, list):
-        raise SchemaError(f"{where}: 'link_inertias' must be a list")
-    for k, lnode in enumerate(links_node):
-        lwhere = f"{where}.link_inertias[{k}]"
-        lnode = require_mapping(lnode, lwhere)
-        check_keys(lnode, _LINK_KEYS, lwhere)
-        links.append(
-            LinkInertia(
-                mass=as_float(get_required(lnode, "mass", lwhere), lwhere),
-                com=as_vector(get_required(lnode, "com", lwhere), 3, lwhere),
-                inertia=as_matrix(get_required(lnode, "inertia", lwhere), 3, 3, lwhere),
-            )
-        )
-    home = None
-    if doc.get("home_probe_pose") is not None:
-        home = _pose_from_node(doc["home_probe_pose"], f"{where}.home_probe_pose")
-    return ArmModel(
-        joints=tuple(joints),
-        link_inertias=tuple(links),
-        probe_offset=_pose_from_node(get_required(doc, "probe_offset", where), f"{where}.probe_offset"),
-        camera_offset=_pose_from_node(get_required(doc, "camera_offset", where), f"{where}.camera_offset"),
-        home_probe_pose=home,
-        name=str(doc.get("name", "arm")),
-        notes=str(doc.get("notes", "")),
-    )
+    return read_node(doc, MODEL_ROWS, str(path), lambda model_version, **rest: ArmModel(**rest))
 
 
 @functools.cache

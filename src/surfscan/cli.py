@@ -69,13 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args, stages) -> int:
     try:
         config = parse_config({}) if args.config is None else load_config(args.config)
-    except (SchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         result = run_scenario(config, args.out, stages=stages, seed=args.seed,
                               stage_timeout=args.stage_timeout)
-    except SchemaError as exc:  # a file the config names, or q_start against the model
+    except (SchemaError, OSError) as exc:  # the config, a file it names, or an --out that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StageError as exc:

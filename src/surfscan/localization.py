@@ -17,15 +17,7 @@ import numpy as np
 import yaml
 
 from .geometry import Pose, plane_basis
-from .schema import (
-    SchemaError,
-    as_float,
-    as_matrix,
-    check_keys,
-    get_required,
-    load_yaml,
-    require_mapping,
-)
+from .schema import REQUIRED, ConfigKey, as_float, as_int, as_matrix, list_of, load_yaml, read_node
 
 
 class DegenerateMarkerError(ValueError):
@@ -195,32 +187,18 @@ def orbit_trajectory(
 # Marker observation files
 # ---------------------------------------------------------------------------
 
-_MARKER_KEYS = ("id", "corners", "confidence")
+MARKER_ROWS = (
+    ConfigKey("id", REQUIRED, as_int),
+    ConfigKey("corners", REQUIRED, lambda value, where: as_matrix(value, 4, 3, where)),
+    ConfigKey("confidence", 1.0, as_float),
+)
 
 
 def load_markers(path) -> list[MarkerObservation]:
-    doc = load_yaml(path)
-    where = str(path)
-    doc = require_mapping(doc, where)
-    check_keys(doc, ("markers",), where)
-    items = get_required(doc, "markers", where)
-    if not isinstance(items, list) or not items:
-        raise SchemaError(f"{where}: 'markers' must be a non-empty list")
-    out = []
-    for k, node in enumerate(items):
-        mwhere = f"{where}.markers[{k}]"
-        node = require_mapping(node, mwhere)
-        check_keys(node, _MARKER_KEYS, mwhere)
-        mid = get_required(node, "id", mwhere)
-        if not isinstance(mid, int) or isinstance(mid, bool):
-            raise SchemaError(f"{mwhere}: 'id' must be an integer")
-        corners = as_matrix(get_required(node, "corners", mwhere), 4, 3, mwhere)
-        conf = as_float(node["confidence"], mwhere) if "confidence" in node else 1.0
-        try:
-            out.append(MarkerObservation(mid, corners, conf))
-        except ValueError as exc:
-            raise SchemaError(f"{mwhere}: {exc}") from None
-    return out
+    """The observations of a marker file, read through MARKER_ROWS."""
+    markers = list_of(MARKER_ROWS, lambda id, **rest: MarkerObservation(id, **rest))
+    file_rows = (ConfigKey("markers", REQUIRED, markers),)
+    return read_node(load_yaml(path), file_rows, str(path), lambda markers: list(markers))
 
 
 def save_markers(markers: list[MarkerObservation], path) -> None:

@@ -26,7 +26,6 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -62,13 +61,17 @@ from .reconstruction import (
     save_pfm,
 )
 from .schema import (
+    Bound,
+    ConfigKey,
     SchemaError,
     as_float,
     as_int,
+    as_str,
     as_vector,
     check_keys,
     load_yaml,
     require_mapping,
+    vector,
 )
 from .sim import (
     MAX_DT,
@@ -99,27 +102,6 @@ class StageError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class Bound(NamedTuple):
-    """The range a config value must lie in, and its wording in errors.
-
-    The value, or each entry of a vector, must lie between lo and hi, open
-    at each end unless closed there. An infinite end is left open, so
-    infinities fail, and each comparison is written so that NaN fails it."""
-
-    need: str
-    lo: float = -math.inf
-    hi: float = math.inf
-    lo_closed: bool = False
-    hi_closed: bool = False
-
-    def __call__(self, value, name: str) -> None:
-        shown = value.tolist() if isinstance(value, np.ndarray) else value
-        for x in shown if isinstance(shown, list) else (shown,):
-            if not ((self.lo <= x if self.lo_closed else self.lo < x)
-                    and (x <= self.hi if self.hi_closed else x < self.hi)):
-                raise SchemaError(f"{name} must be {self.need}, got {shown}")
-
-
 _POSITIVE = Bound("positive", lo=0.0)
 _NON_NEGATIVE = Bound("non-negative", lo=0.0, lo_closed=True)
 _PENETRATION = Bound("negative (command penetration)", hi=0.0)
@@ -138,16 +120,6 @@ def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise SchemaError(f"{where}: expected true/false, got {value!r}")
     return value
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def _vector(n: int):
-    return lambda value, where: as_vector(value, n, where)
 
 
 def _gain_matrix(node, where: str) -> np.ndarray:
@@ -172,30 +144,6 @@ def _damping(node, where: str) -> np.ndarray | None:
     return _gain_matrix(node, where)
 
 
-class ConfigKey(NamedTuple):
-    """One key of the config file.
-
-    `name` is the dotted YAML key ("section.key", or "key" at the top
-    level). `default` is written as in YAML and goes through `conv` like a
-    given value; None leaves the value None unless the key is given.
-    `bound` checks the converted value when it is not None."""
-
-    name: str
-    default: Any
-    conv: Callable
-    bound: Callable | None = None
-
-    def read(self, nodes: dict, where: str):
-        section, _, key = self.name.rpartition(".")
-        if key not in nodes[section] and self.default is None:
-            return None
-        name = f"{where}.{self.name}"
-        value = self.conv(nodes[section].get(key, self.default), name)
-        if value is not None and self.bound is not None:
-            self.bound(value, name)
-        return value
-
-
 def _key(name: str, default, conv, bound=None):
     """A ScenarioConfig field read from the config key `name`."""
     return field(metadata={"key": ConfigKey(name, default, conv, bound)})
@@ -207,20 +155,20 @@ class ScenarioConfig:
     the config key it is read from (see ConfigKey); parse_config reads
     these declarations."""
 
-    name: str = _key("name", "scenario", _as_str)
+    name: str = _key("name", "scenario", as_str)
     seed: int = _key("seed", 0, as_int, _NON_NEGATIVE)
-    arm_model: str = _key("arm.model", "reference", _as_str)  # "reference" or a file path
-    q_start: np.ndarray = _key("arm.q_start", [0.0, 0.5, 0.0, -1.0, 0.0, 0.5, 0.0], _vector(7))
-    phantom_kind: str = _key("phantom.kind", "flat", _as_str)  # flat | cap | mesh
-    phantom_mesh: str | None = _key("phantom.mesh", None, _as_str)
+    arm_model: str = _key("arm.model", "reference", as_str)  # "reference" or a file path
+    q_start: np.ndarray = _key("arm.q_start", [0.0, 0.5, 0.0, -1.0, 0.0, 0.5, 0.0], vector(7))
+    phantom_kind: str = _key("phantom.kind", "flat", as_str)  # flat | cap | mesh
+    phantom_mesh: str | None = _key("phantom.mesh", None, as_str)
     phantom_extent: float = _key("phantom.extent", None, as_float, _POSITIVE)  # default by kind
     phantom_grid_n: int = _key("phantom.grid_n", None, as_int, _AT_LEAST_2)  # default by kind
     sphere_radius: float = _key("phantom.sphere_radius", 0.10, as_float, _POSITIVE)
     cap_height: float = _key("phantom.cap_height", 0.04, as_float, _POSITIVE)  # also <= sphere_radius
     contact_stiffness: float = _key("phantom.contact_stiffness", 300.0, as_float, _POSITIVE)
     contact_damping: float = _key("phantom.contact_damping", 20.0, as_float, _NON_NEGATIVE)
-    phantom_label: str = _key("phantom.label", "", _as_str)
-    marker_half_extents: np.ndarray = _key("markers.half_extents", [0.10, 0.09], _vector(2), _POSITIVE)
+    phantom_label: str = _key("phantom.label", "", as_str)
+    marker_half_extents: np.ndarray = _key("markers.half_extents", [0.10, 0.09], vector(2), _POSITIVE)
     marker_size: float = _key("markers.size", 0.02, as_float, _POSITIVE)
     marker_noise_sigma: float = _key("markers.noise_sigma", 0.0, as_float, _NON_NEGATIVE)
     fit_use_corners: bool = _key("markers.use_corners", False, _as_bool)
@@ -245,7 +193,7 @@ class ScenarioConfig:
     d_hold: float = _key("contact.d_hold", -0.004, as_float, _PENETRATION)
     ramp_rate: float = _key("contact.ramp_rate", 0.005, as_float, _POSITIVE)
     hold_duration: float = _key("contact.hold_duration", 5.0, as_float, _NON_NEGATIVE)
-    raster_half_extents: np.ndarray = _key("raster.half_extents", [0.03, 0.02], _vector(2), _POSITIVE)
+    raster_half_extents: np.ndarray = _key("raster.half_extents", [0.03, 0.02], vector(2), _POSITIVE)
     line_spacing: float = _key("raster.line_spacing", 0.01, as_float, _POSITIVE)
     raster_speed: float = _key("raster.speed", 0.01, as_float, _POSITIVE)
     raster_d_hold: float = _key("raster.d_hold", -0.004, as_float, _PENETRATION)
@@ -285,7 +233,7 @@ def parse_config(doc, where: str = "config") -> ScenarioConfig:
         if section:
             nodes[section] = require_mapping(nodes[""].get(section, {}), here)
         check_keys(nodes[section], allowed, here)
-    values = {attr: key.read(nodes, where) for attr, key in _FIELD_KEYS.items()}
+    values = {f: k.read(nodes[k.name.rpartition(".")[0]], where) for f, k in _FIELD_KEYS.items()}
 
     kind = values["phantom_kind"]
     if kind not in ("flat", "cap", "mesh"):
@@ -301,7 +249,7 @@ def parse_config(doc, where: str = "config") -> ScenarioConfig:
     r, h = values["sphere_radius"], values["cap_height"]
     if not h <= r:
         raise SchemaError(f"{where}.phantom.cap_height must be in (0, sphere_radius = {r}], got {h}")
-    intrinsics = {k.name.partition(".")[2]: k.read(nodes, where) for k in _CAMERA_INTRINSICS}
+    intrinsics = {k.name.partition(".")[2]: k.read(nodes["camera"], where) for k in _CAMERA_INTRINSICS}
     try:
         values["camera"] = CameraIntrinsics(**intrinsics)
     except ValueError as exc:
@@ -534,8 +482,6 @@ def _stage_localize(run: _Run, deadline) -> _StageReport:
 def _stage_reconstruct(run: _Run, deadline) -> _StageReport:
     cfg = run.cfg
     rep = _StageReport("reconstruct")
-    if run.fitted_plane is None:
-        raise ValueError("reconstruct stage needs the localize stage first")
     rng = np.random.default_rng([cfg.seed, 23])
     poses = orbit_trajectory(run.fitted_plane, cfg.n_views, cfg.view_angle, cfg.view_distance)
     views = []

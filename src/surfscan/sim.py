@@ -34,10 +34,12 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhantomModel:
-    """Ground-truth surface plus penalty-contact parameters.
-
-    The material composition is carried only as a label; stiffness and
-    damping are the whole constitutive story.
+    """Penalty-contact parameters, stiffness and damping, which are the whole
+    constitutive story. Two fields are carried but never read: `label`, the
+    material name, which no report prints; and `mesh`, the ground-truth
+    surface, for the contact force comes from the chart's distance rho[2].
+    So under `pipeline`, whose raster chart is the reconstructed mesh, the
+    probe presses on that mesh, not on the true phantom.
     """
 
     mesh: TriMesh

@@ -9,6 +9,7 @@ against central finite differences, and the mass matrix against the
 per-link point-Jacobian sum  M = sum_i Jv_i^T m_i Jv_i + Jw_i^T I_i Jw_i.
 """
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfscan.arm import (
+    JOINT_ROWS,
+    LINK_ROWS,
+    MODEL_ROWS,
+    POSE_ROWS,
     ArmModel,
     JointLimitError,
     JointSpec,
@@ -30,11 +35,12 @@ from surfscan.arm import (
     reference_arm,
 )
 from surfscan.geometry import Pose
-from surfscan.schema import SchemaError
+from surfscan.schema import REQUIRED, SchemaError
 
 from helpers import pose_from_quat, save_arm_model
 
 MODEL = reference_arm()
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # reference layout, duplicated here on purpose so the oracle does not
 # depend on the YAML parser or the package's transform code
@@ -413,6 +419,69 @@ def test_bad_version_rejected(tmp_path):
     path.write_text(path.read_text().replace("model_version: 1", "model_version: 2"))
     with pytest.raises(SchemaError, match="model_version"):
         load_arm_model(path)
+
+
+@pytest.mark.parametrize("edit, node, text", [
+    (lambda doc: doc["link_inertias"][2].update(mass=-1.0), "link_inertias[2]",
+     "link mass must be positive, got -1.0"),
+    (lambda doc: doc.update(joints=doc["joints"][:6]), "", "model must have exactly 7 joints, got 6"),
+    (lambda doc: doc["joints"][1].update(axis=[0.0, 0.0, 2.0]), "joints[1]",
+     "axis must be a finite unit vector"),
+    (lambda doc: doc["joints"][1].update(position_limits=[1.0, -1.0]), "joints[1]",
+     "position_limits must be finite and lo < hi"),
+    (lambda doc: doc["joints"][0].update(name=[1, 2]), "joints[0].name", "expected a string, got [1, 2]"),
+    (lambda doc: doc.update(name=[1, 2]), "name", "expected a string, got [1, 2]"),
+    (lambda doc: doc.update(notes=3), "notes", "expected a string, got 3"),
+    (lambda doc: doc.update(model_version=1.0), "model_version", "expected an integer, got 1.0"),
+    (lambda doc: doc.update(model_version=True), "model_version", "expected an integer, got True"),
+    (lambda doc: doc.update(model_version=2), "model_version", "must be 1, got 2"),
+    (lambda doc: doc["link_inertias"][1].pop("com"), "link_inertias[1]", "missing required key 'com'"),
+    (lambda doc: doc.pop("probe_offset"), "", "missing required key 'probe_offset'"),
+    (lambda doc: doc.update(joints={"name": "j"}), "joints", "expected a non-empty list of mappings"),
+], ids=["mass", "six-joints", "axis", "limits", "joint-name", "name", "notes", "version-float",
+        "version-bool", "version-2", "no-com", "no-probe-offset", "joints-mapping"])
+def test_model_errors_name_the_file_and_the_node(tmp_path, edit, node, text):
+    path = tmp_path / "arm.yaml"
+    save_arm_model(MODEL, path)
+    doc = yaml.safe_load(path.read_text())
+    edit(doc)
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(SchemaError) as err:
+        load_arm_model(path)
+    where = f"{path}.{node}" if node else str(path)
+    assert str(err.value).startswith(f"{where}: ") or str(err.value).startswith(f"{where} must")
+    assert text in str(err.value)
+
+
+@pytest.mark.parametrize("home", ["null", None], ids=["null", "absent"])
+def test_home_probe_pose_may_be_null_or_absent(tmp_path, home):
+    path = tmp_path / "arm.yaml"
+    save_arm_model(dataclasses.replace(MODEL, home_probe_pose=None), path)
+    if home is not None:
+        path.write_text(path.read_text() + f"home_probe_pose: {home}\n")
+    assert load_arm_model(path).home_probe_pose is None
+
+
+def _written(default) -> str:
+    """A row's default as the README's model table writes it."""
+    if default is REQUIRED:
+        return "required"
+    return "none" if default is None else f"`{default}`" if default else '`""`'
+
+
+def test_readme_table_lists_every_model_key():
+    text = README.read_text()
+    table = text[text.index("## Arm model file"):].partition("\n## ")[0]
+    rows = {line.split("|")[1].strip(): line.split("|")[2:] for line in table.splitlines()
+            if line.startswith("| `")}
+    declared = [(prefix + key.name, key) for prefix, keys in (
+        ("", MODEL_ROWS), ("joints[].", JOINT_ROWS), ("link_inertias[].", LINK_ROWS),
+        ("<pose>.", POSE_ROWS)) for key in keys]
+    assert sorted(rows) == sorted(f"`{name}`" for name, _ in declared)
+    for name, key in declared:
+        default, checked = (cell.strip() for cell in rows[f"`{name}`"][:2])
+        assert default == _written(key.default), name
+        assert checked, name
 
 
 def test_model_validation():

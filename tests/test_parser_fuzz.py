@@ -1,18 +1,20 @@
 """Malformed-input fuzzing of the file readers.
 
 Hypothesis truncates, splices and byte-flips a valid OFF mesh, PFM depth
-map, CSV log and markers.yaml. Each reader must either return or raise a
+map, CSV log, markers.yaml and the bundled arm model. Each reader must either return or raise a
 ValueError (SchemaError is one) that names the file, never another
 exception type.
 """
 import math
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from surfscan.arm import load_arm_model
 from surfscan.localization import ScenePlane, alignment_pose, load_markers, save_markers
 from surfscan.mesh import load_off, save_off
 from surfscan.reconstruction import load_pfm, save_pfm
@@ -32,8 +34,9 @@ def _valid_files(root) -> dict:
     plane = ScenePlane(np.zeros(3), np.array([0.0, 0.0, 1.0]))
     markers = synthetic_markers(plane, alignment_pose(plane, math.pi / 4, 0.3), (0.1, 0.09), 0.02)
     save_markers(markers, root / "markers.yaml")
+    (root / "arm.yaml").write_bytes((resources.files("surfscan.models") / "reference_arm.yaml").read_bytes())
     readers = {"mesh.off": load_off, "depth.pfm": load_pfm, "log.csv": parse_log,
-               "markers.yaml": load_markers}
+               "markers.yaml": load_markers, "arm.yaml": load_arm_model}
     return {name: (reader, (root / name).read_bytes()) for name, reader in readers.items()}
 
 
@@ -54,7 +57,7 @@ def mutated(draw, data: bytes) -> bytes:
     return data
 
 
-@pytest.mark.parametrize("name", ["mesh.off", "depth.pfm", "log.csv", "markers.yaml"])
+@pytest.mark.parametrize("name", ["mesh.off", "depth.pfm", "log.csv", "markers.yaml", "arm.yaml"])
 def test_readers_return_or_raise_a_named_value_error(tmp_path, name):
     reader, valid = _valid_files(tmp_path)[name]
     reader(tmp_path / name)  # the unmutated file reads

@@ -416,6 +416,35 @@ def test_cli_model_quaternion_not_unit_exits_2(tmp_path, capsys, rotation):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_model_error_names_the_file_and_node_and_exits_2(tmp_path, capsys):
+    model = tmp_path / "arm.yaml"
+    save_arm_model(reference_arm(), model)
+    doc = yaml.safe_load(model.read_text())
+    doc["link_inertias"][2]["mass"] = -1.0
+    model.write_text(yaml.safe_dump(doc))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"arm": {"model": str(model)}}))
+    code = main(["localize", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: arm.model: {model}.link_inertias[2]: link mass must be positive")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+def test_cli_out_that_cannot_be_made_exits_2(tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = blocker / "sub" if under else blocker
+    code = main(["localize", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert blocker.read_text() == "a file\n"
+
+
 def test_approach_max_force_counts_only_samples_above_the_surface(tmp_path, monkeypatch):
     # forces at and below the surface (d <= 0) belong to the ramp, not the approach
     n = 5

@@ -10,14 +10,17 @@ from surfscan.arm import load_arm_model
 from surfscan.localization import load_markers
 from surfscan.scenario import load_config, run_scenario
 from surfscan.schema import (
+    REQUIRED,
+    ConfigKey,
     SchemaError,
     as_float,
     as_int,
     as_matrix,
     as_vector,
     check_keys,
-    get_required,
+    list_of,
     load_yaml,
+    read_node,
     require_mapping,
 )
 
@@ -36,10 +39,60 @@ def test_check_keys_rejects_unknown():
     check_keys({"a": 1}, ("a", "b"), "doc")
 
 
-def test_get_required():
-    assert get_required({"a": 1}, "a", "doc") == 1
-    with pytest.raises(SchemaError, match="'b'"):
-        get_required({"a": 1}, "b", "doc")
+def test_check_keys_names_keys_that_are_not_strings():
+    with pytest.raises(SchemaError, match=r"unknown keys \[1, None, 'x'\]"):
+        check_keys({1: 0, None: 0, "x": 0, "a": 0}, ("a",), "doc")
+
+
+def test_required_row():
+    row = ConfigKey("b", REQUIRED, as_int)
+    assert row.read({"b": 1}, "doc") == 1
+    with pytest.raises(SchemaError, match=r"^doc: missing required key 'b'$"):
+        row.read({"a": 1}, "doc")
+
+
+def test_rows_with_defaults():
+    assert ConfigKey("b", 2, as_int).read({}, "doc") == 2
+    assert ConfigKey("b", None, as_int).read({}, "doc") is None
+    with pytest.raises(SchemaError, match=r"^doc\.b: expected an integer"):
+        ConfigKey("b", None, as_int).read({"b": None}, "doc")
+
+
+def _pair(a, b):
+    if a >= b:
+        raise ValueError(f"a must be less than b, got {a} >= {b}")
+    return (a, b)
+
+
+PAIR = (ConfigKey("a", REQUIRED, as_int), ConfigKey("b", 10, as_int))
+
+
+def test_read_node_builds_from_its_rows():
+    assert read_node({"a": 1}, PAIR, "doc", _pair) == (1, 10)
+    assert read_node({"a": 1, "b": 2}, PAIR, "doc", _pair) == (1, 2)
+    with pytest.raises(SchemaError, match=r"^doc: unknown keys \['c'\]"):
+        read_node({"a": 1, "c": 2}, PAIR, "doc", _pair)
+    with pytest.raises(SchemaError, match=r"^doc: expected a mapping"):
+        read_node([1], PAIR, "doc", _pair)
+    with pytest.raises(SchemaError, match=r"^doc\.a: expected an integer"):
+        read_node({"a": 1.5}, PAIR, "doc", _pair)
+
+
+def test_read_node_names_the_node_in_errors_of_build():
+    with pytest.raises(SchemaError, match=r"^doc: a must be less than b, got 3 >= 2$"):
+        read_node({"a": 3, "b": 2}, PAIR, "doc", _pair)
+
+
+def test_list_of_names_each_item():
+    read = list_of(PAIR, _pair)
+    assert read([{"a": 1}, {"a": 2, "b": 3}], "doc.pairs") == ((1, 10), (2, 3))
+    with pytest.raises(SchemaError, match=r"^doc\.pairs\[1\]: a must be less than b"):
+        read([{"a": 1}, {"a": 5, "b": 3}], "doc.pairs")
+    with pytest.raises(SchemaError, match=r"^doc\.pairs\[0\]: missing required key 'a'"):
+        read([{}], "doc.pairs")
+    for bad in ([], {"a": 1}, "pairs"):
+        with pytest.raises(SchemaError, match=r"^doc\.pairs: expected a non-empty list"):
+            read(bad, "doc.pairs")
 
 
 def test_as_float_rejects_bool_and_text():
