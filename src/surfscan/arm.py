@@ -18,7 +18,7 @@ only: nothing reads it, since the reconstruct stage poses its camera by
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -145,22 +145,6 @@ class ArmModel:
     @property
     def velocity_limits(self) -> np.ndarray:
         return np.array([j.velocity_limit for j in self.joints])
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Joint angles (rad) and velocities (rad/s)."""
-
-    q: np.ndarray
-    qdot: np.ndarray = field(default_factory=lambda: np.zeros(7))
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float).reshape(7)
-        qdot = np.asarray(self.qdot, dtype=float).reshape(7)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
-            raise ValueError("joint state must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "qdot", qdot)
 
 
 def check_limits(model: ArmModel, q: np.ndarray) -> None:

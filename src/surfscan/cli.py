@@ -16,6 +16,7 @@ directory and is flagged in the report.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,13 @@ def _seed(text: str) -> int:
     return value
 
 
+def _timeout(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("stage timeout must be positive and finite")
+    return value
+
+
 def _add_run_flags(p) -> None:
     p.add_argument("--config", metavar="FILE",
                    help="scenario config (YAML); built-in defaults when omitted")
@@ -44,7 +52,7 @@ def _add_run_flags(p) -> None:
                    help="override the config seed")
     p.add_argument("--out", required=True, metavar="DIR",
                    help="output directory for logs, meshes and the report")
-    p.add_argument("--stage-timeout", type=float, default=None, metavar="S",
+    p.add_argument("--stage-timeout", type=_timeout, default=None, metavar="S",
                    help="abort any single stage that runs longer than S seconds")
 
 
@@ -89,7 +97,8 @@ def _report(args) -> int:
         return 2
     text = path.read_text()
     sys.stdout.write(text)
-    return 0 if "overall: PASS" in text else 1
+    # the verdict is the last line: a scenario name may read "overall: PASS"
+    return 0 if text.splitlines()[-1:] == ["overall: PASS"] else 1
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Rigid-transform primitives: poses, rotation matrices, cross products.
+"""Rigid-transform primitives: poses, rotation matrices, plane bases.
 
 A rotation is a right-handed 3x3 matrix everywhere; vectors are plain
 (3,) float64 arrays in metres. Quaternions (w, x, y, z) appear at two
@@ -53,21 +53,6 @@ def shepperd(r00, r01, r02, r10, r11, r12, r20, r21, r22) -> list[float]:
         return [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
     s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
     return [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
-
-
-def cross3(a, b) -> np.ndarray:
-    """Cross product along the last axis.
-
-    Same two-product expression np.cross evaluates, minus its axis
-    bookkeeping, which dominates the cost on tiny inputs.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
 
 
 def skew(v) -> np.ndarray:

@@ -75,14 +75,7 @@ class ScenePlane:
 
     def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Right-handed (u, v, n) with deterministic in-plane axes."""
-        cached = self.__dict__.get("_frame_cache")
-        if cached is None:
-            u, v = plane_basis(self.normal)
-            u.setflags(write=False)
-            v.setflags(write=False)
-            cached = (u, v, self.normal)
-            object.__setattr__(self, "_frame_cache", cached)
-        return cached
+        return (*plane_basis(self.normal), self.normal)
 
     def height_of(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)

@@ -30,24 +30,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import cross3
-
 LEAF_SIZE = 8
 POINT_BLOCK = 1024  # points per batched traversal; bounds its working set
 PAIR_CHUNK = 256  # (point, leaf) pairs per kernel call; bounds its temporaries
 RAY_BLOCK = 4096  # rays per binning pass; bounds its working set
 RAYS_PER_CELL = 2  # mean rays per cell of a pass's image-space grid
+MIN_SPAN = 1e-12  # an image extent below this gets one cell, so no cell-size ratio overflows
 MIN_COS = 0.5  # a ray group stays whole while every ray is within 60 degrees of its mean
 DEGENERATE_AREA = 1e-12
 BARY_EPS = 1e-10  # ray tests: tolerance on barycentric bounds at shared edges
+PARALLEL_SIN = 1e-6  # ray tests: a ray at a smaller sine to a face's plane misses it
 
 # Ray binning pads. A group has origin o and frame (e1, e2, w); a point X has
 # depth z = (X - o).w and image p(X) = ((X - o).e1, (X - o).e2) / z. Rays of
 # a group have D.w > 0, so a ray's points at t > 0 share one image q. If the
 # kernel reports a hit on a binned face, q lies in the face's padded box:
-# 1. Rounding moves the kernel's u and v by far less than RAY_SLACK unless
-#    the ray is within about 1e-8 rad of the face's plane, where det is all
-#    rounding and the kernel returns noise. So with BARY_EPS the exact hit
+# 1. Rounding moves the kernel's u and v by far less than RAY_SLACK, for the
+#    kernel drops a face whose plane the ray meets at a sine of PARALLEL_SIN
+#    or less, before det is mostly rounding. So with BARY_EPS the exact hit
 #    is X = sum l_k V_k, sum l_k = 1, at most two l_k < 0, all >= -RAY_SLACK.
 # 2. Binned faces have depths z_k > FRONT_COS r, r = max |V_k - o|, so
 #    z(X) >= z_min - 2 RAY_SLACK r > z_min / 2: X is at t > 0 and p(X) = q.
@@ -116,16 +116,7 @@ class TriMesh:
 
     def vertex_normals(self) -> np.ndarray:
         """Area-weighted vertex normals, unit length."""
-        acc = self._accel()
-        if acc.vertex_normals is None:
-            n = np.zeros_like(self.vertices)
-            # cross products carry the 2*area weighting already
-            for corner in self.faces.T:
-                np.add.at(n, corner, acc.cross)
-            lengths = np.linalg.norm(n, axis=1)
-            lengths[lengths == 0.0] = 1.0  # isolated vertices keep a zero normal
-            acc.vertex_normals = n / lengths[:, None]
-        return acc.vertex_normals
+        return self._accel().vertex_normals
 
     def _accel(self) -> "_Accel":
         acc = self.__dict__.get("_accel_cache")
@@ -181,7 +172,7 @@ class TriMesh:
         acc, f = self._accel(), int(face[0])
         A, eab, eac = acc.A[f], acc.eab[f], acc.eac[f]
         o, d = (np.asarray(x, dtype=float).reshape(1, 3) for x in (origin, direction))
-        u, v = (float(x[0]) for x in _moller_trumbore(o, d, A, eab, eac, t_min)[1:])
+        u, v = (float(x[0]) for x in _moller_trumbore(o, d, A, eab, eac, acc.face_areas[f], t_min)[1:])
         return RayHit(f, float(t[0]), np.array([1.0 - u - v, u, v]), A + u * eab + v * eac)
 
     def raycast_batch(self, origins, directions, t_min: float = 0.0):
@@ -192,8 +183,8 @@ class TriMesh:
         if O.shape[-1:] != (3,) or O.ndim > 2 or O.shape != D.shape:
             raise ValueError(f"origins and directions must both be (n, 3); got {O.shape} and {D.shape}")
         O, D = O.reshape(-1, 3), D.reshape(-1, 3)
-        if not (np.isfinite(O).all() and np.isfinite(D).all() and 0.0 <= t_min < math.inf):
-            raise ValueError(f"rays must be finite, and t_min finite and >= 0 (t_min {t_min})")
+        if not (np.isfinite(O).all() and np.isfinite(_dot3(D, D)).all() and 0.0 <= t_min < math.inf):
+            raise ValueError(f"rays and |D|^2 must be finite, and t_min finite and >= 0 (t_min {t_min})")
         return self._accel().raycast_batch(O, D, t_min)
 
     def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -322,23 +313,25 @@ def _closest(p, a, b, c) -> tuple:
         return float(d2[0]), float(bary[0, 1]), float(bary[0, 2]), tuple(cp[0].tolist())
 
 
-def _moller_trumbore(O: np.ndarray, D: np.ndarray, A, eab, eac, t_min: float):
-    """Moller-Trumbore, rays (O, D) broadcast against faces (A, eab, eac).
+def _moller_trumbore(O: np.ndarray, D: np.ndarray, A, eab, eac, area, t_min: float):
+    """Moller-Trumbore, rays (O, D) broadcast against faces (A, eab, eac, area).
 
     Returns (t, u, v) with t = inf for misses; hits on either side count.
     Elementwise like the closest-point kernel.
     """
-    pvec = cross3(D, eac)
+    pvec = np.cross(D, eac)
     det = _dot3(eab, pvec)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv = 1.0 / det
         tvec = O - A
         u = _dot3(tvec, pvec) * inv
-        qvec = cross3(tvec, eab)
+        qvec = np.cross(tvec, eab)
         v = _dot3(D, qvec) * inv
         t = _dot3(eac, qvec) * inv
-        # parallel rays (det == 0) give u + v = inf - inf; det rejects them
-        hit = (np.abs(det) > 0.0) & (u >= -BARY_EPS) & (v >= -BARY_EPS) & (u + v <= 1.0 + BARY_EPS)
+        # det = |D| 2 area sin(the ray's angle to the plane): near 0 u, v and t
+        # are rounding noise, at 0 (parallel rays, zero D) u + v = inf - inf
+        sin_ok = np.abs(det) > np.sqrt(_dot3(D, D)) * area * (2.0 * PARALLEL_SIN)
+        hit = sin_ok & (u >= -BARY_EPS) & (v >= -BARY_EPS) & (u + v <= 1.0 + BARY_EPS)
     return np.where(hit & (t >= t_min), t, np.inf), u, v
 
 
@@ -355,8 +348,17 @@ class _Accel:
         self.face_areas = 0.5 * norms
         self.face_normals = self.cross / norms[:, None]
         self.face_normals.setflags(write=False)
-        self.vertex_normals = None
         self._build(f)
+
+    @functools.cached_property
+    def vertex_normals(self) -> np.ndarray:
+        n = np.zeros_like(self.vertices)
+        # cross products carry the 2*area weighting already
+        for corner in self.corners:
+            np.add.at(n, corner, self.cross)
+        lengths = np.linalg.norm(n, axis=1)
+        lengths[lengths == 0.0] = 1.0  # isolated vertices keep a zero normal
+        return n / lengths[:, None]
 
     def _build(self, f: np.ndarray) -> None:
         fmin = np.minimum(np.minimum(self.A, self.B), self.C)
@@ -570,7 +572,7 @@ class _Accel:
             for block, ray, face in _binned_pairs(image, lo, hi):
                 ray = np.concatenate([rays[ray], np.repeat(rays[block], len(other))])
                 face = np.concatenate([binned[face], np.tile(other, len(block))])
-                tri = (x.take(face, axis=0) for x in (self.A, self.eab, self.eac))
+                tri = (x.take(face, axis=0) for x in (self.A, self.eab, self.eac, self.face_areas))
                 t = _moller_trumbore(o, D.take(ray, axis=0), *tri, t_min)[0]
                 # a ray's lanes all lie in this block: its least t, the least
                 # face at that t, and that lane's t (a zero may carry either sign)
@@ -584,9 +586,9 @@ class _Accel:
 
 def _frame(w: np.ndarray) -> np.ndarray:
     # rows e1, e2, w: an orthonormal frame around the unit vector w
-    e1 = cross3(w, np.eye(3)[np.argmin(np.abs(w))])
+    e1 = np.cross(w, np.eye(3)[np.argmin(np.abs(w))])
     e1 /= math.sqrt(_dot(e1, e1))
-    return np.array([e1, cross3(w, e1), w])
+    return np.array([e1, np.cross(w, e1), w])
 
 
 def _ray_groups(O: np.ndarray, D: np.ndarray) -> list:
@@ -629,10 +631,11 @@ def _binned_pairs(q: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     RAYS_PER_CELL points per square cell; a block is a run of row-major cells."""
     x, y = q
     (x0, x1), (y0, y1) = (x.min(), x.max()), (y.min(), y.max())
+    wx, wy = (float(w) if w > MIN_SPAN else 0.0 for w in (x1 - x0, y1 - y0))
     cells = max(1, len(x) // RAYS_PER_CELL)
-    nx = max(1, min(cells, round(math.sqrt(cells * (x1 - x0) / (y1 - y0))))) if y1 > y0 else cells
+    nx = max(1, min(cells, round(math.sqrt(cells * wx / wy)))) if wy else cells
     ny = max(1, cells // nx)
-    sx, sy = (nx / (x1 - x0) if x1 > x0 else 0.0), (ny / (y1 - y0) if y1 > y0 else 0.0)
+    sx, sy = (nx / wx if wx else 0.0), (ny / wy if wy else 0.0)
 
     def index(v, v0, s, n):
         # monotone in v, so a point inside a box lies in one of the box's cells

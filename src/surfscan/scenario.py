@@ -167,7 +167,6 @@ class ScenarioConfig:
     cap_height: float = _key("phantom.cap_height", 0.04, as_float, _POSITIVE)  # also <= sphere_radius
     contact_stiffness: float = _key("phantom.contact_stiffness", 300.0, as_float, _POSITIVE)
     contact_damping: float = _key("phantom.contact_damping", 20.0, as_float, _NON_NEGATIVE)
-    phantom_label: str = _key("phantom.label", "", as_str)
     marker_half_extents: np.ndarray = _key("markers.half_extents", [0.10, 0.09], vector(2), _POSITIVE)
     marker_size: float = _key("markers.size", 0.02, as_float, _POSITIVE)
     marker_noise_sigma: float = _key("markers.noise_sigma", 0.0, as_float, _NON_NEGATIVE)
@@ -333,10 +332,6 @@ class _StageReport:
 
 @dataclass
 class ScenarioResult:
-    name: str
-    seed: int
-    stages: tuple
-    out_dir: Path
     metrics: dict  # stage -> {key: value}
     logs: dict  # stage -> ScanLog
     passed: bool
@@ -376,9 +371,7 @@ class _Run:
         except JointLimitError as exc:
             raise SchemaError(f"arm.q_start: {exc}") from None
         self.truth_mesh, self.truth_plane = _build_phantom(cfg, self.model)
-        self.phantom = PhantomModel(
-            self.truth_mesh, cfg.contact_stiffness, cfg.contact_damping, cfg.phantom_label
-        )
+        self.phantom = PhantomModel(self.truth_mesh, cfg.contact_stiffness, cfg.contact_damping)
         self.fitted_plane: ScenePlane | None = None
         self.recon_mesh: TriMesh | None = None
         self.logs: dict[str, ScanLog] = {}
@@ -618,12 +611,12 @@ def run_scenario(
     """Execute the requested stages and write artifacts plus report.txt.
 
     `config` is a ScenarioConfig, a mapping, or a YAML file path. `seed`
-    overrides the config seed. Each stage gets its own cooperative
-    `stage_timeout` budget in seconds. A stage that cannot finish raises
-    StageError naming it; the report still lists completed checks and
+    overrides the config seed. Each stage gets its own cooperative budget of
+    `stage_timeout` seconds, positive and finite. A stage that cannot finish
+    raises StageError naming it; the report still lists completed checks and
     flags the failure. A missing or malformed arm model or mesh file, an
-    `arm.q_start` outside the model's limits, or a `phantom.extent` too
-    small for its grid is a SchemaError, raised before `out_dir` is made.
+    `arm.q_start` outside the model's limits, or a `phantom.extent` too small
+    for its grid is a SchemaError, raised before `out_dir` is made.
     """
     if isinstance(config, ScenarioConfig):
         cfg = config
@@ -641,6 +634,8 @@ def run_scenario(
         raise ValueError("duplicate stages requested")
     if "reconstruct" in stages and "localize" not in stages[: stages.index("reconstruct")]:
         raise ValueError("reconstruct stage needs the localize stage first")
+    if stage_timeout is not None and not 0.0 < stage_timeout < math.inf:
+        raise ValueError(f"stage_timeout must be positive and finite, got {stage_timeout}")
 
     out = Path(out_dir)
     run = _Run(cfg, out)  # loads the files the config names, before --out exists
@@ -663,10 +658,6 @@ def run_scenario(
             raise StageError(stage, str(exc)) from exc
     _write_report(report_path, cfg.name, cfg.seed, stages, reports, None)
     return ScenarioResult(
-        name=cfg.name,
-        seed=cfg.seed,
-        stages=stages,
-        out_dir=out,
         metrics={r.stage: dict(r.values) for r in reports},
         logs=dict(run.logs),
         passed=all(r.ok for r in reports),

@@ -3,13 +3,13 @@
 Dynamics are M(q) qdd = tau_impedance + tau_null + J_geom^T F_contact
 with gravity assumed perfectly compensated, integrated by semi-implicit
 Euler. Contact is a frictionless normal penalty at the probe tip:
-F = (k_t (-d) + c max(0, -ddot)) n while d < 0, never adhesive.
+F = f n with f = k_t (-d) + c max(0, -ddot) while d < 0, never adhesive.
 
-The loop state `SimState` is plain arrays plus the chart's surface frame.
-`init_state` checks q and qdot once; after that the divergence test is
-what catches a non-finite state. Each state comes from one kinematics
-sweep (`arm_snapshot`), whose probe rotation matrix, tip and Jacobian go
-straight to the chart: a step builds no `Pose`.
+The loop state `SimState` is plain arrays, the scalar force f and the
+chart's surface frame. `init_state` checks q and qdot once; after that
+the divergence test is what catches a non-finite state. Each state comes
+from one kinematics sweep (`arm_snapshot`), whose probe rotation matrix,
+tip and Jacobian go straight to the chart: a step builds no `Pose`.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import ArmModel, JointState, arm_snapshot, check_velocity
+from .arm import ArmModel, arm_snapshot, check_velocity
 from .chart import SurfaceChart, SurfaceFrame
 from .controller import ImpedanceGains, Setpoint, impedance_torque, nullspace_damping
 from .mesh import TriMesh, grid_surface_mesh
@@ -35,17 +35,14 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class PhantomModel:
     """Penalty-contact parameters, stiffness and damping, which are the whole
-    constitutive story. Two fields are carried but never read: `label`, the
-    material name, which no report prints; and `mesh`, the ground-truth
-    surface, for the contact force comes from the chart's distance rho[2].
-    So under `pipeline`, whose raster chart is the reconstructed mesh, the
-    probe presses on that mesh, not on the true phantom.
+    constitutive story. `mesh`, the ground-truth surface, is never read: the
+    force comes from the chart's distance rho[2], so under `pipeline`, whose
+    raster chart is the reconstructed mesh, the probe presses on that mesh.
     """
 
     mesh: TriMesh
     contact_stiffness: float
     contact_damping: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         if self.contact_stiffness <= 0.0:
@@ -104,27 +101,15 @@ class SimState:
     frame: SurfaceFrame  # at the foot point; its face seeds the next query
     jacobian: np.ndarray  # 6x7 geometric Jacobian of the probe point
     mass: np.ndarray  # 7x7 joint-space mass matrix
-    contact_wrench: np.ndarray  # (6,) world axes
-
-    @property
-    def force_normal(self) -> float:
-        return float(self.contact_wrench[:3] @ self.frame.n)
+    force_n: float  # contact force along frame.n, N
 
 
-def contact_wrench(
-    phantom: PhantomModel,
-    rho: np.ndarray,
-    rhodot: np.ndarray,
-    normal: np.ndarray,
-) -> np.ndarray:
-    """Penalty wrench at the probe tip, world axes; zero torque."""
-    w = np.zeros(6)
-    d, ddot = float(rho[2]), float(rhodot[2])
+def contact_force(phantom: PhantomModel, d: float, ddot: float) -> float:
+    """Penalty force along the surface normal at distance d moving at ddot."""
     if d >= 0.0:
-        return w
+        return 0.0
     f = phantom.contact_stiffness * (-d) + phantom.contact_damping * max(0.0, -ddot)
-    w[:3] = max(f, 0.0) * np.asarray(normal, dtype=float)
-    return w
+    return max(f, 0.0)
 
 
 def init_state(
@@ -133,18 +118,20 @@ def init_state(
     phantom: PhantomModel,
     q,
     qdot=None,
-    t: float = 0.0,
 ) -> SimState:
-    """The loop's entry edge: q and qdot are validated here, once."""
-    joint = JointState(q, np.zeros(7) if qdot is None else qdot)
-    return _state_at(model, chart, phantom, t, joint.q, joint.qdot)
+    """The loop's entry edge at t = 0: q and qdot are validated here, once."""
+    q = np.asarray(q, dtype=float).reshape(7)
+    qdot = np.zeros(7) if qdot is None else np.asarray(qdot, dtype=float).reshape(7)
+    if not (np.isfinite(q).all() and np.isfinite(qdot).all()):
+        raise ValueError("joint state must be finite")
+    return _state_at(model, chart, phantom, 0.0, q, qdot)
 
 
 def _state_at(model, chart, phantom, t: float, q, qdot, hint=None) -> SimState:
     snap = arm_snapshot(model, q)  # raises on a limit breach
     rho, rhodot, J, frame = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, qdot, hint)
-    wrench = contact_wrench(phantom, rho, rhodot, frame.n)
-    return SimState(t, q, qdot, rho, rhodot, J, frame, snap.jacobian, snap.mass, wrench)
+    force_n = contact_force(phantom, float(rho[2]), float(rhodot[2]))
+    return SimState(t, q, qdot, rho, rhodot, J, frame, snap.jacobian, snap.mass, force_n)
 
 
 def step(
@@ -166,9 +153,7 @@ def step(
         tau = tau + impedance_torque(gains, setpoint, state.rho, state.rhodot, state.J_rho)
     if nullspace_gain > 0.0:
         tau = tau + nullspace_damping(state.J_rho, qdot, nullspace_gain)
-    # frictionless tip contact: only the linear rows of the probe
-    # jacobian see the wrench
-    tau = tau + state.jacobian.T @ state.contact_wrench
+    tau = tau + state.jacobian[:3].T @ (state.force_n * state.frame.n)
     qdd = np.linalg.solve(state.mass, tau)
     qdot_new = qdot + dt * qdd
     q_new = q + dt * qdot_new
@@ -231,7 +216,7 @@ class _LogBuilder:
 
     def add(self, state: SimState, setpoint: Setpoint):
         d_d = float(setpoint.rho_d[2])
-        self.rows.append((state.t, state.q.copy(), state.rho, d_d, state.force_normal))
+        self.rows.append((state.t, state.q.copy(), state.rho, d_d, state.force_n))
 
     def build(self) -> ScanLog:
         t, q, rho, d_d, force_n = (np.array(c) for c in zip(*self.rows))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from surfscan.chart import ChartBoundaryError, DegenerateFrameError, FRAME_TOL, SurfaceFrame
-from surfscan.geometry import cross3, skew
+from surfscan.geometry import skew
 
 from helpers import plane_embed, quat_from_matrix
 
@@ -65,7 +65,7 @@ def frame_at(chart, hit_point, face: int, bary) -> SurfaceFrame:
     if nt < FRAME_TOL:
         raise DegenerateFrameError(f"surface normal parallel to the chart axis on face {face}")
     t1 = t1 / nt
-    t2 = cross3(n, t1)
+    t2 = np.cross(n, t1)
     return SurfaceFrame(hit_point, t1, t2, n, int(face))
 
 

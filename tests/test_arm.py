@@ -25,7 +25,6 @@ from surfscan.arm import (
     ArmModel,
     JointLimitError,
     JointSpec,
-    JointState,
     LinkInertia,
     _chain,
     _joint_constants,
@@ -164,13 +163,6 @@ def test_limit_violation_reports_index():
     with pytest.raises(JointLimitError) as exc:
         arm_snapshot(MODEL, q)
     assert exc.value.joint_index == 3
-
-
-def test_joint_state_validation():
-    with pytest.raises(ValueError):
-        JointState(np.array([np.nan, 0, 0, 0, 0, 0, 0]))
-    st = JointState(np.zeros(7))
-    assert st.qdot.shape == (7,)
 
 
 def fd_jacobian(chain, q, h=1e-6):

@@ -231,7 +231,7 @@ def test_raycast_tie_on_shared_edge_picks_smallest_face():
     o = 0.5 * (FLAT.vertices[i00] + FLAT.vertices[i11]) + np.array([0.0, 0.0, 0.3])
     d = np.array([0.0, 0.0, -1.0])
     acc = FLAT._accel()
-    t_all, _, _ = _moller_trumbore(o, d, acc.A, acc.eab, acc.eac, 0.0)
+    t_all, _, _ = _moller_trumbore(o, d, acc.A, acc.eab, acc.eac, acc.face_areas, 0.0)
     tied = np.flatnonzero(t_all == t_all.min())
     assert len(tied) >= 2
     t, face = FLAT.raycast_batch(o[None, :], d[None, :])
@@ -249,7 +249,7 @@ def brute_rays(mesh, O, D, t_min=0.0):
     for a in range(0, len(O), 64):
         rows = slice(a, a + 64)
         t_all, _, _ = _moller_trumbore(O[rows][:, None, :], D[rows][:, None, :], acc.A, acc.eab,
-                                       acc.eac, t_min)
+                                       acc.eac, acc.face_areas, t_min)
         k = np.argmin(t_all, axis=1)
         tk = t_all[np.arange(len(k)), k]
         t[rows] = tk
@@ -318,6 +318,32 @@ def test_raycast_batch_mixes_hits_and_misses():
     t, face = assert_rays_are_brute(BUMPY, O, D)
     assert 30 < np.isfinite(t).sum() < 270
     assert np.all((face == -1) == ~np.isfinite(t))
+
+
+def test_rays_in_the_plane_of_a_tilted_sheet_hit_nothing():
+    # from a vertex of a flat tilted sheet through the others, det is
+    # rounding (about 1e-20) on thousands of ray-face pairs, not 0: each such
+    # face is rejected as parallel rather than giving a noise hit
+    tilt = 0.3
+    u = np.array([math.cos(tilt), 0.0, math.sin(tilt)])
+    n = np.array([-math.sin(tilt), 0.0, math.cos(tilt)])
+    xs = np.linspace(-0.1, 0.1, 7)
+    mesh = grid_surface_mesh(np.zeros(3), u, np.array([0.0, 1.0, 0.0]), n, xs, xs, np.zeros((7, 7)))
+    o = mesh.vertices[24]
+    D = np.delete(mesh.vertices - o, 24, axis=0)
+    t, _ = assert_rays_are_brute(mesh, np.tile(o, (len(D), 1)), D)
+    assert not np.isfinite(t).any()
+
+
+@pytest.mark.parametrize("span", [1e-310, 1e-300, 1e-20, 1e-13])
+def test_raycast_fan_with_a_vanishing_image_span(span):
+    # the fan's image y-extent is 49 span, down to subnormal, where a ratio
+    # of the two extents would overflow: under MIN_SPAN the axis gets one cell
+    mesh = flat_phantom_mesh(np.zeros(3))
+    O = np.tile([0.0, 0.0, 1.0], (50, 1))
+    D = np.column_stack([np.linspace(-0.1, 0.1, 50), np.arange(50) * span, -np.ones(50)])
+    t, _ = assert_rays_are_brute(mesh, O, D)
+    assert np.isfinite(t).all()
 
 
 def test_raycast_blocks_match_rays_sent_one_at_a_time(monkeypatch):

@@ -232,7 +232,6 @@ def test_seed_override_changes_noise_draws(tmp_path):
     doc = {"markers": {"noise_sigma": 0.002}}
     r0 = run_scenario(doc, tmp_path / "a", stages=("localize",))
     r3 = run_scenario(doc, tmp_path / "b", stages=("localize",), seed=3)
-    assert r3.seed == 3
     assert "seed: 3" in r3.report_path.read_text()
     assert (tmp_path / "a" / "markers.yaml").read_bytes() != (
         tmp_path / "b" / "markers.yaml"
@@ -259,6 +258,13 @@ def test_stage_timeout_keeps_partial_artifacts(tmp_path):
     text = (tmp_path / "report.txt").read_text()
     assert "FAILED:" in text
     assert text.endswith("overall: FAIL (stage reconstruct did not finish)\n")
+
+
+@pytest.mark.parametrize("timeout", [0.0, -5.0, math.nan, math.inf])
+def test_stage_timeout_must_be_positive_and_finite(timeout, tmp_path):
+    with pytest.raises(ValueError, match="stage_timeout must be positive and finite"):
+        run_scenario({}, tmp_path / "run", stages=("localize",), stage_timeout=timeout)
+    assert not (tmp_path / "run").exists()
 
 
 def test_failed_simulation_writes_partial_log(tmp_path):
@@ -525,6 +531,35 @@ def test_cli_stage_timeout_exit_1(tmp_path, capsys):
     assert code == 1
     assert "stage reconstruct" in capsys.readouterr().err
     assert (tmp_path / "report.txt").is_file()
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "soon"])
+def test_cli_stage_timeout_must_be_positive_and_finite(value, tmp_path, capsys):
+    # nan would switch the timeout off, and 0 or -5 would make --out, then fail the stage
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--out", str(tmp_path / "run"), f"--stage-timeout={value}"])
+    assert exc.value.code == 2
+    assert "--stage-timeout" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_phantom_label_is_an_unknown_key(tmp_path, capsys):
+    bad = tmp_path / "label.yaml"
+    bad.write_text(yaml.safe_dump({"phantom": {"label": "water:glycerine:gelatine 45:45:10"}}))
+    assert main(["localize", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'label'" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_report_reads_the_verdict_from_the_last_line(tmp_path, capsys):
+    # the scenario name goes on the report's first line
+    config = tmp_path / "named.yaml"
+    config.write_text(yaml.safe_dump({"name": "overall: PASS", "markers": {"noise_sigma": 0.05}}))
+    out = str(tmp_path / "run")
+    assert main(["localize", "--config", str(config), "--out", out]) == 1
+    assert (tmp_path / "run" / "report.txt").read_text().endswith("overall: FAIL\n")
+    assert main(["report", "--out", out]) == 1
 
 
 def test_cli_report_command(tmp_path, capsys):

@@ -21,7 +21,7 @@ from surfscan.sim import (
     PhantomModel,
     ScanLog,
     cap_phantom_mesh,
-    contact_wrench,
+    contact_force,
     export_log,
     flat_phantom_mesh,
     init_state,
@@ -75,30 +75,22 @@ def rho_at(d: float) -> np.ndarray:
 
 def test_no_force_above_surface():
     _, phantom = flat_rig(0.01)
-    w = contact_wrench(phantom, rho_at(0.01), np.zeros(6), UP)
-    assert np.array_equal(w, np.zeros(6))
-    # exactly on the surface counts as no contact too
-    w0 = contact_wrench(phantom, rho_at(0.0), np.zeros(6), UP)
-    assert np.array_equal(w0, np.zeros(6))
+    assert contact_force(phantom, 0.01, 0.0) == 0.0
+    # exactly on the surface counts as no contact too, even approaching
+    assert contact_force(phantom, 0.0, -0.5) == 0.0
 
 
 def test_penetration_force_matches_spring_law():
     _, phantom = flat_rig(0.01, k_t=500.0, damping=0.0)
-    w = contact_wrench(phantom, rho_at(-0.002), np.zeros(6), UP)
-    assert w[2] == pytest.approx(1.0, abs=1e-15)
-    assert np.array_equal(w[3:], np.zeros(3))
-    assert w[0] == 0.0 and w[1] == 0.0
+    assert contact_force(phantom, -0.002, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_contact_damping_only_resists_approach():
     _, phantom = flat_rig(0.01, k_t=500.0, damping=50.0)
-    rhodot = np.zeros(6)
-    rhodot[2] = -0.01  # approaching
-    w_in = contact_wrench(phantom, rho_at(-0.002), rhodot, UP)
-    assert w_in[2] == pytest.approx(1.0 + 50.0 * 0.01, abs=1e-12)
-    rhodot[2] = +0.01  # separating: damping term drops out entirely
-    w_out = contact_wrench(phantom, rho_at(-0.002), rhodot, UP)
-    assert w_out[2] == pytest.approx(1.0, abs=1e-15)
+    # approaching
+    assert contact_force(phantom, -0.002, -0.01) == pytest.approx(1.0 + 50.0 * 0.01, abs=1e-12)
+    # separating: damping term drops out entirely
+    assert contact_force(phantom, -0.002, 0.01) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_contact_force_never_adhesive():
@@ -110,13 +102,10 @@ def test_contact_force_never_adhesive():
             contact_damping=float(rng.uniform(0.0, 200.0)),
         )
         d = float(rng.uniform(-0.01, 0.01))
-        rhodot = rng.normal(0.0, 0.05, 6)
-        w = contact_wrench(phantom, rho_at(d), rhodot, UP)
-        fn = w[:3] @ UP
+        fn = contact_force(phantom, d, float(rng.normal(0.0, 0.05)))
         assert fn >= 0.0
         if d >= 0.0:
             assert fn == 0.0
-        assert np.array_equal(w[3:], np.zeros(3))
 
 
 def test_phantom_validation():
@@ -157,8 +146,20 @@ def test_init_state_reports_placement_distance():
     assert abs(st.rho[0]) < 1e-9 and abs(st.rho[1]) < 1e-9
     # pitch offsets cancel at the scan posture, so alignment is exact
     assert np.linalg.norm(st.rho[3:]) < 1e-12
-    assert st.force_normal == 0.0
-    assert np.array_equal(st.contact_wrench, np.zeros(6))
+    assert st.force_n == 0.0
+    assert np.array_equal(st.qdot, np.zeros(7))
+
+
+@pytest.mark.parametrize("q, qdot", [
+    (np.array([np.nan, 0.5, 0.0, -1.0, 0.0, 0.5, 0.0]), None),
+    (Q_SCAN, np.array([0.0, 0.0, np.inf, 0.0, 0.0, 0.0, 0.0])),
+    (Q_SCAN[:6], None),
+    (Q_SCAN, np.zeros(8)),
+], ids=["q-nan", "qdot-inf", "q-short", "qdot-long"])
+def test_init_state_rejects_a_bad_joint_state(q, qdot):
+    chart, phantom = flat_rig(0.010)
+    with pytest.raises(ValueError):
+        init_state(MODEL, chart, phantom, q, qdot)
 
 
 def test_free_equilibrium_is_exact():
@@ -209,8 +210,8 @@ def _nan_at(v: np.ndarray, i: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("make_bad, gains", [
-    # huge-but-finite wrench overflows the torque projection to inf
-    pytest.param(lambda st: {"contact_wrench": np.full(6, 1e308)}, None, id="wrench-overflow"),
+    # the largest finite contact force overflows the 7x7 solve to inf
+    pytest.param(lambda st: {"force_n": np.finfo(float).max}, None, id="force-overflow"),
     # impedance_torque does not check its inputs: a NaN in rho or rhodot
     # reaches the integrator, and the divergence test stops the step
     pytest.param(lambda st: {"rho": _nan_at(st.rho, 2)}, GAINS, id="rho-nan"),
