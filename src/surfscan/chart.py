@@ -62,7 +62,7 @@ class SurfaceFrame:
     t1: np.ndarray
     t2: np.ndarray
     n: np.ndarray
-    face: int = -1  # mesh face the point lies on; seeds the next query
+    face: int  # mesh face the point lies on; seeds the next query
 
 
 class SurfaceChart:

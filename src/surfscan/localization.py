@@ -102,14 +102,12 @@ def fit_plane(
     """
     if len(markers) < 3:
         raise DegenerateMarkerError(f"need at least 3 markers, got {len(markers)}")
-    if use_corners:
-        pts_cam = np.concatenate([m.corners for m in markers], axis=0)
-    else:
-        pts_cam = np.stack([m.centre for m in markers], axis=0)
-    R = camera_pose.rotation
-    centres_world = np.stack([m.centre for m in markers], axis=0) @ R.T + camera_pose.translation
+    R, origin = camera_pose.rotation, camera_pose.translation
+    centres_world = np.stack([m.centre for m in markers], axis=0) @ R.T + origin
     centre = centres_world.mean(axis=0)
-    fit_pts = pts_cam @ R.T + camera_pose.translation if use_corners else centres_world
+    fit_pts = centres_world
+    if use_corners:
+        fit_pts = np.concatenate([m.corners for m in markers], axis=0) @ R.T + origin
     centred = fit_pts - fit_pts.mean(axis=0)
     _, s, vt = np.linalg.svd(centred, full_matrices=False)
     if s[1] <= 1e-12 + 1e-9 * s[0]:

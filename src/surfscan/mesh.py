@@ -111,9 +111,6 @@ class TriMesh:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def face_normals(self) -> np.ndarray:
-        return self._accel().face_normals
-
     def vertex_normals(self) -> np.ndarray:
         """Area-weighted vertex normals, unit length."""
         return self._accel().vertex_normals

@@ -1,9 +1,11 @@
 """Compliant contact and closed-loop time stepping.
 
 Dynamics are M(q) qdd = tau_impedance + tau_null + J_geom^T F_contact
-with gravity assumed perfectly compensated, integrated by semi-implicit
-Euler. Contact is a frictionless normal penalty at the probe tip:
-F = f n with f = k_t (-d) + c max(0, -ddot) while d < 0, never adhesive.
+with gravity assumed perfectly compensated and no velocity-product term
+C(q, qdot) qdot (so kinetic energy gains 1/2 qdot^T Mdot qdot that no
+torque supplies), integrated by semi-implicit Euler. Contact is a
+frictionless normal penalty at the probe tip: F = f n with
+f = k_t (-d) + c max(0, -ddot) while d < 0, never adhesive.
 
 The loop state `SimState` is plain arrays, the scalar force f and the
 chart's surface frame. `init_state` checks q and qdot once; after that
@@ -25,7 +27,6 @@ from .controller import ImpedanceGains, Setpoint, impedance_torque, nullspace_da
 from .mesh import TriMesh, grid_surface_mesh
 
 MAX_DT = 5e-3
-CSV_HEADER = "t,q0,q1,q2,q3,q4,q5,q6,s1,s2,d,eps1,eps2,eps3,d_d,force_n"
 
 
 class DivergenceError(RuntimeError):
@@ -162,8 +163,7 @@ def step(
             f"integrator diverged at t = {state.t:.6f} s (step from dt = {dt})"
         )
     check_velocity(model, qdot_new)  # raises JointVelocityError
-    hint = state.frame.face if state.frame.face >= 0 else None
-    return _state_at(model, chart, phantom, state.t + dt, q_new, qdot_new, hint)
+    return _state_at(model, chart, phantom, state.t + dt, q_new, qdot_new, state.frame.face)
 
 
 def steady_state_force(k_controller: float, k_t: float, d_hold: float) -> float:
@@ -176,52 +176,42 @@ def steady_state_force(k_controller: float, k_t: float, d_hold: float) -> float:
     return k_controller * k_t / (k_controller + k_t) * (-d_hold)
 
 
+CSV_HEADER = "t,q0,q1,q2,q3,q4,q5,q6,s1,s2,d,eps1,eps2,eps3,d_d,force_n"
+
+
 @dataclass(frozen=True)
 class ScanLog:
-    """Fixed-schema samples of a run; one row per sampled step."""
+    """Samples of a run: an (n, 16) table in CSV_HEADER order, one row each;
+    the named columns are views of it."""
 
-    t: np.ndarray
-    q: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    d: np.ndarray
-    eps: np.ndarray
-    d_d: np.ndarray
-    force_n: np.ndarray
+    table: np.ndarray
+
+    t = property(lambda log: log.table[:, 0])
+    q = property(lambda log: log.table[:, 1:8])
+    s1 = property(lambda log: log.table[:, 8])
+    s2 = property(lambda log: log.table[:, 9])
+    d = property(lambda log: log.table[:, 10])
+    eps = property(lambda log: log.table[:, 11:14])
+    d_d = property(lambda log: log.table[:, 14])
+    force_n = property(lambda log: log.table[:, 15])
 
     def __post_init__(self):
-        n = len(self.t)
-        if n == 0:
-            raise ValueError("log must contain at least one sample")
-        if self.q.shape != (n, 7) or self.eps.shape != (n, 3):
-            raise ValueError("log column shapes are inconsistent")
-        for name in ("s1", "s2", "d", "d_d", "force_n"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError("log column shapes are inconsistent")
-        if n > 1 and np.min(np.diff(self.t)) <= 0.0:
+        if self.table.shape[1:] != (16,) or len(self.table) == 0:
+            raise ValueError("log must be a non-empty (n, 16) table")
+        if not (np.diff(self.t) > 0.0).all():
             raise ValueError("log time must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.t)
-
-    def table(self) -> np.ndarray:
-        """(n, 16) samples in CSV column order (see CSV_HEADER)."""
-        cols = (self.t, self.q, self.s1, self.s2, self.d, self.eps, self.d_d, self.force_n)
-        return np.column_stack(cols)
+        return len(self.table)
 
 
-class _LogBuilder:
-    def __init__(self):
-        self.rows = []
-
-    def add(self, state: SimState, setpoint: Setpoint):
-        d_d = float(setpoint.rho_d[2])
-        self.rows.append((state.t, state.q.copy(), state.rho, d_d, state.force_n))
-
-    def build(self) -> ScanLog:
-        t, q, rho, d_d, force_n = (np.array(c) for c in zip(*self.rows))
-        rho = rho.reshape(-1, 6)
-        return ScanLog(t, q.reshape(-1, 7), *rho[:, :3].T, rho[:, 3:], d_d, force_n)
+def _write_row(row: np.ndarray, state: SimState, setpoint: Setpoint) -> None:
+    """One sample into its table row, in CSV_HEADER order."""
+    row[0] = state.t
+    row[1:8] = state.q
+    row[8:14] = state.rho  # s1, s2, d, eps1, eps2, eps3
+    row[14] = setpoint.rho_d[2]
+    row[15] = state.force_n
 
 
 def simulate(
@@ -250,22 +240,24 @@ def simulate(
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
     n_steps = max(1, int(round(duration / dt)))
-    builder = _LogBuilder()
+    table = np.empty((1 + math.ceil(n_steps / sample_every), 16))
     state = init_state(model, chart, phantom, q0)
     sp = setpoints(0.0)
-    builder.add(state, sp)
+    _write_row(table[0], state, sp)
+    n = 1
     try:
         for k in range(n_steps):
             state = step(model, chart, phantom, gains, sp, state, dt, nullspace_gain)
             sp = setpoints(state.t)
             if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-                builder.add(state, sp)
+                _write_row(table[n], state, sp)
+                n += 1
             if deadline is not None and k % 200 == 0 and time.monotonic() > deadline:
                 raise TimeoutError(f"simulation exceeded its deadline at t = {state.t:.3f} s")
     except Exception as exc:
-        exc.partial_log = builder.build() if builder.rows else None
+        exc.partial_log = ScanLog(table[:n])
         raise
-    return builder.build()
+    return ScanLog(table)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +272,7 @@ def export_log(log: ScanLog, path) -> None:
     """CSV, 9 significant digits, LF endings; byte-stable for equal runs."""
     # one row at a time: a whole-table tolist() would hold every value
     # as a Python float at once
-    rows = [_ROW_FORMAT % tuple(r.tolist()) for r in log.table()]
+    rows = [_ROW_FORMAT % tuple(r.tolist()) for r in log.table]
     data = "\n".join([CSV_HEADER] + rows) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(data)
@@ -310,12 +302,7 @@ def parse_log(path) -> ScanLog:
         if not all(map(math.isfinite, row)):
             raise ValueError(f"{path}: line {number}: non-finite value")
         rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: log has no rows")
-    a = np.array(rows)
     try:
-        return ScanLog(
-            a[:, 0], a[:, 1:8], a[:, 8], a[:, 9], a[:, 10], a[:, 11:14], a[:, 14], a[:, 15]
-        )
-    except ValueError as exc:  # the time column out of order
+        return ScanLog(np.array(rows))
+    except ValueError as exc:  # no rows, or the time column out of order
         raise ValueError(f"{path}: {exc}") from None

@@ -3,9 +3,16 @@
 `audited_run` steps the loop itself, through `init_state` and `step`
 exactly as `simulate` does, and records at every state the kinetic
 energy, the controller and contact spring energies and the cumulative
-dissipation. Under a constant setpoint on a flat chart the
-continuous-time loop conserves kinetic + spring energy plus accumulated
-dissipation exactly, so the balance isolates integrator error.
+dissipation.
+
+The plant it audits is `sim.step`'s M(q) qdd = tau, which has no
+velocity-product term C(q, qdot) qdot. So even in continuous time the
+loop does not conserve kinetic + spring energy plus dissipation: the
+kinetic energy also gains 1/2 qdot^T Mdot qdot, which no torque
+supplies. Under a constant setpoint on a flat chart the balance error
+therefore holds that term's unsupplied power as well as the integrator
+error, and on a slow hold the first is the larger part: halving dt
+barely moves the balance.
 """
 from __future__ import annotations
 

@@ -19,11 +19,13 @@ _SPEC.loader.exec_module(compare_runs)
 
 def _log(shift: float = 0.0) -> ScanLog:
     n = 3
-    t = np.array([0.0, 0.001, 0.002])
-    q = np.arange(7 * n, dtype=float).reshape(n, 7) / 10.0
-    q[1, 4] += shift
-    z = np.zeros(n)
-    return ScanLog(t, q, z, z, z - 0.004, np.zeros((n, 3)), z, z + 1.5)
+    table = np.zeros((n, 16))
+    table[:, 0] = [0.0, 0.001, 0.002]
+    table[:, 1:8] = np.arange(7 * n, dtype=float).reshape(n, 7) / 10.0
+    table[1, 5] += shift  # q4
+    table[:, 10] = -0.004  # d
+    table[:, 15] = 1.5  # force_n
+    return ScanLog(table)
 
 
 def test_identical_trees(tmp_path):

@@ -584,7 +584,7 @@ def test_grid_mesh_counts_and_orientation():
         np.zeros((3, 3)),
     )
     assert mesh.n_faces == 8
-    normals = mesh.face_normals()
+    normals = mesh._accel().face_normals
     assert np.all(normals @ np.array([0, 0, 1.0]) > 0.999999)
 
 

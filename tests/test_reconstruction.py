@@ -251,12 +251,12 @@ def test_two_by_two_cells_give_eight_upward_triangles():
     field = small_field(np.arange(9.0).reshape(3, 3) * 0.001)
     mesh = extract_mesh(field)
     assert len(mesh.faces) == 8
-    assert np.all(mesh.face_normals() @ EZ > 0)
+    assert np.all(mesh._accel().face_normals @ EZ > 0)
 
 
 def test_flat_field_normals_match_plane_normal():
     mesh = extract_mesh(small_field(np.full((4, 4), 0.02)))
-    assert np.max(np.abs(mesh.face_normals() - EZ)) < 1e-9
+    assert np.max(np.abs(mesh._accel().face_normals - EZ)) < 1e-9
 
 
 def test_extracted_vertices_reproduce_node_heights_exactly():

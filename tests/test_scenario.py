@@ -453,12 +453,11 @@ def test_cli_out_that_cannot_be_made_exits_2(tmp_path, capsys, under):
 
 def test_approach_max_force_counts_only_samples_above_the_surface(tmp_path, monkeypatch):
     # forces at and below the surface (d <= 0) belong to the ramp, not the approach
-    n = 5
-    log = ScanLog(
-        t=0.1 * np.arange(n), q=np.zeros((n, 7)), s1=np.zeros(n), s2=np.zeros(n),
-        d=np.array([0.02, 5e-4, 0.0, -1e-3, -2e-3]), eps=np.zeros((n, 3)), d_d=np.zeros(n),
-        force_n=np.array([0.0, 0.5, 7.0, 9.0, 9.0]),
-    )
+    table = np.zeros((5, 16))
+    table[:, 0] = 0.1 * np.arange(5)  # t
+    table[:, 10] = [0.02, 5e-4, 0.0, -1e-3, -2e-3]  # d
+    table[:, 15] = [0.0, 0.5, 7.0, 9.0, 9.0]  # force_n
+    log = ScanLog(table)
     monkeypatch.setattr(scenario, "simulate", lambda *args, **kwargs: log)
     result = run_scenario({}, tmp_path, stages=("contact",))
     assert result.metrics["contact"]["approach_max_force_n"] == 0.5

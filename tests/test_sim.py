@@ -1,6 +1,7 @@
 """Closed-loop simulator tests: contact law, integrator, energy audit,
 steady-state force, and the log file format."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from surfscan.chart import SurfaceChart
 from surfscan.controller import (
     ContactProfile,
     ImpedanceGains,
+    RasterPath,
     Setpoint,
     contact_setpoints,
 )
@@ -312,10 +314,28 @@ def test_simulate_argument_validation():
 
 def test_sample_every_keeps_first_and_last():
     chart, phantom = flat_rig(0.010)
-    log = simulate(
-        MODEL, chart, phantom, None, lambda t: hold_setpoint(0.01), Q_SCAN,
-        duration=0.010, dt=1e-3, sample_every=3,
-    )
+
+    def run(every):
+        return simulate(
+            MODEL, chart, phantom, None, lambda t: hold_setpoint(0.01), Q_SCAN,
+            duration=0.010, dt=1e-3, sample_every=every,
+        )
+
+    final = init_state(MODEL, chart, phantom, Q_SCAN)
+    for _ in range(10):  # 10 steps: not a multiple of 3 or 7
+        final = step(MODEL, chart, phantom, None, hold_setpoint(0.01), final, 1e-3)
+    every_step = run(1)
+    for every in (1, 3, 7, 10, 10**6):
+        log = run(every)
+        kept = sorted({*range(0, 11, every), 10})
+        assert len(log) == 1 + math.ceil(10 / every) == len(kept), every
+        # no unwritten row: every value finite, time strictly increasing,
+        # and each row the state of its step
+        assert np.isfinite(log.table).all() and (np.diff(log.t) > 0.0).all(), every
+        assert np.array_equal(log.table, every_step.table[kept]), every
+        assert log.t[-1] == final.t and np.array_equal(log.q[-1], final.q), every
+        assert log.force_n[-1] == final.force_n and log.d[-1] == final.rho[2], every
+    log = run(3)
     assert len(log) == 5  # steps 0, 3, 6, 9, 10
     assert log.t[0] == 0.0
     assert log.t[-1] == pytest.approx(0.010, abs=1e-12)
@@ -560,23 +580,42 @@ def test_parse_rejects_non_finite_cells(tmp_path, short_run, value):
 
 
 def test_scanlog_validation():
-    n = 4
-    t = np.linspace(0.0, 0.3, n)
-    cols = dict(
-        t=t, q=np.zeros((n, 7)), s1=np.zeros(n), s2=np.zeros(n), d=np.zeros(n),
-        eps=np.zeros((n, 3)), d_d=np.zeros(n), force_n=np.zeros(n),
-    )
-    ScanLog(**cols)  # fine
-    with pytest.raises(ValueError):
-        ScanLog(**{**cols, "t": t[::-1].copy()})
-    with pytest.raises(ValueError):
-        ScanLog(**{**cols, "q": np.zeros((n, 6))})
-    with pytest.raises(ValueError):
-        ScanLog(**{**cols, "t": np.array([]), "q": np.zeros((0, 7))})
+    table = np.zeros((4, 16))
+    table[:, 0] = np.linspace(0.0, 0.3, 4)
+    ScanLog(table)  # fine
+    ScanLog(table[:1])  # one sample is a log
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ScanLog(table[::-1].copy())
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ScanLog(table[[0, 1, 1, 2]])
+    for bad in (table[:, :15], np.zeros((0, 16)), table[0], table[None]):
+        with pytest.raises(ValueError, match=r"non-empty \(n, 16\) table"):
+            ScanLog(bad)
+
+
+def test_scanlog_columns_match_the_csv_header(tmp_path):
+    # a short raster from a rolled and tilted start: s1, s2, eps and the
+    # force all move, so no two columns hold the same values
+    chart, phantom = flat_rig(0.0005)
+    path = RasterPath(np.array([-0.004, -0.003]), np.array([0.004, 0.003]), 0.003, 0.05, -0.004)
+    q0 = Q_SCAN + np.array([0.0, 0.0, 0.0, 0.0, 0.05, 0.0, 0.1])
+    log = simulate(MODEL, chart, phantom, GAINS, path.setpoint, q0, duration=0.1, sample_every=4)
+    export_log(log, tmp_path / "log.csv")
+    lines = (tmp_path / "log.csv").read_text().splitlines()
+    csv = dict(zip(lines[0].split(","), np.array([ln.split(",") for ln in lines[1:]], dtype=float).T))
+    assert len({c.tobytes() for c in csv.values()}) == 16  # 16 distinct columns
+    columns = {name: csv[name] for name in ("t", "s1", "s2", "d", "d_d", "force_n")}
+    columns["q"] = np.column_stack([csv[f"q{j}"] for j in range(7)])
+    columns["eps"] = np.column_stack([csv[f"eps{j}"] for j in (1, 2, 3)])
+    back = parse_log(tmp_path / "log.csv")
+    for name, column in columns.items():
+        assert np.array_equal(getattr(back, name), column), name
+        # the CSV keeps 9 significant digits
+        np.testing.assert_allclose(getattr(log, name), column, rtol=1e-8, atol=0.0, err_msg=name)
 
 
 def test_scanlog_row_layout(short_run):
-    r = short_run.table()[0]
+    r = short_run.table[0]
     assert r.shape == (16,)
     assert r[0] == short_run.t[0]
     assert np.array_equal(r[1:8], short_run.q[0])
