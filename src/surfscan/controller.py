@@ -197,8 +197,9 @@ def nullspace_projector(J_rho: np.ndarray) -> np.ndarray:
     return np.eye(n) - vr.T @ vr
 
 
-# column sets and signs of the seven 6x6 minors of a 6x7 matrix
-_MINOR_COLS = np.array([[j for j in range(7) if j != k] for k in range(7)])
+# the seven 6x6 minors of a 6x7 matrix, minor k without column k, as flat
+# indices for one take (a (7, 6, 6) stack), and their signs
+_MINOR_IDX = np.array([[[7 * i + j for j in range(7) if j != k] for i in range(6)] for k in range(7)])
 _MINOR_SIGN = np.array([(-1.0) ** k for k in range(7)])
 
 
@@ -215,7 +216,7 @@ def nullspace_damping(J_rho: np.ndarray, qdot: np.ndarray, gain: float) -> np.nd
     J_rho = np.asarray(J_rho, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     if J_rho.shape == (6, 7) and qdot.shape == (7,):
-        n = _MINOR_SIGN * np.linalg.det(J_rho[:, _MINOR_COLS].transpose(1, 0, 2))
+        n = _MINOR_SIGN * np.linalg.det(J_rho.take(_MINOR_IDX))
         size = math.sqrt(n @ n)
         frob = math.sqrt(J_rho.ravel() @ J_rho.ravel())
         # sigma_min >= size / sigma_max^5 and sigma_max <= frob

@@ -10,9 +10,11 @@ result bit for bit, including the (distance, face index) tie-break.
 Point queries use a median-split AABB tree over face boxes, built level by
 level, whose leaves list their faces in ascending order and whose boxes are
 padded against rounding; traversal never prunes a node whose lower bound
-ties the current best, which is what makes the tie-break exact. Batched
-queries walk it breadth first over (point, node) pairs, seeded by a greedy
-descent.
+ties the current best, which is what makes the tie-break exact. A single
+query starts at its hint face's leaf (without a hint, the leaf a greedy
+descent reaches) and climbs to the root through the sibling subtrees its
+bound reaches. Batched queries walk the tree breadth first over (point,
+node) pairs, seeded by a greedy descent.
 
 Rays use Moller-Trumbore with double-sided hits. Rays that share an origin
 are cast together (Wald et al., "Interactive Rendering with Coherent Ray
@@ -261,10 +263,6 @@ def closest_point_triangles(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.n
     return _dot3(diff, diff), cp, np.stack([1.0 - u - v, u, v], axis=-1)
 
 
-def _sub(a, b) -> tuple:
-    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
-
-
 def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
@@ -276,9 +274,13 @@ def closest_point_scalar(p, a, b, c) -> tuple:
     IEEE float64 scalars round as the ufuncs do, so every value is the
     kernel's bit for bit at a fraction of the call cost. Raises
     ZeroDivisionError where the kernel would divide by zero."""
-    ab, ac, ap, bp, cp = _sub(b, a), _sub(c, a), _sub(p, a), _sub(p, b), _sub(p, c)
-    d1, d2, d3, d4 = _dot(ab, ap), _dot(ac, ap), _dot(ab, bp), _dot(ac, bp)
-    d5, d6 = _dot(ab, cp), _dot(ac, cp)
+    (px, py, pz), (ax, ay, az), (bx, by, bz), (cx, cy, cz) = p, a, b, c
+    abx, aby, abz, acx, acy, acz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+    apx, apy, apz, bpx, bpy, bpz = px - ax, py - ay, pz - az, px - bx, py - by, pz - bz
+    cpx, cpy, cpz = px - cx, py - cy, pz - cz
+    d1, d2 = abx * apx + aby * apy + abz * apz, acx * apx + acy * apy + acz * apz
+    d3, d4 = abx * bpx + aby * bpy + abz * bpz, acx * bpx + acy * bpy + acz * bpz
+    d5, d6 = abx * cpx + aby * cpy + abz * cpz, acx * cpx + acy * cpy + acz * cpz
     va, vb, vc = d3 * d6 - d5 * d4, d5 * d2 - d1 * d6, d1 * d4 - d3 * d2
     if d1 <= 0.0 and d2 <= 0.0:
         u, v = 0.0, 0.0
@@ -296,9 +298,20 @@ def closest_point_scalar(p, a, b, c) -> tuple:
     else:
         denom = va + vb + vc
         u, v = vb / denom, vc / denom
-    point = (a[0] + u * ab[0] + v * ac[0], a[1] + u * ab[1] + v * ac[1], a[2] + u * ab[2] + v * ac[2])
-    e = _sub(p, point)
-    return _dot(e, e), u, v, point
+    x, y, z = ax + u * abx + v * acx, ay + u * aby + v * acy, az + u * abz + v * acz
+    ex, ey, ez = px - x, py - y, pz - z
+    return ex * ex + ey * ey + ez * ez, u, v, (x, y, z)
+
+
+def _box_gap2(box, px: float, py: float, pz: float) -> float:
+    # squared distance from (px, py, pz) to box (min then max corner) from
+    # the per-axis gaps, summed x then y then z like _Accel._box_d2 so both
+    # spellings round identically
+    x0, y0, z0, x1, y1, z1 = box
+    gx = x0 - px if x0 > px else px - x1 if px > x1 else 0.0
+    gy = y0 - py if y0 > py else py - y1 if py > y1 else 0.0
+    gz = z0 - pz if z0 > pz else pz - z1 if pz > z1 else 0.0
+    return gx * gx + gy * gy + gz * gz
 
 
 def _closest(p, a, b, c) -> tuple:
@@ -417,72 +430,98 @@ class _Accel:
         cols = np.minimum(np.arange(LEAF_SIZE), self.count[leaf][:, None] - 1)
         self.leaf_faces = np.zeros((len(self.count), LEAF_SIZE), dtype=np.int64)
         self.leaf_faces[leaf] = perm[self.start[leaf][:, None] + cols]
+        # where the single-point walk starts and how it climbs: each face's
+        # leaf, and each node's parent (the root's is -1)
+        self.face_leaf = np.empty(n, dtype=np.int64)
+        self.face_leaf[perm] = np.repeat(leaf, self.count[leaf])
+        self.parent = np.full(nodes, -1)
+        self.parent[kids] = inner[:, None]
 
     @functools.cached_property
     def _lists(self) -> tuple:
-        """Plain-python tree mirrors plus per-leaf face rows for nearest, where
-        indexing numpy scalars costs more than the arithmetic; built on the
-        first nearest, so batch-only meshes never convert."""
-        mirrors = (x.tolist() for x in (self.bmin, self.bmax, self.left, self.right))
-        return (*mirrors, [None] * len(self.count))
+        """Plain-python mirrors of the node boxes (one 6-list of floats, min
+        then max), children and parents, plus per-leaf face rows for nearest,
+        where indexing numpy scalars costs more than the arithmetic; built on
+        the first nearest, so batch-only meshes never convert."""
+        mirrors = (np.hstack([self.bmin, self.bmax]), self.left, self.right, self.parent)
+        return (*(x.tolist() for x in mirrors), [None] * len(self.count))
+
+    def _leaf_rows(self, node: int) -> list:
+        # (face, a, b, c, padded box min, max) of a leaf's faces in floats,
+        # on the leaf's first visit: converting all faces at build costs
+        # batch-only meshes too
+        f = self.leaf_faces[node, : self.count[node]]
+        A, B, C = self.A[f], self.B[f], self.C[f]
+        lo = np.minimum(np.minimum(A, B), C) - self.pad
+        hi = np.maximum(np.maximum(A, B), C) + self.pad
+        rows = list(zip(*(x.tolist() for x in (f, A, B, C)), *np.hstack([lo, hi]).T.tolist()))
+        self._lists[-1][node] = rows
+        return rows
 
     def nearest(self, p: np.ndarray, hint: int | None = None) -> ClosestHit:
         p = p.tolist()
         px, py, pz = p
-        bmin_l, bmax_l, left_l, right_l, rows_l = self._lists
-
-        def box_d2(lo, hi) -> float:
-            # squared box distance from the per-axis gaps, summed x then y
-            # then z like _box_d2 so both spellings round identically
-            gx = lo[0] - px if lo[0] > px else px - hi[0] if px > hi[0] else 0.0
-            gy = lo[1] - py if lo[1] > py else py - hi[1] if py > hi[1] else 0.0
-            gz = lo[2] - pz if lo[2] > pz else pz - hi[2] if pz > hi[2] else 0.0
-            return gx * gx + gy * gy + gz * gz
-
+        boxes, left, right, parent, rows_l = self._lists
         if hint is None:
-            # seed from the greedy descent to the nearer-box leaf; any seed
-            # gives the same hit (see below), a near one prunes more
+            # the greedy descent to the nearer-box leaf gives the hint, the
+            # leaf's first face; any hint gives the same hit (see below), a
+            # near one prunes more
             node = 0
-            while left_l[node] >= 0:
-                l, r = left_l[node], right_l[node]
-                node = l if box_d2(bmin_l[l], bmax_l[l]) <= box_d2(bmin_l[r], bmax_l[r]) else r
+            while left[node] >= 0:
+                l, r = left[node], right[node]
+                node = l if _box_gap2(boxes[l], px, py, pz) <= _box_gap2(boxes[r], px, py, pz) else r
             hint = int(self.leaf_faces[node, 0])
-        # Ericson's best-first walk: the hint seeds the (d2, face) lex-min,
-        # leaf faces are evaluated as the walk reaches them, and the lex-min
-        # bounds the prune. A box is pruned only when strictly farther than
-        # the bound, which never drops below the final d2, so every face that
-        # wins or ties is evaluated: the lex-min is the brute-force winner.
-        best = _closest(p, *(x[hint].tolist() for x in (self.A, self.B, self.C)))
+        leaf = int(self.face_leaf[hint])
+        # Ericson's walk, started at the hint: the hint face seeds the
+        # (d2, face) lex-min, leaf faces are evaluated as the walk reaches
+        # them, and the lex-min bounds the prune. A box is pruned only when
+        # strictly farther than the bound, which never drops below the final
+        # d2, so every face that wins or ties is evaluated: the lex-min is the
+        # brute-force winner. The stack starts as the hint's leaf on top of
+        # the siblings of its root path, nearest first, so the walk finishes
+        # the leaf, then climbs, entering each sibling subtree the bound
+        # reaches; together they hold every face once.
+        for row in rows_l[leaf] or self._leaf_rows(leaf):
+            if row[0] == hint:
+                best = _closest(p, row[1], row[2], row[3])
+                break
         bound, win = best[0], hint
-        stack = [0]
+        stack, node = [leaf], leaf
+        while node:  # the root is node 0
+            up = parent[node]
+            stack.insert(0, right[up] if left[up] == node else left[up])
+            node = up
         while stack:
             node = stack.pop()
-            if box_d2(bmin_l[node], bmax_l[node]) > bound:
+            # _box_gap2, written out: the walk's node and face tests are
+            # most of its calls
+            x0, y0, z0, x1, y1, z1 = boxes[node]
+            gx = x0 - px if x0 > px else px - x1 if px > x1 else 0.0
+            gy = y0 - py if y0 > py else py - y1 if py > y1 else 0.0
+            gz = z0 - pz if z0 > pz else pz - z1 if pz > z1 else 0.0
+            if gx * gx + gy * gy + gz * gz > bound:
                 continue
-            if left_l[node] >= 0:
-                stack += right_l[node], left_l[node]
+            if left[node] >= 0:
+                stack += right[node], left[node]
                 continue
-            rows = rows_l[node]
-            if rows is None:
-                # (face, a, b, c, box min, box max) in floats, on first visit:
-                # converting all faces at build costs batch-only meshes too
-                f = self.leaf_faces[node, : self.count[node]]
-                A, B, C = self.A[f], self.B[f], self.C[f]
-                lo = np.minimum(np.minimum(A, B), C) - self.pad
-                hi = np.maximum(np.maximum(A, B), C) + self.pad
-                rows = rows_l[node] = list(zip(*(x.tolist() for x in (f, A, B, C, lo, hi))))
-            for f, a, b, c, lo, hi in rows:
+            for f, a, b, c, x0, y0, z0, x1, y1, z1 in rows_l[node] or self._leaf_rows(node):
                 # the hint is counted already; face boxes are padded like nodes
-                if f == hint or box_d2(lo, hi) > bound:
+                if f == hint:
+                    continue
+                gx = x0 - px if x0 > px else px - x1 if px > x1 else 0.0
+                gy = y0 - py if y0 > py else py - y1 if py > y1 else 0.0
+                gz = z0 - pz if z0 > pz else pz - z1 if pz > z1 else 0.0
+                if gx * gx + gy * gy + gz * gz > bound:
                     continue
                 hit = _closest(p, a, b, c)
                 if hit[0] < bound or (hit[0] == bound and f < win):
                     best, bound, win = hit, hit[0], f
-        d2, u, v, point = best
+        d2, u, v, (x, y, z) = best
         dist = math.sqrt(d2)
-        if _dot(_sub(p, point), self.face_normals[win].tolist()) < 0.0:
+        nx, ny, nz = self.face_normals[win].tolist()
+        if (px - x) * nx + (py - y) * ny + (pz - z) * nz < 0.0:
             dist = -dist
-        return ClosestHit(win, point, (1.0 - u - v, u, v), dist)
+        return ClosestHit(win, (x, y, z), (1.0 - u - v, u, v), dist)
 
     def _box_d2(self, P: np.ndarray, node) -> np.ndarray:
         # squared point-box distance per row; node is one index or one per row

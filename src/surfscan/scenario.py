@@ -446,7 +446,9 @@ def _stage_localize(run: _Run, deadline) -> _StageReport:
     angle = math.acos(max(-1.0, min(1.0, float(z_cam @ (-run.truth_plane.normal)))))
     dist = float(np.linalg.norm(cam_pose.translation - run.truth_plane.centre))
     rep.check("alignment_angle_error_rad", abs(angle - cfg.view_angle), "<", 1e-12)
-    rep.check("alignment_distance_error_m", abs(dist - cfg.view_distance), "<", 1e-12)
+    # rounding of the pose grows with the distance, so the bound scales with it
+    rep.check("alignment_distance_error_m", abs(dist - cfg.view_distance), "<",
+              1e-12 * max(1.0, cfg.view_distance))
 
     rng = np.random.default_rng([cfg.seed, 11])
     markers = synthetic_markers(

@@ -239,7 +239,10 @@ def simulate(
         raise ValueError("sample_every must be at least 1")
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
-    n_steps = max(1, int(round(duration / dt)))
+    steps = duration / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"duration / dt must be a finite step count; got duration {duration} s, dt {dt} s")
+    n_steps = max(1, int(round(steps)))
     table = np.empty((1 + math.ceil(n_steps / sample_every), 16))
     state = init_state(model, chart, phantom, q0)
     sp = setpoints(0.0)

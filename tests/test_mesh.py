@@ -519,6 +519,46 @@ def test_hinted_chain_matches_batched_rows(make):
         hint = int(face[i])
 
 
+def test_deep_tree_climb_from_near_and_far_hints():
+    # the 7200-face cap, ten levels deep: each query of a probe-like path is
+    # hinted with the previous winner, and with the first face of the leaf
+    # whose box centre is farthest away, so that walk climbs from the far
+    # side of the tree with a loose bound; every 20th point is a vertex
+    mesh = cap_phantom_mesh(np.zeros(3))
+    acc = mesh._accel()
+    assert mesh.n_faces == 7200
+    s = np.linspace(0.0, 1.0, 600)
+    pts = np.column_stack([0.11 * np.sin(4.0 * s), 0.1 * np.cos(3.0 * s) - 0.01, 0.045 * np.cos(9.0 * s)])
+    pts[::20] = mesh.vertices[np.random.default_rng(12).integers(0, len(mesh.vertices), 30)]
+    dist, face, point, bary = mesh.closest_points(pts)
+    leaves = np.flatnonzero(acc.count)
+    centres = 0.5 * (acc.bmin[leaves] + acc.bmax[leaves])
+    far = acc.leaf_faces[leaves[np.argmax(((pts[:, None, :] - centres) ** 2).sum(axis=2), axis=1)], 0]
+    hint = None
+    for i, p in enumerate(pts):
+        want = hit_bits(face[i], dist[i], point[i], bary[i])
+        assert single_bits(mesh, p, hint) == want
+        assert single_bits(mesh, p, int(far[i])) == want
+        hint = int(face[i])
+
+
+@pytest.mark.parametrize("make", [lambda: flat_phantom_mesh(np.zeros(3)),
+                                  lambda: cap_phantom_mesh(np.zeros(3)),
+                                  lambda: TriMesh(BUMPY.vertices, BUMPY.faces[:5])],
+                         ids=["flat", "cap", "root-leaf"])
+def test_climb_maps_match_the_tree(make):
+    # the walk starts at face_leaf[hint] and climbs through parent
+    mesh = make()
+    acc = mesh._accel()
+    leaf = acc.face_leaf
+    assert leaf.shape == (mesh.n_faces,) and (acc.count[leaf] > 0).all()
+    assert (acc.leaf_faces[leaf] == np.arange(mesh.n_faces)[:, None]).any(axis=1).all()
+    node = np.arange(1, len(acc.count))
+    up = acc.parent[node]
+    assert acc.parent[0] == -1 and (up >= 0).all()
+    assert ((acc.left[up] == node) | (acc.right[up] == node)).all()
+
+
 def test_single_point_walk_runs_no_numpy_kernel(monkeypatch):
     # a fresh mesh, so the walk also builds its leaf rows under the patch
     mesh = bumpy_mesh(seed=7)

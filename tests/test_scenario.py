@@ -10,6 +10,7 @@ import yaml
 
 from surfscan.arm import JointLimitError, JointVelocityError, reference_arm
 from surfscan.cli import _COMMAND_STAGES, main
+from surfscan.geometry import Pose
 from surfscan.localization import alignment_pose, fit_plane, ScenePlane
 from surfscan import scenario
 from surfscan.scenario import (
@@ -226,6 +227,33 @@ def test_localize_writes_artifacts_and_metrics(tmp_path):
     with open(tmp_path / "run" / "plane.yaml", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     assert np.allclose(doc["normal"], [0.0, 0.0, 1.0])
+
+
+FAR_VIEW = {"camera": {"view_distance": 123456.7, "view_angle_deg": 45.0}}
+
+
+def test_localize_distance_bound_scales_with_view_distance(tmp_path):
+    # the pose's rounding at this distance is about 1.5e-11 m, past an
+    # absolute 1e-12 m bound
+    res = run_scenario(FAR_VIEW, tmp_path, stages=("localize",))
+    assert res.passed
+    assert 0.0 < res.metrics["localize"]["alignment_distance_error_m"] < 1e-12 * 123456.7
+
+
+def test_localize_distance_check_fails_a_relative_pose_error(tmp_path, monkeypatch):
+    true_pose = scenario.alignment_pose
+
+    def pushed_back(plane, angle, distance):
+        # the camera 1e-9 of the distance too far back along its axis
+        pose = true_pose(plane, angle, distance)
+        return Pose(pose.rotation, plane.centre + (1.0 + 1e-9) * (pose.translation - plane.centre))
+
+    monkeypatch.setattr(scenario, "alignment_pose", pushed_back)
+    res = run_scenario(FAR_VIEW, tmp_path, stages=("localize",))
+    assert not res.passed
+    lines = res.report_path.read_text().splitlines()
+    assert [x for x in lines if "[FAIL]" in x] == [x for x in lines if x.startswith("alignment_distance")]
+    assert res.metrics["localize"]["alignment_angle_error_rad"] < 1e-12
 
 
 def test_seed_override_changes_noise_draws(tmp_path):

@@ -312,6 +312,16 @@ def test_simulate_argument_validation():
         simulate(MODEL, chart, phantom, GAINS, sp, Q_SCAN, 1.0, sample_every=0)
 
 
+def test_simulate_names_duration_and_dt_when_the_step_count_overflows():
+    # only quotients that overflow to inf: a huge finite step count would
+    # allocate its log table before failing
+    chart, phantom = flat_rig(0.010)
+    sp = lambda t: hold_setpoint(0.01)
+    for duration, dt in ((1e308, 1e-3), (math.inf, 1e-3)):
+        with pytest.raises(ValueError, match=r"duration / dt .* duration .* s, dt 0\.001 s"):
+            simulate(MODEL, chart, phantom, GAINS, sp, Q_SCAN, duration, dt=dt)
+
+
 def test_sample_every_keeps_first_and_last():
     chart, phantom = flat_rig(0.010)
 
