@@ -31,13 +31,6 @@ _COMMAND_STAGES = {
 }
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
-    return value
-
-
 def _timeout(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:
@@ -48,8 +41,8 @@ def _timeout(text: str) -> float:
 def _add_run_flags(p) -> None:
     p.add_argument("--config", metavar="FILE",
                    help="scenario config (YAML); built-in defaults when omitted")
-    p.add_argument("--seed", type=_seed, metavar="N",
-                   help="override the config seed")
+    p.add_argument("--seed", type=int, metavar="N",
+                   help="override the config seed (a non-negative integer)")
     p.add_argument("--out", required=True, metavar="DIR",
                    help="output directory for logs, meshes and the report")
     p.add_argument("--stage-timeout", type=_timeout, default=None, metavar="S",

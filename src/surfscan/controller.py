@@ -115,7 +115,8 @@ def contact_setpoints(profile: ContactProfile, t: float) -> Setpoint:
 
 @dataclass(frozen=True)
 class RasterPath:
-    """Boustrophedon polyline over a rectangular chart domain.
+    """Boustrophedon polyline over a rectangular chart domain, entered
+    from s = (0, 0) by a straight glide to its first corner.
 
     Scan lines run along s1 and are stepped along s2. When the s2 span
     is narrower than the requested spacing the path degenerates to a
@@ -161,10 +162,11 @@ class RasterPath:
         return np.linspace(self.s_min[1], self.s_max[1], n)
 
     def waypoints(self) -> np.ndarray:
-        """Both ends of every scan line, odd lines run backwards."""
+        """s = (0, 0), where the contact approach leaves the probe, then both
+        ends of every scan line, odd lines run backwards."""
         lines = np.repeat(self.scan_lines(), 2)
         s1 = np.resize([self.s_min[0], self.s_max[0], self.s_max[0], self.s_min[0]], len(lines))
-        return np.column_stack([s1, lines])
+        return np.vstack([np.zeros(2), np.column_stack([s1, lines])])
 
     @property
     def duration(self) -> float:

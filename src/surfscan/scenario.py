@@ -40,7 +40,6 @@ from .controller import (
     check_spd,
     contact_setpoints,
     critical_damping,
-    setpoint_at,
     task_space_inertia,
 )
 from .localization import (
@@ -424,13 +423,35 @@ def _build_phantom(cfg: ScenarioConfig, model: ArmModel) -> tuple[TriMesh, Scene
     return mesh, ScenePlane(base, UP)
 
 
-def _resolve_gains(cfg: ScenarioConfig, run: _Run, chart: SurfaceChart) -> ImpedanceGains:
+def _resolve_gains(run: _Run, chart: SurfaceChart) -> ImpedanceGains:
+    cfg = run.cfg
     if cfg.damping is not None:
         return ImpedanceGains(cfg.stiffness, cfg.damping)
     snap = arm_snapshot(run.model, run.q_start)
     _, _, J_rho, _ = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, np.zeros(7))
     lam = task_space_inertia(snap.mass, J_rho)
     return ImpedanceGains(cfg.stiffness, critical_damping(cfg.stiffness, lam, cfg.zeta))
+
+
+def _simulate(run: _Run, stage: str, chart: SurfaceChart, setpoints, duration: float,
+              deadline) -> ScanLog:
+    """Drive the arm from q_start along setpoints(t) on `chart`; the log is
+    kept as run.logs[stage] and written to <stage>_log.csv."""
+    cfg = run.cfg
+    log = simulate(
+        run.model, chart, run.phantom, _resolve_gains(run, chart), setpoints, run.q_start,
+        duration=duration, dt=cfg.dt, sample_every=cfg.sample_every,
+        nullspace_gain=cfg.nullspace_gain, deadline=deadline,
+    )
+    run.logs[stage] = log
+    export_log(log, run.out / f"{stage}_log.csv")
+    return log
+
+
+def _angle(a: np.ndarray, b: np.ndarray) -> float:
+    """The angle between a and b as atan2(|a x b|, a . b), exact to rounding
+    near 0 and pi, where acos of the cosine loses digits."""
+    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
 
 
 def _check_deadline(deadline, what: str) -> None:
@@ -442,8 +463,7 @@ def _stage_localize(run: _Run, deadline) -> _StageReport:
     cfg = run.cfg
     rep = _StageReport("localize")
     cam_pose = alignment_pose(run.truth_plane, cfg.view_angle, cfg.view_distance)
-    z_cam = cam_pose.rotation[:, 2]
-    angle = math.acos(max(-1.0, min(1.0, float(z_cam @ (-run.truth_plane.normal)))))
+    angle = _angle(cam_pose.rotation[:, 2], -run.truth_plane.normal)
     dist = float(np.linalg.norm(cam_pose.translation - run.truth_plane.centre))
     rep.check("alignment_angle_error_rad", abs(angle - cfg.view_angle), "<", 1e-12)
     # rounding of the pose grows with the distance, so the bound scales with it
@@ -466,10 +486,8 @@ def _stage_localize(run: _Run, deadline) -> _StageReport:
             },
             fh, sort_keys=False,
         )
-    cosn = max(-1.0, min(1.0, float(fitted.normal @ run.truth_plane.normal)))
-    normal_err = math.acos(cosn)
     limit = 1e-9 if cfg.marker_noise_sigma == 0.0 else math.radians(0.5)
-    rep.check("plane_normal_error_rad", normal_err, "<", limit)
+    rep.check("plane_normal_error_rad", _angle(fitted.normal, run.truth_plane.normal), "<", limit)
     rep.info("plane_centre_error_m", float(np.linalg.norm(fitted.centre - run.truth_plane.centre)))
     return rep
 
@@ -504,18 +522,9 @@ def _stage_reconstruct(run: _Run, deadline) -> _StageReport:
 def _stage_contact(run: _Run, deadline) -> _StageReport:
     cfg = run.cfg
     rep = _StageReport("contact")
-    chart = SurfaceChart(run.truth_mesh, run.truth_plane)
-    gains = _resolve_gains(cfg, run, chart)
     profile = ContactProfile(cfg.d_start, cfg.d_hold, cfg.ramp_rate, cfg.hold_duration)
-    log = simulate(
-        run.model, chart, run.phantom, gains,
-        lambda t: contact_setpoints(profile, t),
-        run.q_start, duration=profile.duration, dt=cfg.dt,
-        sample_every=cfg.sample_every, nullspace_gain=cfg.nullspace_gain,
-        deadline=deadline,
-    )
-    run.logs["contact"] = log
-    export_log(log, run.out / "contact_log.csv")
+    log = _simulate(run, "contact", SurfaceChart(run.truth_mesh, run.truth_plane),
+                    lambda t: contact_setpoints(profile, t), profile.duration, deadline)
 
     oracle = steady_state_force(float(cfg.stiffness[2, 2]), cfg.contact_stiffness, cfg.d_hold)
     rep.info("steady_state_oracle_n", oracle)
@@ -544,7 +553,6 @@ def _stage_raster(run: _Run, deadline) -> _StageReport:
     else:
         chart = SurfaceChart(run.truth_mesh, run.truth_plane)
         rep.info("chart", 0)
-    gains = _resolve_gains(cfg, run, chart)
 
     s_lo = np.maximum(chart.s_min, -cfg.raster_half_extents)
     s_hi = np.minimum(chart.s_max, cfg.raster_half_extents)
@@ -554,30 +562,14 @@ def _stage_raster(run: _Run, deadline) -> _StageReport:
     approach = ContactProfile(
         cfg.d_start, cfg.raster_d_hold, cfg.ramp_rate, hold_duration=cfg.settle_time
     )
-    start = path.waypoints()[0]
-    glide_len = float(np.linalg.norm(start))
-    t_glide = glide_len / cfg.raster_speed
 
     def setpoints(t: float) -> Setpoint:
         if t < approach.duration:
             return contact_setpoints(approach, t)
-        u = t - approach.duration
-        if u < t_glide:
-            direction = start / glide_len
-            s = u * cfg.raster_speed * direction
-            rhodot = np.zeros(6)
-            rhodot[:2] = cfg.raster_speed * direction
-            return setpoint_at(s[0], s[1], cfg.raster_d_hold, rhodot)
-        return path.setpoint(u - t_glide)
+        return path.setpoint(t - approach.duration)
 
-    duration = approach.duration + t_glide + path.duration + 1.0
-    log = simulate(
-        run.model, chart, run.phantom, gains, setpoints, run.q_start,
-        duration=duration, dt=cfg.dt, sample_every=cfg.sample_every,
-        nullspace_gain=cfg.nullspace_gain, deadline=deadline,
-    )
-    run.logs["raster"] = log
-    export_log(log, run.out / "raster_log.csv")
+    log = _simulate(run, "raster", chart, setpoints, approach.duration + path.duration + 1.0,
+                    deadline)
 
     hold = log.t >= approach.duration
     n_hold = int(np.count_nonzero(hold))
@@ -613,12 +605,13 @@ def run_scenario(
     """Execute the requested stages and write artifacts plus report.txt.
 
     `config` is a ScenarioConfig, a mapping, or a YAML file path. `seed`
-    overrides the config seed. Each stage gets its own cooperative budget of
-    `stage_timeout` seconds, positive and finite. A stage that cannot finish
-    raises StageError naming it; the report still lists completed checks and
-    flags the failure. A missing or malformed arm model or mesh file, an
-    `arm.q_start` outside the model's limits, or a `phantom.extent` too small
-    for its grid is a SchemaError, raised before `out_dir` is made.
+    overrides the config seed and is read like the `seed` key. Each stage
+    gets its own cooperative budget of `stage_timeout` seconds, positive and
+    finite. A stage that cannot finish raises StageError naming it; the
+    report still lists completed checks and flags the failure. A bad `seed`,
+    a missing or malformed arm model or mesh file, an `arm.q_start` outside
+    the model's limits, or a `phantom.extent` too small for its grid is a
+    SchemaError, raised before `out_dir` is made.
     """
     if isinstance(config, ScenarioConfig):
         cfg = config
@@ -626,8 +619,9 @@ def run_scenario(
         cfg = load_config(config)
     else:
         cfg = parse_config(config)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(seed))
+    if seed is not None:  # errors name it "override.seed"
+        key = _FIELD_KEYS["seed"]
+        cfg = dataclasses.replace(cfg, seed=key.read({key.name: seed}, "override"))
     stages = tuple(stages)
     for s in stages:
         if s not in STAGES:

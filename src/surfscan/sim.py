@@ -52,17 +52,22 @@ class PhantomModel:
             raise ValueError("contact damping must be non-negative")
 
 
-def flat_phantom_mesh(centre, extent: float = 0.15, n: int = 31) -> TriMesh:
-    """Level square top surface centred at `centre`."""
-    centre = np.asarray(centre, dtype=float)
+def _height_field(centre, extent: float, n: int, height) -> TriMesh:
+    """An n x n grid over [-extent, extent]^2 about `centre`, each node raised
+    by height(r2) along z, r2 its squared distance from the z axis."""
     if extent <= 0.0 or n < 2:
         raise ValueError("extent must be positive and n at least 2")
     xs = np.linspace(-extent, extent, n)
-    heights = np.zeros((n, n))
+    r2 = xs[:, None] ** 2 + xs[None, :] ** 2
     return grid_surface_mesh(
-        centre, np.array([1.0, 0, 0]), np.array([0.0, 1, 0]), np.array([0.0, 0, 1]),
-        xs, xs, heights,
+        np.asarray(centre, dtype=float), np.array([1.0, 0, 0]), np.array([0.0, 1, 0]),
+        np.array([0.0, 0, 1]), xs, xs, height(r2),
     )
+
+
+def flat_phantom_mesh(centre, extent: float = 0.15, n: int = 31) -> TriMesh:
+    """Level square top surface centred at `centre`."""
+    return _height_field(centre, extent, n, np.zeros_like)
 
 
 def cap_phantom_mesh(
@@ -74,19 +79,10 @@ def cap_phantom_mesh(
 ) -> TriMesh:
     """Spherical cap rising from a flat skirt; `centre` is the skirt level
     under the apex. Default rim slope is about 53 degrees."""
-    centre = np.asarray(centre, dtype=float)
     if not 0.0 < cap_height <= sphere_radius:
         raise ValueError("cap height must be in (0, sphere_radius]")
-    if extent <= 0.0 or n < 2:
-        raise ValueError("extent must be positive and n at least 2")
-    xs = np.linspace(-extent, extent, n)
-    r2 = xs[:, None] ** 2 + xs[None, :] ** 2
-    h = np.sqrt(np.maximum(sphere_radius**2 - r2, 0.0)) - (sphere_radius - cap_height)
-    heights = np.maximum(h, 0.0)
-    return grid_surface_mesh(
-        centre, np.array([1.0, 0, 0]), np.array([0.0, 1, 0]), np.array([0.0, 0, 1]),
-        xs, xs, heights,
-    )
+    return _height_field(centre, extent, n, lambda r2: np.maximum(
+        np.sqrt(np.maximum(sphere_radius**2 - r2, 0.0)) - (sphere_radius - cap_height), 0.0))
 
 
 @dataclass(frozen=True)

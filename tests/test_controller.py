@@ -290,6 +290,24 @@ def test_tabled_setpoint_matches_per_call_rebuild():
         assert path.duration == float(np.sum(legs)) / path.speed
 
 
+def test_raster_glides_from_the_origin_to_its_first_corner():
+    # a domain that leaves out s = (0, 0), where the contact approach ends
+    path = RasterPath(np.array([0.03, -0.04]), np.array([0.07, 0.02]), 0.01, 0.02, -0.003)
+    corner = np.array([0.03, -0.04])
+    assert np.array_equal(path.waypoints()[:2], [[0.0, 0.0], corner])
+    t_corner = float(np.linalg.norm(corner)) / path.speed
+    start = path.setpoint(0.0)
+    assert np.array_equal(start.rho_d, [0.0, 0.0, path.d_hold, 0.0, 0.0, 0.0])
+    direction = corner / np.linalg.norm(corner)
+    for t in (0.0, 0.3 * t_corner, np.nextafter(t_corner, 0.0)):
+        sp = path.setpoint(t)
+        np.testing.assert_allclose(sp.rho_d[:2], path.speed * t * direction, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sp.rhodot_d[:2], path.speed * direction, rtol=1e-15, atol=0)
+    at_corner = path.setpoint(t_corner)
+    np.testing.assert_allclose(at_corner.rho_d[:2], corner, rtol=0, atol=1e-15)
+    assert np.array_equal(at_corner.rhodot_d[:2], [path.speed, 0.0])  # the first scan line
+
+
 def test_raster_validation():
     with pytest.raises(ValueError, match="positive"):
         square_path(spacing=0.0)

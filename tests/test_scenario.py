@@ -256,6 +256,32 @@ def test_localize_distance_check_fails_a_relative_pose_error(tmp_path, monkeypat
     assert res.metrics["localize"]["alignment_angle_error_rad"] < 1e-12
 
 
+@pytest.mark.parametrize("deg", [1e-4, 1e-6])
+def test_localize_angles_hold_at_small_view_angles(tmp_path, deg):
+    # acos of the cosine read 1.6e-11 and 2.6e-9 rad here on a true pose
+    res = run_scenario({"camera": {"view_angle_deg": deg}}, tmp_path, stages=("localize",))
+    assert res.passed
+    assert res.metrics["localize"]["alignment_angle_error_rad"] < 1e-12
+    assert res.metrics["localize"]["plane_normal_error_rad"] < 1e-9
+
+
+@pytest.mark.parametrize("deg", [0.0, 1e-6, 45.0])
+def test_localize_angle_check_fails_a_pose_rotated_by_1e_9(tmp_path, monkeypatch, deg):
+    true_pose = scenario.alignment_pose
+    c, s = math.cos(1e-9), math.sin(1e-9)
+
+    def rotated(plane, angle, distance):
+        # the camera turned 1e-9 rad about its own x axis, in the tilt plane
+        pose = true_pose(plane, angle, distance)
+        return Pose(pose.rotation @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]),
+                    pose.translation)
+
+    monkeypatch.setattr(scenario, "alignment_pose", rotated)
+    res = run_scenario({"camera": {"view_angle_deg": deg}}, tmp_path, stages=("localize",))
+    assert not res.passed
+    assert res.metrics["localize"]["alignment_angle_error_rad"] == pytest.approx(1e-9, rel=1e-3)
+
+
 def test_seed_override_changes_noise_draws(tmp_path):
     doc = {"markers": {"noise_sigma": 0.002}}
     r0 = run_scenario(doc, tmp_path / "a", stages=("localize",))
@@ -264,6 +290,17 @@ def test_seed_override_changes_noise_draws(tmp_path):
     assert (tmp_path / "a" / "markers.yaml").read_bytes() != (
         tmp_path / "b" / "markers.yaml"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "override.seed must be non-negative, got -1"),
+    (1.5, "override.seed: expected an integer, got 1.5"),
+    (True, "override.seed: expected an integer, got True"),
+])
+def test_seed_override_is_read_like_the_seed_key(tmp_path, seed, message):
+    with pytest.raises(SchemaError, match=message):
+        run_scenario({}, tmp_path / "run", stages=("localize",), seed=seed)
+    assert not (tmp_path / "run").exists()
 
 
 def test_failed_check_reports_fail_but_completes(tmp_path):
@@ -341,6 +378,62 @@ def test_raster_on_truth_chart(tmp_path):
     assert res.logs["raster"].t[-1] > 0.0
 
 
+# a short contact ramp, then a raster whose first corner is off s = (0, 0)
+TRACED_DOC = {
+    "phantom": {"grid_n": 11},
+    "contact": {"d_start": 0.002, "d_hold": -0.001, "ramp_rate": 0.05, "hold_duration": 0.01},
+    "raster": {"half_extents": [0.003, 0.002], "line_spacing": 0.002, "speed": 0.05,
+               "d_hold": -0.001, "settle_time": 0.02},
+    "sim": {"dt": 0.005},
+}
+
+
+def _record_setpoints(monkeypatch, calls, schedules):
+    """Count the frozen setpoint names' calls, and each stage's setpoint
+    evaluations and schedule, through scenario.simulate."""
+    for owner, name in ((scenario, "contact_setpoints"), (scenario.RasterPath, "setpoint")):
+        original = vars(owner)[name]
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    simulate = scenario.simulate
+
+    def recorded(model, chart, phantom, gains, setpoints, *args, **kwargs):
+        def evaluated(t):
+            calls["evaluations"] += 1
+            return setpoints(t)
+
+        schedules.append(setpoints)
+        return simulate(model, chart, phantom, gains, evaluated, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "simulate", recorded)
+
+
+def test_every_stage_setpoint_goes_through_a_frozen_name(tmp_path, monkeypatch):
+    calls, schedules = {"contact_setpoints": 0, "setpoint": 0, "evaluations": 0}, []
+    _record_setpoints(monkeypatch, calls, schedules)
+    res = run_scenario(TRACED_DOC, tmp_path, stages=("contact", "raster"))
+    assert calls["setpoint"] > 0
+    assert calls["contact_setpoints"] + calls["setpoint"] == calls["evaluations"]
+    # sample_every 1: one row per evaluation, n_steps + 1 per stage
+    assert calls["evaluations"] == len(res.logs["contact"]) + len(res.logs["raster"])
+
+
+def test_raster_schedule_is_continuous_across_the_approach_join(tmp_path, monkeypatch):
+    calls, schedules = {"contact_setpoints": 0, "setpoint": 0, "evaluations": 0}, []
+    _record_setpoints(monkeypatch, calls, schedules)
+    res = run_scenario(TRACED_DOC, tmp_path, stages=("raster",))
+    t = res.logs["raster"].t
+    s = np.array([schedules[0](float(x)).rho_d[:2] for x in t])
+    step = np.linalg.norm(np.diff(s, axis=0), axis=1)
+    speed, dt = TRACED_DOC["raster"]["speed"], TRACED_DOC["sim"]["dt"]
+    assert s[0].tolist() == [0.0, 0.0] and step.max() > 0.0
+    assert np.all(step <= speed * dt * (1.0 + 1e-9))
+
+
 def test_seeded_rerun_is_byte_identical(tmp_path):
     """Same config and seed must reproduce every artifact bit for bit."""
     a = run_scenario(FAST_DOC, tmp_path / "a", stages=("localize", "reconstruct", "contact"))
@@ -395,8 +488,10 @@ def test_cli_localize_passes(tmp_path, capsys):
 def test_cli_seed_flag(tmp_path, capsys):
     assert main(["localize", "--seed", "5", "--out", str(tmp_path)]) == 0
     assert "seed: 5" in capsys.readouterr().out
-    with pytest.raises(SystemExit):
-        main(["localize", "--seed", "-1", "--out", str(tmp_path)])
+    assert main(["localize", "--seed", "-1", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "seed" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_failed_checks_exit_1(tmp_path, capsys):

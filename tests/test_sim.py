@@ -17,6 +17,7 @@ from surfscan.controller import (
 )
 from surfscan.geometry import Pose
 from surfscan.localization import ScenePlane
+from surfscan.mesh import grid_surface_mesh
 from surfscan.sim import (
     CSV_HEADER,
     DivergenceError,
@@ -134,6 +135,29 @@ def test_cap_mesh_lies_on_sphere():
     assert np.max(np.abs(radii - 0.10)) < 1e-12
     # skirt is exactly flat
     assert np.all(v[r_xy > rim + 1e-9, 2] == 0.0)
+
+
+@pytest.mark.parametrize("kind, centre, args", [
+    ("flat", (0.0, 0.0, 0.0), (0.15, 31)),
+    ("flat", (0.1, -0.2, 0.3), (0.05, 2)),
+    ("cap", (0.0, 0.0, 0.0), (0.10, 0.04, 0.12, 61)),
+    ("cap", (-0.3, 0.2, 0.7), (0.05, 0.05, 0.03, 7)),  # a hemisphere cut inside its rim
+])
+def test_phantom_meshes_are_their_height_fields(kind, centre, args):
+    # the grid, heights and axes written out, against the builders' shared helper
+    extent, n = args[-2:]
+    xs = np.linspace(-extent, extent, n)
+    if kind == "flat":
+        mesh, heights = flat_phantom_mesh(centre, *args), np.zeros((n, n))
+    else:
+        mesh = cap_phantom_mesh(centre, *args)
+        radius, height = args[:2]
+        r2 = xs[:, None] ** 2 + xs[None, :] ** 2
+        heights = np.maximum(np.sqrt(np.maximum(radius**2 - r2, 0.0)) - (radius - height), 0.0)
+    want = grid_surface_mesh(np.array(centre), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                             np.array([0.0, 0.0, 1.0]), xs, xs, heights)
+    assert np.array_equal(mesh.vertices, want.vertices)
+    assert np.array_equal(mesh.faces, want.faces)
 
 
 # ---------------------------------------------------------------------------
