@@ -22,6 +22,7 @@ a repeated run reproduces every output file byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -74,6 +75,7 @@ from .schema import (
 )
 from .sim import (
     MAX_DT,
+    Checkpoint,
     PhantomModel,
     ScanLog,
     cap_phantom_mesh,
@@ -81,6 +83,7 @@ from .sim import (
     flat_phantom_mesh,
     simulate,
     steady_state_force,
+    step_count,
 )
 
 STAGES = ("localize", "reconstruct", "contact", "raster")
@@ -360,9 +363,10 @@ def _write_report(path, name, seed, stages, reports, failed: str | None) -> None
 class _Run:
     """Mutable state threaded through the stages of one scenario run."""
 
-    def __init__(self, cfg: ScenarioConfig, out_dir: Path):
+    def __init__(self, cfg: ScenarioConfig, out_dir: Path, stages: tuple):
         self.cfg = cfg
         self.out = out_dir
+        self.stages = stages
         self.model = _load_model(cfg)
         self.q_start = np.asarray(cfg.q_start, dtype=float)
         try:  # the limits live in the model file, so the parse cannot check them
@@ -374,6 +378,14 @@ class _Run:
         self.fitted_plane: ScenePlane | None = None
         self.recon_mesh: TriMesh | None = None
         self.logs: dict[str, ScanLog] = {}
+        self.checkpoint: Checkpoint | None = None  # the contact steps the raster repeats
+
+    @functools.cached_property
+    def truth(self) -> tuple[SurfaceChart, ImpedanceGains]:
+        """The ground-truth chart and the gains resolved on it, one pair for
+        the contact and raster stages."""
+        chart = SurfaceChart(self.truth_mesh, self.truth_plane)
+        return chart, _resolve_gains(self, chart)
 
 
 def _load_model(cfg: ScenarioConfig) -> ArmModel:
@@ -433,15 +445,15 @@ def _resolve_gains(run: _Run, chart: SurfaceChart) -> ImpedanceGains:
     return ImpedanceGains(cfg.stiffness, critical_damping(cfg.stiffness, lam, cfg.zeta))
 
 
-def _simulate(run: _Run, stage: str, chart: SurfaceChart, setpoints, duration: float,
-              deadline) -> ScanLog:
+def _simulate(run: _Run, stage: str, chart: SurfaceChart, gains: ImpedanceGains, setpoints,
+              duration: float, deadline, checkpoint: Checkpoint | None = None) -> ScanLog:
     """Drive the arm from q_start along setpoints(t) on `chart`; the log is
     kept as run.logs[stage] and written to <stage>_log.csv."""
     cfg = run.cfg
     log = simulate(
-        run.model, chart, run.phantom, _resolve_gains(run, chart), setpoints, run.q_start,
+        run.model, chart, run.phantom, gains, setpoints, run.q_start,
         duration=duration, dt=cfg.dt, sample_every=cfg.sample_every,
-        nullspace_gain=cfg.nullspace_gain, deadline=deadline,
+        nullspace_gain=cfg.nullspace_gain, deadline=deadline, checkpoint=checkpoint,
     )
     run.logs[stage] = log
     export_log(log, run.out / f"{stage}_log.csv")
@@ -519,12 +531,35 @@ def _stage_reconstruct(run: _Run, deadline) -> _StageReport:
     return rep
 
 
+def _raster_approach(cfg: ScenarioConfig) -> ContactProfile:
+    """The raster's contact ramp and settle before its path starts."""
+    return ContactProfile(cfg.d_start, cfg.raster_d_hold, cfg.ramp_rate, hold_duration=cfg.settle_time)
+
+
+def _shared_steps(run: _Run, profile: ContactProfile) -> int:
+    """K, the first steps of the contact stage that the raster stage would
+    take again, or 0. The raster repeats them when it follows with no
+    reconstruction before it, so on the same truth chart, and holds the same
+    d: contact_setpoints ignores hold_duration, so both schedules agree
+    while t is below the raster's approach duration. One step of margin
+    keeps the loop's accumulated t below it. K is a multiple of
+    sample_every, so step K is a logged row of both runs."""
+    cfg, stages = run.cfg, run.stages
+    if ("raster" not in stages[stages.index("contact"):] or cfg.raster_d_hold != cfg.d_hold
+            or "reconstruct" in stages[:stages.index("raster")]):
+        return 0
+    steps = min(step_count(profile.duration, cfg.dt), _raster_approach(cfg).duration / cfg.dt - 1.0)
+    return int(steps) // cfg.sample_every * cfg.sample_every
+
+
 def _stage_contact(run: _Run, deadline) -> _StageReport:
     cfg = run.cfg
     rep = _StageReport("contact")
     profile = ContactProfile(cfg.d_start, cfg.d_hold, cfg.ramp_rate, cfg.hold_duration)
-    log = _simulate(run, "contact", SurfaceChart(run.truth_mesh, run.truth_plane),
-                    lambda t: contact_setpoints(profile, t), profile.duration, deadline)
+    shared = _shared_steps(run, profile)
+    run.checkpoint = Checkpoint(shared) if shared > 0 else None
+    log = _simulate(run, "contact", *run.truth, lambda t: contact_setpoints(profile, t),
+                    profile.duration, deadline, run.checkpoint)
 
     oracle = steady_state_force(float(cfg.stiffness[2, 2]), cfg.contact_stiffness, cfg.d_hold)
     rep.info("steady_state_oracle_n", oracle)
@@ -551,7 +586,7 @@ def _stage_raster(run: _Run, deadline) -> _StageReport:
         chart = SurfaceChart(run.recon_mesh, run.fitted_plane, margin=cfg.chart_margin)
         rep.info("chart", 1)  # 1 = reconstructed, 0 = ground truth
     else:
-        chart = SurfaceChart(run.truth_mesh, run.truth_plane)
+        chart = run.truth[0]
         rep.info("chart", 0)
 
     s_lo = np.maximum(chart.s_min, -cfg.raster_half_extents)
@@ -559,17 +594,17 @@ def _stage_raster(run: _Run, deadline) -> _StageReport:
     if np.any(s_lo >= s_hi):
         raise ValueError("raster domain is empty after clipping to the chart")
     path = RasterPath(s_lo, s_hi, cfg.line_spacing, cfg.raster_speed, cfg.raster_d_hold)
-    approach = ContactProfile(
-        cfg.d_start, cfg.raster_d_hold, cfg.ramp_rate, hold_duration=cfg.settle_time
-    )
+    approach = _raster_approach(cfg)
 
     def setpoints(t: float) -> Setpoint:
         if t < approach.duration:
             return contact_setpoints(approach, t)
         return path.setpoint(t - approach.duration)
 
-    log = _simulate(run, "raster", chart, setpoints, approach.duration + path.duration + 1.0,
-                    deadline)
+    gains = run.truth[1] if run.recon_mesh is None else _resolve_gains(run, chart)
+    checkpoint, run.checkpoint = run.checkpoint, None  # the contact stage's first steps, if shared
+    log = _simulate(run, "raster", chart, gains, setpoints,
+                    approach.duration + path.duration + 1.0, deadline, checkpoint)
 
     hold = log.t >= approach.duration
     n_hold = int(np.count_nonzero(hold))
@@ -634,7 +669,7 @@ def run_scenario(
         raise ValueError(f"stage_timeout must be positive and finite, got {stage_timeout}")
 
     out = Path(out_dir)
-    run = _Run(cfg, out)  # loads the files the config names, before --out exists
+    run = _Run(cfg, out, stages)  # loads the files the config names, before --out exists
     out.mkdir(parents=True, exist_ok=True)
     reports = []
     report_path = out / "report.txt"

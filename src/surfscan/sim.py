@@ -210,6 +210,29 @@ def _write_row(row: np.ndarray, state: SimState, setpoint: Setpoint) -> None:
     row[15] = state.force_n
 
 
+@dataclass
+class Checkpoint:
+    """The first `steps` steps of a run, shared with a later run that would
+    take the same ones: same model, chart, phantom, gains, dt,
+    `sample_every`, null-space gain and q0, and setpoints that agree up to
+    step `steps`. The first run given it fills in its state after those
+    steps and its rows logged so far; a run given a filled one starts there.
+    """
+
+    steps: int  # a multiple of sample_every
+    state: SimState | None = None
+    rows: np.ndarray | None = None  # a view of the filling run's table
+
+
+def step_count(duration: float, dt: float) -> int:
+    """The steps `simulate` takes to cover `duration` at `dt`."""
+    steps = duration / dt
+    if not math.isfinite(steps):
+        raise ValueError(
+            f"duration / dt must be a finite step count; got duration {duration} s, dt {dt} s")
+    return max(1, int(round(steps)))
+
+
 def simulate(
     model: ArmModel,
     chart: SurfaceChart,
@@ -222,12 +245,20 @@ def simulate(
     sample_every: int = 1,
     nullspace_gain: float = 0.0,
     deadline: float | None = None,
+    *,
+    checkpoint: Checkpoint | None = None,
 ) -> ScanLog:
     """Run the loop for `duration` seconds; setpoints is t -> Setpoint.
 
     Samples every `sample_every` steps (always including t = 0 and the
     final state). On joint-limit (position or velocity) or divergence
     errors the partial log is attached to the exception as `partial_log`.
+
+    With an empty `checkpoint`, the run fills it in at step
+    `checkpoint.steps`. With a filled one, the run starts from its state
+    and rows instead of from q0 and repeats none of its steps; step numbers
+    stay those of the whole run, so the sampling, the deadline checks and
+    the log are the same as without it.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
@@ -235,22 +266,30 @@ def simulate(
         raise ValueError("sample_every must be at least 1")
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
-    steps = duration / dt
-    if not math.isfinite(steps):
-        raise ValueError(f"duration / dt must be a finite step count; got duration {duration} s, dt {dt} s")
-    n_steps = max(1, int(round(steps)))
+    n_steps = step_count(duration, dt)
+    if checkpoint is not None and not (
+            0 < checkpoint.steps <= n_steps and checkpoint.steps % sample_every == 0):
+        raise ValueError("checkpoint steps must be a positive multiple of sample_every, "
+                         f"at most the run's {n_steps}; got {checkpoint.steps}")
     table = np.empty((1 + math.ceil(n_steps / sample_every), 16))
-    state = init_state(model, chart, phantom, q0)
-    sp = setpoints(0.0)
-    _write_row(table[0], state, sp)
-    n = 1
+    if checkpoint is not None and checkpoint.state is not None:
+        first, n, state = checkpoint.steps, len(checkpoint.rows), checkpoint.state
+        table[:n] = checkpoint.rows
+        sp = setpoints(state.t)
+    else:
+        first, n, state = 0, 1, init_state(model, chart, phantom, q0)
+        sp = setpoints(0.0)
+        _write_row(table[0], state, sp)
+    fill = checkpoint.steps if checkpoint is not None and first == 0 else 0
     try:
-        for k in range(n_steps):
+        for k in range(first, n_steps):
             state = step(model, chart, phantom, gains, sp, state, dt, nullspace_gain)
             sp = setpoints(state.t)
             if (k + 1) % sample_every == 0 or k + 1 == n_steps:
                 _write_row(table[n], state, sp)
                 n += 1
+                if k + 1 == fill:
+                    checkpoint.state, checkpoint.rows = state, table[:n]
             if deadline is not None and k % 200 == 0 and time.monotonic() > deadline:
                 raise TimeoutError(f"simulation exceeded its deadline at t = {state.t:.3f} s")
     except Exception as exc:

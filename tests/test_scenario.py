@@ -1,7 +1,12 @@
 """Scenario runner and CLI tests: config parsing, synthetic fiducials,
 stage orchestration, reports, determinism, and exit codes."""
+import copy
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +17,7 @@ from surfscan.arm import JointLimitError, JointVelocityError, reference_arm
 from surfscan.cli import _COMMAND_STAGES, main
 from surfscan.geometry import Pose
 from surfscan.localization import alignment_pose, fit_plane, ScenePlane
-from surfscan import scenario
+from surfscan import scenario, sim
 from surfscan.scenario import (
     STAGES,
     ScenarioConfig,
@@ -418,8 +423,14 @@ def test_every_stage_setpoint_goes_through_a_frozen_name(tmp_path, monkeypatch):
     res = run_scenario(TRACED_DOC, tmp_path, stages=("contact", "raster"))
     assert calls["setpoint"] > 0
     assert calls["contact_setpoints"] + calls["setpoint"] == calls["evaluations"]
-    # sample_every 1: one row per evaluation, n_steps + 1 per stage
-    assert calls["evaluations"] == len(res.logs["contact"]) + len(res.logs["raster"])
+    # sample_every 1: one row per evaluation, n_steps + 1 per stage, less the
+    # rows the raster takes from the contact stage (all 15: the contact's 14
+    # steps end inside the raster's approach), plus the one setpoint the
+    # raster resumes on
+    contact, raster = res.logs["contact"].table, res.logs["raster"].table
+    shared = len(contact)
+    assert np.array_equal(raster[:shared], contact)
+    assert calls["evaluations"] == len(contact) + len(raster) - shared + 1
 
 
 def test_raster_schedule_is_continuous_across_the_approach_join(tmp_path, monkeypatch):
@@ -432,6 +443,101 @@ def test_raster_schedule_is_continuous_across_the_approach_join(tmp_path, monkey
     speed, dt = TRACED_DOC["raster"]["speed"], TRACED_DOC["sim"]["dt"]
     assert s[0].tolist() == [0.0, 0.0] and step.max() > 0.0
     assert np.all(step <= speed * dt * (1.0 + 1e-9))
+
+
+def _traced(**sections) -> dict:
+    """TRACED_DOC with the given keys of each section replaced."""
+    doc = copy.deepcopy(TRACED_DOC)
+    for section, keys in sections.items():
+        doc.setdefault(section, {}).update(keys)
+    return doc
+
+
+def _count_steps(monkeypatch) -> list:
+    """[calls]: a counter of sim.step calls from now on."""
+    calls, original = [0], sim.step
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "step", counted)
+    return calls
+
+
+# (overrides of TRACED_DOC, K). The raster's approach is 16 steps; one step
+# of margin leaves 15 that the raster may share, in multiples of sample_every
+# and at most the contact's own steps (14 with the 0.01 s hold, 12 without).
+SHARED_CASES = {
+    "approach-bound": (_traced(contact={"hold_duration": 0.05}), 15),
+    "sample-every-3": (_traced(contact={"hold_duration": 0.05}, sim={"sample_every": 3}), 15),
+    "sample-every-7": (_traced(contact={"hold_duration": 0.05}, sim={"sample_every": 7}), 14),
+    "contact-bound": (TRACED_DOC, 14),
+    "no-hold": (_traced(contact={"hold_duration": 0.0}), 12),
+    "other-d-hold": (_traced(contact={"hold_duration": 0.05}, raster={"d_hold": -0.002}), 0),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_CASES)
+def test_scan_raster_resumes_from_the_contact_steps_it_shares(case, tmp_path, monkeypatch):
+    """The raster of a contact + raster run takes the contact stage's first
+    K steps as they are and writes the raster-only run's log byte for byte;
+    so does the contact."""
+    doc, shared = SHARED_CASES[case]
+    steps = _count_steps(monkeypatch)
+    taken = {}
+    for name, stages in (("scan", ("contact", "raster")), ("contact", ("contact",)),
+                         ("raster", ("raster",))):
+        before = steps[0]
+        run_scenario(doc, tmp_path / name, stages=stages)
+        taken[name] = steps[0] - before
+    assert taken["contact"] + taken["raster"] - taken["scan"] == shared
+    for name in ("contact", "raster"):
+        log = f"{name}_log.csv"
+        assert (tmp_path / "scan" / log).read_bytes() == (tmp_path / name / log).read_bytes()
+
+
+@pytest.mark.parametrize("stages", [("localize", "reconstruct", "contact", "raster"),
+                                    ("localize", "contact", "reconstruct", "raster")])
+def test_raster_on_the_reconstructed_chart_shares_no_contact_steps(stages, tmp_path):
+    # a two-view reconstruction of a coarse cap, which the raster tracks
+    doc = _traced(phantom={"kind": "cap", "grid_n": 21}, contact={"hold_duration": 0.05},
+                  camera={"fx": 48.0, "fy": 48.0, "cx": 32.0, "cy": 24.0, "width": 64, "height": 48},
+                  reconstruction={"n_views": 2, "resolution": 0.01})
+    run_scenario(doc, tmp_path / "scan", stages=stages)
+    run_scenario(doc, tmp_path / "pipeline", stages=("localize", "reconstruct", "raster"))
+    log = "raster_log.csv"
+    assert (tmp_path / "scan" / log).read_bytes() == (tmp_path / "pipeline" / log).read_bytes()
+
+
+def test_raster_failing_after_the_shared_steps_keeps_the_raster_only_partial_log(tmp_path):
+    # joint 0 stays put on the approach and turns once the path moves the
+    # probe sideways, so this limit trips only after the shared steps
+    model = reference_arm()
+    joints = list(model.joints)
+    joints[0] = dataclasses.replace(joints[0], position_limits=(-0.001, 0.001))
+    save_arm_model(dataclasses.replace(model, joints=tuple(joints)), tmp_path / "tight.yaml")
+    doc = _traced(arm={"model": str(tmp_path / "tight.yaml")}, contact={"hold_duration": 0.05})
+    for name, stages in (("scan", ("contact", "raster")), ("raster", ("raster",))):
+        with pytest.raises(StageError, match="stage raster") as err:
+            run_scenario(doc, tmp_path / name, stages=stages)
+        assert isinstance(err.value.__cause__, JointLimitError)
+        assert not (tmp_path / name / "raster_log.csv").exists()
+    partial = tmp_path / "raster" / "raster_log.partial.csv"
+    assert len(parse_log(partial)) > 16  # past the 15 shared steps
+    assert (tmp_path / "scan" / "raster_log.partial.csv").read_bytes() == partial.read_bytes()
+
+
+def test_scan_rerun_is_byte_identical(tmp_path):
+    """Two contact + raster runs that share the approach give the same bytes."""
+    doc = SHARED_CASES["sample-every-3"][0]
+    digests = []
+    for name in ("a", "b"):
+        run_scenario(doc, tmp_path / name, stages=("contact", "raster"))
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (tmp_path / name).iterdir()})
+    assert set(digests[0]) == {"contact_log.csv", "raster_log.csv", "report.txt"}
+    assert digests[0] == digests[1]
 
 
 def test_seeded_rerun_is_byte_identical(tmp_path):
@@ -482,6 +588,15 @@ def test_cli_localize_passes(tmp_path, capsys):
     assert main(["localize", "--out", str(tmp_path / "run")]) == 0
     out = capsys.readouterr().out
     assert "overall: PASS" in out
+    assert (tmp_path / "run" / "report.txt").is_file()
+
+
+def test_cli_runs_as_a_module_from_the_source_tree(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "surfscan", "localize", "--out", str(tmp_path / "run")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("overall: PASS\n")
     assert (tmp_path / "run" / "report.txt").is_file()
 
 

@@ -20,6 +20,7 @@ from surfscan.localization import ScenePlane
 from surfscan.mesh import grid_surface_mesh
 from surfscan.sim import (
     CSV_HEADER,
+    Checkpoint,
     DivergenceError,
     PhantomModel,
     ScanLog,
@@ -334,6 +335,30 @@ def test_simulate_argument_validation():
         simulate(MODEL, chart, phantom, GAINS, sp, Q_SCAN, 0.0)
     with pytest.raises(ValueError):
         simulate(MODEL, chart, phantom, GAINS, sp, Q_SCAN, 1.0, sample_every=0)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_simulate_resumed_from_a_checkpoint_repeats_the_whole_run(every):
+    chart, phantom = flat_rig(0.010)
+
+    def run(duration, checkpoint=None, q0=Q_SCAN):
+        return simulate(MODEL, chart, phantom, GAINS, lambda t: hold_setpoint(-0.004), q0, duration,
+                        sample_every=every, checkpoint=checkpoint).table
+
+    checkpoint = Checkpoint(6)
+    first = run(0.008, checkpoint)
+    assert checkpoint.state.t == first[6 // every, 0] and np.shares_memory(checkpoint.rows, first)
+    assert np.array_equal(first, run(0.008))  # filling it changes nothing
+    # the resumed run takes neither q0 nor its first steps again
+    assert np.array_equal(run(0.02, checkpoint, q0=None), run(0.02))
+
+
+@pytest.mark.parametrize("steps", [0, 4, 30])
+def test_simulate_rejects_a_checkpoint_off_its_sampled_steps(steps):
+    chart, phantom = flat_rig(0.010)
+    with pytest.raises(ValueError, match="checkpoint steps"):
+        simulate(MODEL, chart, phantom, GAINS, lambda t: hold_setpoint(0.01), Q_SCAN, 0.02,
+                 sample_every=3, checkpoint=Checkpoint(steps))
 
 
 def test_simulate_names_duration_and_dt_when_the_step_count_overflows():
