@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,16 +236,15 @@ def _sweep(model: ArmModel, T: np.ndarray, z: np.ndarray, point: np.ndarray):
     composite = np.add.accumulate(moments[::-1])[::-1]
     twist = np.dot(np.concatenate((zT, vJ[:, :7])).T, _TWIST)
     # G[i, j] = <Xi_i, Xi_j J^C_j> is M_ij only on i <= j
-    G = twist @ (twist.reshape(7, 4, 4) @ composite).reshape(7, 16).T
+    G = twist.dot((twist.reshape(7, 4, 4) @ composite).reshape(7, 16).T)
     return np.concatenate((vJ[:, 7:], zT)), np.where(_UPPER, G, G.T)
 
 
-@dataclass(frozen=True)
-class ArmSnapshot:
+class ArmSnapshot(NamedTuple):
     """Everything the control loop needs at one joint configuration,
     computed from a single frame pass: the probe frame as a rotation
     matrix and its tip, the probe Jacobian at that tip and the joint-space
-    mass matrix."""
+    mass matrix, as an immutable record."""
 
     R_probe: np.ndarray  # 3x3, probe axes in world coordinates
     tip: np.ndarray  # (3,) probe tip, world
@@ -269,8 +269,8 @@ def arm_snapshot(model: ArmModel, q) -> ArmSnapshot:
     T, z = _chain(model, q)
     R_off, t_off = _joint_constants(model)[4]
     R7, p7 = T[7, :3, :3], T[7, :3, 3]
-    tip = p7 + R7 @ t_off
-    return ArmSnapshot(R7 @ R_off, tip, *_sweep(model, T, z, tip))
+    tip = p7 + R7.dot(t_off)  # .dot: the same bits as @ on 2-D operands, at less cost
+    return ArmSnapshot(R7.dot(R_off), tip, *_sweep(model, T, z, tip))
 
 
 # ---------------------------------------------------------------------------

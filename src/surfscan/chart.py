@@ -27,7 +27,7 @@ formulas live on in the tests as the oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,15 +54,19 @@ class DegenerateFrameError(ValueError):
     """Surface normal nearly parallel to the in-plane reference axis."""
 
 
-@dataclass(frozen=True)
-class SurfaceFrame:
-    """Right-handed orthonormal (t1, t2, n) at a surface point."""
+class SurfaceFrame(NamedTuple):
+    """Right-handed orthonormal (t1, t2, n) at a surface point, an
+    immutable record; `point` builds the point's array on demand."""
 
-    point: np.ndarray
+    xyz: tuple  # the surface point, three floats
     t1: np.ndarray
     t2: np.ndarray
     n: np.ndarray
     face: int  # mesh face the point lies on; seeds the next query
+
+    @property
+    def point(self) -> np.ndarray:
+        return np.array(self.xyz)
 
 
 class SurfaceChart:
@@ -178,5 +182,5 @@ class SurfaceChart:
         J = G.dot(probe_jacobian)  # the same bits as G @ probe_jacobian, at half the cost
         rho = np.array([f1, f2, hit.distance, e1, e2, e3])
         # the frame's axes are the rows of G's upper-left block
-        frame = SurfaceFrame(hit.point, G[0, :3], G[1, :3], G[2, :3], hit.face)
+        frame = SurfaceFrame(hit.xyz, G[0, :3], G[1, :3], G[2, :3], hit.face)
         return rho, J.dot(qdot), J, frame

@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import read_only
+
 SYMMETRY_TOL = 1e-12
 NULLSPACE_RANK_TOL = 1e-10
 
@@ -73,6 +75,10 @@ class ContactProfile:
             raise ValueError("ramp_rate must be positive")
         if self.hold_duration < 0.0:
             raise ValueError("hold_duration must be non-negative")
+        # the setpoint rates of the ramp and the hold, shared by every setpoint
+        ramp = np.zeros(6)
+        ramp[2] = -self.ramp_rate
+        object.__setattr__(self, "_rates", (read_only(ramp), read_only(np.zeros(6))))
 
     @property
     def ramp_duration(self) -> float:
@@ -83,12 +89,6 @@ class ContactProfile:
         return self.ramp_duration + self.hold_duration
 
 
-def setpoint_at(s1: float, s2: float, d: float, rhodot: np.ndarray) -> Setpoint:
-    """Setpoint at (s1, s2, d) with zero orientation error and rates rhodot
-    (a fresh (6,) array)."""
-    return Setpoint(np.array([float(s1), float(s2), float(d), 0.0, 0.0, 0.0]), rhodot)
-
-
 def impedance_torque(
     gains: ImpedanceGains,
     sp: Setpoint,
@@ -97,20 +97,21 @@ def impedance_torque(
     J_rho: np.ndarray,
 ) -> np.ndarray:
     """tau = J_rho^T (K (rho_d - rho) + D (rhodot_d - rhodot)), nothing else."""
-    return J_rho.T @ (gains.stiffness @ (sp.rho_d - rho) + gains.damping @ (sp.rhodot_d - rhodot))
+    # .dot: the same bits as @ on these operands, at less cost per call
+    return J_rho.T.dot(gains.stiffness.dot(sp.rho_d - rho) + gains.damping.dot(sp.rhodot_d - rhodot))
 
 
 def contact_setpoints(profile: ContactProfile, t: float) -> Setpoint:
     """d_d(t) = max(d_hold, d_start - ramp_rate t) at s = (0, 0);
-    orientation held."""
-    if t < 0.0:
+    orientation held. The rates are the profile's shared read-only
+    vectors."""
+    if not t >= 0.0:  # NaN fails too
         raise ValueError("time must be non-negative")
-    ramping = profile.d_start - profile.ramp_rate * t > profile.d_hold
-    d_d = max(profile.d_hold, profile.d_start - profile.ramp_rate * t)
-    rhodot = np.zeros(6)
-    if ramping:
-        rhodot[2] = -profile.ramp_rate
-    return setpoint_at(0.0, 0.0, d_d, rhodot)
+    d = profile.d_start - profile.ramp_rate * t
+    ramp, hold = profile._rates
+    if d > profile.d_hold:
+        return Setpoint(np.array([0.0, 0.0, d, 0.0, 0.0, 0.0]), ramp)
+    return Setpoint(np.array([0.0, 0.0, profile.d_hold, 0.0, 0.0, 0.0]), hold)
 
 
 @dataclass(frozen=True)
@@ -142,15 +143,20 @@ class RasterPath:
             raise ValueError("line spacing and speed must be positive")
         object.__setattr__(self, "s_min", lo)
         object.__setattr__(self, "s_max", hi)
-        # segment table: start, length and direction of each leg (a leg of
-        # length 0 is never entered, so its NaN direction is never read)
+        # segment table: length, start and direction (as floats) and the
+        # setpoint rates (a read-only vector shared by every setpoint) of each
+        # leg; a leg of length 0 is never entered, so its NaN direction is
+        # never read
         w = self.waypoints()
         seg = np.diff(w, axis=0)
         lengths = np.linalg.norm(seg, axis=1)
         with np.errstate(invalid="ignore"):
-            table = tuple(zip(w[:-1], lengths.tolist(), seg / lengths[:, None]))
+            direction = seg / lengths[:, None]
+        rates = np.zeros((len(seg), 6))
+        rates[:, :2] = self.speed * direction
+        table = tuple(zip(lengths.tolist(), w[:-1].tolist(), direction.tolist(), map(read_only, rates)))
         object.__setattr__(self, "_segments", table)
-        object.__setattr__(self, "_end", w[-1])
+        object.__setattr__(self, "_end", (w[-1].tolist(), read_only(np.zeros(6))))
         object.__setattr__(self, "_total_length", float(np.sum(lengths)))
 
     def scan_lines(self) -> np.ndarray:
@@ -173,18 +179,18 @@ class RasterPath:
         return self._total_length / self.speed
 
     def setpoint(self, t: float) -> Setpoint:
-        """Constant-speed traversal; holds the endpoint after the path ends."""
-        if t < 0.0:
+        """Constant-speed traversal; holds the endpoint after the path ends.
+        The rates are the leg's shared read-only vector."""
+        if not t >= 0.0:  # NaN fails too
             raise ValueError("time must be non-negative")
         remaining = self.speed * t
-        for p, length, direction in self._segments:
+        for length, (p1, p2), (u1, u2), rates in self._segments:
             if remaining < length:
-                s = p + remaining * direction
-                rhodot = np.zeros(6)
-                rhodot[:2] = self.speed * direction
-                return setpoint_at(s[0], s[1], self.d_hold, rhodot)
+                s1, s2 = p1 + remaining * u1, p2 + remaining * u2
+                return Setpoint(np.array([s1, s2, self.d_hold, 0.0, 0.0, 0.0]), rates)
             remaining -= length
-        return setpoint_at(self._end[0], self._end[1], self.d_hold, np.zeros(6))
+        (s1, s2), rates = self._end
+        return Setpoint(np.array([s1, s2, self.d_hold, 0.0, 0.0, 0.0]), rates)
 
 
 def nullspace_projector(J_rho: np.ndarray) -> np.ndarray:
@@ -213,18 +219,19 @@ def nullspace_damping(J_rho: np.ndarray, qdot: np.ndarray, gain: float) -> np.nd
     vector normalised. Its norm is the product of the singular values;
     when that cannot rule out a rank drop, N is the SVD projector.
     """
-    if gain < 0.0:
+    if not gain >= 0.0:  # NaN fails too
         raise ValueError("gain must be non-negative")
     J_rho = np.asarray(J_rho, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     if J_rho.shape == (6, 7) and qdot.shape == (7,):
         n = _MINOR_SIGN * np.linalg.det(J_rho.take(_MINOR_IDX))
-        size = math.sqrt(n @ n)
-        frob = math.sqrt(J_rho.ravel() @ J_rho.ravel())
+        size = math.sqrt(n.dot(n))
+        flat = J_rho.ravel()
+        frob = math.sqrt(flat.dot(flat))
         # sigma_min >= size / sigma_max^5 and sigma_max <= frob
         if size > NULLSPACE_RANK_TOL * max(frob, 1.0) * frob**5:
             u = n / size
-            return -gain * (u * (u @ qdot))
+            return -gain * (u * u.dot(qdot))
     N = nullspace_projector(J_rho)
     if qdot.shape != (N.shape[0],):
         raise ValueError(f"qdot must have {N.shape[0]} entries, got {qdot.shape}")

@@ -440,28 +440,31 @@ class _Accel:
     @functools.cached_property
     def _lists(self) -> tuple:
         """Plain-python mirrors of the node boxes (one 6-list of floats, min
-        then max), children and parents, plus per-leaf face rows for nearest,
-        where indexing numpy scalars costs more than the arithmetic; built on
-        the first nearest, so batch-only meshes never convert."""
+        then max), children and parents, plus per-leaf face rows and
+        face -> normal triples for nearest, where indexing numpy scalars costs
+        more than the arithmetic; built on the first nearest, so batch-only
+        meshes never convert."""
         mirrors = (np.hstack([self.bmin, self.bmax]), self.left, self.right, self.parent)
-        return (*(x.tolist() for x in mirrors), [None] * len(self.count))
+        return (*(x.tolist() for x in mirrors), [None] * len(self.count), {})
 
     def _leaf_rows(self, node: int) -> list:
         # (face, a, b, c, padded box min, max) of a leaf's faces in floats,
-        # on the leaf's first visit: converting all faces at build costs
-        # batch-only meshes too
+        # and their normals, on the leaf's first visit: converting all faces
+        # at build costs batch-only meshes too
         f = self.leaf_faces[node, : self.count[node]]
         A, B, C = self.A[f], self.B[f], self.C[f]
         lo = np.minimum(np.minimum(A, B), C) - self.pad
         hi = np.maximum(np.maximum(A, B), C) + self.pad
-        rows = list(zip(*(x.tolist() for x in (f, A, B, C)), *np.hstack([lo, hi]).T.tolist()))
-        self._lists[-1][node] = rows
+        faces = f.tolist()
+        rows = list(zip(faces, *(x.tolist() for x in (A, B, C)), *np.hstack([lo, hi]).T.tolist()))
+        self._lists[-2][node] = rows
+        self._lists[-1].update(zip(faces, self.face_normals[f].tolist()))
         return rows
 
     def nearest(self, p: np.ndarray, hint: int | None = None) -> ClosestHit:
         p = p.tolist()
         px, py, pz = p
-        boxes, left, right, parent, rows_l = self._lists
+        boxes, left, right, parent, rows_l, normals = self._lists
         if hint is None:
             # the greedy descent to the nearer-box leaf gives the hint, the
             # leaf's first face; any hint gives the same hit (see below), a
@@ -486,11 +489,13 @@ class _Accel:
                 best = _closest(p, row[1], row[2], row[3])
                 break
         bound, win = best[0], hint
-        stack, node = [leaf], leaf
+        stack, node = [], leaf
         while node:  # the root is node 0
             up = parent[node]
-            stack.insert(0, right[up] if left[up] == node else left[up])
+            stack.append(right[up] if left[up] == node else left[up])
             node = up
+        stack.reverse()
+        stack.append(leaf)
         while stack:
             node = stack.pop()
             # _box_gap2, written out: the walk's node and face tests are
@@ -518,7 +523,7 @@ class _Accel:
                     best, bound, win = hit, hit[0], f
         d2, u, v, (x, y, z) = best
         dist = math.sqrt(d2)
-        nx, ny, nz = self.face_normals[win].tolist()
+        nx, ny, nz = normals[win]  # the winner's leaf was visited
         if (px - x) * nx + (py - y) * ny + (pz - z) * nz < 0.0:
             dist = -dist
         return ClosestHit(win, (x, y, z), (1.0 - u - v, u, v), dist)

@@ -595,11 +595,12 @@ def _stage_raster(run: _Run, deadline) -> _StageReport:
         raise ValueError("raster domain is empty after clipping to the chart")
     path = RasterPath(s_lo, s_hi, cfg.line_spacing, cfg.raster_speed, cfg.raster_d_hold)
     approach = _raster_approach(cfg)
+    start = approach.duration  # the path starts where the approach ends
 
     def setpoints(t: float) -> Setpoint:
-        if t < approach.duration:
+        if t < start:
             return contact_setpoints(approach, t)
-        return path.setpoint(t - approach.duration)
+        return path.setpoint(t - start)
 
     gains = run.truth[1] if run.recon_mesh is None else _resolve_gains(run, chart)
     checkpoint, run.checkpoint = run.checkpoint, None  # the contact stage's first steps, if shared

@@ -12,12 +12,20 @@ chart's surface frame. `init_state` checks q and qdot once; after that
 the divergence test is what catches a non-finite state. Each state comes
 from one kinematics sweep (`arm_snapshot`), whose probe rotation matrix,
 tip and Jacobian go straight to the chart: a step builds no `Pose`.
+
+A step runs about a thousand times per simulated second, so its records
+(`SimState`, the chart's `SurfaceFrame`, the sweep's `ArmSnapshot`) are
+immutable `NamedTuple`s rather than frozen dataclasses, its 2-D products
+are `.dot` calls (the same bits as `@`, at less cost per call), and its
+divergence test is one sum of floats, falling back to the entrywise test
+only when that sum is not finite.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,9 +93,9 @@ def cap_phantom_mesh(
         np.sqrt(np.maximum(sphere_radius**2 - r2, 0.0)) - (sphere_radius - cap_height), 0.0))
 
 
-@dataclass(frozen=True)
-class SimState:
-    """The loop's state at time t as plain arrays, all consistent with q."""
+class SimState(NamedTuple):
+    """The loop's state at time t as plain arrays, all consistent with q;
+    an immutable record (`_replace` gives a changed copy)."""
 
     t: float
     q: np.ndarray  # (7,) rad
@@ -125,10 +133,10 @@ def init_state(
 
 
 def _state_at(model, chart, phantom, t: float, q, qdot, hint=None) -> SimState:
-    snap = arm_snapshot(model, q)  # raises on a limit breach
-    rho, rhodot, J, frame = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, qdot, hint)
+    R_probe, tip, jacobian, mass = arm_snapshot(model, q)  # raises on a limit breach
+    rho, rhodot, J, frame = chart.evaluate_probe(R_probe, tip, jacobian, qdot, hint)
     force_n = contact_force(phantom, float(rho[2]), float(rhodot[2]))
-    return SimState(t, q, qdot, rho, rhodot, J, frame, snap.jacobian, snap.mass, force_n)
+    return SimState(t, q, qdot, rho, rhodot, J, frame, jacobian, mass, force_n)
 
 
 def step(
@@ -144,22 +152,27 @@ def step(
     """One semi-implicit Euler step using the forces of `state`."""
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
-    q, qdot = state.q, state.qdot
-    tau = np.zeros(7)
+    t, q, qdot, rho, rhodot, J_rho, frame, jacobian, mass, force_n = state
     if gains is not None:
-        tau = tau + impedance_torque(gains, setpoint, state.rho, state.rhodot, state.J_rho)
+        tau = impedance_torque(gains, setpoint, rho, rhodot, J_rho)
+    else:
+        tau = np.zeros(7)
     if nullspace_gain > 0.0:
-        tau = tau + nullspace_damping(state.J_rho, qdot, nullspace_gain)
-    tau = tau + state.jacobian[:3].T @ (state.force_n * state.frame.n)
-    qdd = np.linalg.solve(state.mass, tau)
+        tau = tau + nullspace_damping(J_rho, qdot, nullspace_gain)
+    tau = tau + jacobian[:3].T.dot(force_n * frame.n)
+    qdd = np.linalg.solve(mass, tau)
     qdot_new = qdot + dt * qdd
     q_new = q + dt * qdot_new
-    if not (np.isfinite(q_new).all() and np.isfinite(qdot_new).all()):
+    # one test for both: the sum of the entries is finite when each entry is,
+    # unless it overflows, and only then does the entrywise test decide (in
+    # Python floats, where numpy's sums would warn on that overflow)
+    entries = q_new.tolist() + qdot_new.tolist()
+    if not math.isfinite(sum(entries)) and not all(map(math.isfinite, entries)):
         raise DivergenceError(
-            f"integrator diverged at t = {state.t:.6f} s (step from dt = {dt})"
+            f"integrator diverged at t = {t:.6f} s (step from dt = {dt})"
         )
     check_velocity(model, qdot_new)  # raises JointVelocityError
-    return _state_at(model, chart, phantom, state.t + dt, q_new, qdot_new, state.frame.face)
+    return _state_at(model, chart, phantom, t + dt, q_new, qdot_new, frame.face)
 
 
 def steady_state_force(k_controller: float, k_t: float, d_hold: float) -> float:
@@ -304,14 +317,18 @@ def simulate(
 
 
 _ROW_FORMAT = ",".join(["%.9g"] * 16)
+EXPORT_BLOCK = 256  # rows formatted by one % operation
 
 
 def export_log(log: ScanLog, path) -> None:
     """CSV, 9 significant digits, LF endings; byte-stable for equal runs."""
-    # one row at a time: a whole-table tolist() would hold every value
-    # as a Python float at once
-    rows = [_ROW_FORMAT % tuple(r.tolist()) for r in log.table]
-    data = "\n".join([CSV_HEADER] + rows) + "\n"
+    # a block of rows at a time: a whole-table tolist() would hold every
+    # value as a Python float at once
+    parts = [CSV_HEADER]
+    for a in range(0, len(log.table), EXPORT_BLOCK):
+        rows = log.table[a : a + EXPORT_BLOCK]
+        parts.append("\n".join([_ROW_FORMAT] * len(rows)) % tuple(rows.ravel().tolist()))
+    data = "\n".join(parts) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(data)
 

@@ -164,13 +164,53 @@ def test_ramp_is_continuous_and_rate_bounded():
     assert ds[-1] == PROFILE.d_hold
 
 
+def contact_oracle(profile: ContactProfile, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_d, rhodot_d) by the array formula: d_d = max(d_hold, d_start -
+    ramp_rate t), and rate -ramp_rate on d while that is above d_hold."""
+    rhodot = np.zeros(6)
+    if profile.d_start - profile.ramp_rate * t > profile.d_hold:
+        rhodot[2] = -profile.ramp_rate
+    d_d = max(profile.d_hold, profile.d_start - profile.ramp_rate * t)
+    return np.array([0.0, 0.0, float(d_d), 0.0, 0.0, 0.0]), rhodot
+
+
+def loop_times(end: float, dt: float) -> np.ndarray:
+    """The times a simulation loop reaches, accumulated step by step."""
+    ts, t = [0.0], 0.0
+    while t < end:
+        t = t + dt
+        ts.append(t)
+    return np.array(ts)
+
+
+def test_contact_setpoints_match_the_array_formula_bit_for_bit():
+    profiles = (
+        PROFILE,
+        ContactProfile(d_start=0.005, d_hold=-0.002, ramp_rate=0.01, hold_duration=0.5),
+        ContactProfile(d_start=0.0, d_hold=-0.001, ramp_rate=0.003, hold_duration=0.0),
+    )
+    for profile in profiles:
+        switch = profile.ramp_duration
+        ts = np.concatenate([
+            np.linspace(0.0, 2.0 * profile.duration + 1.0, 2001),
+            [switch, np.nextafter(switch, 0.0), np.nextafter(switch, np.inf)],
+            loop_times(profile.duration + 0.2, 1e-3),
+        ])
+        for t in ts:
+            sp = contact_setpoints(profile, float(t))
+            rho_d, rhodot_d = contact_oracle(profile, float(t))
+            assert sp.rho_d.tobytes() == rho_d.tobytes()
+            assert sp.rhodot_d.tobytes() == rhodot_d.tobytes()
+
+
 def test_contact_profile_validation():
     with pytest.raises(ValueError, match="exceed"):
         ContactProfile(d_start=-0.005, d_hold=0.0, ramp_rate=0.01)
     with pytest.raises(ValueError, match="ramp_rate"):
         ContactProfile(d_start=0.02, d_hold=0.0, ramp_rate=0.0)
-    with pytest.raises(ValueError, match="non-negative"):
-        contact_setpoints(PROFILE, -0.1)
+    for t in (-0.1, float("nan")):  # NaN fails the guard too
+        with pytest.raises(ValueError, match="non-negative"):
+            contact_setpoints(PROFILE, t)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +291,8 @@ def test_raster_setpoints_function_matches_path():
 
 
 def rebuilt_setpoint(path: RasterPath, t: float):
-    """(s1, s2, rhodot) with the waypoints rebuilt and walked on every call."""
+    """(s1, s2, rhodot) with the waypoints rebuilt and walked on every call,
+    by the array formula s = p + remaining * direction."""
     w = path.waypoints()
     seg = np.diff(w, axis=0)
     lengths = np.linalg.norm(seg, axis=1)
@@ -280,14 +321,29 @@ def test_tabled_setpoint_matches_per_call_rebuild():
             np.linspace(0.0, 1.3 * path.duration, 700),
             ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf),
             [path.duration, path.duration + 10.0],
+            loop_times(1.05 * path.duration, path.duration / 997.0),
         ])
         for t in ts:
             sp = path.setpoint(float(t))
             s1, s2, rhodot = rebuilt_setpoint(path, float(t))
-            assert tuple(sp.rho_d[:3]) == (s1, s2, path.d_hold)
-            assert np.array_equal(sp.rhodot_d, rhodot)
+            expect = np.array([float(s1), float(s2), path.d_hold, 0.0, 0.0, 0.0])
+            assert sp.rho_d.tobytes() == expect.tobytes()
+            assert sp.rhodot_d.tobytes() == rhodot.tobytes()
         legs = np.linalg.norm(np.diff(path.waypoints(), axis=0), axis=1)
         assert path.duration == float(np.sum(legs)) / path.speed
+
+
+def test_setpoint_rates_are_shared_and_read_only():
+    path = square_path()
+    setpoints = [contact_setpoints(PROFILE, t) for t in (0.0, 1.0, 100.0)]
+    setpoints += [path.setpoint(t) for t in (0.0, 3.0, 7.0, path.duration + 1.0)]
+    for sp in setpoints:
+        with pytest.raises(ValueError, match="read-only"):
+            sp.rhodot_d[2] = 1.0
+        sp.rho_d[0] = 1.0  # the position is each call's own array
+    assert contact_setpoints(PROFILE, 0.5).rhodot_d is contact_setpoints(PROFILE, 1.0).rhodot_d
+    assert path.setpoint(2.0).rhodot_d is path.setpoint(3.0).rhodot_d
+    assert contact_setpoints(PROFILE, 0.0).rho_d[0] == 0.0 and path.setpoint(0.0).rho_d[0] == 0.0
 
 
 def test_raster_glides_from_the_origin_to_its_first_corner():
@@ -313,6 +369,9 @@ def test_raster_validation():
         square_path(spacing=0.0)
     with pytest.raises(ValueError, match="s_min"):
         RasterPath(np.array([0.2, 0.0]), np.array([0.1, 0.1]), 0.05, 0.02, -0.003)
+    for t in (-0.1, float("nan")):  # NaN fails the guard too
+        with pytest.raises(ValueError, match="non-negative"):
+            square_path().setpoint(t)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +417,11 @@ def test_rank_deficient_jacobian_damps_everything_lost():
     qdot = np.ones(7)
     tau = nullspace_damping(np.zeros((6, 7)), qdot, 2.0)
     assert np.allclose(tau, -2.0 * qdot, atol=1e-15)
-    with pytest.raises(ValueError, match="non-negative"):
-        nullspace_damping(np.zeros((6, 7)), qdot, -1.0)
+    for gain in (-1.0, float("nan")):  # NaN fails the guard too, on either branch
+        with pytest.raises(ValueError, match="non-negative"):
+            nullspace_damping(np.zeros((6, 7)), qdot, gain)
+        with pytest.raises(ValueError, match="non-negative"):
+            nullspace_damping(np.eye(6, 7), qdot, gain)
 
 
 def test_closed_form_null_torque_matches_projector():

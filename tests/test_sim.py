@@ -20,6 +20,7 @@ from surfscan.localization import ScenePlane
 from surfscan.mesh import grid_surface_mesh
 from surfscan.sim import (
     CSV_HEADER,
+    EXPORT_BLOCK,
     Checkpoint,
     DivergenceError,
     PhantomModel,
@@ -247,9 +248,22 @@ def _nan_at(v: np.ndarray, i: int) -> np.ndarray:
 def test_divergence_error_on_overflow(make_bad, gains):
     chart, phantom = flat_rig(0.010)
     st = init_state(MODEL, chart, phantom, Q_SCAN)
-    bad = dataclasses.replace(st, **make_bad(st))
+    bad = st._replace(**make_bad(st))
     with pytest.raises(DivergenceError):
         step(MODEL, chart, phantom, gains, hold_setpoint(0.01), bad, 1e-3)
+
+
+def test_huge_finite_rates_are_a_velocity_breach_not_divergence():
+    # the sum of the state's entries overflows to inf while every entry is
+    # finite: the entrywise test clears the state, and the velocity limit
+    # stops it
+    chart, phantom = flat_rig(0.010)
+    qdot = np.zeros(7)
+    qdot[4] = qdot[5] = 0.9e308
+    st = init_state(MODEL, chart, phantom, Q_SCAN, qdot)
+    assert st.force_n == 0.0 and 0.9e308 + 0.9e308 == math.inf
+    with pytest.raises(JointVelocityError, match="joint 4"):
+        step(MODEL, chart, phantom, None, hold_setpoint(0.01), st, 1e-3)
 
 
 def test_step_raises_on_joint_limit():
@@ -582,6 +596,18 @@ def test_export_parse_round_trip(short_run, tmp_path):
     p2 = tmp_path / "b.csv"
     export_log(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, EXPORT_BLOCK, 2 * EXPORT_BLOCK + 37])
+def test_block_export_is_the_row_at_a_time_form(tmp_path, n):
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal((n, 16)) * 10.0 ** rng.integers(-20, 20, (n, 16))
+    table[:, 0] = np.cumsum(rng.uniform(1e-4, 1e-2, n))
+    table[::3, 5] = -0.0
+    export_log(ScanLog(table), tmp_path / "log.csv")
+    row = ",".join(["%.9g"] * 16)
+    expect = "\n".join([CSV_HEADER] + [row % tuple(r.tolist()) for r in table]) + "\n"
+    assert (tmp_path / "log.csv").read_bytes() == expect.encode()
 
 
 def test_identical_runs_export_identical_bytes(tmp_path):
