@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .geometry import read_only
 
@@ -224,7 +225,7 @@ def nullspace_damping(J_rho: np.ndarray, qdot: np.ndarray, gain: float) -> np.nd
     J_rho = np.asarray(J_rho, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     if J_rho.shape == (6, 7) and qdot.shape == (7,):
-        n = _MINOR_SIGN * np.linalg.det(J_rho.take(_MINOR_IDX))
+        n = _MINOR_SIGN * _umath_linalg.det(J_rho.take(_MINOR_IDX))
         size = math.sqrt(n.dot(n))
         flat = J_rho.ravel()
         frob = math.sqrt(flat.dot(flat))

@@ -11,10 +11,12 @@ Point queries use a median-split AABB tree over face boxes, built level by
 level, whose leaves list their faces in ascending order and whose boxes are
 padded against rounding; traversal never prunes a node whose lower bound
 ties the current best, which is what makes the tie-break exact. A single
-query starts at its hint face's leaf (without a hint, the leaf a greedy
-descent reaches) and climbs to the root through the sibling subtrees its
-bound reaches. Batched queries walk the tree breadth first over (point,
-node) pairs, seeded by a greedy descent.
+query walks from the root, nearer child first, and leaves a Verlet list
+(Verlet, Phys. Rev. 159, 1967): the faces within its winner's distance plus
+SKIN, and a guard radius that all others lie beyond. A query hinted with
+that winner evaluates only the list while the guard certifies its winner.
+Batched queries walk the tree breadth first over (point, node) pairs,
+seeded by a greedy descent.
 
 Rays use Moller-Trumbore with double-sided hits. Rays that share an origin
 are cast together (Wald et al., "Interactive Rendering with Coherent Ray
@@ -35,6 +37,7 @@ import numpy as np
 LEAF_SIZE = 8
 POINT_BLOCK = 1024  # points per batched traversal; bounds its working set
 PAIR_CHUNK = 256  # (point, leaf) pairs per kernel call; bounds its temporaries
+SKIN = 5e-4  # m: a nearest list entry holds the faces within its winner's distance plus this
 RAY_BLOCK = 4096  # rays per binning pass; bounds its working set
 RAYS_PER_CELL = 2  # mean rays per cell of a pass's image-space grid
 MIN_SPAN = 1e-12  # an image extent below this gets one cell, so no cell-size ratio overflows
@@ -134,10 +137,12 @@ class TriMesh:
         distance resolve to the smallest face index, matching the
         exhaustive per-triangle reference exactly.
 
-        hint, if given, is a face index that seeds the search bound, which
-        then tightens as the walk evaluates faces. The result is
-        bit-identical with or without it; a good hint (the winning face of
-        a nearby previous query) prunes most of the tree in a tight loop.
+        hint, if given, is a face index. If an earlier query was won by that
+        face, only the faces it listed are evaluated, and their winner is
+        taken when the list's guard radius proves that no other face can win
+        or tie; otherwise the tree is walked. So the result is bit-identical
+        with any hint or none, whatever queries came before; a good hint (the
+        winner of a nearby previous query) skips the walk. NaN is a ValueError.
         """
         if hint is not None and not 0 <= hint < self.n_faces:
             raise ValueError(f"hint face {hint} out of range")
@@ -359,6 +364,7 @@ class _Accel:
         self.face_normals = self.cross / norms[:, None]
         self.face_normals.setflags(write=False)
         self._build(f)
+        self.entries = {}  # face -> nearest's list entry: (anchor, rows, guard)
 
     @functools.cached_property
     def vertex_normals(self) -> np.ndarray:
@@ -430,33 +436,24 @@ class _Accel:
         cols = np.minimum(np.arange(LEAF_SIZE), self.count[leaf][:, None] - 1)
         self.leaf_faces = np.zeros((len(self.count), LEAF_SIZE), dtype=np.int64)
         self.leaf_faces[leaf] = perm[self.start[leaf][:, None] + cols]
-        # where the single-point walk starts and how it climbs: each face's
-        # leaf, and each node's parent (the root's is -1)
-        self.face_leaf = np.empty(n, dtype=np.int64)
-        self.face_leaf[perm] = np.repeat(leaf, self.count[leaf])
-        self.parent = np.full(nodes, -1)
-        self.parent[kids] = inner[:, None]
 
     @functools.cached_property
     def _lists(self) -> tuple:
-        """Plain-python mirrors of the node boxes (one 6-list of floats, min
-        then max), children and parents, plus per-leaf face rows and
-        face -> normal triples for nearest, where indexing numpy scalars costs
-        more than the arithmetic; built on the first nearest, so batch-only
-        meshes never convert."""
-        mirrors = (np.hstack([self.bmin, self.bmax]), self.left, self.right, self.parent)
-        return (*(x.tolist() for x in mirrors), [None] * len(self.count), {})
+        """Plain-python node boxes (6-lists, min then max) and children, leaf
+        face rows and face -> normal triples for nearest, where indexing numpy
+        scalars costs more than the arithmetic; built on the first nearest."""
+        boxes = np.hstack([self.bmin, self.bmax]).tolist()
+        return boxes, self.left.tolist(), self.right.tolist(), [None] * len(self.count), {}
 
     def _leaf_rows(self, node: int) -> list:
-        # (face, a, b, c, padded box min, max) of a leaf's faces in floats,
+        # (face, a, b, c, padded box (min then max)) of a leaf's faces in floats,
         # and their normals, on the leaf's first visit: converting all faces
         # at build costs batch-only meshes too
         f = self.leaf_faces[node, : self.count[node]]
         A, B, C = self.A[f], self.B[f], self.C[f]
-        lo = np.minimum(np.minimum(A, B), C) - self.pad
-        hi = np.maximum(np.maximum(A, B), C) + self.pad
+        lo, hi = np.minimum(np.minimum(A, B), C) - self.pad, np.maximum(np.maximum(A, B), C) + self.pad
         faces = f.tolist()
-        rows = list(zip(faces, *(x.tolist() for x in (A, B, C)), *np.hstack([lo, hi]).T.tolist()))
+        rows = list(zip(faces, *(x.tolist() for x in (A, B, C, np.hstack([lo, hi])))))
         self._lists[-2][node] = rows
         self._lists[-1].update(zip(faces, self.face_normals[f].tolist()))
         return rows
@@ -464,69 +461,69 @@ class _Accel:
     def nearest(self, p: np.ndarray, hint: int | None = None) -> ClosestHit:
         p = p.tolist()
         px, py, pz = p
-        boxes, left, right, parent, rows_l, normals = self._lists
-        if hint is None:
-            # the greedy descent to the nearer-box leaf gives the hint, the
-            # leaf's first face; any hint gives the same hit (see below), a
-            # near one prunes more
-            node = 0
-            while left[node] >= 0:
-                l, r = left[node], right[node]
-                node = l if _box_gap2(boxes[l], px, py, pz) <= _box_gap2(boxes[r], px, py, pz) else r
-            hint = int(self.leaf_faces[node, 0])
-        leaf = int(self.face_leaf[hint])
-        # Ericson's walk, started at the hint: the hint face seeds the
-        # (d2, face) lex-min, leaf faces are evaluated as the walk reaches
-        # them, and the lex-min bounds the prune. A box is pruned only when
-        # strictly farther than the bound, which never drops below the final
-        # d2, so every face that wins or ties is evaluated: the lex-min is the
-        # brute-force winner. The stack starts as the hint's leaf on top of
-        # the siblings of its root path, nearest first, so the walk finishes
-        # the leaf, then climbs, entering each sibling subtree the bound
-        # reaches; together they hold every face once.
-        for row in rows_l[leaf] or self._leaf_rows(leaf):
-            if row[0] == hint:
-                best = _closest(p, row[1], row[2], row[3])
-                break
-        bound, win = best[0], hint
-        stack, node = [], leaf
-        while node:  # the root is node 0
-            up = parent[node]
-            stack.append(right[up] if left[up] == node else left[up])
-            node = up
-        stack.reverse()
-        stack.append(leaf)
-        while stack:
-            node = stack.pop()
-            # _box_gap2, written out: the walk's node and face tests are
-            # most of its calls
-            x0, y0, z0, x1, y1, z1 = boxes[node]
-            gx = x0 - px if x0 > px else px - x1 if px > x1 else 0.0
-            gy = y0 - py if y0 > py else py - y1 if py > y1 else 0.0
-            gz = z0 - pz if z0 > pz else pz - z1 if pz > z1 else 0.0
-            if gx * gx + gy * gy + gz * gz > bound:
-                continue
-            if left[node] >= 0:
-                stack += right[node], left[node]
-                continue
-            for f, a, b, c, x0, y0, z0, x1, y1, z1 in rows_l[node] or self._leaf_rows(node):
-                # the hint is counted already; face boxes are padded like nodes
-                if f == hint:
-                    continue
-                gx = x0 - px if x0 > px else px - x1 if px > x1 else 0.0
-                gy = y0 - py if y0 > py else py - y1 if py > y1 else 0.0
-                gz = z0 - pz if z0 > pz else pz - z1 if pz > z1 else 0.0
-                if gx * gx + gy * gy + gz * gz > bound:
-                    continue
+        entry, best_d2, cut, guard = self.entries.get(hint), math.inf, math.inf, 0.0
+        if entry is not None:
+            # the hint's list: rows nearest its anchor first, all other faces at
+            # least guard from it. cut is the best distance plus |p - anchor|
+            # and a slack far above rounding: rows farther than cut from the
+            # anchor lose to the best, and when cut < guard so does every other
+            # face, so the rows' lex-min is the brute-force winner
+            anchor, rows, guard = entry
+            reach = math.dist(p, anchor) + self.pad
+            win = -1
+            for da, f, a, b, c in rows:
+                if da > cut:
+                    break
                 hit = _closest(p, a, b, c)
-                if hit[0] < bound or (hit[0] == bound and f < win):
-                    best, bound, win = hit, hit[0], f
+                if hit[0] < best_d2 or (hit[0] == best_d2 and f < win):
+                    best, best_d2, win = hit, hit[0], f
+                    cut = math.sqrt(best_d2) + reach
+        if not cut < guard:
+            best, win = self._walk(p, best_d2)
         d2, u, v, (x, y, z) = best
         dist = math.sqrt(d2)
-        nx, ny, nz = normals[win]  # the winner's leaf was visited
+        nx, ny, nz = self._lists[-1][win]  # the winner's leaf was visited
         if (px - x) * nx + (py - y) * ny + (pz - z) * nz < 0.0:
             dist = -dist
         return ClosestHit(win, (x, y, z), (1.0 - u - v, u, v), dist)
+
+    def _walk(self, p: list, best_d2: float) -> tuple:
+        """(hit, face) lex-min over all faces by Ericson's walk from the root,
+        nearer child first, pruning a box or face only when strictly beyond
+        (sqrt(best) + SKIN)^2, best starting at best_d2: every face that wins
+        or ties is evaluated. The winner's entry lists those within the final
+        bound, and its guard is the least pruned gap or unlisted distance."""
+        px, py, pz = p
+        boxes, left, right, rows_l, _ = self._lists
+        win = len(self.A)  # past every face: the first face at best_d2 takes it
+        bound = max(best_d2, (math.sqrt(best_d2) + SKIN) ** 2)
+        guard2, seen, stack = math.inf, [], [_box_gap2(boxes[0], px, py, pz), 0]
+        while stack:
+            node, g2 = stack.pop(), stack.pop()
+            if g2 > bound:
+                guard2 = min(guard2, g2)
+                continue
+            l, r = left[node], right[node]
+            if l >= 0:
+                gl, gr = _box_gap2(boxes[l], px, py, pz), _box_gap2(boxes[r], px, py, pz)
+                stack += (gr, r, gl, l) if gl <= gr else (gl, l, gr, r)
+                continue
+            for f, a, b, c, box in rows_l[node] or self._leaf_rows(node):
+                g2 = _box_gap2(box, px, py, pz)
+                if g2 > bound:
+                    guard2 = min(guard2, g2)
+                    continue
+                hit = _closest(p, a, b, c)
+                seen.append((hit[0], f, a, b, c))
+                if hit[0] < best_d2 or (hit[0] == best_d2 and f < win):
+                    best, best_d2, win = hit, hit[0], f
+                    bound = max(best_d2, (math.sqrt(best_d2) + SKIN) ** 2)
+        if win == len(self.A):  # no comparison held: a NaN coordinate
+            raise ValueError("query point must not be NaN")
+        rows = sorted((math.sqrt(d2), f, a, b, c) for d2, f, a, b, c in seen if d2 <= bound)
+        guard2 = min([guard2] + [d2 for d2, *_ in seen if d2 > bound])
+        self.entries[win] = (p, rows, math.sqrt(guard2))
+        return best, win
 
     def _box_d2(self, P: np.ndarray, node) -> np.ndarray:
         # squared point-box distance per row; node is one index or one per row

@@ -14,11 +14,11 @@ from one kinematics sweep (`arm_snapshot`), whose probe rotation matrix,
 tip and Jacobian go straight to the chart: a step builds no `Pose`.
 
 A step runs about a thousand times per simulated second, so its records
-(`SimState`, the chart's `SurfaceFrame`, the sweep's `ArmSnapshot`) are
-immutable `NamedTuple`s rather than frozen dataclasses, its 2-D products
-are `.dot` calls (the same bits as `@`, at less cost per call), and its
-divergence test is one sum of floats, falling back to the entrywise test
-only when that sum is not finite.
+(`SimState`, `SurfaceFrame`, `ArmSnapshot`) are `NamedTuple`s, its 2-D
+products `.dot` calls (the bits of `@`, at less cost), its 7x7 solve the
+gufunc under `np.linalg.solve` (a singular M gives NaN: `DivergenceError`,
+not LinAlgError), and its divergence test one sum of floats, falling back
+to the entrywise test only when that sum is not finite.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .arm import ArmModel, arm_snapshot, check_velocity
 from .chart import SurfaceChart, SurfaceFrame
@@ -160,7 +161,8 @@ def step(
     if nullspace_gain > 0.0:
         tau = tau + nullspace_damping(J_rho, qdot, nullspace_gain)
     tau = tau + jacobian[:3].T.dot(force_n * frame.n)
-    qdd = np.linalg.solve(mass, tau)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        qdd = _umath_linalg.solve1(mass, tau)
     qdot_new = qdot + dt * qdd
     q_new = q + dt * qdot_new
     # one test for both: the sum of the entries is finite when each entry is,

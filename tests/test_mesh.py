@@ -25,9 +25,12 @@ from surfscan.mesh import (
     load_off,
     save_off,
 )
+from surfscan.arm import arm_snapshot, reference_arm
+from surfscan.chart import SurfaceChart
+from surfscan.controller import ImpedanceGains, Setpoint
 from surfscan.localization import ScenePlane, orbit_trajectory
 from surfscan.reconstruction import CameraIntrinsics, render_depth
-from surfscan.sim import cap_phantom_mesh, flat_phantom_mesh
+from surfscan.sim import PhantomModel, cap_phantom_mesh, flat_phantom_mesh, simulate
 
 
 def scalar_closest(p, a, b, c):
@@ -414,6 +417,14 @@ def test_bvh_build_leaves_no_cyclic_garbage():
         mesh = bumpy_mesh(seed=4)
         mesh._accel()
         assert gc.collect() == 0
+        # nearest's lists live on the accelerator and refer to nothing that
+        # refers back, so dropping the mesh frees them without the collector
+        hint = None
+        for p in mesh.vertices[::5] + np.array([0.0, 0.0, 0.01]):
+            hint = mesh.closest_point(p, hint).face
+        assert mesh._accel().entries
+        del mesh
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -491,6 +502,11 @@ def test_closest_points_rows_match_single_queries():
     assert len(BUMPY.closest_points(np.empty((0, 3)))[0]) == 0
     with pytest.raises(ValueError, match="finite"):
         BUMPY.closest_points(np.array([[0.0, np.nan, 0.0]]))
+    # the single query, unhinted and hinted with a face whose list is filled
+    hint = BUMPY.closest_point(np.zeros(3)).face
+    for h in (None, hint):
+        with pytest.raises(ValueError, match="NaN"):
+            BUMPY.closest_point([0.0, np.nan, 0.0], h)
 
 
 def hit_bits(face, distance, point, bary):
@@ -519,11 +535,11 @@ def test_hinted_chain_matches_batched_rows(make):
         hint = int(face[i])
 
 
-def test_deep_tree_climb_from_near_and_far_hints():
+def test_deep_tree_walk_from_near_and_far_hints():
     # the 7200-face cap, ten levels deep: each query of a probe-like path is
     # hinted with the previous winner, and with the first face of the leaf
-    # whose box centre is farthest away, so that walk climbs from the far
-    # side of the tree with a loose bound; every 20th point is a vertex
+    # whose box centre is farthest away, whose list entry, when it has one,
+    # was left by an earlier far query; every 20th point is a vertex
     mesh = cap_phantom_mesh(np.zeros(3))
     acc = mesh._accel()
     assert mesh.n_faces == 7200
@@ -542,21 +558,179 @@ def test_deep_tree_climb_from_near_and_far_hints():
         hint = int(face[i])
 
 
-@pytest.mark.parametrize("make", [lambda: flat_phantom_mesh(np.zeros(3)),
-                                  lambda: cap_phantom_mesh(np.zeros(3)),
-                                  lambda: TriMesh(BUMPY.vertices, BUMPY.faces[:5])],
-                         ids=["flat", "cap", "root-leaf"])
-def test_climb_maps_match_the_tree(make):
-    # the walk starts at face_leaf[hint] and climbs through parent
-    mesh = make()
+def assert_chain_is_batched(mesh, pts, hints=None):
+    # each point hinted with hints[i], or else with the previous winner as
+    # the control step does, bit for bit against the batched rows
+    dist, face, point, bary = mesh.closest_points(pts)
+    hint = None
+    for i, p in enumerate(pts):
+        if hints is not None:
+            hint = hints[i]
+        assert single_bits(mesh, p, hint) == hit_bits(face[i], dist[i], point[i], bary[i]), i
+        hint = int(face[i])
+
+
+def segment(a, b, n):
+    # n + 1 points from a to b, both ends exact
+    t = np.linspace(0.0, 1.0, n + 1)[:, None]
+    pts = a + t * (b - a)
+    pts[-1] = b
+    return pts
+
+
+@pytest.mark.parametrize("make, lift", [(flat_phantom_mesh, 0.002), (cap_phantom_mesh, 0.042)],
+                         ids=["flat", "cap"])
+def test_simulated_tips_match_batched_rows(make, lift, monkeypatch):
+    # the loop's own queries: a probe that ramps into the phantom while it
+    # drifts across the grid, every query as the step hinted it
+    model = reference_arm()
+    q0 = np.array([0.0, 0.5, 0.0, -1.0, 0.0, 0.5, 0.0])
+    centre = arm_snapshot(model, q0).probe.translation - np.array([0.0, 0.0, lift])
+    mesh = make(centre)
+    chart = SurfaceChart(mesh, ScenePlane(centre, np.array([0.0, 0.0, 1.0])))
+    gains = ImpedanceGains(np.diag([300.0, 300.0, 500.0, 5.0, 5.0, 1.0]),
+                           np.diag([35.0, 35.0, 140.0, 0.9, 0.9, 0.4]))
+    rate = np.array([0.03, 0.02, -0.01, 0.0, 0.0, 0.0])
+    calls = []
+    query = TriMesh.closest_point
+
+    def recorded(m, p, hint=None):
+        calls.append((np.array(p, dtype=float), hint))
+        return query(m, p, hint)
+
+    monkeypatch.setattr(TriMesh, "closest_point", recorded)
+    simulate(model, chart, PhantomModel(mesh, 500.0, 20.0), gains,
+             lambda t: Setpoint(rate * t + np.array([0.0, 0.0, 0.002, 0.0, 0.0, 0.0]), rate), q0, 0.4)
+    monkeypatch.undo()
+    pts, hints = np.array([p for p, _ in calls]), [h for _, h in calls]
+    assert len(pts) == 401 and sum(h is not None for h in hints) == 400
+    assert np.ptp(pts[:, 0]) > 0.005  # it crosses grid cells
+    assert_chain_is_batched(mesh, pts, hints)
+
+
+def two_patches():
+    # two 8-face patches 1 mm across and 1 m apart, one leaf each: a query
+    # near one lists all of its faces, and only the other leaf's box bounds
+    # the guard
+    xs = np.linspace(-0.0005, 0.0005, 3)
+    near = grid_surface_mesh(np.zeros(3), *np.eye(3), xs, xs, np.zeros((3, 3)))
+    far = np.array([1.0, 0.0, 0.0]) + near.vertices
+    mesh = TriMesh(np.vstack([near.vertices, far]), np.vstack([near.faces, near.faces + len(far)]))
+    leaves = mesh._accel().leaf_faces[mesh._accel().count > 0]
+    assert sorted(map(tuple, leaves)) == [tuple(range(8)), tuple(range(8, 16))]
+    return mesh
+
+
+def test_long_jumps_between_and_across_patches():
+    # each query jumps to the other patch, or part of the way there, hinted
+    # with the last winner: its list names only faces of the patch it left
+    mesh = two_patches()
+    rng = np.random.default_rng(3)
+    above = np.array([0.0, 0.0, 0.001])
+    hops = [rng.uniform(-0.001, 0.001, 3) + np.array([x, 0.0, 0.0]) for x in (0.0, 1.0) * 10]
+    between = segment(above, np.array([1.0, 0.0, 0.001]), 12)
+    assert_chain_is_batched(mesh, np.vstack([hops, between, between[::-1], above + [0.0, 0.0, 5.0]]))
+
+
+def test_long_jumps_on_the_phantoms():
+    for mesh in (flat_phantom_mesh(np.zeros(3)), cap_phantom_mesh(np.zeros(3))):
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(-0.08, 0.08, (120, 3))
+        pts[::3] *= 10.0  # far outside the mesh
+        pts[1::3, 2] = rng.uniform(-0.002, 0.002, 40)  # near the surface
+        assert_chain_is_batched(mesh, pts)
+
+
+def test_streams_through_shared_vertices_and_edges():
+    # 10 um steps along grid lines, along the cells' diagonal edges and
+    # across them, through vertices exactly, on the surface, below and
+    # above it: every vertex and edge is a tie between its faces
+    mesh = flat_phantom_mesh(np.zeros(3))
+    v = mesh.vertices
+    i = 31 * 15 + 15  # a central vertex; its row and column neighbours are 1 and 31 away
+    # two cells along a row and a column, and along both diagonals
+    legs = [(v[i], v[i + 2]), (v[i], v[i + 62]), (v[i], v[i + 64]), (v[i + 2], v[i + 62])]
+    lift = np.array([0.0, 0.0, 1.0])
+    pts = [segment(a, b, round(np.linalg.norm(b - a) / 1e-5)) + h * lift
+           for a, b in legs for h in (0.0, -0.002, 0.001)]
+    assert_chain_is_batched(mesh, np.vstack(pts))
+
+
+def test_hints_naming_stale_entries_and_far_faces():
+    mesh = cap_phantom_mesh(np.zeros(3))
+    s = np.linspace(0.0, 1.0, 300)
+    first = np.column_stack([0.05 * np.cos(6.0 * s), 0.05 * np.sin(6.0 * s), 0.03 + 0.01 * s])
+    assert_chain_is_batched(mesh, first)
+    stale = sorted(mesh._accel().entries)
+    assert len(stale) > 5
+    rng = np.random.default_rng(6)
+    second = first[::-1] + np.array([0.0, 0.0, -0.004])
+    assert_chain_is_batched(mesh, second, [stale[k] for k in rng.integers(0, len(stale), len(second))])
+    assert_chain_is_batched(mesh, second, [int(k) for k in rng.integers(0, mesh.n_faces, len(second))])
+
+
+def test_results_do_not_depend_on_query_history():
+    # one stream with random hints on a fresh mesh and on one whose entries
+    # an unrelated stream filled
+    rng = np.random.default_rng(7)
+    s = np.linspace(0.0, 1.0, 400)
+    pts = np.column_stack([0.04 * np.cos(5.0 * s), 0.05 * s, 0.035 + 0.002 * np.sin(40.0 * s)])
+    hints = [None] + [int(h) for h in rng.integers(0, 7200, len(pts) - 1)]
+    used = cap_phantom_mesh(np.zeros(3))
+    assert_chain_is_batched(used, np.vstack([rng.uniform(-0.06, 0.06, (200, 3)), pts[::-7] + 0.0007]))
+    assert len(used._accel().entries) > 50
+    fresh = cap_phantom_mesh(np.zeros(3))
+    assert [single_bits(fresh, p, h) for p, h in zip(pts, hints)] == [single_bits(used, p, h) for p, h in
+                                                                       zip(pts, hints)]
+    assert_chain_is_batched(used, pts, hints)
+
+
+@pytest.mark.parametrize("skin", [0.0, 1e-6, 1.0], ids=["zero", "tiny", "past-the-mesh"])
+def test_any_skin_gives_the_same_results(skin, monkeypatch):
+    monkeypatch.setattr(mesh_module, "SKIN", skin)
+    s = np.linspace(0.0, 1.0, 120)
+    pts = np.column_stack([0.05 * np.sin(3.0 * s), 0.04 * s, 0.03 - 0.035 * s])
+    pts[::12] = cap_phantom_mesh(np.zeros(3)).vertices[900::300][:10]
+    if skin == 1.0:
+        pts = pts[::4]  # each query evaluates most of the faces
+    for mesh in (flat_phantom_mesh(np.zeros(3)), cap_phantom_mesh(np.zeros(3))):
+        assert_chain_is_batched(mesh, pts)
+        if skin == 1.0:
+            (rows, guard), = {(len(e[1]), e[2]) for e in mesh._accel().entries.values()}
+            assert rows == mesh.n_faces and guard == math.inf
+
+
+def test_a_coherent_stream_takes_few_walks(monkeypatch):
+    # 10 um steps pressing 1 mm into the flat phantom, as the raster does:
+    # the lists answer almost every query
+    walks = []
+    walk = mesh_module._Accel._walk
+
+    def counted(acc, p, best_d2):
+        walks.append(p)
+        return walk(acc, p, best_d2)
+
+    monkeypatch.setattr(mesh_module._Accel, "_walk", counted)
+    pts = segment(np.array([-0.02, 0.003, -0.001]), np.array([0.02, 0.0031, -0.001]), 4000)
+    assert_chain_is_batched(flat_phantom_mesh(np.zeros(3)), pts)
+    assert len(walks) < 0.02 * len(pts)
+
+
+@pytest.mark.parametrize("short", [0.0, 0.5], ids=["at-the-slack", "half-the-slack"])
+def test_an_entry_is_trusted_only_with_the_slack_to_spare(short):
+    # a forged entry, anchored at the query point, lists only a face that
+    # does not win there, and its guard misses the certificate by `short`
+    # of the slack: the query must not trust it. No real entry comes this
+    # close, for rounding is some 1e-7 of the slack
+    mesh = flat_phantom_mesh(np.zeros(3))
     acc = mesh._accel()
-    leaf = acc.face_leaf
-    assert leaf.shape == (mesh.n_faces,) and (acc.count[leaf] > 0).all()
-    assert (acc.leaf_faces[leaf] == np.arange(mesh.n_faces)[:, None]).any(axis=1).all()
-    node = np.arange(1, len(acc.count))
-    up = acc.parent[node]
-    assert acc.parent[0] == -1 and (up >= 0).all()
-    assert ((acc.left[up] == node) | (acc.right[up] == node)).all()
+    p = np.array([0.0012, 0.0007, -0.001])
+    want = single_bits(mesh, p)
+    wrong = (want[0] + 2) % mesh.n_faces
+    a, b, c = (x[wrong].tolist() for x in (acc.A, acc.B, acc.C))
+    da = math.sqrt(mesh_module.closest_point_scalar(p.tolist(), a, b, c)[0])
+    acc.entries[wrong] = (tuple(p.tolist()), [(da, wrong, a, b, c)], da + (1.0 - short) * acc.pad)
+    assert single_bits(mesh, p, wrong) == want
 
 
 def test_single_point_walk_runs_no_numpy_kernel(monkeypatch):

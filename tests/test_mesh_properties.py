@@ -4,7 +4,9 @@ The oracle runs the production kernels over every face at once and takes
 the lex-min over (value, face index), which is the documented tie-break.
 The batched closest-point query, the unhinted single query and the single
 query with an arbitrary valid hint must all return exactly that face,
-distance, point and barycentric weights. Query points include mesh
+distance, point and barycentric weights, and so must a coherent stream
+of hinted queries, which the single query answers from its list entries,
+at any skin. Query points include mesh
 vertices and points on shared edges, where exact and near ties occur.
 Rays include axis-parallel ones that run through vertices, and fans of
 rays from one origin: through vertices, along edges, grazing the sheet,
@@ -19,6 +21,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import surfscan.mesh as mesh_module
 from surfscan.mesh import (
     TriMesh,
     _moller_trumbore,
@@ -120,6 +123,27 @@ def test_hinted_single_nearest_is_brute_force(case, data):
         hit = mesh.closest_point(p, hint)
         assert_is_brute(mesh, p, hit.face, hit.distance, hit.point, np.array(hit.weights))
         assert hit.distance == mesh.closest_point(p).distance
+
+
+@SETTINGS
+@given(mesh_and_points(), st.sampled_from([0.0, 1e-4, 5e-4, 0.003, 1.0]), st.integers(0, 2**32 - 1))
+def test_coherent_hinted_stream_is_brute_force(case, skin, seed):
+    # from each drawn point, steps of 0 to 200 um, each hinted with the
+    # previous winner; the drawn points themselves are jumps
+    mesh, pts = case
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(-2e-4, 2e-4, (len(pts), 6, 3)) * rng.integers(0, 2, (len(pts), 6, 1))
+    stream = (pts[:, None, :] + np.cumsum(steps, axis=1)).reshape(-1, 3)
+    stream[::6] = pts  # on vertices and edges, where faces tie
+    saved, mesh_module.SKIN = mesh_module.SKIN, skin
+    try:
+        hint = None
+        for p in stream:
+            hit = mesh.closest_point(p, hint)
+            assert_is_brute(mesh, p, hit.face, hit.distance, hit.point, np.array(hit.weights))
+            hint = hit.face
+    finally:
+        mesh_module.SKIN = saved
 
 
 @SETTINGS

@@ -2,13 +2,16 @@
 steady-state force, and the log file format."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from surfscan.arm import JointLimitError, JointVelocityError, arm_snapshot, reference_arm
 from surfscan.chart import SurfaceChart
 from surfscan.controller import (
+    _MINOR_IDX,
     ContactProfile,
     ImpedanceGains,
     RasterPath,
@@ -229,6 +232,43 @@ def test_step_dt_validation():
     for dt in (0.0, float("nan")):
         with pytest.raises(ValueError, match="dt must be in"):
             simulate(MODEL, chart, phantom, None, lambda t: sp, Q_SCAN, 0.01, dt=dt)
+
+
+def test_step_gufuncs_are_the_public_linalg_bit_for_bit():
+    # the step's solve and the damping's minors call numpy's gufuncs
+    # without their wrappers: the same bits on the masses and task
+    # Jacobians of a short run, a rank-deficient J_rho among them
+    chart, phantom = flat_rig(0.001)
+    st = init_state(MODEL, chart, phantom, Q_SCAN)
+    states = [st]
+    for _ in range(40):
+        st = step(MODEL, chart, phantom, GAINS, hold_setpoint(-0.002), st, 1e-3, 1.0)
+        states.append(st)
+    rng = np.random.default_rng(2)
+    deficient = states[-1].J_rho.copy()
+    deficient[5] = 0.5 * deficient[4]
+    for st, J in [(st, st.J_rho) for st in states] + [(states[-1], deficient)]:
+        b = rng.standard_normal(7)
+        assert _umath_linalg.solve1(st.mass, b).tobytes() == np.linalg.solve(st.mass, b).tobytes()
+        minors = J.take(_MINOR_IDX)
+        assert _umath_linalg.det(minors).tobytes() == np.linalg.det(minors).tobytes()
+    assert not np.linalg.det(deficient.take(_MINOR_IDX)).any()
+
+
+@pytest.mark.parametrize("mass", [lambda m: np.zeros((7, 7)), lambda m: m * (np.arange(7) != 3)],
+                         ids=["zero", "rank-6"])
+def test_a_singular_mass_is_a_divergence_error(mass):
+    # the solve gives NaN where np.linalg.solve raises LinAlgError, and
+    # the divergence test stops that step, with no warning
+    chart, phantom = flat_rig(0.001)
+    st = init_state(MODEL, chart, phantom, Q_SCAN)
+    bad = st._replace(mass=mass(st.mass))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(bad.mass, np.ones(7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            step(MODEL, chart, phantom, GAINS, hold_setpoint(-0.002), bad, 1e-3)
 
 
 def _nan_at(v: np.ndarray, i: int) -> np.ndarray:
