@@ -15,8 +15,9 @@ as frozen during the step), which is also how the controller consumes it.
 
 `SurfaceChart.evaluate_probe` is the chart's one entry point; the control
 loop calls it once per step. It takes the probe frame as the kinematics
-sweep leaves it, a rotation matrix and the tip, and works on plain floats
-from there: the chart coordinates, the surface frame, the error
+sweep leaves it, a rotation matrix and the tip, and returns what the step
+reads: rho, its rate, J_rho, the normal n and the foot point's face. It
+works on plain floats: the chart coordinates, the surface frame, the error
 quaternion and the eps rate map are scalar expressions over 3-vectors,
 whose numpy forms cost more in per-call overhead than in arithmetic. Only
 the BVH query, the one 6x6-by-6x7 product for J_rho, its product with
@@ -27,7 +28,6 @@ formulas live on in the tests as the oracle.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,21 +52,6 @@ class ChartBoundaryError(ValueError):
 
 class DegenerateFrameError(ValueError):
     """Surface normal nearly parallel to the in-plane reference axis."""
-
-
-class SurfaceFrame(NamedTuple):
-    """Right-handed orthonormal (t1, t2, n) at a surface point, an
-    immutable record; `point` builds the point's array on demand."""
-
-    xyz: tuple  # the surface point, three floats
-    t1: np.ndarray
-    t2: np.ndarray
-    n: np.ndarray
-    face: int  # mesh face the point lies on; seeds the next query
-
-    @property
-    def point(self) -> np.ndarray:
-        return np.array(self.xyz)
 
 
 class SurfaceChart:
@@ -129,18 +114,19 @@ class SurfaceChart:
     def evaluate_probe(
         self, R_probe: np.ndarray, tip: np.ndarray, probe_jacobian: np.ndarray, qdot,
         hint: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SurfaceFrame]:
-        """One-query bundle for the control loop: (rho, rhodot, J_rho, frame),
-        rho and rhodot (6,) arrays, from one kinematics sweep's probe
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """One-query bundle for the control loop: (rho, rhodot, J_rho, n,
+        face), rho and rhodot (6,) arrays, from one kinematics sweep's probe
         rotation matrix, tip and geometric Jacobian (taken at that tip).
 
-        The frame sits at the tip's closest mesh point (hint, a face index,
-        only speeds that search up). The distance's sign follows the winning
-        face's outward normal (positive above). The tip itself must project
-        inside the domain; its foot point then clamps to the boundary at
-        worst. eps is the vector part of the canonical (eta >= 0) quaternion
-        of R_err = F R_probe^T, F = [t1 t2 n], which takes the probe onto
-        the frame, so eps = 0 exactly at alignment.
+        The frame (t1, t2, n) sits at the tip's closest mesh point, on face
+        `face` (hint, a face index, only speeds that search up). The
+        distance's sign follows the winning face's outward normal (positive
+        above). The tip itself must project inside the domain; its foot
+        point then clamps to the boundary at worst. eps is the vector part
+        of the canonical (eta >= 0) quaternion of R_err = F R_probe^T,
+        F = [t1 t2 n], which takes the probe onto the frame, so eps = 0
+        exactly at alignment.
 
         J_rho = G @ probe_jacobian maps joint rates to rho rates with the
         frame held frozen, where G = [[F^T, 0], [0, E]] and E, with
@@ -181,6 +167,5 @@ class SurfaceChart:
         ]).reshape(6, 6)
         J = G.dot(probe_jacobian)  # the same bits as G @ probe_jacobian, at half the cost
         rho = np.array([f1, f2, hit.distance, e1, e2, e3])
-        # the frame's axes are the rows of G's upper-left block
-        frame = SurfaceFrame(hit.xyz, G[0, :3], G[1, :3], G[2, :3], hit.face)
-        return rho, J.dot(qdot), J, frame
+        # n, the contact force's direction, is the third row of G's frame block
+        return rho, J.dot(qdot), J, G[2, :3], hit.face

@@ -7,23 +7,25 @@ the batched traversal; the single-point walk runs a scalar transcription
 that rounds identically. Accelerated queries reproduce the brute-force
 result bit for bit, including the (distance, face index) tie-break.
 
-Point queries use a median-split AABB tree over face boxes, built level by
-level, whose leaves list their faces in ascending order and whose boxes are
-padded against rounding; traversal never prunes a node whose lower bound
-ties the current best, which is what makes the tie-break exact. A single
-query walks from the root, nearer child first, and leaves a Verlet list
-(Verlet, Phys. Rev. 159, 1967): the faces within its winner's distance plus
-SKIN, and a guard radius that all others lie beyond. A query hinted with
-that winner evaluates only the list while the guard certifies its winner.
-Batched queries walk the tree breadth first over (point, node) pairs,
-seeded by a greedy descent.
+Point queries use a median-split AABB tree over face boxes, built and
+numbered level by level (a right child is its left + 1), whose leaves list
+their faces in ascending order and whose boxes are padded against
+rounding; traversal never prunes a node whose lower bound ties the current
+best, which is what makes the tie-break exact. A single query walks from
+the root, nearer child first, and leaves a Verlet list (Verlet, Phys. Rev.
+159, 1967): the faces within its winner's distance plus SKIN, and a guard
+radius that all others lie beyond. A query hinted with that winner
+evaluates only the list while the guard certifies its winner. Batched
+queries walk the tree breadth first over (point, node) pairs, seeded by a
+greedy descent.
 
 Rays use Moller-Trumbore with double-sided hits. Rays that share an origin
 are cast together (Wald et al., "Interactive Rendering with Coherent Ray
 Tracing", 2001) by the sort-middle binning of software rasterisers (Laine
 and Karras, "High-Performance Software Rasterization on GPUs", 2011): the
 faces are projected from the origin, and each is evaluated for the rays
-whose image points fall in its padded box. One ray is a group of one.
+whose image points fall in its padded box; a single ray takes one kernel
+pass over every face, which costs less than projecting them all.
 """
 from __future__ import annotations
 
@@ -33,6 +35,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .geometry import plane_basis
 
 LEAF_SIZE = 8
 POINT_BLOCK = 1024  # points per batched traversal; bounds its working set
@@ -167,29 +171,23 @@ class TriMesh:
         return np.where(below, -dist, dist), face, cp, bary
 
     def raycast(self, origin, direction, t_min: float = 0.0) -> "RayHit | None":
-        """First hit along one ray: raycast_batch on a batch of one."""
-        t, face = self.raycast_batch(origin, direction, t_min)
-        if face[0] < 0:
+        """First hit along one ray at t >= t_min, or None: one kernel pass over
+        every face, whose first least t is at the smallest tied face."""
+        O, D = _rays(np.reshape(origin, (1, 3)), np.reshape(direction, (1, 3)), t_min)
+        acc = self._accel()
+        t, u, v = _moller_trumbore(O, D, acc.A, acc.eab, acc.eac, acc.face_areas, t_min)
+        f = int(np.argmin(t))
+        if t[f] == math.inf:
             return None
-        # the winning lane again, alone: the kernel is elementwise, so u and
-        # v round exactly as they did inside the batch
-        acc, f = self._accel(), int(face[0])
-        A, eab, eac = acc.A[f], acc.eab[f], acc.eac[f]
-        o, d = (np.asarray(x, dtype=float).reshape(1, 3) for x in (origin, direction))
-        u, v = (float(x[0]) for x in _moller_trumbore(o, d, A, eab, eac, acc.face_areas[f], t_min)[1:])
-        return RayHit(f, float(t[0]), np.array([1.0 - u - v, u, v]), A + u * eab + v * eac)
+        u, v = float(u[f]), float(v[f])
+        point = acc.A[f] + u * acc.eab[f] + v * acc.eac[f]
+        return RayHit(f, float(t[f]), np.array([1.0 - u - v, u, v]), point)
 
     def raycast_batch(self, origins, directions, t_min: float = 0.0):
         """First hits of rays from (n, 3) origins along (n, 3) directions (one
         ray may come as two 3-vectors) at t >= t_min: (t, face) arrays, with
         t = inf and face = -1 on a miss."""
-        O, D = (np.asarray(x, dtype=float) for x in (origins, directions))
-        if O.shape[-1:] != (3,) or O.ndim > 2 or O.shape != D.shape:
-            raise ValueError(f"origins and directions must both be (n, 3); got {O.shape} and {D.shape}")
-        O, D = O.reshape(-1, 3), D.reshape(-1, 3)
-        if not (np.isfinite(O).all() and np.isfinite(_dot3(D, D)).all() and 0.0 <= t_min < math.inf):
-            raise ValueError(f"rays and |D|^2 must be finite, and t_min finite and >= 0 (t_min {t_min})")
-        return self._accel().raycast_batch(O, D, t_min)
+        return self._accel().raycast_batch(*_rays(origins, directions, t_min), t_min)
 
     def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n points drawn uniformly by area."""
@@ -224,6 +222,17 @@ class RayHit:
     t: float
     barycentric: np.ndarray
     point: np.ndarray
+
+
+def _rays(origins, directions, t_min: float) -> tuple[np.ndarray, np.ndarray]:
+    # the checked (n, 3) origin and direction arrays of a ray query
+    O, D = (np.asarray(x, dtype=float) for x in (origins, directions))
+    if O.shape[-1:] != (3,) or O.ndim > 2 or O.shape != D.shape:
+        raise ValueError(f"origins and directions must both be (n, 3); got {O.shape} and {D.shape}")
+    O, D = O.reshape(-1, 3), D.reshape(-1, 3)
+    if not (np.isfinite(O).all() and np.isfinite(_dot3(D, D)).all() and 0.0 <= t_min < math.inf):
+        raise ValueError(f"rays and |D|^2 must be finite, and t_min finite and >= 0 (t_min {t_min})")
+    return O, D
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -387,12 +396,12 @@ class _Accel:
         n = len(f)
         perm = np.arange(n)
         # level by level (Lauterbach et al., "Fast BVH Construction on GPUs",
-        # 2009): a depth's nodes are arrays of face-run start lo, size m and
-        # right turns on the root path; a node of m > LEAF_SIZE faces sorts
-        # its run by centroid on its widest axis and splits it at m // 2
-        levels = [(np.zeros(1, np.int64), np.array([n]), np.zeros(1, np.int64))]
+        # 2009): a depth's nodes are arrays of face-run start lo and size m; a
+        # node of m > LEAF_SIZE faces sorts its run by centroid on its widest
+        # axis and splits it at m // 2
+        levels = [(np.zeros(1, np.int64), np.array([n]))]
         while (levels[-1][1] > LEAF_SIZE).any():
-            lo, m, turns = (x[levels[-1][1] > LEAF_SIZE] for x in levels[-1])
+            lo, m = (x[levels[-1][1] > LEAF_SIZE] for x in levels[-1])
             # one stable sort per depth: by run, then by centroid on the run's axis
             seg, first = np.repeat(np.arange(len(m)), m), np.cumsum(m) - m
             pos = np.arange(len(seg)) + (lo - first)[seg]
@@ -401,49 +410,44 @@ class _Accel:
             axis = np.argmax(np.maximum.reduceat(cen, first) - np.minimum.reduceat(cen, first), axis=1)
             perm[pos] = sub[np.lexsort((cen[np.arange(len(seg)), axis[seg]], seg))]
             # the next depth: each split node's left then right child, in order
-            levels.append(tuple(np.column_stack(x).ravel() for x in (
-                (lo, lo + m // 2), (m // 2, m - m // 2), (turns, turns + 1))))
+            levels.append((np.column_stack((lo, lo + m // 2)).ravel(),
+                           np.column_stack((m // 2, m - m // 2)).ravel()))
+        # node ids in build order, depth by depth: the nodes past the root pair
+        # up as the split nodes' children, so a right child is its left + 1
         depth = np.repeat(np.arange(len(levels)), [len(x[0]) for x in levels])
-        lo, m, turns = (np.concatenate(x) for x in zip(*levels))
-        # preorder id: the ancestors, then the nodes of the subtrees left of
-        # this one, which hold the leaves that start before lo; a subtree of
-        # k leaves has 2k - 1 nodes, and there is one such subtree per turn
-        is_leaf = m <= LEAF_SIZE
-        leaf_lo = np.sort(lo[is_leaf])
-        ids = depth + 2 * np.searchsorted(leaf_lo, lo) - turns
-        # the nodes past the root pair up as the split nodes' children
-        nodes, inner, kids = 2 * len(leaf_lo) - 1, ids[~is_leaf], ids[1:].reshape(-1, 2)
-        self.left, self.right = np.full(nodes, -1), np.full(nodes, -1)
-        self.left[inner], self.right[inner] = kids.T
-        self.start, self.count = np.zeros(nodes, np.int64), np.zeros(nodes, np.int64)
-        self.start[ids[is_leaf]], self.count[ids[is_leaf]] = lo[is_leaf], m[is_leaf]
+        lo, m = (np.concatenate(x) for x in zip(*levels))
+        nodes, is_leaf = len(m), m <= LEAF_SIZE
+        inner = np.flatnonzero(~is_leaf)
+        self.left, self.count = np.full(nodes, -1), np.where(is_leaf, m, 0)
+        self.left[inner] = np.arange(1, nodes, 2)
         # leaf boxes over their runs, then inner boxes from their children,
         # deepest first; min and max are exact, so any grouping agrees
         self.bmin, self.bmax = np.empty((nodes, 3)), np.empty((nodes, 3))
-        leaf = np.sort(ids[is_leaf])  # preorder meets the leaves in face order
+        leaf = np.flatnonzero(is_leaf)[np.argsort(lo[is_leaf])]  # in face order
+        leaf_lo = lo[leaf]
         self.bmin[leaf] = np.minimum.reduceat(fmin[perm], leaf_lo)
         self.bmax[leaf] = np.maximum.reduceat(fmax[perm], leaf_lo)
         for d in range(len(levels) - 2, -1, -1):
-            at = depth[~is_leaf] == d
-            l, r = kids[at].T
-            self.bmin[inner[at]] = np.minimum(self.bmin[l], self.bmin[r])
-            self.bmax[inner[at]] = np.maximum(self.bmax[l], self.bmax[r])
+            at = inner[depth[inner] == d]
+            l = self.left[at]
+            self.bmin[at] = np.minimum(self.bmin[l], self.bmin[l + 1])
+            self.bmax[at] = np.maximum(self.bmax[l], self.bmax[l + 1])
         # faces ascend within each leaf, so a leaf's first minimum is its
         # smallest tied face
         which = np.searchsorted(leaf_lo, np.arange(n), side="right")
         perm = perm[np.lexsort((perm, which))]
         # each leaf's faces as one fixed-width row, padded with its last face
-        cols = np.minimum(np.arange(LEAF_SIZE), self.count[leaf][:, None] - 1)
-        self.leaf_faces = np.zeros((len(self.count), LEAF_SIZE), dtype=np.int64)
-        self.leaf_faces[leaf] = perm[self.start[leaf][:, None] + cols]
+        cols = np.minimum(np.arange(LEAF_SIZE), m[leaf][:, None] - 1)
+        self.leaf_faces = np.zeros((nodes, LEAF_SIZE), dtype=np.int64)
+        self.leaf_faces[leaf] = perm[leaf_lo[:, None] + cols]
 
     @functools.cached_property
     def _lists(self) -> tuple:
-        """Plain-python node boxes (6-lists, min then max) and children, leaf
-        face rows and face -> normal triples for nearest, where indexing numpy
-        scalars costs more than the arithmetic; built on the first nearest."""
+        """Plain-python node boxes (6-lists, min then max) and left children,
+        leaf face rows and face -> normal triples for nearest, where indexing
+        numpy scalars costs more than the arithmetic; built on the first nearest."""
         boxes = np.hstack([self.bmin, self.bmax]).tolist()
-        return boxes, self.left.tolist(), self.right.tolist(), [None] * len(self.count), {}
+        return boxes, self.left.tolist(), [None] * len(self.count), {}
 
     def _leaf_rows(self, node: int) -> list:
         # (face, a, b, c, padded box (min then max)) of a leaf's faces in floats,
@@ -494,7 +498,7 @@ class _Accel:
         or ties is evaluated. The winner's entry lists those within the final
         bound, and its guard is the least pruned gap or unlisted distance."""
         px, py, pz = p
-        boxes, left, right, rows_l, _ = self._lists
+        boxes, left, rows_l, _ = self._lists
         win = len(self.A)  # past every face: the first face at best_d2 takes it
         bound = max(best_d2, (math.sqrt(best_d2) + SKIN) ** 2)
         guard2, seen, stack = math.inf, [], [_box_gap2(boxes[0], px, py, pz), 0]
@@ -503,8 +507,9 @@ class _Accel:
             if g2 > bound:
                 guard2 = min(guard2, g2)
                 continue
-            l, r = left[node], right[node]
+            l = left[node]
             if l >= 0:
+                r = l + 1
                 gl, gr = _box_gap2(boxes[l], px, py, pz), _box_gap2(boxes[r], px, py, pz)
                 stack += (gr, r, gl, l) if gl <= gr else (gl, l, gr, r)
                 continue
@@ -559,8 +564,8 @@ class _Accel:
         seed = np.zeros(n, dtype=np.int64)
         inner = np.arange(n)
         while len(inner):
-            l, r, Q = self.left[seed[inner]], self.right[seed[inner]], P[inner]
-            seed[inner] = np.where(self._box_d2(Q, l) <= self._box_d2(Q, r), l, r)
+            l, Q = self.left[seed[inner]], P[inner]
+            seed[inner] = np.where(self._box_d2(Q, l) <= self._box_d2(Q, l + 1), l, l + 1)
             inner = inner[self.count[seed[inner]] == 0]
         pt = np.arange(n)
         bound, seed_face = self._point_min(P, pt, seed)
@@ -574,7 +579,7 @@ class _Accel:
             found.append((pt[at_leaf], *self._point_min(P, pt[at_leaf], node[at_leaf])))
             pt, node = pt[~at_leaf], node[~at_leaf]
             pt = np.concatenate([pt, pt])
-            node = np.concatenate([self.left[node], self.right[node]])
+            node = np.concatenate([self.left[node], self.left[node] + 1])
         pt, d2, face = (np.concatenate(x) for x in zip(*found))
         order = np.lexsort((face, d2, pt))
         pt = pt[order]
@@ -622,13 +627,6 @@ class _Accel:
         return best_t, np.where(best_t < np.inf, best_face, -1)
 
 
-def _frame(w: np.ndarray) -> np.ndarray:
-    # rows e1, e2, w: an orthonormal frame around the unit vector w
-    e1 = np.cross(w, np.eye(3)[np.argmin(np.abs(w))])
-    e1 /= math.sqrt(_dot(e1, e1))
-    return np.array([e1, np.cross(w, e1), w])
-
-
 def _ray_groups(O: np.ndarray, D: np.ndarray) -> list:
     # (rays, image, frame) per group of rays that share an origin bit for
     # bit: each ray d is within 60 degrees of w, the frame's last row, and
@@ -651,12 +649,13 @@ def _ray_groups(O: np.ndarray, D: np.ndarray) -> list:
         w = d @ (1.0 / n)
         wn = math.sqrt(_dot(w, w))
         if wn > 0.0 and np.all(_dot(w, d) >= MIN_COS * wn * n):
-            parts = [(slice(None), _frame(w / wn))]
+            parts = [(slice(None), w / wn)]
         else:
             k = np.argmax(np.abs(d), axis=0)
             side = 2 * k + (d[k, np.arange(len(rays))] < 0.0)
-            parts = [(side == s, _frame(np.eye(3)[s // 2] * (1 - 2 * (s % 2)))) for s in np.unique(side)]
-        for part, frame in parts:
+            parts = [(side == s, np.eye(3)[s // 2] * (1 - 2 * (s % 2))) for s in np.unique(side)]
+        for part, w in parts:
+            frame = np.array([*plane_basis(w), w])  # rows e1, e2, w: orthonormal around w
             p = d[:, part]
             out.append((rays[part], np.array([_dot(e, p) for e in frame[:2]]) / _dot(frame[2], p), frame))
     return out

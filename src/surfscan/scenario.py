@@ -425,10 +425,10 @@ def _build_phantom(cfg: ScenarioConfig, model: ArmModel) -> tuple[TriMesh, Scene
     lo = raw.vertices.min(axis=0)
     hi = raw.vertices.max(axis=0)
     origin = np.array([0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]), hi[2] + 1.0])
-    t, _ = raw.raycast_batch(origin[None, :], np.array([[0.0, 0.0, -1.0]]))
-    if not np.isfinite(t[0]):
+    hit = raw.raycast(origin, np.array([0.0, 0.0, -1.0]))
+    if hit is None:
         raise SchemaError(f"phantom.mesh: {cfg.phantom_mesh}: no surface under the bounding-box centre")
-    apex = origin + t[0] * np.array([0.0, 0.0, -1.0])
+    apex = origin + hit.t * np.array([0.0, 0.0, -1.0])
     shift = top - apex
     mesh = TriMesh(raw.vertices + shift, raw.faces)
     base = np.array([top[0], top[1], float(mesh.vertices[:, 2].min())])
@@ -440,7 +440,7 @@ def _resolve_gains(run: _Run, chart: SurfaceChart) -> ImpedanceGains:
     if cfg.damping is not None:
         return ImpedanceGains(cfg.stiffness, cfg.damping)
     snap = arm_snapshot(run.model, run.q_start)
-    _, _, J_rho, _ = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, np.zeros(7))
+    _, _, J_rho, _, _ = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, np.zeros(7))
     lam = task_space_inertia(snap.mass, J_rho)
     return ImpedanceGains(cfg.stiffness, critical_damping(cfg.stiffness, lam, cfg.zeta))
 

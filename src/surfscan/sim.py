@@ -7,18 +7,18 @@ torque supplies), integrated by semi-implicit Euler. Contact is a
 frictionless normal penalty at the probe tip: F = f n with
 f = k_t (-d) + c max(0, -ddot) while d < 0, never adhesive.
 
-The loop state `SimState` is plain arrays, the scalar force f and the
-chart's surface frame. `init_state` checks q and qdot once; after that
-the divergence test is what catches a non-finite state. Each state comes
-from one kinematics sweep (`arm_snapshot`), whose probe rotation matrix,
+The loop state `SimState` is plain arrays, the force f, its direction n
+and the face that seeds the next query. `init_state` checks q and qdot
+once; after that the divergence test catches a non-finite state. Each
+state comes from one sweep (`arm_snapshot`), whose probe rotation matrix,
 tip and Jacobian go straight to the chart: a step builds no `Pose`.
 
 A step runs about a thousand times per simulated second, so its records
-(`SimState`, `SurfaceFrame`, `ArmSnapshot`) are `NamedTuple`s, its 2-D
-products `.dot` calls (the bits of `@`, at less cost), its 7x7 solve the
-gufunc under `np.linalg.solve` (a singular M gives NaN: `DivergenceError`,
-not LinAlgError), and its divergence test one sum of floats, falling back
-to the entrywise test only when that sum is not finite.
+(`SimState`, `ArmSnapshot`) are `NamedTuple`s, its 2-D products `.dot`
+calls (the bits of `@`, at less cost), its 7x7 solve the gufunc under
+`np.linalg.solve` (a singular M gives NaN: `DivergenceError`, not
+LinAlgError), and its divergence test one sum of floats, falling back to
+the entrywise test only when that sum is not finite.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .arm import ArmModel, arm_snapshot, check_velocity
-from .chart import SurfaceChart, SurfaceFrame
+from .chart import SurfaceChart
 from .controller import ImpedanceGains, Setpoint, impedance_torque, nullspace_damping
 from .mesh import TriMesh, grid_surface_mesh
 
@@ -104,10 +104,11 @@ class SimState(NamedTuple):
     rho: np.ndarray  # (6,) (s1, s2, d, eps1, eps2, eps3)
     rhodot: np.ndarray  # (6,)
     J_rho: np.ndarray  # 6x7 task Jacobian
-    frame: SurfaceFrame  # at the foot point; its face seeds the next query
+    normal: np.ndarray  # (3,) unit surface normal at the foot point
+    face: int  # mesh face of the foot point; seeds the next query
     jacobian: np.ndarray  # 6x7 geometric Jacobian of the probe point
     mass: np.ndarray  # 7x7 joint-space mass matrix
-    force_n: float  # contact force along frame.n, N
+    force_n: float  # contact force along normal, N
 
 
 def contact_force(phantom: PhantomModel, d: float, ddot: float) -> float:
@@ -135,9 +136,9 @@ def init_state(
 
 def _state_at(model, chart, phantom, t: float, q, qdot, hint=None) -> SimState:
     R_probe, tip, jacobian, mass = arm_snapshot(model, q)  # raises on a limit breach
-    rho, rhodot, J, frame = chart.evaluate_probe(R_probe, tip, jacobian, qdot, hint)
+    rho, rhodot, J, normal, face = chart.evaluate_probe(R_probe, tip, jacobian, qdot, hint)
     force_n = contact_force(phantom, float(rho[2]), float(rhodot[2]))
-    return SimState(t, q, qdot, rho, rhodot, J, frame, jacobian, mass, force_n)
+    return SimState(t, q, qdot, rho, rhodot, J, normal, face, jacobian, mass, force_n)
 
 
 def step(
@@ -153,14 +154,14 @@ def step(
     """One semi-implicit Euler step using the forces of `state`."""
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
-    t, q, qdot, rho, rhodot, J_rho, frame, jacobian, mass, force_n = state
+    t, q, qdot, rho, rhodot, J_rho, normal, face, jacobian, mass, force_n = state
     if gains is not None:
         tau = impedance_torque(gains, setpoint, rho, rhodot, J_rho)
     else:
         tau = np.zeros(7)
     if nullspace_gain > 0.0:
         tau = tau + nullspace_damping(J_rho, qdot, nullspace_gain)
-    tau = tau + jacobian[:3].T.dot(force_n * frame.n)
+    tau = tau + jacobian[:3].T.dot(force_n * normal)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         qdd = _umath_linalg.solve1(mass, tau)
     qdot_new = qdot + dt * qdd
@@ -174,7 +175,7 @@ def step(
             f"integrator diverged at t = {t:.6f} s (step from dt = {dt})"
         )
     check_velocity(model, qdot_new)  # raises JointVelocityError
-    return _state_at(model, chart, phantom, t + dt, q_new, qdot_new, frame.face)
+    return _state_at(model, chart, phantom, t + dt, q_new, qdot_new, face)
 
 
 def steady_state_force(k_controller: float, k_t: float, d_hold: float) -> float:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from surfscan.chart import ChartBoundaryError, DegenerateFrameError, FRAME_TOL, SurfaceFrame
+from surfscan.chart import ChartBoundaryError, DegenerateFrameError, FRAME_TOL
 from surfscan.geometry import skew
 
 from helpers import plane_embed, quat_from_matrix
@@ -34,6 +35,18 @@ class ChartPoint:
             raise ValueError("barycentric weights must be non-negative and sum to 1")
         object.__setattr__(self, "barycentric", np.clip(b, 0.0, None) / np.clip(b, 0.0, None).sum())
         object.__setattr__(self, "s", np.asarray(self.s, dtype=float).reshape(2))
+
+
+class SurfaceFrame(NamedTuple):
+    """Right-handed orthonormal (t1, t2, n) at a surface point on `face`.
+    The chart returns only n and face; t1 and t2 shape J_rho's first two
+    rows, and the point's chart coordinates are rho's (s1, s2)."""
+
+    point: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    n: np.ndarray
+    face: int
 
 
 def frame_rotation(frame: SurfaceFrame) -> np.ndarray:

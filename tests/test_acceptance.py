@@ -239,7 +239,7 @@ def test_criterion_5_contact_experiment():
         mesh, chart = _flat_chart(0.010)
         phantom = PhantomModel(mesh, contact_stiffness=k_t, contact_damping=20.0)
         K = np.diag([300.0, 300.0, k_d, 5.0, 5.0, 1.0])
-        _, _, J, _ = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, np.zeros(7))
+        _, _, J, _, _ = chart.evaluate_probe(snap.R_probe, snap.tip, snap.jacobian, np.zeros(7))
         gains = ImpedanceGains(K, critical_damping(K, task_space_inertia(snap.mass, J)))
         prof = ContactProfile(0.010, float(d_hold), 0.005, hold_duration=2.5)
         log = simulate(

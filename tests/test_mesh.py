@@ -7,6 +7,7 @@ checks that the hierarchy is exact to the bit, tie-breaks included. Rays
 get an independent oracle via 3x3 linear solves instead of
 Moller-Trumbore.
 """
+import collections
 import gc
 import math
 import re
@@ -430,8 +431,9 @@ def test_bvh_build_leaves_no_cyclic_garbage():
 
 
 def reference_tree(mesh):
-    """The median-split tree built one node at a time in preorder: the
-    _Accel arrays bmin, bmax, left, right, start, count and leaf_faces."""
+    """The median-split tree built one node at a time, breadth first, so a
+    split node's children take adjacent ids: the _Accel arrays bmin, bmax,
+    left, count and leaf_faces."""
     v, f = mesh.vertices, mesh.faces
     A, B, C = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     fmin = np.minimum(np.minimum(A, B), C)
@@ -440,29 +442,31 @@ def reference_tree(mesh):
     fmin, fmax = fmin - pad, fmax + pad
     centroids = (A + B + C) / 3.0
     perm = np.arange(len(f))
-    tree = {k: [] for k in ("bmin", "bmax", "left", "right", "start", "count")}
-    stack = [(0, len(f), -1)]  # (lo, hi, parent); a left child pops first
-    while stack:
-        lo, hi, parent = stack.pop()
+    tree = {k: [] for k in ("bmin", "bmax", "left", "count")}
+    runs = []
+    queue = collections.deque([(0, len(f))])  # (lo, hi) in id order
+    while queue:
+        lo, hi = queue.popleft()
         idx = len(tree["bmin"])
-        if parent >= 0:
-            tree["left" if tree["left"][parent] < 0 else "right"][parent] = idx
         sub = perm[lo:hi]
         is_leaf = hi - lo <= LEAF_SIZE
-        for k, x in (("bmin", fmin[sub].min(axis=0)), ("bmax", fmax[sub].max(axis=0)), ("left", -1),
-                     ("right", -1), ("start", lo if is_leaf else 0), ("count", hi - lo if is_leaf else 0)):
+        # children take the next two ids after every node already queued
+        left = -1 if is_leaf else idx + len(queue) + 1
+        for k, x in (("bmin", fmin[sub].min(axis=0)), ("bmax", fmax[sub].max(axis=0)),
+                     ("left", left), ("count", hi - lo if is_leaf else 0)):
             tree[k].append(x)
+        runs.append(lo)
         if is_leaf:
             continue
         cen = centroids[sub]
         axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
         perm[lo:hi] = sub[np.argsort(cen[:, axis], kind="stable")]
         mid = (lo + hi) // 2
-        stack += [(mid, hi, idx), (lo, mid, idx)]
+        queue += [(lo, mid), (mid, hi)]
     tree = {k: np.array(x) for k, x in tree.items()}
     tree["leaf_faces"] = np.zeros((len(tree["count"]), LEAF_SIZE), dtype=np.int64)
     for node in np.flatnonzero(tree["count"]):
-        run = np.sort(perm[tree["start"][node] : tree["start"][node] + tree["count"][node]])
+        run = np.sort(perm[runs[node] : runs[node] + tree["count"][node]])
         tree["leaf_faces"][node] = run[np.minimum(np.arange(LEAF_SIZE), len(run) - 1)]
     return tree
 

@@ -20,7 +20,7 @@ from surfscan.controller import (
 )
 from surfscan.geometry import Pose
 from surfscan.localization import ScenePlane
-from surfscan.mesh import grid_surface_mesh
+from surfscan.mesh import TriMesh, grid_surface_mesh
 from surfscan.sim import (
     CSV_HEADER,
     EXPORT_BLOCK,
@@ -216,6 +216,26 @@ def test_step_builds_no_pose(monkeypatch):
     for _ in range(5):
         st = step(MODEL, chart, phantom, GAINS, hold_setpoint(-0.002), st, 1e-3, 1.0)
     assert st.t == pytest.approx(5e-3)
+
+
+def test_step_passes_its_state_face_as_the_next_hint(monkeypatch):
+    """The face a state holds is the hint of the next step's closest-point
+    query, whatever face it is, and the new state holds that query's winner."""
+    chart, phantom = flat_rig(0.001)
+    st = init_state(MODEL, chart, phantom, Q_SCAN)
+    calls = []
+    query = TriMesh.closest_point
+
+    def spy(self, p, hint=None):
+        hit = query(self, p, hint)
+        calls.append((hint, hit.face))
+        return hit
+
+    monkeypatch.setattr(TriMesh, "closest_point", spy)
+    for face in (st.face, (st.face + 7) % chart.mesh.n_faces):
+        nxt = step(MODEL, chart, phantom, GAINS, hold_setpoint(-0.002), st._replace(face=face), 1e-3)
+        assert calls.pop() == (face, nxt.face) and not calls
+        assert np.array_equal(nxt.normal, UP)  # the flat sheet's normal, which the force acts along
 
 
 def test_step_dt_validation():
