@@ -24,8 +24,7 @@ are cast together (Wald et al., "Interactive Rendering with Coherent Ray
 Tracing", 2001) by the sort-middle binning of software rasterisers (Laine
 and Karras, "High-Performance Software Rasterization on GPUs", 2011): the
 faces are projected from the origin, and each is evaluated for the rays
-whose image points fall in its padded box; a single ray takes one kernel
-pass over every face, which costs less than projecting them all.
+whose image points fall in its padded box. One ray is a group of one.
 """
 from __future__ import annotations
 
@@ -171,23 +170,29 @@ class TriMesh:
         return np.where(below, -dist, dist), face, cp, bary
 
     def raycast(self, origin, direction, t_min: float = 0.0) -> "RayHit | None":
-        """First hit along one ray at t >= t_min, or None: one kernel pass over
-        every face, whose first least t is at the smallest tied face."""
-        O, D = _rays(np.reshape(origin, (1, 3)), np.reshape(direction, (1, 3)), t_min)
-        acc = self._accel()
-        t, u, v = _moller_trumbore(O, D, acc.A, acc.eab, acc.eac, acc.face_areas, t_min)
-        f = int(np.argmin(t))
-        if t[f] == math.inf:
+        """First hit along one ray: raycast_batch on a batch of one."""
+        t, face = self.raycast_batch(origin, direction, t_min)
+        if face[0] < 0:
             return None
-        u, v = float(u[f]), float(v[f])
-        point = acc.A[f] + u * acc.eab[f] + v * acc.eac[f]
-        return RayHit(f, float(t[f]), np.array([1.0 - u - v, u, v]), point)
+        # the winning lane again, alone: the kernel is elementwise, so u and
+        # v round exactly as they did inside the batch
+        acc, f = self._accel(), int(face[0])
+        A, eab, eac = acc.A[f], acc.eab[f], acc.eac[f]
+        o, d = (np.asarray(x, dtype=float).reshape(1, 3) for x in (origin, direction))
+        u, v = (float(x[0]) for x in _moller_trumbore(o, d, A, eab, eac, acc.face_areas[f], t_min)[1:])
+        return RayHit(f, float(t[0]), np.array([1.0 - u - v, u, v]), A + u * eab + v * eac)
 
     def raycast_batch(self, origins, directions, t_min: float = 0.0):
         """First hits of rays from (n, 3) origins along (n, 3) directions (one
         ray may come as two 3-vectors) at t >= t_min: (t, face) arrays, with
         t = inf and face = -1 on a miss."""
-        return self._accel().raycast_batch(*_rays(origins, directions, t_min), t_min)
+        O, D = (np.asarray(x, dtype=float) for x in (origins, directions))
+        if O.shape[-1:] != (3,) or O.ndim > 2 or O.shape != D.shape:
+            raise ValueError(f"origins and directions must both be (n, 3); got {O.shape} and {D.shape}")
+        O, D = O.reshape(-1, 3), D.reshape(-1, 3)
+        if not (np.isfinite(O).all() and np.isfinite(_dot3(D, D)).all() and 0.0 <= t_min < math.inf):
+            raise ValueError(f"rays and |D|^2 must be finite, and t_min finite and >= 0 (t_min {t_min})")
+        return self._accel().raycast_batch(O, D, t_min)
 
     def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n points drawn uniformly by area."""
@@ -222,17 +227,6 @@ class RayHit:
     t: float
     barycentric: np.ndarray
     point: np.ndarray
-
-
-def _rays(origins, directions, t_min: float) -> tuple[np.ndarray, np.ndarray]:
-    # the checked (n, 3) origin and direction arrays of a ray query
-    O, D = (np.asarray(x, dtype=float) for x in (origins, directions))
-    if O.shape[-1:] != (3,) or O.ndim > 2 or O.shape != D.shape:
-        raise ValueError(f"origins and directions must both be (n, 3); got {O.shape} and {D.shape}")
-    O, D = O.reshape(-1, 3), D.reshape(-1, 3)
-    if not (np.isfinite(O).all() and np.isfinite(_dot3(D, D)).all() and 0.0 <= t_min < math.inf):
-        raise ValueError(f"rays and |D|^2 must be finite, and t_min finite and >= 0 (t_min {t_min})")
-    return O, D
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -425,10 +425,10 @@ def _build_phantom(cfg: ScenarioConfig, model: ArmModel) -> tuple[TriMesh, Scene
     lo = raw.vertices.min(axis=0)
     hi = raw.vertices.max(axis=0)
     origin = np.array([0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]), hi[2] + 1.0])
-    hit = raw.raycast(origin, np.array([0.0, 0.0, -1.0]))
-    if hit is None:
+    t, _ = raw.raycast_batch(origin[None, :], np.array([[0.0, 0.0, -1.0]]))
+    if not np.isfinite(t[0]):
         raise SchemaError(f"phantom.mesh: {cfg.phantom_mesh}: no surface under the bounding-box centre")
-    apex = origin + hit.t * np.array([0.0, 0.0, -1.0])
+    apex = origin + t[0] * np.array([0.0, 0.0, -1.0])
     shift = top - apex
     mesh = TriMesh(raw.vertices + shift, raw.faces)
     base = np.array([top[0], top[1], float(mesh.vertices[:, 2].min())])

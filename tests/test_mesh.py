@@ -368,6 +368,11 @@ def test_raycast_batch_rejects_malformed_rays():
                          (np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))):
         with pytest.raises(ValueError, match=r"\(n, 3\)"):
             BUMPY.raycast_batch(bad_o, bad_d)
+    # one ray as a column, a (1, 1, 3) array, or a 3-vector against a (1, 3) row
+    for bad_o, bad_d in ((O[0].reshape(3, 1), D[0].reshape(3, 1)),
+                         (O[:1, None], D[:1, None]), (O[0], D[:1])):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            BUMPY.raycast(bad_o, bad_d)
     for value in (np.nan, np.inf):
         bad = O.copy()
         bad[1, 0] = value
