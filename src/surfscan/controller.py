@@ -70,11 +70,11 @@ class ContactProfile:
     hold_duration: float = 5.0
 
     def __post_init__(self):
-        if not self.d_start > self.d_hold:
+        if not 0.0 < self.d_start - self.d_hold < math.inf:
             raise ValueError("d_start must exceed d_hold (approach decreases d)")
-        if self.ramp_rate <= 0.0:
+        if not 0.0 < self.ramp_rate < math.inf:
             raise ValueError("ramp_rate must be positive")
-        if self.hold_duration < 0.0:
+        if not 0.0 <= self.hold_duration < math.inf:
             raise ValueError("hold_duration must be non-negative")
         # the setpoint rates of the ramp and the hold, shared by every setpoint
         ramp = np.zeros(6)
@@ -138,9 +138,9 @@ class RasterPath:
         hi = np.asarray(self.s_max, dtype=float)
         if lo.shape != (2,) or hi.shape != (2,):
             raise ValueError("domain corners must be 2-vectors")
-        if np.any(lo > hi):
+        if not ((0.0 <= hi - lo) & (hi - lo < math.inf)).all():
             raise ValueError("domain must satisfy s_min <= s_max")
-        if self.line_spacing <= 0.0 or self.speed <= 0.0:
+        if not (0.0 < self.line_spacing < math.inf and 0.0 < self.speed < math.inf):
             raise ValueError("line spacing and speed must be positive")
         object.__setattr__(self, "s_min", lo)
         object.__setattr__(self, "s_max", hi)

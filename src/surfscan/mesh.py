@@ -171,6 +171,8 @@ class TriMesh:
 
     def raycast(self, origin, direction, t_min: float = 0.0) -> "RayHit | None":
         """First hit along one ray: raycast_batch on a batch of one."""
+        if np.size(origin) != 3:  # raycast_batch checks the shapes of one ray
+            raise ValueError(f"raycast takes one ray; got {np.shape(origin)} and {np.shape(direction)}")
         t, face = self.raycast_batch(origin, direction, t_min)
         if face[0] < 0:
             return None

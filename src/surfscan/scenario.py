@@ -75,7 +75,6 @@ from .schema import (
 )
 from .sim import (
     MAX_DT,
-    Checkpoint,
     PhantomModel,
     ScanLog,
     cap_phantom_mesh,
@@ -378,7 +377,7 @@ class _Run:
         self.fitted_plane: ScenePlane | None = None
         self.recon_mesh: TriMesh | None = None
         self.logs: dict[str, ScanLog] = {}
-        self.checkpoint: Checkpoint | None = None  # the contact steps the raster repeats
+        self.approach: ScanLog | None = None  # the contact steps the raster repeats
 
     @functools.cached_property
     def truth(self) -> tuple[SurfaceChart, ImpedanceGains]:
@@ -445,16 +444,17 @@ def _resolve_gains(run: _Run, chart: SurfaceChart) -> ImpedanceGains:
     return ImpedanceGains(cfg.stiffness, critical_damping(cfg.stiffness, lam, cfg.zeta))
 
 
-def _simulate(run: _Run, stage: str, chart: SurfaceChart, gains: ImpedanceGains, setpoints,
-              duration: float, deadline, checkpoint: Checkpoint | None = None) -> ScanLog:
-    """Drive the arm from q_start along setpoints(t) on `chart`; the log is
-    kept as run.logs[stage] and written to <stage>_log.csv."""
+def _simulate(run: _Run, chart: SurfaceChart, gains: ImpedanceGains, setpoints, duration: float,
+              deadline, start: ScanLog | None = None) -> ScanLog:
+    """Drive the arm from q_start, or on from the end of `start`, along setpoints(t) on `chart`."""
     cfg = run.cfg
-    log = simulate(
-        run.model, chart, run.phantom, gains, setpoints, run.q_start,
-        duration=duration, dt=cfg.dt, sample_every=cfg.sample_every,
-        nullspace_gain=cfg.nullspace_gain, deadline=deadline, checkpoint=checkpoint,
-    )
+    return simulate(run.model, chart, run.phantom, gains, setpoints, run.q_start, duration=duration,
+                    dt=cfg.dt, sample_every=cfg.sample_every, nullspace_gain=cfg.nullspace_gain,
+                    deadline=deadline, start=start)
+
+
+def _keep(run: _Run, stage: str, log: ScanLog) -> ScanLog:
+    """The stage's log, kept as run.logs[stage] and written to <stage>_log.csv."""
     run.logs[stage] = log
     export_log(log, run.out / f"{stage}_log.csv")
     return log
@@ -542,8 +542,10 @@ def _shared_steps(run: _Run, profile: ContactProfile) -> int:
     reconstruction before it, so on the same truth chart, and holds the same
     d: contact_setpoints ignores hold_duration, so both schedules agree
     while t is below the raster's approach duration. One step of margin
-    keeps the loop's accumulated t below it. K is a multiple of
-    sample_every, so step K is a logged row of both runs."""
+    keeps the loop's accumulated t below it. The contact stage takes these
+    steps once, as a run of their own whose log both stages resume (see
+    simulate's `start`); K is a multiple of sample_every, so that log ends
+    on a sampled step of both."""
     cfg, stages = run.cfg, run.stages
     if ("raster" not in stages[stages.index("contact"):] or cfg.raster_d_hold != cfg.d_hold
             or "reconstruct" in stages[:stages.index("raster")]):
@@ -556,10 +558,15 @@ def _stage_contact(run: _Run, deadline) -> _StageReport:
     cfg = run.cfg
     rep = _StageReport("contact")
     profile = ContactProfile(cfg.d_start, cfg.d_hold, cfg.ramp_rate, cfg.hold_duration)
+
+    def setpoints(t: float) -> Setpoint:
+        return contact_setpoints(profile, t)
+
     shared = _shared_steps(run, profile)
-    run.checkpoint = Checkpoint(shared) if shared > 0 else None
-    log = _simulate(run, "contact", *run.truth, lambda t: contact_setpoints(profile, t),
-                    profile.duration, deadline, run.checkpoint)
+    if shared > 0:  # taken once, resumed by both stages
+        run.approach = _simulate(run, *run.truth, setpoints, shared * cfg.dt, deadline)
+    log = _keep(run, "contact", _simulate(run, *run.truth, setpoints, profile.duration, deadline,
+                                          run.approach))
 
     oracle = steady_state_force(float(cfg.stiffness[2, 2]), cfg.contact_stiffness, cfg.d_hold)
     rep.info("steady_state_oracle_n", oracle)
@@ -603,9 +610,8 @@ def _stage_raster(run: _Run, deadline) -> _StageReport:
         return path.setpoint(t - start)
 
     gains = run.truth[1] if run.recon_mesh is None else _resolve_gains(run, chart)
-    checkpoint, run.checkpoint = run.checkpoint, None  # the contact stage's first steps, if shared
-    log = _simulate(run, "raster", chart, gains, setpoints,
-                    approach.duration + path.duration + 1.0, deadline, checkpoint)
+    duration = approach.duration + path.duration + 1.0
+    log = _keep(run, "raster", _simulate(run, chart, gains, setpoints, duration, deadline, run.approach))
 
     hold = log.t >= approach.duration
     n_hold = int(np.count_nonzero(hold))

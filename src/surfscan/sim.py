@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -194,9 +194,12 @@ CSV_HEADER = "t,q0,q1,q2,q3,q4,q5,q6,s1,s2,d,eps1,eps2,eps3,d_d,force_n"
 @dataclass(frozen=True)
 class ScanLog:
     """Samples of a run: an (n, 16) table in CSV_HEADER order, one row each;
-    the named columns are views of it."""
+    the named columns are views of it. `end`, the state after the last step,
+    is what a longer run resumes from (`simulate`'s `start`); partial and
+    parsed logs have none."""
 
     table: np.ndarray
+    end: SimState | None = field(default=None, compare=False, repr=False)
 
     t = property(lambda log: log.table[:, 0])
     q = property(lambda log: log.table[:, 1:8])
@@ -226,20 +229,6 @@ def _write_row(row: np.ndarray, state: SimState, setpoint: Setpoint) -> None:
     row[15] = state.force_n
 
 
-@dataclass
-class Checkpoint:
-    """The first `steps` steps of a run, shared with a later run that would
-    take the same ones: same model, chart, phantom, gains, dt,
-    `sample_every`, null-space gain and q0, and setpoints that agree up to
-    step `steps`. The first run given it fills in its state after those
-    steps and its rows logged so far; a run given a filled one starts there.
-    """
-
-    steps: int  # a multiple of sample_every
-    state: SimState | None = None
-    rows: np.ndarray | None = None  # a view of the filling run's table
-
-
 def step_count(duration: float, dt: float) -> int:
     """The steps `simulate` takes to cover `duration` at `dt`."""
     steps = duration / dt
@@ -262,19 +251,21 @@ def simulate(
     nullspace_gain: float = 0.0,
     deadline: float | None = None,
     *,
-    checkpoint: Checkpoint | None = None,
+    start: ScanLog | None = None,
 ) -> ScanLog:
     """Run the loop for `duration` seconds; setpoints is t -> Setpoint.
 
     Samples every `sample_every` steps (always including t = 0 and the
-    final state). On joint-limit (position or velocity) or divergence
-    errors the partial log is attached to the exception as `partial_log`.
+    final state). Any exception the loop raises, a joint-limit (position
+    or velocity), divergence or deadline error among them, carries the
+    samples so far as `partial_log`.
 
-    With an empty `checkpoint`, the run fills it in at step
-    `checkpoint.steps`. With a filled one, the run starts from its state
-    and rows instead of from q0 and repeats none of its steps; step numbers
-    stay those of the whole run, so the sampling, the deadline checks and
-    the log are the same as without it.
+    `start` is the log of a shorter run of the same loop: same model,
+    chart, phantom, gains, q0, dt, `sample_every` and null-space gain, and
+    setpoints that agree over its steps. The run copies its rows and steps
+    on from `start.end`, repeating none of its steps; step numbers stay
+    those of the whole run, so the sampling, the deadline checks and the
+    log are the same as without it. Its last step must be a sampled one.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
@@ -283,20 +274,20 @@ def simulate(
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must be in (0, {MAX_DT}] s, got {dt}")
     n_steps = step_count(duration, dt)
-    if checkpoint is not None and not (
-            0 < checkpoint.steps <= n_steps and checkpoint.steps % sample_every == 0):
-        raise ValueError("checkpoint steps must be a positive multiple of sample_every, "
-                         f"at most the run's {n_steps}; got {checkpoint.steps}")
     table = np.empty((1 + math.ceil(n_steps / sample_every), 16))
-    if checkpoint is not None and checkpoint.state is not None:
-        first, n, state = checkpoint.steps, len(checkpoint.rows), checkpoint.state
-        table[:n] = checkpoint.rows
-        sp = setpoints(state.t)
-    else:
+    if start is None:
         first, n, state = 0, 1, init_state(model, chart, phantom, q0)
         sp = setpoints(0.0)
         _write_row(table[0], state, sp)
-    fill = checkpoint.steps if checkpoint is not None and first == 0 else 0
+    else:
+        if start.end is None:
+            raise ValueError("start has no end state: it is a partial log or one read from a file")
+        first, n, state = round(start.end.t / dt), len(start), start.end
+        if first != (n - 1) * sample_every or first > n_steps:
+            raise ValueError(f"start must end on a sampled step, at most the run's {n_steps}; got "
+                             f"{n} rows ending at step {first} (sample_every {sample_every})")
+        table[:n] = start.table
+        sp = setpoints(state.t)
     try:
         for k in range(first, n_steps):
             state = step(model, chart, phantom, gains, sp, state, dt, nullspace_gain)
@@ -304,14 +295,12 @@ def simulate(
             if (k + 1) % sample_every == 0 or k + 1 == n_steps:
                 _write_row(table[n], state, sp)
                 n += 1
-                if k + 1 == fill:
-                    checkpoint.state, checkpoint.rows = state, table[:n]
             if deadline is not None and k % 200 == 0 and time.monotonic() > deadline:
                 raise TimeoutError(f"simulation exceeded its deadline at t = {state.t:.3f} s")
     except Exception as exc:
         exc.partial_log = ScanLog(table[:n])
         raise
-    return ScanLog(table)
+    return ScanLog(table, state)
 
 
 # ---------------------------------------------------------------------------

@@ -108,3 +108,24 @@ def test_pfm_pixel_deviation(tmp_path):
         "depth_01.pfm: sha256 differs",
         "  sizes differ (4 x 3 vs 4 x 2)",
     ]
+
+
+@pytest.mark.parametrize("text_a, text_b, reason", [
+    ("x,y\n1,2\n", "x,y\n1,abc\n", "  line 2: y is not a number ('2' vs 'abc')"),
+    ("x\n1\n", "x\n1,2\n", "  line 2: 1 vs 2 cells under 1 columns"),
+    ("x,y\n1,2\n", "x,y\n1\n", "  line 2: 2 vs 1 cells under 2 columns"),
+    ("x\n1\n", "", f"  no header in {Path('b') / 'log.csv'}"),
+])
+def test_csv_that_does_not_line_up_gives_a_reason_and_goes_on(tmp_path, monkeypatch, text_a,
+                                                               text_b, reason):
+    monkeypatch.chdir(tmp_path)
+    for side, text in (("a", text_a), ("b", text_b)):
+        Path(side).mkdir()
+        (Path(side) / "log.csv").write_text(text)
+        export_log(_log(0.5 if side == "b" else 0.0), Path(side) / "raster_log.csv")
+    out = io.StringIO()
+    assert not compare_runs.compare(Path("a"), Path("b"), out)
+    # the reason, then the next file's comparison
+    lines = out.getvalue().splitlines()
+    assert lines[:3] == ["log.csv: sha256 differs", reason, "raster_log.csv: sha256 differs"]
+    assert "  q4: max |delta| = 0.5" in lines and len(lines) == 3 + 16

@@ -1,4 +1,6 @@
 """Impedance law, setpoint generators, nullspace damping."""
+import math
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,16 @@ def test_contact_profile_validation():
         ContactProfile(d_start=-0.005, d_hold=0.0, ramp_rate=0.01)
     with pytest.raises(ValueError, match="ramp_rate"):
         ContactProfile(d_start=0.02, d_hold=0.0, ramp_rate=0.0)
+    # each check fails on NaN and infinity
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="exceed"):
+            ContactProfile(d_start=bad, d_hold=-0.004, ramp_rate=0.005)
+        with pytest.raises(ValueError, match="exceed"):
+            ContactProfile(d_start=0.01, d_hold=bad, ramp_rate=0.005)
+        with pytest.raises(ValueError, match="ramp_rate"):
+            ContactProfile(0.01, -0.004, bad)
+        with pytest.raises(ValueError, match="hold_duration"):
+            ContactProfile(0.01, -0.004, 0.005, bad)
     for t in (-0.1, float("nan")):  # NaN fails the guard too
         with pytest.raises(ValueError, match="non-negative"):
             contact_setpoints(PROFILE, t)
@@ -369,6 +381,15 @@ def test_raster_validation():
         square_path(spacing=0.0)
     with pytest.raises(ValueError, match="s_min"):
         RasterPath(np.array([0.2, 0.0]), np.array([0.1, 0.1]), 0.05, 0.02, -0.003)
+    # each check fails on NaN and infinity
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive"):
+            square_path(spacing=bad)
+        with pytest.raises(ValueError, match="positive"):
+            square_path(speed=bad)
+        for corner in (np.array([bad, 0.0]), np.array([0.0, -bad])):
+            with pytest.raises(ValueError, match="s_min"):
+                RasterPath(corner, np.array([0.1, 0.1]), 0.05, 0.02, -0.003)
     for t in (-0.1, float("nan")):  # NaN fails the guard too
         with pytest.raises(ValueError, match="non-negative"):
             square_path().setpoint(t)

@@ -81,6 +81,7 @@ def test_patched_names_are_looked_up_at_call_time(monkeypatch, tmp_path):
         _count_calls(monkeypatch, calls, owner, name)
     run_scenario(SCAN_DOC, tmp_path / "scan", stages=("contact", "raster"))
     run_scenario(RECONSTRUCT_DOC, tmp_path / "reconstruct", stages=("localize", "reconstruct"))
-    assert calls["simulate"] == 2 and calls["step"] > 0 and calls["contact_setpoints"] > 0
+    # the scan's contact and raster resume the approach they share, its own call
+    assert calls["simulate"] == 3 and calls["step"] > 0 and calls["contact_setpoints"] > 0
     assert calls["setpoint"] > 0
     assert calls["render_depth"] == 2 and calls["mesh_error"] == 1

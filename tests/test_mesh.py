@@ -373,6 +373,11 @@ def test_raycast_batch_rejects_malformed_rays():
                          (O[:1, None], D[:1, None]), (O[0], D[:1])):
         with pytest.raises(ValueError, match=r"\(n, 3\)"):
             BUMPY.raycast(bad_o, bad_d)
+    # a batch of two, whichever ray comes first
+    flat = flat_phantom_mesh(np.zeros(3))
+    for origins in ([[5.0, 5.0, 1.0], [0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0], [5.0, 5.0, 1.0]]):
+        with pytest.raises(ValueError, match=r"one ray; got \(2, 3\) and \(2, 3\)"):
+            flat.raycast(origins, [[0.0, 0.0, -1.0]] * 2)
     for value in (np.nan, np.inf):
         bad = O.copy()
         bad[1, 0] = value

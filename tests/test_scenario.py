@@ -424,13 +424,13 @@ def test_every_stage_setpoint_goes_through_a_frozen_name(tmp_path, monkeypatch):
     assert calls["setpoint"] > 0
     assert calls["contact_setpoints"] + calls["setpoint"] == calls["evaluations"]
     # sample_every 1: one row per evaluation, n_steps + 1 per stage, less the
-    # rows the raster takes from the contact stage (all 15: the contact's 14
-    # steps end inside the raster's approach), plus the one setpoint the
-    # raster resumes on
+    # rows both stages take from their shared approach run (all 15: the
+    # contact's 14 steps end inside the raster's approach), plus the one
+    # setpoint each stage resumes on
     contact, raster = res.logs["contact"].table, res.logs["raster"].table
     shared = len(contact)
     assert np.array_equal(raster[:shared], contact)
-    assert calls["evaluations"] == len(contact) + len(raster) - shared + 1
+    assert calls["evaluations"] == len(contact) + len(raster) - shared + 2
 
 
 def test_raster_schedule_is_continuous_across_the_approach_join(tmp_path, monkeypatch):

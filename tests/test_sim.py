@@ -24,7 +24,6 @@ from surfscan.mesh import TriMesh, grid_surface_mesh
 from surfscan.sim import (
     CSV_HEADER,
     EXPORT_BLOCK,
-    Checkpoint,
     DivergenceError,
     PhantomModel,
     ScanLog,
@@ -411,28 +410,56 @@ def test_simulate_argument_validation():
         simulate(MODEL, chart, phantom, GAINS, sp, Q_SCAN, 1.0, sample_every=0)
 
 
+def _hold_run(duration, every=1, start=None, q0=Q_SCAN):
+    chart, phantom = flat_rig(0.010)
+    return simulate(MODEL, chart, phantom, GAINS, lambda t: hold_setpoint(-0.004), q0, duration,
+                    sample_every=every, start=start)
+
+
 @pytest.mark.parametrize("every", [1, 3])
-def test_simulate_resumed_from_a_checkpoint_repeats_the_whole_run(every):
+def test_simulate_resumed_at_any_sampled_step_repeats_the_whole_run(every):
+    whole = _hold_run(0.012, every)
+    assert whole.end.t == whole.t[-1] and len(whole) == 1 + 12 // every
+    for steps in range(every, 13, every):
+        prefix = _hold_run(steps * 1e-3, every)
+        assert np.array_equal(prefix.table, whole.table[: 1 + steps // every])
+        # the resumed run takes neither q0 nor the prefix's steps again
+        resumed = _hold_run(0.012, every, start=prefix, q0=None)
+        assert np.array_equal(resumed.table, whole.table), steps
+        assert np.array_equal(resumed.end.q, whole.end.q) and resumed.end.face == whole.end.face
+
+
+def test_simulate_resumed_log_shares_no_memory_with_its_start():
+    prefix = _hold_run(0.006)
+    before = prefix.table.copy()
+    resumed = _hold_run(0.010, start=prefix)
+    assert not np.shares_memory(resumed.table, prefix.table)
+    assert np.array_equal(prefix.table, before)  # the start is left as it was
+    resumed.table[:] = 0.0
+    assert np.array_equal(prefix.table, before)
+
+
+def test_end_state_is_left_out_of_equality_and_repr():
+    log = _hold_run(0.003)
+    assert log == ScanLog(log.table) and repr(log) == repr(ScanLog(log.table))
+
+
+def test_simulate_rejects_a_start_it_cannot_resume(tmp_path):
     chart, phantom = flat_rig(0.010)
-
-    def run(duration, checkpoint=None, q0=Q_SCAN):
-        return simulate(MODEL, chart, phantom, GAINS, lambda t: hold_setpoint(-0.004), q0, duration,
-                        sample_every=every, checkpoint=checkpoint).table
-
-    checkpoint = Checkpoint(6)
-    first = run(0.008, checkpoint)
-    assert checkpoint.state.t == first[6 // every, 0] and np.shares_memory(checkpoint.rows, first)
-    assert np.array_equal(first, run(0.008))  # filling it changes nothing
-    # the resumed run takes neither q0 nor its first steps again
-    assert np.array_equal(run(0.02, checkpoint, q0=None), run(0.02))
-
-
-@pytest.mark.parametrize("steps", [0, 4, 30])
-def test_simulate_rejects_a_checkpoint_off_its_sampled_steps(steps):
-    chart, phantom = flat_rig(0.010)
-    with pytest.raises(ValueError, match="checkpoint steps"):
-        simulate(MODEL, chart, phantom, GAINS, lambda t: hold_setpoint(0.01), Q_SCAN, 0.02,
-                 sample_every=3, checkpoint=Checkpoint(steps))
+    with pytest.raises(JointVelocityError) as ei:
+        simulate(slow_model(0.05), chart, phantom, GAINS, lambda t: hold_setpoint(-0.004), Q_SCAN, 2.0)
+    whole = _hold_run(0.006)
+    export_log(whole, tmp_path / "log.csv")
+    for start in (ei.value.partial_log, parse_log(tmp_path / "log.csv")):
+        assert start.end is None
+        with pytest.raises(ValueError, match="no end state"):
+            _hold_run(0.02, start=start)
+    # 7 steps at sample_every 3 end off a sampled step; 6 steps of sample_every 1
+    # or 3 do not line up with the other; 30 steps are more than the run's 20
+    for duration, every, resumed_every in ((0.007, 3, 3), (0.006, 1, 3), (0.006, 3, 1),
+                                           (0.030, 3, 3)):
+        with pytest.raises(ValueError, match="sampled step"):
+            _hold_run(0.02, resumed_every, start=_hold_run(duration, every))
 
 
 def test_simulate_names_duration_and_dt_when_the_step_count_overflows():

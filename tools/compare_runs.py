@@ -4,12 +4,13 @@ Usage: python tools/compare_runs.py A B
 
 Prints one line per file: whether its sha256 is the same in both trees.
 For a CSV file present in both with the same header and row count, it
-also prints the largest absolute difference of each numeric column. For
-another text file (report, OFF mesh, YAML) whose text matches once
-every number is taken out, it prints the largest absolute difference
-over the numbers, in order. For a PFM depth map of the same size in
-both, it prints the largest per-pixel absolute difference. Exits 0 when
-every file is byte-identical, 1 otherwise.
+also prints the largest absolute difference of each numeric column, or
+why it cannot (a missing header, a ragged row, a cell that is not a
+number). For another text file (report, OFF mesh, YAML) whose text
+matches once every number is taken out, it prints the largest absolute
+difference over the numbers, in order. For a PFM depth map of the same
+size in both, it prints the largest per-pixel absolute difference. Exits
+0 when every file is byte-identical, 1 otherwise.
 """
 from __future__ import annotations
 
@@ -38,24 +39,30 @@ def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path: Path) -> list[list[str]]:
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
+        return list(csv.reader(fh))
 
 
 def column_deviation(a: Path, b: Path) -> dict[str, float] | str:
     """Largest |a - b| per column, or a reason the files do not line up."""
-    head_a, rows_a = _read_csv(a)
-    head_b, rows_b = _read_csv(b)
+    table_a, table_b = _read_csv(a), _read_csv(b)
+    if not table_a or not table_b:
+        return f"no header in {b if table_a else a}"
+    (head_a, *rows_a), (head_b, *rows_b) = table_a, table_b
     if head_a != head_b:
         return "headers differ"
     if len(rows_a) != len(rows_b):
         return f"row counts differ ({len(rows_a)} vs {len(rows_b)})"
     worst = dict.fromkeys(head_a, 0.0)
-    for ra, rb in zip(rows_a, rows_b):
+    for line, (ra, rb) in enumerate(zip(rows_a, rows_b), start=2):
+        if not len(ra) == len(rb) == len(head_a):
+            return f"line {line}: {len(ra)} vs {len(rb)} cells under {len(head_a)} columns"
         for name, x, y in zip(head_a, ra, rb):
-            d = abs(float(x) - float(y))
+            try:
+                d = abs(float(x) - float(y))
+            except ValueError:
+                return f"line {line}: {name} is not a number ({x!r} vs {y!r})"
             if d > worst[name] or math.isnan(d):
                 worst[name] = d
     return worst
