@@ -454,12 +454,20 @@ def test_simulate_rejects_a_start_it_cannot_resume(tmp_path):
         assert start.end is None
         with pytest.raises(ValueError, match="no end state"):
             _hold_run(0.02, start=start)
-    # 7 steps at sample_every 3 end off a sampled step; 6 steps of sample_every 1
-    # or 3 do not line up with the other; 30 steps are more than the run's 20
-    for duration, every, resumed_every in ((0.007, 3, 3), (0.006, 1, 3), (0.006, 3, 1),
-                                           (0.030, 3, 3)):
+    # 6 steps of sample_every 1 or 3 do not line up with the other
+    for every, resumed_every in ((1, 3), (3, 1)):
         with pytest.raises(ValueError, match="sampled step"):
-            _hold_run(0.02, resumed_every, start=_hold_run(duration, every))
+            _hold_run(0.02, resumed_every, start=_hold_run(0.006, every))
+
+
+@pytest.mark.parametrize("steps", [0, 4, 30])
+def test_simulate_rejects_a_checkpoint_off_its_sampled_steps(steps):
+    # the start of a 20-step run at sample_every 3 must end on a multiple of 3
+    # within the run: 4 steps end off it, 30 are past the run, and a start of
+    # 0 steps cannot be made, as no run has zero duration
+    match = "duration must be positive" if steps == 0 else "sampled step"
+    with pytest.raises(ValueError, match=match):
+        _hold_run(0.02, 3, start=_hold_run(steps * 1e-3, 3))
 
 
 def test_simulate_names_duration_and_dt_when_the_step_count_overflows():
