@@ -139,72 +139,61 @@ class ArmModel:
         if len(self.link_inertias) != 7:
             raise ValueError("model must have exactly 7 link inertias")
 
-    @property
-    def position_limits(self) -> np.ndarray:
-        return np.array([j.position_limits for j in self.joints])
+    @functools.cached_property
+    def _joint_constants(self) -> tuple:
+        """Fixed pieces of the kinematics sweep, cached on the model: the
+        joint-transform blocks, the joint axes in their parents' frames, the
+        limits as plain lists, the probe offset from the flange as a (rotation
+        matrix, translation) pair, and the link moments.
 
-    @property
-    def velocity_limits(self) -> np.ndarray:
-        return np.array([j.velocity_limit for j in self.joints])
+        With Rodrigues' Rot = I cos q + a a^T (1 - cos q) + [a]x sin q, joint
+        i's transform L_i = [origin_R_i Rot(a_i, q_i), origin_t_i; 0 1] is
+        blocks[:, i] weighted by (cos q_i, 1 - cos q_i, sin q_i, 1). Link i's
+        moments about its joint frame's origin are the pseudo-inertia
+        P = [[Sigma, m c], [m c^T, m]] with second moment
+        Sigma = tr(I)/2 I3 - I + m c c^T; T P T^T holds them about the world.
+        """
+        origin_R = np.array([j.origin.rotation for j in self.joints])
+        axes = np.array([j.axis for j in self.joints])
+        blocks = np.zeros((4, 7, 4, 4))
+        blocks[0, :, :3, :3] = origin_R @ _EYE
+        blocks[1, :, :3, :3] = origin_R @ (axes[:, :, None] * axes[:, None, :])
+        blocks[2, :, :3, :3] = origin_R @ np.array([skew(a) for a in axes])
+        blocks[3, :, :3, 3] = [j.origin.translation for j in self.joints]
+        blocks[3, :, 3, 3] = 1.0
+        moments = np.zeros((7, 4, 4))
+        for P, link in zip(moments, self.link_inertias):
+            m, c, inertia = link.mass, link.com, link.inertia
+            P[:3, :3] = 0.5 * np.trace(inertia) * _EYE - inertia + m * np.outer(c, c)
+            P[:3, 3] = P[3, :3] = m * c
+            P[3, 3] = m
+        probe = self.probe_offset.rotation, self.probe_offset.translation
+        lo_hi = [list(side) for side in zip(*(j.position_limits for j in self.joints))]
+        vmax = [float(j.velocity_limit) for j in self.joints]
+        # read-only like the model's own arrays: the reference model is shared
+        axes = origin_R @ axes[:, :, None]
+        return read_only(blocks), read_only(axes), lo_hi, vmax, probe, read_only(moments)
 
 
 def check_limits(model: ArmModel, q: np.ndarray) -> None:
-    lo, hi = _joint_constants(model)[2]
+    lo, hi = model._joint_constants[2]
     for i, v in enumerate(q.tolist()):
         if not lo[i] <= v <= hi[i]:
             raise JointLimitError(i, v, lo[i], hi[i])
 
 
 def check_velocity(model: ArmModel, qdot: np.ndarray) -> None:
-    vmax = _joint_constants(model)[3]
+    vmax = model._joint_constants[3]
     for i, v in enumerate(qdot.tolist()):
         if not abs(v) <= vmax[i]:
             raise JointVelocityError(i, v, -vmax[i], vmax[i])
-
-
-def _joint_constants(model: ArmModel) -> tuple:
-    """Fixed pieces of the kinematics sweep, cached on the model: the
-    joint-transform blocks, the joint axes in their parents' frames, the
-    limits as plain lists, the probe offset from the flange as a (rotation
-    matrix, translation) pair, and the link moments.
-
-    With Rodrigues' Rot = I cos q + a a^T (1 - cos q) + [a]x sin q, joint
-    i's transform L_i = [origin_R_i Rot(a_i, q_i), origin_t_i; 0 1] is
-    blocks[:, i] weighted by (cos q_i, 1 - cos q_i, sin q_i, 1). Link i's
-    moments about its joint frame's origin are the pseudo-inertia
-    P = [[Sigma, m c], [m c^T, m]] with second moment
-    Sigma = tr(I)/2 I3 - I + m c c^T; T P T^T holds them about the world.
-    """
-    cached = model.__dict__.get("_joint_constants")
-    if cached is None:
-        origin_R = np.array([j.origin.rotation for j in model.joints])
-        axes = np.array([j.axis for j in model.joints])
-        blocks = np.zeros((4, 7, 4, 4))
-        blocks[0, :, :3, :3] = origin_R @ _EYE
-        blocks[1, :, :3, :3] = origin_R @ (axes[:, :, None] * axes[:, None, :])
-        blocks[2, :, :3, :3] = origin_R @ np.array([skew(a) for a in axes])
-        blocks[3, :, :3, 3] = [j.origin.translation for j in model.joints]
-        blocks[3, :, 3, 3] = 1.0
-        moments = np.zeros((7, 4, 4))
-        for P, link in zip(moments, model.link_inertias):
-            m, c, inertia = link.mass, link.com, link.inertia
-            P[:3, :3] = 0.5 * np.trace(inertia) * _EYE - inertia + m * np.outer(c, c)
-            P[:3, 3] = P[3, :3] = m * c
-            P[3, 3] = m
-        probe = model.probe_offset.rotation, model.probe_offset.translation
-        limits = model.position_limits.T.tolist(), model.velocity_limits.tolist()
-        # read-only like the model's own arrays: the reference model is shared
-        axes = origin_R @ axes[:, :, None]
-        cached = (read_only(blocks), read_only(axes), *limits, probe, read_only(moments))
-        object.__setattr__(model, "_joint_constants", cached)
-    return cached
 
 
 def _chain(model: ArmModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """World transforms T (8,4,4), T[0] the base and T[i + 1] = T[i] L_i
     joint i's frame after its own rotation, and the world joint axes
     z (7,3): joint i's axis in its parent's frame, rotated by T[i]."""
-    blocks, axes = _joint_constants(model)[:2]
+    blocks, axes = model._joint_constants[:2]
     c = np.cos(q)
     L = (blocks * np.array([c, 1.0 - c, np.sin(q), _ONES])[:, :, None, None]).sum(axis=0)
     T = np.empty((8, 4, 4))
@@ -232,7 +221,7 @@ def _sweep(model: ArmModel, T: np.ndarray, z: np.ndarray, point: np.ndarray):
     a = np.concatenate((pT, zT), axis=1)[_ROLL]
     b = np.concatenate((zT, point[:, None] - pT), axis=1)[_ROLL]
     vJ = a[:3] * b[3:] - a[3:] * b[:3]
-    moments = T[1:] @ _joint_constants(model)[5] @ T[1:].transpose(0, 2, 1)
+    moments = T[1:] @ model._joint_constants[5] @ T[1:].transpose(0, 2, 1)
     composite = np.add.accumulate(moments[::-1])[::-1]
     twist = np.dot(np.concatenate((zT, vJ[:, :7])).T, _TWIST)
     # G[i, j] = <Xi_i, Xi_j J^C_j> is M_ij only on i <= j
@@ -267,7 +256,7 @@ def arm_snapshot(model: ArmModel, q) -> ArmSnapshot:
     q = np.asarray(q, dtype=float).reshape(7)
     check_limits(model, q)
     T, z = _chain(model, q)
-    R_off, t_off = _joint_constants(model)[4]
+    R_off, t_off = model._joint_constants[4]
     R7, p7 = T[7, :3, :3], T[7, :3, 3]
     tip = p7 + R7.dot(t_off)  # .dot: the same bits as @ on 2-D operands, at less cost
     return ArmSnapshot(R7.dot(R_off), tip, *_sweep(model, T, z, tip))

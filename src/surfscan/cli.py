@@ -20,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from .scenario import StageError, load_config, parse_config, run_scenario
+from .scenario import StageError, run_scenario
 from .schema import SchemaError
 
 _COMMAND_STAGES = {
@@ -69,9 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args, stages) -> int:
     try:
-        config = parse_config({}) if args.config is None else load_config(args.config)
-        result = run_scenario(config, args.out, stages=stages, seed=args.seed,
-                              stage_timeout=args.stage_timeout)
+        result = run_scenario({} if args.config is None else args.config, args.out, stages=stages,
+                              seed=args.seed, stage_timeout=args.stage_timeout)
     except (SchemaError, OSError) as exc:  # the config, a file it names, or an --out that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return 2

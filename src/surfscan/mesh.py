@@ -84,15 +84,19 @@ class TriMesh:
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
-        f = np.ascontiguousarray(np.asarray(self.faces, dtype=np.int64))
+        f = np.asarray(self.faces)
         if v.ndim != 2 or v.shape[1] != 3 or len(v) < 3:
             raise ValueError("vertices must be an (n, 3) array with n >= 3")
         if f.ndim != 2 or f.shape[1] != 3 or len(f) < 1:
             raise ValueError("faces must be an (m, 3) array with m >= 1")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices must be finite")
+        # checked before the int64 cast, which would truncate 1.7 and wrap NaN
+        if f.dtype.kind == "f" and not np.all(np.isfinite(f) & (f == np.floor(f))):
+            raise ValueError("face indices must be whole numbers")
         if f.min() < 0 or f.max() >= len(v):
             raise ValueError("face index out of range")
+        f = np.ascontiguousarray(f, dtype=np.int64)
         if np.any(f[:, 0] == f[:, 1]) or np.any(f[:, 1] == f[:, 2]) or np.any(f[:, 0] == f[:, 2]):
             raise ValueError("face with repeated vertex")
         for name, x in (("vertices", v), ("faces", f)):
@@ -121,15 +125,11 @@ class TriMesh:
 
     def vertex_normals(self) -> np.ndarray:
         """Area-weighted vertex normals, unit length."""
-        return self._accel().vertex_normals
+        return self._accel.vertex_normals
 
+    @functools.cached_property
     def _accel(self) -> "_Accel":
-        acc = self.__dict__.get("_accel_cache")
-        if acc is None:
-            acc = _Accel(self)
-            # idempotent build: a racing second build produces the same tree
-            object.__setattr__(self, "_accel_cache", acc)
-        return acc
+        return _Accel(self)
 
     # ---- queries ----
 
@@ -149,7 +149,7 @@ class TriMesh:
         """
         if hint is not None and not 0 <= hint < self.n_faces:
             raise ValueError(f"hint face {hint} out of range")
-        return self._accel().nearest(np.asarray(p, dtype=float).reshape(3), hint)
+        return self._accel.nearest(np.asarray(p, dtype=float).reshape(3), hint)
 
     def closest_points(self, points):
         """Vectorised closest_point over an (n, 3) array of points.
@@ -161,7 +161,7 @@ class TriMesh:
         P = np.asarray(points, dtype=float).reshape(-1, 3)
         if not np.all(np.isfinite(P)):
             raise ValueError("query points must be finite")
-        acc = self._accel()
+        acc = self._accel
         blocks = range(0, max(len(P), 1), POINT_BLOCK)
         parts = [acc.nearest_batch(P[a : a + POINT_BLOCK]) for a in blocks]
         d2, face, cp, bary = (np.concatenate(x) for x in zip(*parts))
@@ -178,7 +178,7 @@ class TriMesh:
             return None
         # the winning lane again, alone: the kernel is elementwise, so u and
         # v round exactly as they did inside the batch
-        acc, f = self._accel(), int(face[0])
+        acc, f = self._accel, int(face[0])
         A, eab, eac = acc.A[f], acc.eab[f], acc.eac[f]
         o, d = (np.asarray(x, dtype=float).reshape(1, 3) for x in (origin, direction))
         u, v = (float(x[0]) for x in _moller_trumbore(o, d, A, eab, eac, acc.face_areas[f], t_min)[1:])
@@ -194,11 +194,11 @@ class TriMesh:
         O, D = O.reshape(-1, 3), D.reshape(-1, 3)
         if not (np.isfinite(O).all() and np.isfinite(_dot3(D, D)).all() and 0.0 <= t_min < math.inf):
             raise ValueError(f"rays and |D|^2 must be finite, and t_min finite and >= 0 (t_min {t_min})")
-        return self._accel().raycast_batch(O, D, t_min)
+        return self._accel.raycast_batch(O, D, t_min)
 
     def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n points drawn uniformly by area."""
-        acc = self._accel()
+        acc = self._accel
         cdf = np.cumsum(acc.face_areas)
         cdf /= cdf[-1]
         fi = np.searchsorted(cdf, rng.random(n), side="right")

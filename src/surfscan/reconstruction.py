@@ -132,7 +132,7 @@ class HeightField:
     weights: np.ndarray  # (ni, nj) sample counts
 
     def __post_init__(self):
-        if self.resolution <= 0.0:
+        if not 0.0 < self.resolution < np.inf:
             raise ValueError("resolution must be positive")
         h = np.asarray(self.heights, dtype=float)
         w = np.asarray(self.weights, dtype=np.int64)
@@ -172,7 +172,7 @@ def fuse_views(
     """
     if not images:
         raise EmptyReconstructionError("no depth images supplied")
-    if resolution <= 0.0:
+    if not 0.0 < resolution < np.inf:
         raise ValueError("resolution must be positive")
     s_all = []
     h_all = []

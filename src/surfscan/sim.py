@@ -55,9 +55,9 @@ class PhantomModel:
     contact_damping: float = 0.0
 
     def __post_init__(self):
-        if self.contact_stiffness <= 0.0:
+        if not 0.0 < self.contact_stiffness < math.inf:
             raise ValueError("contact stiffness must be positive")
-        if self.contact_damping < 0.0:
+        if not 0.0 <= self.contact_damping < math.inf:
             raise ValueError("contact damping must be non-negative")
 
 
@@ -181,9 +181,9 @@ def step(
 def steady_state_force(k_controller: float, k_t: float, d_hold: float) -> float:
     """Equilibrium contact force of the controller spring in series with
     the contact spring, holding d at d_hold."""
-    if k_controller <= 0.0 or k_t <= 0.0:
+    if not (0.0 < k_controller < math.inf and 0.0 < k_t < math.inf):
         raise ValueError("stiffnesses must be positive")
-    if d_hold >= 0.0:
+    if not -math.inf < d_hold < 0.0:
         raise ValueError("d_hold must command penetration (negative)")
     return k_controller * k_t / (k_controller + k_t) * (-d_hold)
 

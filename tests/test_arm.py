@@ -27,7 +27,6 @@ from surfscan.arm import (
     JointSpec,
     LinkInertia,
     _chain,
-    _joint_constants,
     _sweep,
     arm_snapshot,
     load_arm_model,
@@ -100,8 +99,8 @@ def pose_matrix(pose):
 
 
 def random_q(rng, margin=0.85):
-    lim = MODEL.position_limits
-    return lim[:, 0] * 0.0 + (rng.uniform(-1.0, 1.0, 7) * margin) * lim[:, 1]
+    hi = np.array([j.position_limits[1] for j in MODEL.joints])
+    return (rng.uniform(-1.0, 1.0, 7) * margin) * hi
 
 
 # frozen from chain_oracle([0.3, -0.5, 0.7, 1.1, -0.4, 0.6, -0.2])
@@ -377,7 +376,7 @@ def test_shared_model_arrays_are_read_only(array):
 
 def test_shared_sweep_constants_are_read_only():
     arm_snapshot(MODEL, np.zeros(7))
-    blocks, axes, *_, probe_offset, moments = _joint_constants(MODEL)
+    blocks, axes, *_, probe_offset, moments = MODEL._joint_constants
     for a in (blocks, axes, moments, *probe_offset):
         assert not a.flags.writeable
 
@@ -503,7 +502,7 @@ def joint_box(draw, model=MODEL):
     """q anywhere in a model's position limits, endpoints included."""
     return np.array([
         draw(st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi)))
-        for lo, hi in model.position_limits.tolist()
+        for lo, hi in (j.position_limits for j in model.joints)
     ])
 
 

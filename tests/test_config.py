@@ -44,7 +44,8 @@ def _put(doc: dict, name: str, value) -> dict:
 def _in_range(key):
     b = key.bound
     if key.conv is as_int:
-        return st.integers(min_value=int(b.lo) + (0 if b.lo_closed else 1), max_value=int(b.lo) + 1000)
+        hi = int(b.hi) - (0 if b.hi_closed else 1) if math.isfinite(b.hi) else int(b.lo) + 1000
+        return st.integers(min_value=int(b.lo) + (0 if b.lo_closed else 1), max_value=hi)
     lo, hi = max(b.lo, -1e6), min(b.hi, 1e6)
     return st.floats(min_value=lo, max_value=hi,
                      exclude_min=lo == b.lo and not b.lo_closed,
@@ -83,7 +84,8 @@ def _past(key) -> list:
         out.append(b.lo - 1 if key.conv is as_int else b.lo if not b.lo_closed
                    else math.nextafter(b.lo, -math.inf))
     if math.isfinite(b.hi):
-        out.append(b.hi if not b.hi_closed else math.nextafter(b.hi, math.inf))
+        out.append(b.hi if not b.hi_closed else b.hi + 1 if key.conv is as_int
+                   else math.nextafter(b.hi, math.inf))
     return out
 
 
@@ -174,6 +176,8 @@ def test_messages_of_the_new_bounds():
         ({"controller": {"stiffness": [[1, 0, 0, 0, 0, 0]] * 5}},
          "config.controller.stiffness: expected 6 rows of 6, got 5 rows"),
         ({"seed": -3}, "config.seed must be non-negative, got -3"),
+        ({"phantom": {"grid_n": 502}},
+         "config.phantom.grid_n must be at least 2 and at most 501, got 502"),
         ({"camera": {"fx": math.inf}},
          "config.camera: focal lengths fx, fy must be positive and finite, got inf, 180.0"),
         ({"camera": {"depth_noise_sigma": math.inf}},

@@ -119,7 +119,7 @@ def test_closest_point_matches_scalar_oracle():
 
 def test_bvh_bitwise_equal_to_brute_same_kernel():
     mesh = bumpy_mesh(n=24, seed=5)
-    acc = mesh._accel()
+    acc = mesh._accel
     rng = np.random.default_rng(2)
     all_faces = np.arange(mesh.n_faces)
     for _ in range(250):
@@ -136,7 +136,7 @@ def test_bvh_bitwise_equal_to_brute_same_kernel():
 def test_bvh_bitwise_on_large_mesh():
     mesh = bumpy_mesh(n=72, seed=9)  # 10082 faces
     assert mesh.n_faces > 10000
-    acc = mesh._accel()
+    acc = mesh._accel
     rng = np.random.default_rng(3)
     all_faces = np.arange(mesh.n_faces)
     for _ in range(60):
@@ -234,7 +234,7 @@ def test_raycast_tie_on_shared_edge_picks_smallest_face():
     i00, _, i11 = FLAT.faces[0]
     o = 0.5 * (FLAT.vertices[i00] + FLAT.vertices[i11]) + np.array([0.0, 0.0, 0.3])
     d = np.array([0.0, 0.0, -1.0])
-    acc = FLAT._accel()
+    acc = FLAT._accel
     t_all, _, _ = _moller_trumbore(o, d, acc.A, acc.eab, acc.eac, acc.face_areas, 0.0)
     tied = np.flatnonzero(t_all == t_all.min())
     assert len(tied) >= 2
@@ -247,7 +247,7 @@ def test_raycast_tie_on_shared_edge_picks_smallest_face():
 def brute_rays(mesh, O, D, t_min=0.0):
     # every ray against every face with the production kernel; the first
     # minimum of each row is the smallest tied face
-    acc = mesh._accel()
+    acc = mesh._accel
     t = np.full(len(O), np.inf)
     face = np.full(len(O), -1, dtype=np.int64)
     for a in range(0, len(O), 64):
@@ -280,7 +280,7 @@ def test_raycast_when_the_root_is_a_leaf():
     small = grid_surface_mesh(np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0]),
                               np.array([0, 0, 1.0]), np.linspace(0, 0.1, 3), np.linspace(0, 0.1, 3),
                               np.array([[0.0, 0.01, 0.0], [0.02, 0.0, -0.01], [0.0, 0.01, 0.0]]))
-    assert small.n_faces <= LEAF_SIZE and small._accel().count[0] == small.n_faces
+    assert small.n_faces <= LEAF_SIZE and small._accel.count[0] == small.n_faces
     rng = np.random.default_rng(11)
     O = np.column_stack([rng.uniform(-0.02, 0.12, (40, 2)), np.full(40, 0.2)])
     D = np.column_stack([rng.uniform(-0.3, 0.3, (40, 2)), -np.ones(40)])
@@ -308,7 +308,7 @@ def test_raycast_from_inside_the_root_box_with_t_min():
     rng = np.random.default_rng(13)
     O = np.column_stack([rng.uniform(-0.09, 0.09, (200, 2)), rng.uniform(-0.02, 0.02, 200)])
     D = rng.standard_normal((200, 3))
-    root = BUMPY._accel()
+    root = BUMPY._accel
     assert np.all((O >= root.bmin[0]) & (O <= root.bmax[0]))
     for t_min in (1e-9, 0.01, 0.05):
         t, _ = assert_rays_are_brute(BUMPY, O, D, t_min)
@@ -420,20 +420,20 @@ def test_cap_depth_views_are_brute_force():
 
 
 def test_bvh_build_leaves_no_cyclic_garbage():
-    bumpy_mesh(seed=3)._accel()  # first use may import lazily
+    bumpy_mesh(seed=3)._accel  # first use may import lazily
     gc.collect()
     gc.disable()
     try:
         gc.collect()
         mesh = bumpy_mesh(seed=4)
-        mesh._accel()
+        mesh._accel
         assert gc.collect() == 0
         # nearest's lists live on the accelerator and refer to nothing that
         # refers back, so dropping the mesh frees them without the collector
         hint = None
         for p in mesh.vertices[::5] + np.array([0.0, 0.0, 0.01]):
             hint = mesh.closest_point(p, hint).face
-        assert mesh._accel().entries
+        assert mesh._accel.entries
         del mesh
         assert gc.collect() == 0
     finally:
@@ -482,7 +482,7 @@ def reference_tree(mesh):
 
 
 def assert_same_tree(mesh):
-    acc = mesh._accel()
+    acc = mesh._accel
     for name, want in reference_tree(mesh).items():
         got = getattr(acc, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -500,7 +500,7 @@ def test_level_build_is_the_reference_tree(make):
 def test_level_build_on_face_subsets(k, leaves):
     # root leaves, and splits whose two sides end at different depths
     mesh = TriMesh(BUMPY.vertices, BUMPY.faces[:: len(BUMPY.faces) // k][:k])
-    assert mesh.n_faces == k and (mesh._accel().count > 0).sum() == leaves
+    assert mesh.n_faces == k and (mesh._accel.count > 0).sum() == leaves
     assert_same_tree(mesh)
 
 
@@ -555,7 +555,7 @@ def test_deep_tree_walk_from_near_and_far_hints():
     # whose box centre is farthest away, whose list entry, when it has one,
     # was left by an earlier far query; every 20th point is a vertex
     mesh = cap_phantom_mesh(np.zeros(3))
-    acc = mesh._accel()
+    acc = mesh._accel
     assert mesh.n_faces == 7200
     s = np.linspace(0.0, 1.0, 600)
     pts = np.column_stack([0.11 * np.sin(4.0 * s), 0.1 * np.cos(3.0 * s) - 0.01, 0.045 * np.cos(9.0 * s)])
@@ -630,7 +630,7 @@ def two_patches():
     near = grid_surface_mesh(np.zeros(3), *np.eye(3), xs, xs, np.zeros((3, 3)))
     far = np.array([1.0, 0.0, 0.0]) + near.vertices
     mesh = TriMesh(np.vstack([near.vertices, far]), np.vstack([near.faces, near.faces + len(far)]))
-    leaves = mesh._accel().leaf_faces[mesh._accel().count > 0]
+    leaves = mesh._accel.leaf_faces[mesh._accel.count > 0]
     assert sorted(map(tuple, leaves)) == [tuple(range(8)), tuple(range(8, 16))]
     return mesh
 
@@ -675,7 +675,7 @@ def test_hints_naming_stale_entries_and_far_faces():
     s = np.linspace(0.0, 1.0, 300)
     first = np.column_stack([0.05 * np.cos(6.0 * s), 0.05 * np.sin(6.0 * s), 0.03 + 0.01 * s])
     assert_chain_is_batched(mesh, first)
-    stale = sorted(mesh._accel().entries)
+    stale = sorted(mesh._accel.entries)
     assert len(stale) > 5
     rng = np.random.default_rng(6)
     second = first[::-1] + np.array([0.0, 0.0, -0.004])
@@ -692,7 +692,7 @@ def test_results_do_not_depend_on_query_history():
     hints = [None] + [int(h) for h in rng.integers(0, 7200, len(pts) - 1)]
     used = cap_phantom_mesh(np.zeros(3))
     assert_chain_is_batched(used, np.vstack([rng.uniform(-0.06, 0.06, (200, 3)), pts[::-7] + 0.0007]))
-    assert len(used._accel().entries) > 50
+    assert len(used._accel.entries) > 50
     fresh = cap_phantom_mesh(np.zeros(3))
     assert [single_bits(fresh, p, h) for p, h in zip(pts, hints)] == [single_bits(used, p, h) for p, h in
                                                                        zip(pts, hints)]
@@ -710,7 +710,7 @@ def test_any_skin_gives_the_same_results(skin, monkeypatch):
     for mesh in (flat_phantom_mesh(np.zeros(3)), cap_phantom_mesh(np.zeros(3))):
         assert_chain_is_batched(mesh, pts)
         if skin == 1.0:
-            (rows, guard), = {(len(e[1]), e[2]) for e in mesh._accel().entries.values()}
+            (rows, guard), = {(len(e[1]), e[2]) for e in mesh._accel.entries.values()}
             assert rows == mesh.n_faces and guard == math.inf
 
 
@@ -730,6 +730,38 @@ def test_a_coherent_stream_takes_few_walks(monkeypatch):
     assert len(walks) < 0.02 * len(pts)
 
 
+@pytest.mark.parametrize("make", [lambda: flat_phantom_mesh(np.zeros(3)),
+                                  lambda: cap_phantom_mesh(np.zeros(3))], ids=["flat", "cap"])
+@pytest.mark.parametrize("cold", [False, True], ids=["hinted", "cold"])
+def test_every_list_entry_is_sound(make, cold):
+    # each entry a stream leaves, brute-forced from its anchor: the rows are
+    # the faces within the walk's final bound, (sqrt(best) + SKIN)^2, in
+    # (distance, face) order, and the guard lies past that bound and at or
+    # below the distance of every face left out
+    mesh = make()
+    acc = mesh._accel
+    rng = np.random.default_rng(8)
+    s = np.linspace(0.0, 1.0, 400)
+    pts = np.column_stack([0.08 * np.cos(3.0 * s), 0.06 * np.sin(5.0 * s), 0.02 + 0.03 * np.sin(7.0 * s)])
+    pts[::25] = mesh.vertices[rng.integers(0, len(mesh.vertices), 16)]  # ties between faces
+    if cold:
+        pts = rng.uniform(-0.08, 0.08, (120, 3))
+        pts[1::3, 2] = rng.uniform(-0.002, 0.002, 40)  # near the surface
+    assert_chain_is_batched(mesh, pts, [None] * len(pts) if cold else None)
+    assert len(acc.entries) > 10
+    corners = (acc.A, acc.B, acc.C)
+    for win, (anchor, rows, guard) in acc.entries.items():
+        d2 = closest_point_triangles(np.array(anchor), *corners)[0]
+        assert win == int(np.argmin(d2))
+        best = float(d2[win])
+        bound = max(best, (math.sqrt(best) + mesh_module.SKIN) ** 2)
+        listed = d2 <= bound
+        assert [(da, f) for da, f, *_ in rows] == sorted(
+            (math.sqrt(x), f) for f, x in enumerate(d2.tolist()) if listed[f])
+        assert all([a, b, c] == [x[f].tolist() for x in corners] for _, f, a, b, c in rows)
+        assert math.sqrt(bound) < guard <= math.sqrt(d2[~listed].min(initial=math.inf))
+
+
 @pytest.mark.parametrize("short", [0.0, 0.5], ids=["at-the-slack", "half-the-slack"])
 def test_an_entry_is_trusted_only_with_the_slack_to_spare(short):
     # a forged entry, anchored at the query point, lists only a face that
@@ -737,7 +769,7 @@ def test_an_entry_is_trusted_only_with_the_slack_to_spare(short):
     # of the slack: the query must not trust it. No real entry comes this
     # close, for rounding is some 1e-7 of the slack
     mesh = flat_phantom_mesh(np.zeros(3))
-    acc = mesh._accel()
+    acc = mesh._accel
     p = np.array([0.0012, 0.0007, -0.001])
     want = single_bits(mesh, p)
     wrong = (want[0] + 2) % mesh.n_faces
@@ -766,7 +798,7 @@ def test_scalar_kernel_division_falls_back_to_numpy(monkeypatch):
     # make the scalar kernel fail on each query's winning face: the walk
     # must take that face's values from the numpy kernel, same bits
     mesh = bumpy_mesh(seed=6)
-    acc = mesh._accel()
+    acc = mesh._accel
     pts = np.vstack([np.random.default_rng(4).uniform(-0.12, 0.12, (20, 3)), mesh.vertices[::50]])
     want = [single_bits(mesh, p) for p in pts]
     bad = {tuple(acc.A[w[0]].tolist() + acc.B[w[0]].tolist()) for w in want}
@@ -812,7 +844,7 @@ def test_grid_mesh_counts_and_orientation():
         np.zeros((3, 3)),
     )
     assert mesh.n_faces == 8
-    normals = mesh._accel().face_normals
+    normals = mesh._accel.face_normals
     assert np.all(normals @ np.array([0, 0, 1.0]) > 0.999999)
 
 
@@ -868,6 +900,10 @@ def test_sample_surface_on_mesh():
 def test_validation_rejects_bad_meshes():
     v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
     TriMesh(v, np.array([[0, 1, 2], [1, 3, 2]]))  # fine
+    assert TriMesh(v, np.array([[0.0, 1.0, 2.0]])).faces.tolist() == [[0, 1, 2]]
+    for bad in ([[0, 1.7, 2.2]], [[0, math.nan, 2]], [[0, 1, math.inf]]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            TriMesh(v, np.array(bad))
     with pytest.raises(ValueError, match="range"):
         TriMesh(v, np.array([[0, 1, 4]]))
     with pytest.raises(ValueError, match="repeated"):

@@ -71,7 +71,7 @@ def mesh_and_points(draw):
 
 
 def brute_nearest(mesh, p):
-    acc = mesh._accel()
+    acc = mesh._accel
     d2, cp, bary = closest_point_triangles(p, acc.A, acc.B, acc.C)
     k = int(np.lexsort((np.arange(mesh.n_faces), d2))[0])
     return k, d2[k], cp[k], bary[k]
@@ -150,7 +150,7 @@ def test_coherent_hinted_stream_is_brute_force(case, skin, seed):
 @given(meshes(), st.integers(0, 2**32 - 1))
 def test_rays_are_brute_force(mesh, seed):
     rng = np.random.default_rng(seed)
-    acc = mesh._accel()
+    acc = mesh._accel
     n = 20
     # 8 rays aim straight down through vertices, where faces tie; 4 run
     # along +-x or +-y through a vertex, so two direction components are
@@ -178,7 +178,7 @@ def test_rays_are_brute_force(mesh, seed):
 
 def brute_rays(mesh, O, D, t_min):
     # every ray against every face; the first minimum is the smallest tied face
-    acc = mesh._accel()
+    acc = mesh._accel
     t_all, _, _ = _moller_trumbore(
         O[:, None, :], D[:, None, :], acc.A, acc.eab, acc.eac, acc.face_areas, t_min)
     k = np.argmin(t_all, axis=1)
@@ -190,7 +190,7 @@ def brute_rays(mesh, O, D, t_min):
 def shared_origin_rays(draw):
     """A mesh, one origin, a fan of rays from it and a t_min."""
     mesh = draw(meshes())
-    acc = mesh._accel()
+    acc = mesh._accel
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = rng.integers(0, mesh.n_faces)
     where = draw(st.sampled_from(["above", "on_face", "just_above_face", "on_vertex"]))
@@ -243,7 +243,7 @@ def test_shared_origin_rays_are_brute_force(case):
 @given(mesh_and_points())
 def test_scalar_kernel_is_the_vector_kernel(case):
     mesh, pts = case
-    acc = mesh._accel()
+    acc = mesh._accel
     A, B, C = acc.A.tolist(), acc.B.tolist(), acc.C.tolist()
     for p in pts:
         d2, cp, bary = closest_point_triangles(p, acc.A, acc.B, acc.C)

@@ -251,12 +251,12 @@ def test_two_by_two_cells_give_eight_upward_triangles():
     field = small_field(np.arange(9.0).reshape(3, 3) * 0.001)
     mesh = extract_mesh(field)
     assert len(mesh.faces) == 8
-    assert np.all(mesh._accel().face_normals @ EZ > 0)
+    assert np.all(mesh._accel.face_normals @ EZ > 0)
 
 
 def test_flat_field_normals_match_plane_normal():
     mesh = extract_mesh(small_field(np.full((4, 4), 0.02)))
-    assert np.max(np.abs(mesh._accel().face_normals - EZ)) < 1e-9
+    assert np.max(np.abs(mesh._accel.face_normals - EZ)) < 1e-9
 
 
 def test_extracted_vertices_reproduce_node_heights_exactly():
@@ -401,8 +401,12 @@ def test_depth_image_validation():
 
 
 def test_height_field_validation():
-    with pytest.raises(ValueError, match="resolution"):
-        HeightField(PLANE, 0.0, (0, 0), np.zeros((2, 2)), np.zeros((2, 2), np.int64))
+    img = render_depth(flat_mesh(), CAM, top_down_pose())
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            HeightField(PLANE, bad, (0, 0), np.zeros((2, 2)), np.zeros((2, 2), np.int64))
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            fuse_views([img], PLANE, bad)
     with pytest.raises(ValueError, match="non-negative"):
         HeightField(PLANE, 0.01, (0, 0), np.zeros((2, 2)), np.full((2, 2), -1))
     with pytest.raises(ValueError, match="matching"):

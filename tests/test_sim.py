@@ -121,6 +121,11 @@ def test_phantom_validation():
         PhantomModel(mesh, contact_stiffness=0.0)
     with pytest.raises(ValueError):
         PhantomModel(mesh, contact_stiffness=500.0, contact_damping=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="stiffness must be positive"):
+            PhantomModel(mesh, contact_stiffness=bad)
+        with pytest.raises(ValueError, match="damping must be non-negative"):
+            PhantomModel(mesh, contact_stiffness=500.0, contact_damping=bad)
     with pytest.raises(ValueError):
         flat_phantom_mesh(np.zeros(3), extent=-0.1)
     with pytest.raises(ValueError):
@@ -624,6 +629,13 @@ def test_steady_state_force_examples():
         steady_state_force(500.0, -1.0, -0.004)
     with pytest.raises(ValueError):
         steady_state_force(500.0, 500.0, 0.001)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="stiffnesses must be positive"):
+            steady_state_force(bad, 300.0, -0.004)
+        with pytest.raises(ValueError, match="stiffnesses must be positive"):
+            steady_state_force(500.0, bad, -0.004)
+        with pytest.raises(ValueError, match="d_hold must command penetration"):
+            steady_state_force(500.0, 300.0, -bad)
 
 
 def equilibrium_force_oracle(k_ctrl: float, k_t: float, d_hold: float) -> float:
