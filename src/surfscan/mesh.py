@@ -19,12 +19,17 @@ evaluates only the list while the guard certifies its winner. Batched
 queries walk the tree breadth first over (point, node) pairs, seeded by a
 greedy descent.
 
-Rays use Moller-Trumbore with double-sided hits. Rays that share an origin
+Rays use Moller-Trumbore with double-sided hits (Moller and Trumbore, "Fast,
+Minimum Storage Ray-Triangle Intersection", 1997). Rays that share an origin
 are cast together (Wald et al., "Interactive Rendering with Coherent Ray
 Tracing", 2001) by the sort-middle binning of software rasterisers (Laine
 and Karras, "High-Performance Software Rasterization on GPUs", 2011): the
 faces are projected from the origin, and each is evaluated for the rays
-whose image points fall in its padded box. One ray is a group of one.
+whose image points fall in its padded box. The test's terms that depend on
+the origin alone (tvec, qvec and the numerator of t) are computed once per
+candidate face of a group, and each (ray, face) lane finishes the test from
+them with the textbook operations in their order, so every bit is as if
+each lane computed them. One ray is a group of one.
 """
 from __future__ import annotations
 
@@ -48,6 +53,7 @@ MIN_COS = 0.5  # a ray group stays whole while every ray is within 60 degrees of
 DEGENERATE_AREA = 1e-12
 BARY_EPS = 1e-10  # ray tests: tolerance on barycentric bounds at shared edges
 PARALLEL_SIN = 1e-6  # ray tests: a ray at a smaller sine to a face's plane misses it
+OFF_BLOCK = 256  # OFF rows formatted by one % operation
 
 # Ray binning pads. A group has origin o and frame (e1, e2, w); a point X has
 # depth z = (X - o).w and image p(X) = ((X - o).e1, (X - o).e2) / z. Rays of
@@ -180,8 +186,9 @@ class TriMesh:
         # v round exactly as they did inside the batch
         acc, f = self._accel, int(face[0])
         A, eab, eac = acc.A[f], acc.eab[f], acc.eac[f]
-        o, d = (np.asarray(x, dtype=float).reshape(1, 3) for x in (origin, direction))
-        u, v = (float(x[0]) for x in _moller_trumbore(o, d, A, eab, eac, acc.face_areas[f], t_min)[1:])
+        o, d = (np.asarray(x, dtype=float).reshape(3) for x in (origin, direction))
+        terms = _origin_terms(o, A, eab, eac)
+        u, v = (float(x) for x in _moller_trumbore(d, eab, eac, acc.face_areas[f], *terms, t_min)[1:])
         return RayHit(f, float(t[0]), np.array([1.0 - u - v, u, v]), A + u * eab + v * eac)
 
     def raycast_batch(self, origins, directions, t_min: float = 0.0):
@@ -333,24 +340,40 @@ def _closest(p, a, b, c) -> tuple:
         return float(d2[0]), float(bary[0, 1]), float(bary[0, 2]), tuple(cp[0].tolist())
 
 
-def _moller_trumbore(O: np.ndarray, D: np.ndarray, A, eab, eac, area, t_min: float):
-    """Moller-Trumbore, rays (O, D) broadcast against faces (A, eab, eac, area).
+def _cross(a, b) -> tuple:
+    # np.cross's products and differences, on (3, ...) rows; a tuple of rows
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _origin_terms(o, A, eab, eac) -> tuple:
+    """Moller-Trumbore's terms that depend on the ray origin o but not on the
+    direction, per face (A, eab, eac): tvec = o - A, qvec = tvec x eab and
+    tnum = eac . qvec. Vectors are (3, ...) rows, broadcast together."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        tvec = o - A
+        qvec = np.array(_cross(tvec, eab))
+        return tvec, qvec, _dot(eac, qvec)
+
+
+def _moller_trumbore(d, eab, eac, area, tvec, qvec, tnum, t_min: float):
+    """Moller-Trumbore, rays along d against faces (eab, eac, area), from the
+    origins whose _origin_terms are (tvec, qvec, tnum). Vectors are (3, ...)
+    rows, broadcast together.
 
     Returns (t, u, v) with t = inf for misses; hits on either side count.
-    Elementwise like the closest-point kernel.
+    Elementwise like the closest-point kernel, and its per-lane operations
+    are those of the textbook form, so the split changes no bit.
     """
-    pvec = np.cross(D, eac)
-    det = _dot3(eab, pvec)
+    pvec = _cross(d, eac)
+    det = _dot(eab, pvec)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv = 1.0 / det
-        tvec = O - A
-        u = _dot3(tvec, pvec) * inv
-        qvec = np.cross(tvec, eab)
-        v = _dot3(D, qvec) * inv
-        t = _dot3(eac, qvec) * inv
-        # det = |D| 2 area sin(the ray's angle to the plane): near 0 u, v and t
-        # are rounding noise, at 0 (parallel rays, zero D) u + v = inf - inf
-        sin_ok = np.abs(det) > np.sqrt(_dot3(D, D)) * area * (2.0 * PARALLEL_SIN)
+        u = _dot(tvec, pvec) * inv
+        v = _dot(d, qvec) * inv
+        t = tnum * inv
+        # det = |d| 2 area sin(the ray's angle to the plane): near 0 u, v and t
+        # are rounding noise, at 0 (parallel rays, zero d) u + v = inf - inf
+        sin_ok = np.abs(det) > np.sqrt(_dot(d, d)) * area * (2.0 * PARALLEL_SIN)
         hit = sin_ok & (u >= -BARY_EPS) & (v >= -BARY_EPS) & (u + v <= 1.0 + BARY_EPS)
     return np.where(hit & (t >= t_min), t, np.inf), u, v
 
@@ -584,9 +607,10 @@ class _Accel:
         d2, cp, bary = closest_point_triangles(P, *(x[best_face] for x in (self.A, self.B, self.C)))
         return d2, best_face, cp, bary
 
-    def _face_boxes(self, o: np.ndarray, frame: np.ndarray):
-        # the faces in front of o with their padded image boxes, (2, faces)
-        # arrays, and those straddling the plane through o normal to w
+    def _face_boxes(self, o: np.ndarray, frame: np.ndarray, image: np.ndarray):
+        # the faces in front of o whose padded image boxes, (2, faces) arrays,
+        # meet the bounding box of the (2, rays) image points, and the faces
+        # straddling the plane through o normal to w
         V = (self.vertices - o).T
         z = _dot(frame[2], V)[self.corners]
         r = np.sqrt(_dot(V, V))[self.corners].max(axis=0)
@@ -597,7 +621,10 @@ class _Accel:
         p = np.array([_dot(e, V)[c] / z for e in frame[:2]])
         lo, hi = p.min(axis=1), p.max(axis=1)
         pad = PAD_REL * (hi - lo) + PAD_ABS * (1.0 + np.maximum(-lo, hi).max(axis=0)) ** 2
-        return binned, lo - pad, hi + pad, other
+        lo, hi = lo - pad, hi + pad
+        q0, q1 = image.min(axis=1)[:, None], image.max(axis=1)[:, None]
+        meet = np.flatnonzero(((lo <= q1) & (hi >= q0)).all(axis=0))
+        return binned[meet], lo[:, meet], hi[:, meet], other
 
     def raycast_batch(self, O: np.ndarray, D: np.ndarray, t_min: float):
         """First hits: (t, face) arrays, t = inf and face = -1 on a miss.
@@ -605,14 +632,22 @@ class _Accel:
         above), so the kernel's (t, face) lex-min is the brute-force one."""
         best_t = np.full(len(O), np.inf)
         best_face = np.full(len(O), len(self.A))  # past every face until a hit
+        D = np.ascontiguousarray(D.T)  # rows, as the groups and the kernel read them
         for rays, image, frame in _ray_groups(O, D):
             o = O[rays[0]]  # the group's rows are this one bit for bit
-            binned, lo, hi, other = self._face_boxes(o, frame)
-            for block, ray, face in _binned_pairs(image, lo, hi):
+            binned, lo, hi, other = self._face_boxes(o, frame, image)
+            # the group's candidate faces, binned then straddling, with their
+            # origin terms computed once; each (ray, face) lane gathers them
+            faces = np.concatenate([binned, other])
+            A, eab, eac = (x[faces].T for x in (self.A, self.eab, self.eac))
+            terms = (eab, eac, self.face_areas[faces], *_origin_terms(o[:, None], A, eab, eac))
+            straddling = np.arange(len(binned), len(faces))
+            for block, ray, k in _binned_pairs(image, lo, hi):
                 ray = np.concatenate([rays[ray], np.repeat(rays[block], len(other))])
-                face = np.concatenate([binned[face], np.tile(other, len(block))])
-                tri = (x.take(face, axis=0) for x in (self.A, self.eab, self.eac, self.face_areas))
-                t = _moller_trumbore(o, D.take(ray, axis=0), *tri, t_min)[0]
+                k = np.concatenate([k, np.tile(straddling, len(block))])
+                lane = (x.take(k, axis=-1) for x in terms)
+                t = _moller_trumbore(D.take(ray, axis=1), *lane, t_min)[0]
+                face = faces[k]
                 # a ray's lanes all lie in this block: its least t, the least
                 # face at that t, and that lane's t (a zero may carry either sign)
                 np.minimum.at(best_t, ray, t)
@@ -624,11 +659,12 @@ class _Accel:
 
 
 def _ray_groups(O: np.ndarray, D: np.ndarray) -> list:
-    # (rays, image, frame) per group of rays that share an origin bit for
-    # bit: each ray d is within 60 degrees of w, the frame's last row, and
-    # image is the (2, rays) array of (d.e1, d.e2) / d.w. A wider group splits
-    # by dominant axis, which keeps each ray within 55 degrees of its axis.
-    # Rays of zero direction hit nothing (det is 0) and join no group
+    # (rays, image, frame) per group of the rays (origins O, directions D as
+    # (3, rays) rows) that share an origin bit for bit: each ray d is within
+    # 60 degrees of w, the frame's last row, and image is the (2, rays) array
+    # of (d.e1, d.e2) / d.w. A wider group splits by dominant axis, which
+    # keeps each ray within 55 degrees of its axis. Rays of zero direction
+    # hit nothing (det is 0) and join no group
     bits = O.view(np.int64)
     if len(O) and (bits == bits[0]).all():
         groups = [np.arange(len(O))]
@@ -638,9 +674,12 @@ def _ray_groups(O: np.ndarray, D: np.ndarray) -> list:
         groups = np.split(order, np.flatnonzero(np.diff(which[order])) + 1)
     out = []
     for rays in groups:
-        d = np.ascontiguousarray(D[rays].T)
+        d = D.take(rays, axis=1)
         scale = np.abs(d).max(axis=0)  # max-norm 1 below: nothing overflows or underflows
-        rays, d = rays[scale > 0.0], d[:, scale > 0.0] / scale[scale > 0.0]
+        moving = scale > 0.0
+        if not moving.all():  # a masked copy of a 43k-ray view costs 1.8 ms
+            rays, d, scale = rays[moving], d[:, moving], scale[moving]
+        d = d / scale
         n = np.sqrt(_dot(d, d))
         w = d @ (1.0 / n)
         wn = math.sqrt(_dot(w, w))
@@ -660,8 +699,9 @@ def _ray_groups(O: np.ndarray, D: np.ndarray) -> list:
 def _binned_pairs(q: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Yields (block, ray, face) for blocks of at most RAY_BLOCK of the (2, n)
     image points q: the block's indices into q, and its pairs of a point in
-    box face of [lo, hi]. The points go on a uniform grid of about
-    RAYS_PER_CELL points per square cell; a block is a run of row-major cells."""
+    box face of [lo, hi], boxes that meet the points' bounding box. The points
+    go on a uniform grid of about RAYS_PER_CELL points per square cell; a
+    block is a run of row-major cells."""
     x, y = q
     (x0, x1), (y0, y1) = (x.min(), x.max()), (y.min(), y.max())
     wx, wy = (float(w) if w > MIN_SPAN else 0.0 for w in (x1 - x0, y1 - y0))
@@ -677,27 +717,28 @@ def _binned_pairs(q: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     order = np.argsort(cell)  # the order within a cell does not matter
     end = np.cumsum(np.bincount(cell, minlength=nx * ny))
     first = np.concatenate([[0], end[:-1]])
-    f = np.flatnonzero((lo[0] <= x1) & (hi[0] >= x0) & (lo[1] <= y1) & (hi[1] >= y0))
-    fx0, fx1 = index(lo[0, f], x0, sx, nx), index(hi[0, f], x0, sx, nx)
-    fy0, fy1 = index(lo[1, f], y0, sy, ny), index(hi[1, f], y0, sy, ny)
+    (lo0, lo1), (hi0, hi1) = lo, hi
+    fx0, fx1 = index(lo0, x0, sx, nx), index(hi0, x0, sx, nx)
+    fy0, fy1 = index(lo1, y0, sy, ny), index(hi1, y0, sy, ny)
     for a in range(0, len(x), RAY_BLOCK):
         b = min(a + RAY_BLOCK, len(x))
         r0, r1 = cell[order[a]] // nx, cell[order[b - 1]] // nx
         k = (fy0 <= r1) & (fy1 >= r0)
         # every (face, cell) pair of each face's cells in the block's rows
-        g, gx, gy, w = f[k], fx0[k], np.maximum(fy0[k], r0), fx1[k] - fx0[k] + 1
+        g, gx, gy, w = np.flatnonzero(k), fx0[k], np.maximum(fy0[k], r0), fx1[k] - fx0[k] + 1
         n = w * (np.minimum(fy1[k], r1) - gy + 1)
         pair = np.repeat(np.arange(len(g)), n)
-        j = np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
-        c = (gy[pair] + j // w[pair]) * nx + gx[pair] + j % w[pair]
+        row, col = np.divmod(np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n), w.take(pair))
+        c = (gy.take(pair) + row) * nx + gx.take(pair) + col
         # every (face, point) pair of those cells in the block, kept where
         # the point is inside the box
-        s = np.maximum(first[c], a)
-        n = np.maximum(np.minimum(end[c], b) - s, 0)
-        face = np.repeat(g[pair], n)
-        ray = order[np.arange(len(face)) - np.repeat(np.cumsum(n) - n - s, n)]
-        qx, qy = x[ray], y[ray]
-        inside = (qx >= lo[0, face]) & (qx <= hi[0, face]) & (qy >= lo[1, face]) & (qy <= hi[1, face])
+        s = np.maximum(first.take(c), a)
+        n = np.maximum(np.minimum(end.take(c), b) - s, 0)
+        face = np.repeat(g.take(pair), n)
+        ray = order.take(np.arange(len(face)) - np.repeat(np.cumsum(n) - n - s, n))
+        qx, qy = x.take(ray), y.take(ray)
+        inside = ((qx >= lo0.take(face)) & (qx <= hi0.take(face))
+                  & (qy >= lo1.take(face)) & (qy <= hi1.take(face)))
         yield order[a:b], ray[inside], face[inside]
 
 
@@ -758,12 +799,15 @@ def save_off(mesh: TriMesh, path) -> None:
 
     save -> load -> save is byte-identical.
     """
-    lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.faces)} 0"]
-    # row by row as in export_log; a whole-array tolist() holds every value at once
-    lines += ["%r %r %r" % tuple(p.tolist()) for p in mesh.vertices]
-    lines += ["3 %d %d %d" % tuple(f.tolist()) for f in mesh.faces]
+    parts = ["OFF", f"{len(mesh.vertices)} {len(mesh.faces)} 0"]
+    # a block of rows at a time as in export_log; a whole-array tolist()
+    # would hold every value as a Python object at once
+    for table, row in ((mesh.vertices, "%r %r %r"), (mesh.faces, "3 %d %d %d")):
+        for a in range(0, len(table), OFF_BLOCK):
+            rows = table[a : a + OFF_BLOCK]
+            parts.append("\n".join([row] * len(rows)) % tuple(rows.ravel().tolist()))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(parts) + "\n")
 
 
 def load_off(path) -> TriMesh:

@@ -13,6 +13,7 @@ result is bit-identical under any permutation of the view list.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -54,12 +55,18 @@ class CameraIntrinsics:
 
     def pixel_dirs(self) -> np.ndarray:
         """(height*width, 3) camera-frame ray directions, z = 1 so the ray
-        parameter equals z-depth."""
+        parameter equals z-depth; one read-only array per camera."""
+        return self._pixel_dirs
+
+    @functools.cached_property
+    def _pixel_dirs(self) -> np.ndarray:
         u = np.arange(self.width, dtype=float)
         v = np.arange(self.height, dtype=float)
         U, V = np.meshgrid(u, v)  # (height, width)
         d = np.stack([(U - self.cx) / self.fx, (V - self.cy) / self.fy, np.ones_like(U)], axis=-1)
-        return d.reshape(-1, 3)
+        d = d.reshape(-1, 3)
+        d.setflags(write=False)
+        return d
 
 
 @dataclass(frozen=True)

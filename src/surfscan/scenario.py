@@ -109,6 +109,10 @@ _PENETRATION = Bound("negative (command penetration)", hi=0.0)
 _AT_LEAST_2 = Bound("at least 2", 2, lo_closed=True)
 # 2 (n - 1)^2 faces, at most 500 000: a phantom too large to allocate is a config error
 _GRID_N = Bound("at least 2 and at most 501", 2, 501, lo_closed=True, hi_closed=True)
+# an image side, and an image of at most 2^21 pixels (1920 x 1080 fits): a
+# camera too large to render is a config error
+_IMAGE_SIDE = Bound("at least 1 and at most 8192", 1, 8192, lo_closed=True, hi_closed=True)
+MAX_PIXELS = 2**21
 
 
 def _spd(value: np.ndarray, name: str) -> None:
@@ -204,11 +208,12 @@ class ScenarioConfig:
     sample_every: int = _key("sim.sample_every", 1, as_int, Bound("at least 1", 1, lo_closed=True))
 
 
-# CameraIntrinsics checks these as a group
+# CameraIntrinsics checks these as a group; parse_config bounds the pixel count
 _CAMERA_INTRINSICS = (
     ConfigKey("camera.fx", 180.0, as_float), ConfigKey("camera.fy", 180.0, as_float),
     ConfigKey("camera.cx", 120.0, as_float), ConfigKey("camera.cy", 90.0, as_float),
-    ConfigKey("camera.width", 240, as_int), ConfigKey("camera.height", 180, as_int),
+    ConfigKey("camera.width", 240, as_int, _IMAGE_SIDE),
+    ConfigKey("camera.height", 180, as_int, _IMAGE_SIDE),
     ConfigKey("camera.depth_noise_sigma", 0.0, as_float),
 )
 _FIELD_KEYS = {f.name: f.metadata["key"] for f in fields(ScenarioConfig) if f.metadata}
@@ -252,6 +257,10 @@ def parse_config(doc, where: str = "config") -> ScenarioConfig:
     if not h <= r:
         raise SchemaError(f"{where}.phantom.cap_height must be in (0, sphere_radius = {r}], got {h}")
     intrinsics = {k.name.partition(".")[2]: k.read(nodes["camera"], where) for k in _CAMERA_INTRINSICS}
+    w, h = intrinsics["width"], intrinsics["height"]
+    if w * h > MAX_PIXELS:
+        raise SchemaError(f"{where}.camera.width x camera.height must be at most {MAX_PIXELS} pixels, "
+                          f"got {w} x {h}")
     try:
         values["camera"] = CameraIntrinsics(**intrinsics)
     except ValueError as exc:

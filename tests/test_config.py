@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from surfscan.cli import main
-from surfscan.scenario import CONFIG_KEYS, Bound, ScenarioConfig, parse_config
+from surfscan.scenario import CONFIG_KEYS, MAX_PIXELS, Bound, ScenarioConfig, parse_config
 from surfscan.schema import SchemaError, as_float, as_int
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -69,11 +69,18 @@ def in_bound_docs(draw):
     for key in BOUNDED:
         if draw(st.booleans()):
             _put(doc, key.name, draw(_in_bound(key)))
-    # the one rule across bounded keys: cap_height <= sphere_radius
+    # the rules across bounded keys: cap_height <= sphere_radius, and
+    # width x height <= MAX_PIXELS with the principal point inside the image
     phantom = doc.get("phantom", {})
     h, r = phantom.get("cap_height", 0.04), phantom.get("sphere_radius", 0.10)
     if h > r:
         phantom["cap_height"], phantom["sphere_radius"] = r, h
+    camera = doc.get("camera", {})
+    if camera.keys() & {"width", "height"}:
+        w, h = camera.get("width", 240), camera.get("height", 180)
+        if w * h > MAX_PIXELS:
+            camera["height"] = h = MAX_PIXELS // w
+        camera["cx"], camera["cy"] = w / 2, h / 2
     return doc
 
 
@@ -125,7 +132,9 @@ def test_in_bound_documents_parse_to_their_values(doc):
         node = doc.get(section, {}) if section else doc
         if name not in node:
             continue
-        got, want = getattr(cfg, ATTRIBUTE[key.name]), node[name]
+        # the camera's keys are read into cfg.camera under their own names
+        got = getattr(cfg, ATTRIBUTE[key.name]) if key.name in ATTRIBUTE else getattr(cfg.camera, name)
+        want = node[name]
         if key.name == "camera.view_angle_deg":
             want = math.radians(want)
         elif _is_gains(key):
@@ -178,6 +187,9 @@ def test_messages_of_the_new_bounds():
         ({"seed": -3}, "config.seed must be non-negative, got -3"),
         ({"phantom": {"grid_n": 502}},
          "config.phantom.grid_n must be at least 2 and at most 501, got 502"),
+        ({"camera": {"width": 8193}}, "config.camera.width must be at least 1 and at most 8192, got 8193"),
+        ({"camera": {"width": 4096, "height": 1024}},
+         "config.camera.width x camera.height must be at most 2097152 pixels, got 4096 x 1024"),
         ({"camera": {"fx": math.inf}},
          "config.camera: focal lengths fx, fy must be positive and finite, got inf, 180.0"),
         ({"camera": {"depth_noise_sigma": math.inf}},
@@ -187,6 +199,21 @@ def test_messages_of_the_new_bounds():
         with pytest.raises(SchemaError) as err:
             parse_config(doc)
         assert str(err.value) == text
+
+
+def test_image_past_the_pixel_bound_exits_2_naming_the_keys(tmp_path, capsys):
+    # each side in bound, the product not: refused while parsing, so no
+    # image of that size is ever allocated
+    cfg, out = tmp_path / "big.yaml", tmp_path / "run"
+    for w, h in ((4096, 1024), (8192, 257), (2049, 1024)):
+        cfg.write_text(yaml.safe_dump({"camera": {"width": w, "height": h}}))
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {cfg}.camera.width x camera.height must be at most {MAX_PIXELS} "
+                       f"pixels, got {w} x {h}\n")
+        assert not out.exists()
+    cam = parse_config({"camera": {"width": 2048, "height": 1024}}).camera  # exactly 2^21
+    assert cam.width * cam.height == MAX_PIXELS == 2**21
 
 
 def test_camera_intrinsics_reject_infinities():

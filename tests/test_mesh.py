@@ -5,7 +5,9 @@ independently (plain if/elif region walk, book ordering) checks values to
 1e-12, and a brute-force pass over all faces with the production kernel
 checks that the hierarchy is exact to the bit, tie-breaks included. Rays
 get an independent oracle via 3x3 linear solves instead of
-Moller-Trumbore.
+Moller-Trumbore, and a bit-exact one in ray_oracle: Moller-Trumbore with
+every term computed per (ray, face) lane, as the kernel's per-origin split
+must reproduce.
 """
 import collections
 import gc
@@ -19,8 +21,8 @@ import pytest
 import surfscan.mesh as mesh_module
 from surfscan.mesh import (
     LEAF_SIZE,
+    OFF_BLOCK,
     TriMesh,
-    _moller_trumbore,
     closest_point_triangles,
     grid_surface_mesh,
     load_off,
@@ -30,8 +32,9 @@ from surfscan.arm import arm_snapshot, reference_arm
 from surfscan.chart import SurfaceChart
 from surfscan.controller import ImpedanceGains, Setpoint
 from surfscan.localization import ScenePlane, orbit_trajectory
-from surfscan.reconstruction import CameraIntrinsics, render_depth
+from surfscan.reconstruction import CameraIntrinsics, extract_mesh, fuse_views, render_depth
 from surfscan.sim import PhantomModel, cap_phantom_mesh, flat_phantom_mesh, simulate
+from ray_oracle import brute_rays, mesh_rays
 
 
 def scalar_closest(p, a, b, c):
@@ -234,31 +237,13 @@ def test_raycast_tie_on_shared_edge_picks_smallest_face():
     i00, _, i11 = FLAT.faces[0]
     o = 0.5 * (FLAT.vertices[i00] + FLAT.vertices[i11]) + np.array([0.0, 0.0, 0.3])
     d = np.array([0.0, 0.0, -1.0])
-    acc = FLAT._accel
-    t_all, _, _ = _moller_trumbore(o, d, acc.A, acc.eab, acc.eac, acc.face_areas, 0.0)
+    t_all = mesh_rays(FLAT, o, d)[0][0]
     tied = np.flatnonzero(t_all == t_all.min())
     assert len(tied) >= 2
     t, face = FLAT.raycast_batch(o[None, :], d[None, :])
     single = FLAT.raycast(o, d)
     assert face[0] == single.face == tied[0]
     assert t[0] == single.t == t_all.min()
-
-
-def brute_rays(mesh, O, D, t_min=0.0):
-    # every ray against every face with the production kernel; the first
-    # minimum of each row is the smallest tied face
-    acc = mesh._accel
-    t = np.full(len(O), np.inf)
-    face = np.full(len(O), -1, dtype=np.int64)
-    for a in range(0, len(O), 64):
-        rows = slice(a, a + 64)
-        t_all, _, _ = _moller_trumbore(O[rows][:, None, :], D[rows][:, None, :], acc.A, acc.eab,
-                                       acc.eac, acc.face_areas, t_min)
-        k = np.argmin(t_all, axis=1)
-        tk = t_all[np.arange(len(k)), k]
-        t[rows] = tk
-        face[rows] = np.where(np.isfinite(tk), k, -1)
-    return t, face
 
 
 def assert_rays_are_brute(mesh, O, D, t_min=0.0):
@@ -339,6 +324,52 @@ def test_rays_in_the_plane_of_a_tilted_sheet_hit_nothing():
     assert not np.isfinite(t).any()
 
 
+def test_distinct_origin_rays_parallel_to_the_faces():
+    # horizontal rays over and in the flat sheet, each from its own origin,
+    # are parallel to every face: det is 0 and all miss. Tilted by a sine of
+    # 1e-7 they stay under PARALLEL_SIN and still miss; by 1e-5 those that
+    # start 1e-9 above the sheet reach it, some only past t_min
+    rng = np.random.default_rng(17)
+    n = 120
+    O = np.column_stack([rng.uniform(-0.09, 0.09, (n, 2)), rng.choice([0.0, 1e-9, 0.01], n)])
+    D = np.column_stack([rng.standard_normal((n, 2)), np.zeros(n)])
+    for t_min in (0.0, 1e-9, 5e-5):
+        t, _ = assert_rays_are_brute(FLAT, O, D, t_min)
+        assert not np.isfinite(t).any()
+        D[:, 2] = -1e-7 * np.linalg.norm(D[:, :2], axis=1)
+        t, _ = assert_rays_are_brute(FLAT, O, D, t_min)
+        assert not np.isfinite(t).any()
+        D[:, 2] *= 100.0
+        t, _ = assert_rays_are_brute(FLAT, O, D, t_min)
+        assert np.isfinite(t[O[:, 2] == 1e-9]).any() and not np.isfinite(t[O[:, 2] == 0.01]).any()
+        D[:, 2] = 0.0
+
+
+def test_raycast_weights_and_point_are_the_per_lane_formula():
+    # raycast recomputes its winner's u and v with the split kernel; they,
+    # the weights and the point must be the per-lane formula's bit for bit
+    rng = np.random.default_rng(18)
+    hits = 0
+    for mesh in (BUMPY, FLAT):
+        acc = mesh._accel
+        for _ in range(60):
+            o = np.array([*rng.uniform(-0.12, 0.12, 2), rng.uniform(0.05, 0.3)])
+            d = np.array([*rng.uniform(-0.4, 0.4, 2), -1.0])
+            t_min = float(rng.choice([0.0, 0.05]))
+            hit = mesh.raycast(o, d, t_min)
+            t_all, u_all, v_all = (x[0] for x in mesh_rays(mesh, o, d, t_min))
+            k = int(np.argmin(t_all))
+            if not np.isfinite(t_all[k]):
+                assert hit is None
+                continue
+            hits += 1
+            u, v = u_all[k], v_all[k]
+            assert (hit.face, hit.t) == (k, t_all[k])
+            assert hit.barycentric.tobytes() == np.array([1.0 - u - v, u, v]).tobytes()
+            assert hit.point.tobytes() == (acc.A[k] + u * acc.eab[k] + v * acc.eac[k]).tobytes()
+    assert hits > 60
+
+
 @pytest.mark.parametrize("span", [1e-310, 1e-300, 1e-20, 1e-13])
 def test_raycast_fan_with_a_vanishing_image_span(span):
     # the fan's image y-extent is 49 span, down to subnormal, where a ratio
@@ -399,7 +430,7 @@ def test_wide_ray_fans_split_into_groups_and_stay_brute_force():
     wide = rng.standard_normal((200, 3))
     for D, groups in ((narrow, 1), (wide, 6)):
         O = np.broadcast_to(o, D.shape)
-        assert len(list(mesh_module._ray_groups(O, D))) == groups
+        assert len(list(mesh_module._ray_groups(O, D.T))) == groups
         t, _ = assert_rays_are_brute(BUMPY, np.ascontiguousarray(O), D)
         assert np.isfinite(t).sum() > len(D) // 4
     assert not np.isfinite(t).all()  # the wide fan's upward rays miss
@@ -946,6 +977,34 @@ def test_off_bytes_match_repr_formatting(tmp_path):
     cap = cap_phantom_mesh(np.zeros(3))
     save_off(cap, path)
     assert path.read_bytes() == fstring_off(cap.vertices, cap.faces)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_off_blocks_are_the_row_at_a_time_form(tmp_path, n):
+    # one row short of a block, a block, and a block and one row
+    rng = np.random.default_rng(n)
+    vertices = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    vertices[::7] = np.round(vertices[::7], 2)
+    faces = rng.integers(0, 2**62, (n, 3))
+    path = tmp_path / "block.off"
+    save_off(SimpleNamespace(vertices=vertices, faces=faces), path)
+    assert path.read_bytes() == fstring_off(vertices, faces)
+
+
+def test_off_round_trip_is_byte_identical_on_cap_and_reconstruction(tmp_path):
+    cap = cap_phantom_mesh(np.zeros(3))
+    cam = CameraIntrinsics(30.0, 30.0, 20.0, 15.0, 40, 30)
+    plane = ScenePlane(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    orbit = orbit_trajectory(plane, 4, math.radians(45.0), 0.30)
+    views = [render_depth(cap, cam, pose) for pose in orbit]
+    recon = extract_mesh(fuse_views(views, plane, 0.01))
+    for mesh in (cap, recon):
+        p1, p2 = tmp_path / "a.off", tmp_path / "b.off"
+        save_off(mesh, p1)
+        assert p1.read_bytes() == fstring_off(mesh.vertices, mesh.faces)
+        save_off(load_off(p1), p2)
+        assert p2.read_bytes() == p1.read_bytes()
+    assert recon.n_faces > OFF_BLOCK
 
 
 def test_off_rejects_garbage(tmp_path):

@@ -1,7 +1,9 @@
 """Property tests: accelerated mesh queries against brute force, bit for bit.
 
 The oracle runs the production kernels over every face at once and takes
-the lex-min over (value, face index), which is the documented tie-break.
+the lex-min over (value, face index), which is the documented tie-break;
+for rays it runs ray_oracle's per-lane Moller-Trumbore, the form the
+kernel's per-origin split replaces.
 The batched closest-point query, the unhinted single query and the single
 query with an arbitrary valid hint must all return exactly that face,
 distance, point and barycentric weights, and so must a coherent stream
@@ -24,11 +26,11 @@ from hypothesis import strategies as st
 import surfscan.mesh as mesh_module
 from surfscan.mesh import (
     TriMesh,
-    _moller_trumbore,
     closest_point_scalar,
     closest_point_triangles,
     grid_surface_mesh,
 )
+from ray_oracle import brute_rays, mesh_rays
 from test_mesh import assert_same_tree
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -150,7 +152,6 @@ def test_coherent_hinted_stream_is_brute_force(case, skin, seed):
 @given(meshes(), st.integers(0, 2**32 - 1))
 def test_rays_are_brute_force(mesh, seed):
     rng = np.random.default_rng(seed)
-    acc = mesh._accel
     n = 20
     # 8 rays aim straight down through vertices, where faces tie; 4 run
     # along +-x or +-y through a vertex, so two direction components are
@@ -166,7 +167,7 @@ def test_rays_are_brute_force(mesh, seed):
     O[side, axis], D[side, axis] = -0.15 * sign, sign
     t, face = mesh.raycast_batch(O, D)
     for i in range(n):
-        t_all, _, _ = _moller_trumbore(O[i], D[i], acc.A, acc.eab, acc.eac, acc.face_areas, 0.0)
+        t_all = mesh_rays(mesh, O[i], D[i])[0][0]
         k = int(np.argmin(t_all))  # first minimum: smallest tied face
         single = mesh.raycast(O[i], D[i])
         if not np.isfinite(t_all[k]):
@@ -174,16 +175,6 @@ def test_rays_are_brute_force(mesh, seed):
             continue
         assert (face[i], t[i]) == (k, t_all[k])
         assert (single.face, single.t) == (k, t_all[k])
-
-
-def brute_rays(mesh, O, D, t_min):
-    # every ray against every face; the first minimum is the smallest tied face
-    acc = mesh._accel
-    t_all, _, _ = _moller_trumbore(
-        O[:, None, :], D[:, None, :], acc.A, acc.eab, acc.eac, acc.face_areas, t_min)
-    k = np.argmin(t_all, axis=1)
-    t = t_all[np.arange(len(k)), k]
-    return t, np.where(np.isfinite(t), k, -1)
 
 
 @st.composite

@@ -157,6 +157,31 @@ def test_backprojection_inverts_projection():
         assert abs(expect[2]) < 1e-9  # landed on the z=0 floor
 
 
+def test_pixel_dirs_is_one_read_only_table_per_camera(monkeypatch):
+    cam = CameraIntrinsics(fx=50.0, fy=40.0, cx=15.5, cy=10.0, width=31, height=20)
+    dirs = cam.pixel_dirs()
+    assert dirs is cam.pixel_dirs()
+    # the pinhole formula, one pixel at a time in row-major order
+    want = [((u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0)
+            for v in range(cam.height) for u in range(cam.width)]
+    assert dirs.tobytes() == np.array(want).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        dirs[0, 0] = 1.0
+    twin = CameraIntrinsics(fx=50.0, fy=40.0, cx=15.5, cy=10.0, width=31, height=20)
+    assert twin == cam and twin.pixel_dirs() is not dirs  # one table per record
+    seen = []
+
+    def spy(self):
+        seen.append(self._pixel_dirs)
+        return seen[-1]
+    monkeypatch.setattr(CameraIntrinsics, "pixel_dirs", spy)
+    pose = Pose(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.0, 0.3]))
+    img = render_depth(flat_mesh(), cam, pose)
+    img.backproject()
+    assert len(seen) == 2 and all(x is dirs for x in seen)
+    assert np.allclose(img.depths, 0.3, rtol=0.0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # fuse_views
 # ---------------------------------------------------------------------------

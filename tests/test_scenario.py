@@ -130,12 +130,13 @@ def test_bad_scalar_values_rejected():
             parse_config({section: {key: value}})
     with pytest.raises(SchemaError, match="raster.half_extents"):
         parse_config({"raster": {"half_extents": [0.03, float("nan")]}})
-    # intrinsics errors are config errors that name the camera field
-    for key, value in (
-        ("width", 0), ("height", -1), ("fx", 0.0), ("fy", float("nan")), ("cx", 500.0),
-        ("depth_noise_sigma", -0.1),
-    ):
+    # intrinsics errors are config errors that name the camera field; the
+    # image size is bounded in its declarations, which name the key
+    for key, value in (("fx", 0.0), ("fy", float("nan")), ("cx", 500.0), ("depth_noise_sigma", -0.1)):
         with pytest.raises(SchemaError, match=f"config.camera: .*{key}"):
+            parse_config({"camera": {key: value}})
+    for key, value in (("width", 0), ("height", -1)):
+        with pytest.raises(SchemaError, match=f"config.camera.{key} must be at least 1 "):
             parse_config({"camera": {key: value}})
     cfg = parse_config({"sim": {"dt": 5e-3}, "controller": {"nullspace_gain": 0.0}})
     assert (cfg.dt, cfg.nullspace_gain) == (5e-3, 0.0)
@@ -743,7 +744,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     code = main(["reconstruct", "--config", str(bad), "--out", str(tmp_path / "run")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "camera:" in err and "width" in err and "Traceback" not in err
+    assert "camera.width" in err and "Traceback" not in err
     # files the config names: one error line naming the file, no --out
     model = tmp_path / "arm_bogus.yaml"
     save_arm_model(reference_arm(), model)
