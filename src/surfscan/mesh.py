@@ -16,8 +16,9 @@ the root, nearer child first, and leaves a Verlet list (Verlet, Phys. Rev.
 159, 1967): the faces within its winner's distance plus SKIN, and a guard
 radius that all others lie beyond. A query hinted with that winner
 evaluates only the list while the guard certifies its winner. Batched
-queries walk the tree breadth first over (point, node) pairs, seeded by a
-greedy descent.
+queries walk the tree breadth first over (point, node) pairs: a greedy
+descent seeds each point's bound, and the bounded pass starts at the
+siblings the descent passed over.
 
 Rays use Moller-Trumbore with double-sided hits (Moller and Trumbore, "Fast,
 Minimum Storage Ray-Triangle Intersection", 1997). Rays that share an origin
@@ -43,8 +44,9 @@ import numpy as np
 from .geometry import plane_basis
 
 LEAF_SIZE = 8
-POINT_BLOCK = 1024  # points per batched traversal; bounds its working set
-PAIR_CHUNK = 256  # (point, leaf) pairs per kernel call; bounds its temporaries
+# both swept together over mesh_error's batches on the cap (BENCH_sibling_walk.json)
+POINT_BLOCK = 4096  # points per batched traversal; bounds its working set (~4 MiB)
+PAIR_CHUNK = 512  # (point, leaf) pairs per kernel call; bounds its temporaries
 SKIN = 5e-4  # m: a nearest list entry holds the faces within its winner's distance plus this
 RAY_BLOCK = 4096  # rays per binning pass; bounds its working set
 RAYS_PER_CELL = 2  # mean rays per cell of a pass's image-space grid
@@ -158,13 +160,16 @@ class TriMesh:
         return self._accel.nearest(np.asarray(p, dtype=float).reshape(3), hint)
 
     def closest_points(self, points):
-        """Vectorised closest_point over an (n, 3) array of points.
+        """Vectorised closest_point over an (n, 3) array of points; any other
+        shape is a ValueError.
 
         Returns (distance, face, point, barycentric) arrays of shapes
         (n,), (n,), (n, 3) and (n, 3); row i is bit-identical to
         closest_point(points[i]), tie-break and sign included.
         """
-        P = np.asarray(points, dtype=float).reshape(-1, 3)
+        P = np.asarray(points, dtype=float)
+        if P.ndim != 2 or P.shape[1] != 3:
+            raise ValueError(f"points must be (n, 3); got {P.shape}")
         if not np.all(np.isfinite(P)):
             raise ValueError("query points must be finite")
         acc = self._accel
@@ -575,30 +580,37 @@ class _Accel:
 
         Both passes walk the tree breadth first over (point, node) pairs.
         The seed pass follows each point's greedy nearer-box descent to one
-        leaf, whose lex-min bounds the point. The bounded pass keeps the
-        pairs whose box distance ties or beats that bound; the lex-min over
-        every leaf it reaches is the brute-force winner.
+        leaf, whose lex-min bounds the point, and keeps each sibling it
+        passed over with that sibling's box distance. Every other leaf lies
+        under exactly one of those siblings, so the bounded pass starts at
+        them: it keeps the pairs whose box distance ties or beats the bound,
+        and the lex-min over every leaf it reaches is the brute-force
+        winner. No (point, node) box distance is computed twice.
         """
         n = len(P)
         seed = np.zeros(n, dtype=np.int64)
-        inner = np.arange(n)
+        inner = np.arange(n)[self.count[seed] == 0]  # none when the root is a leaf
+        passed = [(inner[:0], inner[:0], np.zeros(0))]  # (point, sibling, its box distance)
         while len(inner):
             l, Q = self.left[seed[inner]], P[inner]
-            seed[inner] = np.where(self._box_d2(Q, l) <= self._box_d2(Q, l + 1), l, l + 1)
+            gl, gr = self._box_d2(Q, l), self._box_d2(Q, l + 1)
+            near = gl <= gr
+            seed[inner] = np.where(near, l, l + 1)
+            passed.append((inner, np.where(near, l + 1, l), np.where(near, gr, gl)))
             inner = inner[self.count[seed[inner]] == 0]
         pt = np.arange(n)
         bound, seed_face = self._point_min(P, pt, seed)
         found = [(pt, bound, seed_face)]
-        node = np.zeros(n, dtype=np.int64)
+        pt, node, g2 = (np.concatenate(x) for x in zip(*passed))
         while len(pt):
-            # seed leaves are done; inner nodes never equal a seed
-            keep = (self._box_d2(P[pt], node) <= bound[pt]) & (node != seed[pt])
+            keep = g2 <= bound[pt]
             pt, node = pt[keep], node[keep]
             at_leaf = self.count[node] > 0
             found.append((pt[at_leaf], *self._point_min(P, pt[at_leaf], node[at_leaf])))
             pt, node = pt[~at_leaf], node[~at_leaf]
             pt = np.concatenate([pt, pt])
             node = np.concatenate([self.left[node], self.left[node] + 1])
+            g2 = self._box_d2(P[pt], node)
         pt, d2, face = (np.concatenate(x) for x in zip(*found))
         order = np.lexsort((face, d2, pt))
         pt = pt[order]

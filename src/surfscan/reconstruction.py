@@ -256,6 +256,8 @@ def mesh_error(
     Draws n_samples area-weighted points on each mesh and measures the
     unsigned distance to the other; rms pools both directions.
     """
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be at least 1; got {n_samples}")
     rng = np.random.default_rng(seed)
     d = []
     for src, dst in ((recon, truth), (truth, recon)):

@@ -547,6 +547,10 @@ def test_closest_points_rows_match_single_queries():
     assert len(BUMPY.closest_points(np.empty((0, 3)))[0]) == 0
     with pytest.raises(ValueError, match="finite"):
         BUMPY.closest_points(np.array([[0.0, np.nan, 0.0]]))
+    # only (n, 3): a (2, 6) array is not four points, nor a 3-vector one
+    for shape in ((2, 6), (3,), (2, 3, 1), (0,)):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            BUMPY.closest_points(np.zeros(shape))
     # the single query, unhinted and hinted with a face whose list is filled
     hint = BUMPY.closest_point(np.zeros(3)).face
     for h in (None, hint):
@@ -601,6 +605,58 @@ def test_deep_tree_walk_from_near_and_far_hints():
         assert single_bits(mesh, p, hint) == want
         assert single_bits(mesh, p, int(far[i])) == want
         hint = int(face[i])
+
+
+def cap_batch(n, seed):
+    # mesh_error-like points on the cap: surface samples moved up to 2 mm
+    # off it, with every 10th a distinct vertex (where faces tie) and every
+    # 25th a point up to half a metre away
+    mesh = cap_phantom_mesh(np.zeros(3))
+    rng = np.random.default_rng(seed)
+    pts = mesh.sample_surface(n, rng) + rng.uniform(-2e-3, 2e-3, (n, 3))
+    pts[::10] = mesh.vertices[rng.choice(len(mesh.vertices), len(pts[::10]), replace=False)]
+    pts[5::25] = rng.uniform(-0.5, 0.5, (len(pts[5::25]), 3))
+    return mesh, pts
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 15, 303])
+def test_closest_points_across_point_blocks(n, monkeypatch):
+    # batches split into blocks of 7 points, one block and a part, against
+    # unhinted single queries bit for bit
+    monkeypatch.setattr(mesh_module, "POINT_BLOCK", 7)
+    mesh, pts = cap_batch(n, seed=31)
+    dist, face, point, bary = mesh.closest_points(pts)
+    assert dist.shape == face.shape == (n,) and point.shape == bary.shape == (n, 3)
+    assert_chain_is_batched(mesh, pts, [None] * n)
+
+
+@pytest.mark.parametrize("k", [1, LEAF_SIZE, LEAF_SIZE + 1, 2 * LEAF_SIZE + 1])
+def test_closest_points_on_root_leaves_and_shallow_trees(k):
+    # a root leaf has no descent and no passed-over sibling
+    mesh = TriMesh(BUMPY.vertices, BUMPY.faces[:: len(BUMPY.faces) // k][:k])
+    pts = np.vstack([mesh.vertices[mesh.faces[0]], np.random.default_rng(k).uniform(-0.15, 0.15, (20, 3))])
+    assert_chain_is_batched(mesh, pts, [None] * len(pts))
+
+
+def test_batched_walk_tests_each_box_once():
+    # the bounded pass starts at the siblings the descent passed over, so
+    # no (point, node) box distance is computed twice in one block
+    mesh, pts = cap_batch(2000, seed=32)
+    acc = mesh._accel
+    row = {p.tobytes(): i for i, p in enumerate(pts)}
+    assert len(row) == len(pts)
+    tested = collections.Counter()
+    box_d2 = acc._box_d2
+
+    def counted(P, node):
+        tested.update(zip([row[p.tobytes()] for p in P], np.broadcast_to(node, len(P)).tolist()))
+        return box_d2(P, node)
+
+    acc._box_d2 = counted
+    acc.nearest_batch(pts)
+    del acc._box_d2
+    assert len(tested) > 20 * len(pts)
+    assert max(tested.values()) == 1
 
 
 def assert_chain_is_batched(mesh, pts, hints=None):

@@ -324,6 +324,13 @@ def test_normal_offset_reads_one_millimetre():
     assert abs(err["hausdorff"] - 0.001) < 0.05e-3
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_mesh_error_needs_a_sample(n):
+    mesh = flat_mesh(n=5)
+    with pytest.raises(ValueError, match="n_samples"):
+        mesh_error(mesh, mesh, n_samples=n)
+
+
 def test_cap_reconstruction_error_below_grid_resolution(cap_orbit):
     mesh, field = cap_orbit
     recon = extract_mesh(field)
