@@ -2,23 +2,28 @@
 
 The closest-point kernel is a vectorised transcription of the classic
 point-vs-triangle Voronoi-region case analysis (Ericson, Real-Time
-Collision Detection, 5.1.5). It backs the exhaustive reference path and
-the batched traversal; the single-point walk runs a scalar transcription
-that rounds identically. Accelerated queries reproduce the brute-force
-result bit for bit, including the (distance, face index) tie-break.
+Collision Detection, 5.1.5). It backs the exhaustive reference path and,
+on contiguous (3, lanes) rows with the same operations per lane, the
+batched distance traversal; the single-point walk runs a scalar
+transcription that rounds identically. Accelerated queries reproduce the
+brute-force result bit for bit, including the single query's (distance,
+face index) tie-break.
 
 Point queries use a median-split AABB tree over face boxes, built and
 numbered level by level (a right child is its left + 1), whose leaves list
 their faces in ascending order and whose boxes are padded against
-rounding; traversal never prunes a node whose lower bound ties the current
-best, which is what makes the tie-break exact. A single query walks from
-the root, nearer child first, and leaves a Verlet list (Verlet, Phys. Rev.
-159, 1967): the faces within its winner's distance plus SKIN, and a guard
-radius that all others lie beyond. A query hinted with that winner
-evaluates only the list while the guard certifies its winner. Batched
-queries walk the tree breadth first over (point, node) pairs: a greedy
-descent seeds each point's bound, and the bounded pass starts at the
-siblings the descent passed over.
+rounding, so a face's kernel distance is never below its box's. A single
+query never prunes a node whose lower bound ties its current best, which
+is what makes the tie-break exact. It walks from the root, nearer child
+first, and leaves a Verlet list (Verlet, Phys. Rev. 159, 1967): the faces
+within its winner's distance plus SKIN, and a guard radius that all
+others lie beyond. A query hinted with that winner evaluates only the
+list while the guard certifies its winner. Batched queries answer
+unsigned distances alone, so they need no tie-break: they walk the tree
+breadth first over (point, node) pairs, a greedy descent seeds each
+point's bound, the bounded pass starts at the siblings the descent passed
+over, keeps only boxes strictly nearer than the bound, and each leaf it
+reaches lowers the bound.
 
 Rays use Moller-Trumbore with double-sided hits (Moller and Trumbore, "Fast,
 Minimum Storage Ray-Triangle Intersection", 1997). Rays that share an origin
@@ -44,9 +49,9 @@ import numpy as np
 from .geometry import plane_basis
 
 LEAF_SIZE = 8
-# both swept together over mesh_error's batches on the cap (BENCH_sibling_walk.json)
-POINT_BLOCK = 4096  # points per batched traversal; bounds its working set (~4 MiB)
-PAIR_CHUNK = 512  # (point, leaf) pairs per kernel call; bounds its temporaries
+# both swept together over mesh_error's batches on the cap (BENCH_distance_walk.json)
+POINT_BLOCK = 4096  # points per batched traversal; bounds its working set (~3 MiB)
+PAIR_CHUNK = 384  # (point, leaf) pairs per kernel call; bounds its temporaries
 SKIN = 5e-4  # m: a nearest list entry holds the faces within its winner's distance plus this
 RAY_BLOCK = 4096  # rays per binning pass; bounds its working set
 RAYS_PER_CELL = 2  # mean rays per cell of a pass's image-space grid
@@ -153,19 +158,18 @@ class TriMesh:
         taken when the list's guard radius proves that no other face can win
         or tie; otherwise the tree is walked. So the result is bit-identical
         with any hint or none, whatever queries came before; a good hint (the
-        winner of a nearby previous query) skips the walk. NaN is a ValueError.
+        winner of a nearby previous query) skips the walk. A NaN or infinite
+        coordinate is a ValueError.
         """
         if hint is not None and not 0 <= hint < self.n_faces:
             raise ValueError(f"hint face {hint} out of range")
         return self._accel.nearest(np.asarray(p, dtype=float).reshape(3), hint)
 
-    def closest_points(self, points):
-        """Vectorised closest_point over an (n, 3) array of points; any other
-        shape is a ValueError.
+    def distances(self, points) -> np.ndarray:
+        """Unsigned distances from an (n, 3) array of finite points to the
+        mesh; any other shape, or a NaN or infinite entry, is a ValueError.
 
-        Returns (distance, face, point, barycentric) arrays of shapes
-        (n,), (n,), (n, 3) and (n, 3); row i is bit-identical to
-        closest_point(points[i]), tie-break and sign included.
+        Entry i is abs(closest_point(points[i]).distance) bit for bit.
         """
         P = np.asarray(points, dtype=float)
         if P.ndim != 2 or P.shape[1] != 3:
@@ -174,11 +178,7 @@ class TriMesh:
             raise ValueError("query points must be finite")
         acc = self._accel
         blocks = range(0, max(len(P), 1), POINT_BLOCK)
-        parts = [acc.nearest_batch(P[a : a + POINT_BLOCK]) for a in blocks]
-        d2, face, cp, bary = (np.concatenate(x) for x in zip(*parts))
-        dist = np.sqrt(d2)
-        below = _dot3(P - cp, acc.face_normals[face]) < 0.0
-        return np.where(below, -dist, dist), face, cp, bary
+        return np.sqrt(np.concatenate([acc.distance_batch(P[a : a + POINT_BLOCK]) for a in blocks]))
 
     def raycast(self, origin, direction, t_min: float = 0.0) -> "RayHit | None":
         """First hit along one ray: raycast_batch on a batch of one."""
@@ -258,9 +258,26 @@ def closest_point_triangles(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.n
     elementwise arithmetic, so a (point, face) result does not depend on
     what else is in the batch; the hierarchy relies on that.
     """
+    ab, ac, u, v = _region_weights(p, A, B, C, _dot3)
+    cp = A + u[..., None] * ab + v[..., None] * ac
+    diff = p - cp
+    return _dot3(diff, diff), cp, np.stack([1.0 - u - v, u, v], axis=-1)
+
+
+def _lane_d2(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    # closest_point_triangles' d2 alone, on (3, lanes) rows: the same
+    # operations on each lane, over contiguous rows
+    ab, ac, u, v = _region_weights(p, A, B, C, _dot)
+    diff = p - (A + u * ab + v * ac)
+    return _dot(diff, diff)
+
+
+def _region_weights(p, A, B, C, dot) -> tuple:
+    # (ab, ac, u, v): the kernel's edges and its weights on B and C, with
+    # dot the 3-vector product of the layout (_dot3 or, on rows, _dot)
     ab, ac, ap, bp, cp_ = B - A, C - A, p - A, p - B, p - C
-    d1, d2_, d3, d4 = _dot3(ab, ap), _dot3(ac, ap), _dot3(ab, bp), _dot3(ac, bp)
-    d5, d6 = _dot3(ab, cp_), _dot3(ac, cp_)
+    d1, d2_, d3, d4 = dot(ab, ap), dot(ac, ap), dot(ab, bp), dot(ac, bp)
+    d5, d6 = dot(ab, cp_), dot(ac, cp_)
     va, vb, vc = d3 * d6 - d5 * d4, d5 * d2_ - d1 * d6, d1 * d4 - d3 * d2_
     in_a = (d1 <= 0.0) & (d2_ <= 0.0)
     in_b = (d3 >= 0.0) & (d4 <= d3)
@@ -280,9 +297,7 @@ def closest_point_triangles(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.n
     for region, u_r, v_r in ((on_bc, 1.0 - t_bc, t_bc), (on_ac, 0.0, t_ac), (on_ab, t_ab, 0.0),
                              (in_c, 0.0, 1.0), (in_b, 1.0, 0.0), (in_a, 0.0, 0.0)):
         u, v = np.where(region, u_r, u), np.where(region, v_r, v)
-    cp = A + u[..., None] * ab + v[..., None] * ac
-    diff = p - cp
-    return _dot3(diff, diff), cp, np.stack([1.0 - u - v, u, v], axis=-1)
+    return ab, ac, u, v
 
 
 def _dot(a, b) -> float:
@@ -489,6 +504,8 @@ class _Accel:
     def nearest(self, p: np.ndarray, hint: int | None = None) -> ClosestHit:
         p = p.tolist()
         px, py, pz = p
+        if not math.isfinite(px + py + pz) and not all(map(math.isfinite, p)):
+            raise ValueError(f"query point must be finite; got {p}")
         entry, best_d2, cut, guard = self.entries.get(hint), math.inf, math.inf, 0.0
         if entry is not None:
             # the hint's list: rows nearest its anchor first, all other faces at
@@ -547,77 +564,68 @@ class _Accel:
                 if hit[0] < best_d2 or (hit[0] == best_d2 and f < win):
                     best, best_d2, win = hit, hit[0], f
                     bound = max(best_d2, (math.sqrt(best_d2) + SKIN) ** 2)
-        if win == len(self.A):  # no comparison held: a NaN coordinate
-            raise ValueError("query point must not be NaN")
         rows = sorted((math.sqrt(d2), f, a, b, c) for d2, f, a, b, c in seen if d2 <= bound)
         guard2 = min([guard2] + [d2 for d2, *_ in seen if d2 > bound])
         self.entries[win] = (p, rows, math.sqrt(guard2))
         return best, win
 
-    def _box_d2(self, P: np.ndarray, node) -> np.ndarray:
-        # squared point-box distance per row; node is one index or one per row
-        g = np.maximum(np.maximum(self.bmin[node] - P, P - self.bmax[node]), 0.0)
-        return _dot3(g, g)
+    def _box_d2(self, P: np.ndarray, node: np.ndarray) -> np.ndarray:
+        # squared distance from each point of the (3, k) rows P to its node's box
+        lo, hi = (x.T.take(node, axis=1) for x in (self.bmin, self.bmax))
+        g = np.maximum(np.maximum(lo - P, P - hi), 0.0)
+        return _dot(g, g)
 
-    def _point_min(self, P: np.ndarray, pt: np.ndarray, leaf: np.ndarray):
-        # (d2, face) lex-min of each (point, leaf) pair, a chunk of pairs at
-        # a time against their (chunk, LEAF_SIZE) face rows; rows of
-        # leaf_faces ascend, so argmin picks the smallest tied face
+    def _point_min(self, P: np.ndarray, pt: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+        # least kernel d2 of each (point, leaf) pair, PAIR_CHUNK pairs at a
+        # time: their LEAF_SIZE lanes each, as (3, lanes) rows of the point
+        # (a column of P's rows) and of the leaf_faces row's corners
         val = np.empty(len(leaf))
-        face = np.empty(len(leaf), dtype=np.int64)
         for a in range(0, len(leaf), PAIR_CHUNK):
             rows = slice(a, a + PAIR_CHUNK)
-            f = self.leaf_faces[leaf[rows]]
-            d2 = closest_point_triangles(P[pt[rows]][:, None, :], self.A[f], self.B[f], self.C[f])[0]
-            k = np.argmin(d2, axis=1)
-            r = np.arange(len(k))
-            val[rows] = d2[r, k]
-            face[rows] = f[r, k]
-        return val, face
+            f = self.leaf_faces[leaf[rows]].ravel()
+            p = P.take(np.repeat(pt[rows], LEAF_SIZE), axis=1)
+            d2 = _lane_d2(p, *(x.T.take(f, axis=1) for x in (self.A, self.B, self.C)))
+            val[rows] = d2.reshape(-1, LEAF_SIZE).min(axis=1)
+        return val
 
-    def nearest_batch(self, P: np.ndarray):
-        """Unsigned nearest for many points: (d2, face, cp, bary) arrays.
+    def distance_batch(self, P: np.ndarray) -> np.ndarray:
+        """Squared unsigned distances of many points to the mesh.
 
         Both passes walk the tree breadth first over (point, node) pairs.
         The seed pass follows each point's greedy nearer-box descent to one
-        leaf, whose lex-min bounds the point, and keeps each sibling it
-        passed over with that sibling's box distance. Every other leaf lies
-        under exactly one of those siblings, so the bounded pass starts at
-        them: it keeps the pairs whose box distance ties or beats the bound,
-        and the lex-min over every leaf it reaches is the brute-force
-        winner. No (point, node) box distance is computed twice.
+        leaf, whose least kernel d2 bounds the point, and keeps each sibling
+        it passed over with that sibling's box distance. Every other leaf
+        lies under exactly one of those siblings, so the bounded pass starts
+        at them: it keeps the pairs whose box distance is strictly below the
+        bound, and each reached leaf lowers its point's bound. The box pad
+        puts every face's kernel d2 at or above its box distance, so a
+        dropped box holds nothing below the bound, and the least d2 is the
+        brute-force winner's. A point on a face ends at its seed leaf. No
+        (point, node) box distance is computed twice.
         """
-        n = len(P)
+        n, P = len(P), np.ascontiguousarray(P.T)  # (3, n) rows from here on
         seed = np.zeros(n, dtype=np.int64)
         inner = np.arange(n)[self.count[seed] == 0]  # none when the root is a leaf
         passed = [(inner[:0], inner[:0], np.zeros(0))]  # (point, sibling, its box distance)
         while len(inner):
-            l, Q = self.left[seed[inner]], P[inner]
+            l, Q = self.left[seed[inner]], P.take(inner, axis=1)
             gl, gr = self._box_d2(Q, l), self._box_d2(Q, l + 1)
             near = gl <= gr
             seed[inner] = np.where(near, l, l + 1)
             passed.append((inner, np.where(near, l + 1, l), np.where(near, gr, gl)))
             inner = inner[self.count[seed[inner]] == 0]
-        pt = np.arange(n)
-        bound, seed_face = self._point_min(P, pt, seed)
-        found = [(pt, bound, seed_face)]
+        bound = self._point_min(P, np.arange(n), seed)
         pt, node, g2 = (np.concatenate(x) for x in zip(*passed))
         while len(pt):
-            keep = g2 <= bound[pt]
+            keep = g2 < bound[pt]
             pt, node = pt[keep], node[keep]
             at_leaf = self.count[node] > 0
-            found.append((pt[at_leaf], *self._point_min(P, pt[at_leaf], node[at_leaf])))
+            np.minimum.at(bound, pt[at_leaf], self._point_min(P, pt[at_leaf], node[at_leaf]))
             pt, node = pt[~at_leaf], node[~at_leaf]
             pt = np.concatenate([pt, pt])
             node = np.concatenate([self.left[node], self.left[node] + 1])
-            g2 = self._box_d2(P[pt], node)
-        pt, d2, face = (np.concatenate(x) for x in zip(*found))
-        order = np.lexsort((face, d2, pt))
-        pt = pt[order]
-        best_face = face[order[np.diff(pt, prepend=-1) != 0]]
-        # recomputing the winners alone reproduces their batch lanes exactly
-        d2, cp, bary = closest_point_triangles(P, *(x[best_face] for x in (self.A, self.B, self.C)))
-        return d2, best_face, cp, bary
+            g2 = self._box_d2(P.take(pt, axis=1), node)
+        return bound
 
     def _face_boxes(self, o: np.ndarray, frame: np.ndarray, image: np.ndarray):
         # the faces in front of o whose padded image boxes, (2, faces) arrays,

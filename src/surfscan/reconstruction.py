@@ -262,7 +262,7 @@ def mesh_error(
     d = []
     for src, dst in ((recon, truth), (truth, recon)):
         pts = src.sample_surface(n_samples, rng)
-        d.append(np.abs(dst.closest_points(pts)[0]))
+        d.append(dst.distances(pts))
     both = np.concatenate(d)
     return {
         "rms": float(np.sqrt(np.mean(both**2))),

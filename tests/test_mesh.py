@@ -34,6 +34,7 @@ from surfscan.controller import ImpedanceGains, Setpoint
 from surfscan.localization import ScenePlane, orbit_trajectory
 from surfscan.reconstruction import CameraIntrinsics, extract_mesh, fuse_views, render_depth
 from surfscan.sim import PhantomModel, cap_phantom_mesh, flat_phantom_mesh, simulate
+from nearest_oracle import closest_points
 from ray_oracle import brute_rays, mesh_rays
 
 
@@ -538,24 +539,38 @@ def test_level_build_on_face_subsets(k, leaves):
 def test_closest_points_rows_match_single_queries():
     rng = np.random.default_rng(8)
     pts = np.vstack([rng.uniform(-0.15, 0.15, (40, 3)), BUMPY.vertices[:10]])
-    dist, face, point, bary = BUMPY.closest_points(pts)
+    dist, face, point, bary = closest_points(BUMPY, pts)
     assert dist.shape == face.shape == (50,) and point.shape == bary.shape == (50, 3)
     for i, p in enumerate(pts):
         hit = BUMPY.closest_point(p)
         assert (hit.face, hit.distance) == (face[i], dist[i])
         assert np.array_equal(hit.point, point[i]) and np.array_equal(np.array(hit.weights), bary[i])
-    assert len(BUMPY.closest_points(np.empty((0, 3)))[0]) == 0
-    with pytest.raises(ValueError, match="finite"):
-        BUMPY.closest_points(np.array([[0.0, np.nan, 0.0]]))
-    # only (n, 3): a (2, 6) array is not four points, nor a 3-vector one
-    for shape in ((2, 6), (3,), (2, 3, 1), (0,)):
-        with pytest.raises(ValueError, match=re.escape(str(shape))):
-            BUMPY.closest_points(np.zeros(shape))
-    # the single query, unhinted and hinted with a face whose list is filled
-    hint = BUMPY.closest_point(np.zeros(3)).face
-    for h in (None, hint):
-        with pytest.raises(ValueError, match="NaN"):
-            BUMPY.closest_point([0.0, np.nan, 0.0], h)
+    assert BUMPY.distances(pts).tobytes() == np.abs(dist).tobytes()
+    assert len(closest_points(BUMPY, np.empty((0, 3)))[0]) == 0
+    assert BUMPY.distances(np.empty((0, 3))).shape == (0,)
+    for query in (lambda P: closest_points(BUMPY, P), BUMPY.distances):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                query(np.array([[0.0, 0.0, 0.0], [0.0, bad, 0.0]]))
+        # only (n, 3): a (2, 6) array is not four points, nor a 3-vector one
+        for shape in ((2, 6), (3,), (2, 3, 1), (0,)):
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                query(np.zeros(shape))
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["unhinted", "hinted"])
+def test_closest_point_rejects_non_finite_queries(hinted):
+    # NaN and either infinity in each coordinate, unhinted and hinted with a
+    # face whose list entry is filled; a finite query still answers after
+    mesh = bumpy_mesh()
+    hint = mesh.closest_point(np.zeros(3)).face if hinted else None
+    for k in range(3):
+        for bad in (np.nan, np.inf, -np.inf):
+            p = np.zeros(3)
+            p[k] = bad
+            with pytest.raises(ValueError, match="finite"):
+                mesh.closest_point(p, hint)
+    assert single_bits(mesh, np.zeros(3), hint) == single_bits(BUMPY, np.zeros(3))
 
 
 def hit_bits(face, distance, point, bary):
@@ -577,7 +592,7 @@ def test_hinted_chain_matches_batched_rows(make):
     s = np.linspace(0.0, 1.0, 600)
     pts = np.column_stack([0.08 * np.cos(3.0 * s), 0.06 * np.sin(5.0 * s), 0.02 + 0.03 * np.sin(7.0 * s)])
     pts[::25] = mesh.vertices[np.random.default_rng(5).integers(0, len(mesh.vertices), 24)]
-    dist, face, point, bary = mesh.closest_points(pts)
+    dist, face, point, bary = closest_points(mesh, pts)
     hint = None
     for i, p in enumerate(pts):
         assert single_bits(mesh, p, hint) == hit_bits(face[i], dist[i], point[i], bary[i])
@@ -595,7 +610,7 @@ def test_deep_tree_walk_from_near_and_far_hints():
     s = np.linspace(0.0, 1.0, 600)
     pts = np.column_stack([0.11 * np.sin(4.0 * s), 0.1 * np.cos(3.0 * s) - 0.01, 0.045 * np.cos(9.0 * s)])
     pts[::20] = mesh.vertices[np.random.default_rng(12).integers(0, len(mesh.vertices), 30)]
-    dist, face, point, bary = mesh.closest_points(pts)
+    dist, face, point, bary = closest_points(mesh, pts)
     leaves = np.flatnonzero(acc.count)
     centres = 0.5 * (acc.bmin[leaves] + acc.bmax[leaves])
     far = acc.leaf_faces[leaves[np.argmax(((pts[:, None, :] - centres) ** 2).sum(axis=2), axis=1)], 0]
@@ -621,11 +636,12 @@ def cap_batch(n, seed):
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 15, 303])
 def test_closest_points_across_point_blocks(n, monkeypatch):
-    # batches split into blocks of 7 points, one block and a part, against
-    # unhinted single queries bit for bit
+    # batches split into blocks of 7 points, one block and a part: the
+    # oracle's rows and the distance walk's against unhinted single queries
+    # bit for bit
     monkeypatch.setattr(mesh_module, "POINT_BLOCK", 7)
     mesh, pts = cap_batch(n, seed=31)
-    dist, face, point, bary = mesh.closest_points(pts)
+    dist, face, point, bary = closest_points(mesh, pts)
     assert dist.shape == face.shape == (n,) and point.shape == bary.shape == (n, 3)
     assert_chain_is_batched(mesh, pts, [None] * n)
 
@@ -636,6 +652,21 @@ def test_closest_points_on_root_leaves_and_shallow_trees(k):
     mesh = TriMesh(BUMPY.vertices, BUMPY.faces[:: len(BUMPY.faces) // k][:k])
     pts = np.vstack([mesh.vertices[mesh.faces[0]], np.random.default_rng(k).uniform(-0.15, 0.15, (20, 3))])
     assert_chain_is_batched(mesh, pts, [None] * len(pts))
+
+
+class LeafSpy:
+    """Wraps one _Accel's _point_min: the (point, leaf, least d2) arrays of
+    each call, in call order; the first call of a distance_batch is its
+    seed pass."""
+
+    def __init__(self, acc):
+        self.calls, self.point_min = [], acc._point_min
+        acc._point_min = self
+
+    def __call__(self, P, pt, leaf):
+        val = self.point_min(P, pt, leaf)
+        self.calls.append((pt.copy(), leaf.copy(), val.copy()))
+        return val
 
 
 def test_batched_walk_tests_each_box_once():
@@ -649,20 +680,65 @@ def test_batched_walk_tests_each_box_once():
     box_d2 = acc._box_d2
 
     def counted(P, node):
-        tested.update(zip([row[p.tobytes()] for p in P], np.broadcast_to(node, len(P)).tolist()))
+        tested.update(zip([row[p.tobytes()] for p in P.T], np.broadcast_to(node, P.shape[1]).tolist()))
         return box_d2(P, node)
 
     acc._box_d2 = counted
-    acc.nearest_batch(pts)
+    acc.distance_batch(pts)
     del acc._box_d2
     assert len(tested) > 20 * len(pts)
     assert max(tested.values()) == 1
 
 
+@pytest.mark.parametrize("make", [lambda: flat_phantom_mesh(np.zeros(3)),
+                                  lambda: cap_phantom_mesh(np.zeros(3))], ids=["flat", "cap"])
+def test_point_on_a_face_ends_at_its_seed_leaf(make):
+    # a vertex lies on its faces at kernel d2 0; when its greedy descent
+    # reaches a leaf holding one of them, the bound is 0 and no box is
+    # strictly nearer, though the boxes of neighbouring leaves touch it
+    mesh = make()
+    acc = mesh._accel
+    spy = LeafSpy(acc)
+    d2 = acc.distance_batch(mesh.vertices)
+    assert not d2.any()
+    seed_pt, _, seed_d2 = spy.calls[0]
+    on_seed = seed_pt[seed_d2 == 0.0]
+    assert len(on_seed) > 0.5 * len(mesh.vertices)
+    later = np.concatenate([pt for pt, _, _ in spy.calls[1:]])
+    assert not np.isin(later, on_seed).any()
+    # the other vertices reach a zero too, by leaves beyond the seed
+    assert np.isin(np.setdiff1d(np.arange(len(d2)), on_seed), later).all()
+    # other leaves' boxes hold some of them too: a walk that kept boxes
+    # tying the bound would go on to those leaves
+    leaves = np.flatnonzero(acc.count)
+    v = mesh.vertices[on_seed[:300], None]
+    assert ((acc.bmin[leaves] <= v) & (v <= acc.bmax[leaves])).all(axis=2).sum() > len(v)
+
+
+def test_each_reached_leaf_beats_the_bound_its_point_had():
+    # after the seed pass, a (point, leaf) pair is evaluated only while its
+    # box distance is strictly below the least d2 its point's earlier
+    # leaves gave: the bound falls as leaves report
+    mesh, pts = cap_batch(2000, seed=33)
+    acc = mesh._accel
+    spy = LeafSpy(acc)
+    d2 = acc.distance_batch(pts)
+    bound = np.full(len(pts), np.inf)
+    rows = np.ascontiguousarray(pts.T)
+    for k, (pt, leaf, val) in enumerate(spy.calls):
+        if k:
+            assert (acc._box_d2(rows.take(pt, axis=1), leaf) < bound[pt]).all(), k
+        np.minimum.at(bound, pt, val)
+    assert bound.tobytes() == d2.tobytes()
+    assert len(spy.calls) > 3
+
+
 def assert_chain_is_batched(mesh, pts, hints=None):
     # each point hinted with hints[i], or else with the previous winner as
-    # the control step does, bit for bit against the batched rows
-    dist, face, point, bary = mesh.closest_points(pts)
+    # the control step does, bit for bit against the batched rows, whose
+    # distances the distance walk returns bit for bit
+    dist, face, point, bary = closest_points(mesh, pts)
+    assert mesh.distances(pts).tobytes() == np.abs(dist).tobytes()
     hint = None
     for i, p in enumerate(pts):
         if hints is not None:

@@ -4,11 +4,12 @@ The oracle runs the production kernels over every face at once and takes
 the lex-min over (value, face index), which is the documented tie-break;
 for rays it runs ray_oracle's per-lane Moller-Trumbore, the form the
 kernel's per-origin split replaces.
-The batched closest-point query, the unhinted single query and the single
-query with an arbitrary valid hint must all return exactly that face,
-distance, point and barycentric weights, and so must a coherent stream
-of hinted queries, which the single query answers from its list entries,
-at any skin. Query points include mesh
+The batched closest-point oracle (nearest_oracle), the unhinted single
+query and the single query with an arbitrary valid hint must all return
+exactly that face, distance, point and barycentric weights, and so must a
+coherent stream of hinted queries, which the single query answers from
+its list entries, at any skin. The batched distance query must return the
+square root of the least kernel value over every face. Query points include mesh
 vertices and points on shared edges, where exact and near ties occur.
 Rays include axis-parallel ones that run through vertices, and fans of
 rays from one origin: through vertices, along edges, grazing the sheet,
@@ -30,6 +31,7 @@ from surfscan.mesh import (
     closest_point_triangles,
     grid_surface_mesh,
 )
+from nearest_oracle import closest_points
 from ray_oracle import brute_rays, mesh_rays
 from test_mesh import assert_same_tree
 
@@ -100,16 +102,28 @@ def test_level_build_is_the_reference_tree_on_height_fields(mesh, data):
 @given(mesh_and_points())
 def test_batched_nearest_is_brute_force(case):
     mesh, pts = case
-    dist, face, point, bary = mesh.closest_points(pts)
+    dist, face, point, bary = closest_points(mesh, pts)
     for i, p in enumerate(pts):
         assert_is_brute(mesh, p, face[i], dist[i], point[i], bary[i])
 
 
 @SETTINGS
 @given(mesh_and_points())
+def test_distances_are_brute_force(case):
+    # the least kernel d2 over every face, and the single query's distance
+    mesh, pts = case
+    acc = mesh._accel
+    dist = mesh.distances(pts)
+    for i, p in enumerate(pts):
+        assert dist[i].hex() == np.sqrt(closest_point_triangles(p, acc.A, acc.B, acc.C)[0].min()).hex()
+        assert dist[i].hex() == abs(mesh.closest_point(p).distance).hex()
+
+
+@SETTINGS
+@given(mesh_and_points())
 def test_unhinted_single_nearest_is_brute_force_and_batch(case):
     mesh, pts = case
-    dist, face, point, bary = mesh.closest_points(pts)
+    dist, face, point, bary = closest_points(mesh, pts)
     for i, p in enumerate(pts):
         hit = mesh.closest_point(p)
         assert_is_brute(mesh, p, hit.face, hit.distance, hit.point, np.array(hit.weights))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from surfscan.geometry import Pose
 from surfscan.localization import ScenePlane, orbit_trajectory
-from surfscan.mesh import TriMesh, grid_surface_mesh
+from surfscan.mesh import TriMesh, closest_point_triangles, grid_surface_mesh
 from surfscan.reconstruction import (
     CameraIntrinsics,
     DepthImage,
@@ -329,6 +329,29 @@ def test_mesh_error_needs_a_sample(n):
     mesh = flat_mesh(n=5)
     with pytest.raises(ValueError, match="n_samples"):
         mesh_error(mesh, mesh, n_samples=n)
+
+
+def brute_mesh_error(recon, truth, n_samples, seed):
+    # mesh_error's samples, each distance the square root of the least
+    # kernel d2 over every face of the other mesh, 20 points at a time
+    rng = np.random.default_rng(seed)
+    d = []
+    for src, dst in ((recon, truth), (truth, recon)):
+        acc = dst._accel
+        for p in np.array_split(src.sample_surface(n_samples, rng), max(1, n_samples // 20)):
+            d.append(np.sqrt(closest_point_triangles(p[:, None, :], acc.A, acc.B, acc.C)[0].min(axis=1)))
+    both = np.concatenate(d)
+    return float(np.sqrt(np.mean(both**2))), float(np.max(both))
+
+
+def test_mesh_error_is_the_brute_force_kernel_min(cap_orbit):
+    # the cap against its orbit reconstruction (whose skirt coincides with
+    # it, so many samples lie on the other mesh) and against a 1 mm shift
+    mesh, field = cap_orbit
+    for other in (extract_mesh(field), TriMesh(mesh.vertices + 0.001 * EZ, mesh.faces)):
+        err = mesh_error(other, mesh, n_samples=300, seed=4)
+        rms, hausdorff = brute_mesh_error(other, mesh, 300, 4)
+        assert (err["rms"].hex(), err["hausdorff"].hex()) == (rms.hex(), hausdorff.hex())
 
 
 def test_cap_reconstruction_error_below_grid_resolution(cap_orbit):
