@@ -2,9 +2,9 @@
 
 The closest-point kernel is a vectorised transcription of the classic
 point-vs-triangle Voronoi-region case analysis (Ericson, Real-Time
-Collision Detection, 5.1.5). It backs the exhaustive reference path and,
-on contiguous (3, lanes) rows with the same operations per lane, the
-batched distance traversal; the single-point walk runs a scalar
+Collision Detection, 5.1.5). Like every numpy kernel here it works on
+(3, ...) rows of vectors, with the same operations on each lane; it backs
+the batched distance traversal, and the single-point walk runs a scalar
 transcription that rounds identically. Accelerated queries reproduce the
 brute-force result bit for bit, including the single query's (distance,
 face index) tie-break.
@@ -26,16 +26,17 @@ over, keeps only boxes strictly nearer than the bound, and each leaf it
 reaches lowers the bound.
 
 Rays use Moller-Trumbore with double-sided hits (Moller and Trumbore, "Fast,
-Minimum Storage Ray-Triangle Intersection", 1997). Rays that share an origin
-are cast together (Wald et al., "Interactive Rendering with Coherent Ray
-Tracing", 2001) by the sort-middle binning of software rasterisers (Laine
-and Karras, "High-Performance Software Rasterization on GPUs", 2011): the
-faces are projected from the origin, and each is evaluated for the rays
-whose image points fall in its padded box. The test's terms that depend on
-the origin alone (tvec, qvec and the numerator of t) are computed once per
-candidate face of a group, and each (ray, face) lane finishes the test from
-them with the textbook operations in their order, so every bit is as if
-each lane computed them. One ray is a group of one.
+Minimum Storage Ray-Triangle Intersection", 1997). A ray batch shares one
+origin, as a camera view's rays do, and is cast together (Wald et al.,
+"Interactive Rendering with Coherent Ray Tracing", 2001) by the sort-middle
+binning of software rasterisers (Laine and Karras, "High-Performance
+Software Rasterization on GPUs", 2011): the faces are projected from the
+origin, and each is evaluated for the rays whose image points fall in its
+padded box. The test's terms that depend on the origin alone (tvec, qvec
+and the numerator of t) are computed once per candidate face of a group,
+and each (ray, face) lane finishes the test from them with the textbook
+operations in their order, so every bit is as if each lane computed them.
+One ray is a batch of one.
 """
 from __future__ import annotations
 
@@ -182,31 +183,31 @@ class TriMesh:
 
     def raycast(self, origin, direction, t_min: float = 0.0) -> "RayHit | None":
         """First hit along one ray: raycast_batch on a batch of one."""
-        if np.size(origin) != 3:  # raycast_batch checks the shapes of one ray
-            raise ValueError(f"raycast takes one ray; got {np.shape(origin)} and {np.shape(direction)}")
-        t, face = self.raycast_batch(origin, direction, t_min)
+        if np.shape(direction) != (3,):  # raycast_batch checks the origin
+            raise ValueError(f"raycast takes two 3-vectors; got {np.shape(origin)}, {np.shape(direction)}")
+        t, face = self.raycast_batch(origin, [direction], t_min)
         if face[0] < 0:
             return None
         # the winning lane again, alone: the kernel is elementwise, so u and
         # v round exactly as they did inside the batch
         acc, f = self._accel, int(face[0])
         A, eab, eac = acc.A[f], acc.eab[f], acc.eac[f]
-        o, d = (np.asarray(x, dtype=float).reshape(3) for x in (origin, direction))
+        o, d = (np.asarray(x, dtype=float) for x in (origin, direction))
         terms = _origin_terms(o, A, eab, eac)
         u, v = (float(x) for x in _moller_trumbore(d, eab, eac, acc.face_areas[f], *terms, t_min)[1:])
         return RayHit(f, float(t[0]), np.array([1.0 - u - v, u, v]), A + u * eab + v * eac)
 
-    def raycast_batch(self, origins, directions, t_min: float = 0.0):
-        """First hits of rays from (n, 3) origins along (n, 3) directions (one
-        ray may come as two 3-vectors) at t >= t_min: (t, face) arrays, with
-        t = inf and face = -1 on a miss."""
-        O, D = (np.asarray(x, dtype=float) for x in (origins, directions))
-        if O.shape[-1:] != (3,) or O.ndim > 2 or O.shape != D.shape:
-            raise ValueError(f"origins and directions must both be (n, 3); got {O.shape} and {D.shape}")
-        O, D = O.reshape(-1, 3), D.reshape(-1, 3)
-        if not (np.isfinite(O).all() and np.isfinite(_dot3(D, D)).all() and 0.0 <= t_min < math.inf):
+    def raycast_batch(self, origin, directions, t_min: float = 0.0):
+        """First hits of rays from one origin, a 3-vector, along (n, 3)
+        directions at t >= t_min: (t, face) arrays, with t = inf and face = -1
+        on a miss."""
+        o, D = (np.asarray(x, dtype=float) for x in (origin, directions))
+        if o.shape != (3,) or D.ndim != 2 or D.shape[1] != 3:
+            raise ValueError(f"origin must be a 3-vector, directions (n, 3); got {o.shape} and {D.shape}")
+        D = np.ascontiguousarray(D.T)  # rows, as the groups and the kernel read them
+        if not (np.isfinite(o).all() and np.isfinite(_dot(D, D)).all() and 0.0 <= t_min < math.inf):
             raise ValueError(f"rays and |D|^2 must be finite, and t_min finite and >= 0 (t_min {t_min})")
-        return self._accel.raycast_batch(O, D, t_min)
+        return self._accel.raycast_batch(o, D, t_min)
 
     def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n points drawn uniformly by area."""
@@ -243,41 +244,22 @@ class RayHit:
     point: np.ndarray
 
 
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # spelled out so the rounding of each lane is independent of batch
-    # size; einsum/dot may switch SIMD contraction paths with shape,
-    # which breaks bit-identity between leaf subsets and full arrays
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+def _lane_closest(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple:
+    """Closest point on each triangle (A, B, C) to p, (3, ...) rows broadcast
+    together: (d2, u, v, point), u and v the weights on B and C. Elementwise,
+    so a lane does not depend on the rest of the batch; the tree relies on it."""
+    ab, ac, u, v = _region_weights(p, A, B, C)
+    x = A + u * ab + v * ac
+    diff = p - x
+    return _dot(diff, diff), u, v, x
 
 
-def closest_point_triangles(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray):
-    """Closest point on each triangle to p.
-
-    Returns (d2, cp, bary). p broadcasts against the face arrays (one
-    point against many faces, or a (points, 1, 3) set against them). Pure
-    elementwise arithmetic, so a (point, face) result does not depend on
-    what else is in the batch; the hierarchy relies on that.
-    """
-    ab, ac, u, v = _region_weights(p, A, B, C, _dot3)
-    cp = A + u[..., None] * ab + v[..., None] * ac
-    diff = p - cp
-    return _dot3(diff, diff), cp, np.stack([1.0 - u - v, u, v], axis=-1)
-
-
-def _lane_d2(p: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    # closest_point_triangles' d2 alone, on (3, lanes) rows: the same
-    # operations on each lane, over contiguous rows
-    ab, ac, u, v = _region_weights(p, A, B, C, _dot)
-    diff = p - (A + u * ab + v * ac)
-    return _dot(diff, diff)
-
-
-def _region_weights(p, A, B, C, dot) -> tuple:
-    # (ab, ac, u, v): the kernel's edges and its weights on B and C, with
-    # dot the 3-vector product of the layout (_dot3 or, on rows, _dot)
+def _region_weights(p, A, B, C) -> tuple:
+    # (ab, ac, u, v): the kernel's edges and its weights on B and C, for
+    # (3, ...) rows broadcast together
     ab, ac, ap, bp, cp_ = B - A, C - A, p - A, p - B, p - C
-    d1, d2_, d3, d4 = dot(ab, ap), dot(ac, ap), dot(ab, bp), dot(ac, bp)
-    d5, d6 = dot(ab, cp_), dot(ac, cp_)
+    d1, d2_, d3, d4 = _dot(ab, ap), _dot(ac, ap), _dot(ab, bp), _dot(ac, bp)
+    d5, d6 = _dot(ab, cp_), _dot(ac, cp_)
     va, vb, vc = d3 * d6 - d5 * d4, d5 * d2_ - d1 * d6, d1 * d4 - d3 * d2_
     in_a = (d1 <= 0.0) & (d2_ <= 0.0)
     in_b = (d3 >= 0.0) & (d4 <= d3)
@@ -301,13 +283,15 @@ def _region_weights(p, A, B, C, dot) -> tuple:
 
 
 def _dot(a, b) -> float:
+    # spelled out: einsum or dot may switch SIMD contraction paths with
+    # shape, and a lane would round differently in a leaf subset
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def closest_point_scalar(p, a, b, c) -> tuple:
-    """closest_point_triangles for point p and one face (a, b, c), all
-    3-sequences of floats: (d2, u, v, point), with u and v the weights on
-    b and c. The kernel's operations in its order and region priority;
+    """_lane_closest for point p and one face (a, b, c), all 3-sequences
+    of floats: (d2, u, v, point), with u and v the weights on b and c.
+    The kernel's operations in its order and region priority;
     IEEE float64 scalars round as the ufuncs do, so every value is the
     kernel's bit for bit at a fraction of the call cost. Raises
     ZeroDivisionError where the kernel would divide by zero."""
@@ -352,12 +336,12 @@ def _box_gap2(box, px: float, py: float, pz: float) -> float:
 
 
 def _closest(p, a, b, c) -> tuple:
-    # where the scalar form divides by zero, the elementwise numpy kernel on this one face
+    # where the scalar form divides by zero, the numpy kernel on this face's (3, 1) rows
     try:
         return closest_point_scalar(p, a, b, c)
     except ZeroDivisionError:
-        d2, cp, bary = closest_point_triangles(np.array(p), *(np.array([x]) for x in (a, b, c)))
-        return float(d2[0]), float(bary[0, 1]), float(bary[0, 2]), tuple(cp[0].tolist())
+        d2, u, v, x = _lane_closest(*(np.array(y)[:, None] for y in (p, a, b, c)))
+        return float(d2[0]), float(u[0]), float(v[0]), tuple(x[:, 0].tolist())
 
 
 def _cross(a, b) -> tuple:
@@ -584,7 +568,7 @@ class _Accel:
             rows = slice(a, a + PAIR_CHUNK)
             f = self.leaf_faces[leaf[rows]].ravel()
             p = P.take(np.repeat(pt[rows], LEAF_SIZE), axis=1)
-            d2 = _lane_d2(p, *(x.T.take(f, axis=1) for x in (self.A, self.B, self.C)))
+            d2 = _lane_closest(p, *(x.T.take(f, axis=1) for x in (self.A, self.B, self.C)))[0]
             val[rows] = d2.reshape(-1, LEAF_SIZE).min(axis=1)
         return val
 
@@ -646,15 +630,14 @@ class _Accel:
         meet = np.flatnonzero(((lo <= q1) & (hi >= q0)).all(axis=0))
         return binned[meet], lo[:, meet], hi[:, meet], other
 
-    def raycast_batch(self, O: np.ndarray, D: np.ndarray, t_min: float):
-        """First hits: (t, face) arrays, t = inf and face = -1 on a miss.
-        Every face a ray can hit is among its candidates (see the pads
-        above), so the kernel's (t, face) lex-min is the brute-force one."""
-        best_t = np.full(len(O), np.inf)
-        best_face = np.full(len(O), len(self.A))  # past every face until a hit
-        D = np.ascontiguousarray(D.T)  # rows, as the groups and the kernel read them
-        for rays, image, frame in _ray_groups(O, D):
-            o = O[rays[0]]  # the group's rows are this one bit for bit
+    def raycast_batch(self, o: np.ndarray, D: np.ndarray, t_min: float):
+        """First hits of the rays from o along D, (3, rays) rows: (t, face)
+        arrays, t = inf and face = -1 on a miss. Every face a ray can hit is
+        among its candidates (see the pads above), so the kernel's (t, face)
+        lex-min is the brute-force one."""
+        best_t = np.full(D.shape[1], np.inf)
+        best_face = np.full(D.shape[1], len(self.A))  # past every face until a hit
+        for rays, image, frame in _ray_groups(D):
             binned, lo, hi, other = self._face_boxes(o, frame, image)
             # the group's candidate faces, binned then straddling, with their
             # origin terms computed once; each (ray, face) lane gathers them
@@ -678,41 +661,32 @@ class _Accel:
         return best_t, np.where(best_t < np.inf, best_face, -1)
 
 
-def _ray_groups(O: np.ndarray, D: np.ndarray) -> list:
-    # (rays, image, frame) per group of the rays (origins O, directions D as
-    # (3, rays) rows) that share an origin bit for bit: each ray d is within
-    # 60 degrees of w, the frame's last row, and image is the (2, rays) array
-    # of (d.e1, d.e2) / d.w. A wider group splits by dominant axis, which
-    # keeps each ray within 55 degrees of its axis. Rays of zero direction
-    # hit nothing (det is 0) and join no group
-    bits = O.view(np.int64)
-    if len(O) and (bits == bits[0]).all():
-        groups = [np.arange(len(O))]
+def _ray_groups(D: np.ndarray) -> list:
+    # (rays, image, frame) per group of the rays along D, (3, rays) rows from
+    # one origin: each ray d is within 60 degrees of w, the frame's last row,
+    # and image is the (2, rays) array of (d.e1, d.e2) / d.w. A wider fan
+    # splits by dominant axis, which keeps each ray within 55 degrees of its
+    # axis. Rays of zero direction hit nothing (det is 0) and join no group
+    rays, d = np.arange(D.shape[1]), D
+    scale = np.abs(d).max(axis=0)  # max-norm 1 below: nothing overflows or underflows
+    moving = scale > 0.0
+    if not moving.all():  # a masked copy of a 43k-ray view costs 1.8 ms
+        rays, d, scale = rays[moving], d[:, moving], scale[moving]
+    d = d / scale
+    n = np.sqrt(_dot(d, d))
+    w = d @ (1.0 / n)
+    wn = math.sqrt(_dot(w, w))
+    if wn > 0.0 and np.all(_dot(w, d) >= MIN_COS * wn * n):
+        parts = [(slice(None), w / wn)]
     else:
-        _, which = np.unique(bits, axis=0, return_inverse=True)
-        order = np.argsort(which, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(which[order])) + 1)
+        k = np.argmax(np.abs(d), axis=0)
+        side = 2 * k + (d[k, np.arange(len(rays))] < 0.0)
+        parts = [(side == s, np.eye(3)[s // 2] * (1 - 2 * (s % 2))) for s in np.unique(side)]
     out = []
-    for rays in groups:
-        d = D.take(rays, axis=1)
-        scale = np.abs(d).max(axis=0)  # max-norm 1 below: nothing overflows or underflows
-        moving = scale > 0.0
-        if not moving.all():  # a masked copy of a 43k-ray view costs 1.8 ms
-            rays, d, scale = rays[moving], d[:, moving], scale[moving]
-        d = d / scale
-        n = np.sqrt(_dot(d, d))
-        w = d @ (1.0 / n)
-        wn = math.sqrt(_dot(w, w))
-        if wn > 0.0 and np.all(_dot(w, d) >= MIN_COS * wn * n):
-            parts = [(slice(None), w / wn)]
-        else:
-            k = np.argmax(np.abs(d), axis=0)
-            side = 2 * k + (d[k, np.arange(len(rays))] < 0.0)
-            parts = [(side == s, np.eye(3)[s // 2] * (1 - 2 * (s % 2))) for s in np.unique(side)]
-        for part, w in parts:
-            frame = np.array([*plane_basis(w), w])  # rows e1, e2, w: orthonormal around w
-            p = d[:, part]
-            out.append((rays[part], np.array([_dot(e, p) for e in frame[:2]]) / _dot(frame[2], p), frame))
+    for part, w in parts:
+        frame = np.array([*plane_basis(w), w])  # rows e1, e2, w: orthonormal around w
+        p = d[:, part]
+        out.append((rays[part], np.array([_dot(e, p) for e in frame[:2]]) / _dot(frame[2], p), frame))
     return out
 
 
@@ -857,6 +831,8 @@ def load_off(path) -> TriMesh:
         block = tokens[pos : pos + 4 * nf]
         if len(block) != 4 * nf:
             raise ValueError("truncated face block")
+        if len(tokens) > pos + 4 * nf:  # an understated face count, or junk
+            raise ValueError(f"{len(tokens) - pos - 4 * nf} tokens after the {nf} declared faces")
         block = np.array(block, dtype=str).reshape(nf, 4)
         if np.any(block[:, 0] != "3"):
             raise ValueError("only triangle faces supported")

@@ -116,8 +116,7 @@ def render_depth(
         raise ValueError("depth noise requested but no generator supplied")
     dirs_cam = intrinsics.pixel_dirs()
     dirs_world = dirs_cam @ pose.rotation.T
-    origins = np.broadcast_to(pose.translation, dirs_world.shape)
-    t, _ = mesh.raycast_batch(origins, dirs_world, t_min=1e-9)
+    t, _ = mesh.raycast_batch(pose.translation, dirs_world, t_min=1e-9)
     depth = np.where(np.isfinite(t), t, 0.0)
     if intrinsics.depth_noise_sigma > 0.0:
         noise = rng.normal(0.0, intrinsics.depth_noise_sigma, depth.shape)

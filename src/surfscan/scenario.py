@@ -435,7 +435,7 @@ def _build_phantom(cfg: ScenarioConfig, model: ArmModel) -> tuple[TriMesh, Scene
     lo = raw.vertices.min(axis=0)
     hi = raw.vertices.max(axis=0)
     origin = np.array([0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]), hi[2] + 1.0])
-    t, _ = raw.raycast_batch(origin[None, :], np.array([[0.0, 0.0, -1.0]]))
+    t, _ = raw.raycast_batch(origin, [[0.0, 0.0, -1.0]])
     if not np.isfinite(t[0]):
         raise SchemaError(f"phantom.mesh: {cfg.phantom_mesh}: no surface under the bounding-box centre")
     apex = origin + t[0] * np.array([0.0, 0.0, -1.0])

@@ -8,11 +8,33 @@ lex-min over the leaves it reaches and recomputes the winners alone. The
 tests check the scalar single-point walk, hint and history included,
 against it bit for bit over streams of points too long for brute force.
 It reads the tree, the face table and the block sizes of `surfscan.mesh`.
+
+It also holds the kernel in the (..., 3) layout of numpy's point arrays,
+`closest_point_triangles`, which the tests take as their brute-force
+reference: `surfscan.mesh` keeps its kernels on (3, ...) rows.
 """
 import numpy as np
 
 import surfscan.mesh as mesh_module
-from surfscan.mesh import _dot3, closest_point_triangles
+from surfscan.mesh import _region_weights
+
+
+def dot3(a, b):
+    # spelled out like the kernel's row product, so each lane rounds alike
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def closest_point_triangles(p, A, B, C):
+    """Closest point on each triangle (A, B, C) to p, (..., 3) arrays
+    broadcast together (one point against many faces, or a (points, 1, 3)
+    set against them): (d2, cp, bary). The production kernel's weights on
+    moved axes and its per-lane operations, so every lane is its bits."""
+    p, A, B, C = np.broadcast_arrays(p, A, B, C)
+    ab, ac, u, v = _region_weights(*(np.moveaxis(x, -1, 0) for x in (p, A, B, C)))
+    ab, ac = np.moveaxis(ab, 0, -1), np.moveaxis(ac, 0, -1)
+    cp = A + u[..., None] * ab + v[..., None] * ac
+    diff = p - cp
+    return dot3(diff, diff), cp, np.stack([1.0 - u - v, u, v], axis=-1)
 
 
 def closest_points(mesh, points):
@@ -33,14 +55,14 @@ def closest_points(mesh, points):
     parts = [nearest_batch(acc, P[a : a + block]) for a in range(0, max(len(P), 1), block)]
     d2, face, cp, bary = (np.concatenate(x) for x in zip(*parts))
     dist = np.sqrt(d2)
-    below = _dot3(P - cp, acc.face_normals[face]) < 0.0
+    below = dot3(P - cp, acc.face_normals[face]) < 0.0
     return np.where(below, -dist, dist), face, cp, bary
 
 
 def box_d2(acc, P, node):
     # squared point-box distance per row of the (n, 3) points P
     g = np.maximum(np.maximum(acc.bmin[node] - P, P - acc.bmax[node]), 0.0)
-    return _dot3(g, g)
+    return dot3(g, g)
 
 
 def point_min(acc, P, pt, leaf):

@@ -34,17 +34,19 @@ def moller_trumbore(O, D, A, eab, eac, area, t_min):
 
 
 def mesh_rays(mesh, O, D, t_min=0.0):
-    """moller_trumbore of each ray (row of O and D) against every face of
-    mesh: (t, u, v) arrays of shape (rays, faces)."""
+    """moller_trumbore of each ray (rows of O and D, broadcast together)
+    against every face of mesh: (t, u, v) arrays of shape (rays, faces)."""
     acc = mesh._accel
     O, D = (np.asarray(x, dtype=float).reshape(-1, 1, 3) for x in (O, D))
     return moller_trumbore(O, D, acc.A, acc.eab, acc.eac, acc.face_areas, t_min)
 
 
 def brute_rays(mesh, O, D, t_min=0.0):
-    """The first hit of each ray over every face, 64 rays at a time: (t,
-    face) arrays, t = inf and face = -1 on a miss. The first minimum of each
-    row is the smallest tied face."""
+    """The first hit of each ray (rows of D, from O: one origin or one per
+    ray) over every face, 64 rays at a time: (t, face) arrays, t = inf and
+    face = -1 on a miss. The first minimum of each row is the smallest tied
+    face."""
+    O = np.broadcast_to(O, np.shape(D))
     t = np.full(len(O), np.inf)
     face = np.full(len(O), -1, dtype=np.int64)
     for a in range(0, len(O), 64):

@@ -23,7 +23,6 @@ from surfscan.mesh import (
     LEAF_SIZE,
     OFF_BLOCK,
     TriMesh,
-    closest_point_triangles,
     grid_surface_mesh,
     load_off,
     save_off,
@@ -34,7 +33,7 @@ from surfscan.controller import ImpedanceGains, Setpoint
 from surfscan.localization import ScenePlane, orbit_trajectory
 from surfscan.reconstruction import CameraIntrinsics, extract_mesh, fuse_views, render_depth
 from surfscan.sim import PhantomModel, cap_phantom_mesh, flat_phantom_mesh, simulate
-from nearest_oracle import closest_points
+from nearest_oracle import closest_point_triangles, closest_points
 from ray_oracle import brute_rays, mesh_rays
 
 
@@ -216,20 +215,18 @@ def test_raycast_matches_solve_oracle():
 
 def test_raycast_batch_matches_single():
     rng = np.random.default_rng(6)
-    n = 300
-    O = np.column_stack(
-        [rng.uniform(-0.12, 0.12, n), rng.uniform(-0.12, 0.12, n), np.full(n, 0.25)]
-    )
-    D = np.column_stack([rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n), -np.ones(n)])
-    D /= np.linalg.norm(D, axis=1)[:, None]
-    t, face = BUMPY.raycast_batch(O, D)
-    for i in range(n):
-        single = BUMPY.raycast(O[i], D[i])
-        if single is None:
-            assert not np.isfinite(t[i]) and face[i] == -1
-        else:
-            # one traversal serves both, so ties resolve alike too
-            assert (t[i], face[i]) == (single.t, single.face)
+    n = 50
+    for o in np.column_stack([rng.uniform(-0.12, 0.12, (6, 2)), np.full(6, 0.25)]):
+        D = np.column_stack([rng.uniform(-0.3, 0.3, (n, 2)), -np.ones(n)])
+        D /= np.linalg.norm(D, axis=1)[:, None]
+        t, face = BUMPY.raycast_batch(o, D)
+        for i in range(n):
+            single = BUMPY.raycast(o, D[i])
+            if single is None:
+                assert not np.isfinite(t[i]) and face[i] == -1
+            else:
+                # one traversal serves both, so ties resolve alike too
+                assert (t[i], face[i]) == (single.t, single.face)
 
 
 def test_raycast_tie_on_shared_edge_picks_smallest_face():
@@ -241,14 +238,21 @@ def test_raycast_tie_on_shared_edge_picks_smallest_face():
     t_all = mesh_rays(FLAT, o, d)[0][0]
     tied = np.flatnonzero(t_all == t_all.min())
     assert len(tied) >= 2
-    t, face = FLAT.raycast_batch(o[None, :], d[None, :])
+    t, face = FLAT.raycast_batch(o, d[None, :])
     single = FLAT.raycast(o, d)
     assert face[0] == single.face == tied[0]
     assert t[0] == single.t == t_all.min()
 
 
 def assert_rays_are_brute(mesh, O, D, t_min=0.0):
-    t, face = mesh.raycast_batch(O, D, t_min)
+    # one batch per origin: O is one origin, or one per row of D, grouped bit for bit
+    O = np.broadcast_to(O, D.shape)
+    batches = collections.defaultdict(list)
+    for i, o in enumerate(O):
+        batches[o.tobytes()].append(i)
+    t, face = np.empty(len(D)), np.empty(len(D), dtype=np.int64)
+    for rays in batches.values():
+        t[rays], face[rays] = mesh.raycast_batch(O[rays[0]], D[rays], t_min)
     t_ref, face_ref = brute_rays(mesh, O, D, t_min)
     assert np.array_equal(face, face_ref)
     assert t.tobytes() == t_ref.tobytes()
@@ -256,7 +260,7 @@ def assert_rays_are_brute(mesh, O, D, t_min=0.0):
 
 
 def test_raycast_batch_of_zero_rays():
-    t, face = BUMPY.raycast_batch(np.empty((0, 3)), np.empty((0, 3)))
+    t, face = BUMPY.raycast_batch(np.zeros(3), np.empty((0, 3)))
     assert t.shape == face.shape == (0,)
     assert face.dtype == np.int64
 
@@ -268,15 +272,15 @@ def test_raycast_when_the_root_is_a_leaf():
                               np.array([[0.0, 0.01, 0.0], [0.02, 0.0, -0.01], [0.0, 0.01, 0.0]]))
     assert small.n_faces <= LEAF_SIZE and small._accel.count[0] == small.n_faces
     rng = np.random.default_rng(11)
-    O = np.column_stack([rng.uniform(-0.02, 0.12, (40, 2)), np.full(40, 0.2)])
+    O = np.repeat(np.column_stack([rng.uniform(-0.02, 0.12, (4, 2)), np.full(4, 0.2)]), 10, axis=0)
     D = np.column_stack([rng.uniform(-0.3, 0.3, (40, 2)), -np.ones(40)])
     t, _ = assert_rays_are_brute(small, O, D)
     assert np.isfinite(t).any() and not np.isfinite(t).all()
 
 
 def test_raycast_axis_parallel_directions():
-    # exact zero direction components take the slab test's parallel-axis
-    # branch; origins sit on vertex coordinates, so rays run along edges
+    # rays with exact zero direction components, each from its own origin on
+    # vertex coordinates, so rays run through vertices and along edges
     rng = np.random.default_rng(12)
     v = BUMPY.vertices[rng.integers(0, len(BUMPY.vertices), 60)]
     O, D = v.copy(), np.zeros((60, 3))
@@ -292,7 +296,8 @@ def test_raycast_axis_parallel_directions():
 
 def test_raycast_from_inside_the_root_box_with_t_min():
     rng = np.random.default_rng(13)
-    O = np.column_stack([rng.uniform(-0.09, 0.09, (200, 2)), rng.uniform(-0.02, 0.02, 200)])
+    O = np.column_stack([rng.uniform(-0.09, 0.09, (10, 2)), rng.uniform(-0.02, 0.02, 10)])
+    O = np.repeat(O, 20, axis=0)  # ten fans of 20 rays
     D = rng.standard_normal((200, 3))
     root = BUMPY._accel
     assert np.all((O >= root.bmin[0]) & (O <= root.bmax[0]))
@@ -303,7 +308,7 @@ def test_raycast_from_inside_the_root_box_with_t_min():
 
 def test_raycast_batch_mixes_hits_and_misses():
     rng = np.random.default_rng(14)
-    O = np.column_stack([rng.uniform(-0.13, 0.13, (300, 2)), np.full(300, 0.25)])
+    O = np.repeat(np.column_stack([rng.uniform(-0.13, 0.13, (6, 2)), np.full(6, 0.25)]), 50, axis=0)
     D = np.column_stack([rng.uniform(-0.3, 0.3, (300, 2)), rng.choice([-1.0, 1.0], 300)])
     t, face = assert_rays_are_brute(BUMPY, O, D)
     assert 30 < np.isfinite(t).sum() < 270
@@ -321,18 +326,19 @@ def test_rays_in_the_plane_of_a_tilted_sheet_hit_nothing():
     mesh = grid_surface_mesh(np.zeros(3), u, np.array([0.0, 1.0, 0.0]), n, xs, xs, np.zeros((7, 7)))
     o = mesh.vertices[24]
     D = np.delete(mesh.vertices - o, 24, axis=0)
-    t, _ = assert_rays_are_brute(mesh, np.tile(o, (len(D), 1)), D)
+    t, _ = assert_rays_are_brute(mesh, o, D)
     assert not np.isfinite(t).any()
 
 
 def test_distinct_origin_rays_parallel_to_the_faces():
-    # horizontal rays over and in the flat sheet, each from its own origin,
-    # are parallel to every face: det is 0 and all miss. Tilted by a sine of
+    # fans of horizontal rays from origins over and in the flat sheet are
+    # parallel to every face: det is 0 and all miss. Tilted by a sine of
     # 1e-7 they stay under PARALLEL_SIN and still miss; by 1e-5 those that
     # start 1e-9 above the sheet reach it, some only past t_min
     rng = np.random.default_rng(17)
     n = 120
-    O = np.column_stack([rng.uniform(-0.09, 0.09, (n, 2)), rng.choice([0.0, 1e-9, 0.01], n)])
+    heights = np.repeat([0.0, 1e-9, 0.01], 4)
+    O = np.repeat(np.column_stack([rng.uniform(-0.09, 0.09, (12, 2)), heights]), n // 12, axis=0)
     D = np.column_stack([rng.standard_normal((n, 2)), np.zeros(n)])
     for t_min in (0.0, 1e-9, 5e-5):
         t, _ = assert_rays_are_brute(FLAT, O, D, t_min)
@@ -376,52 +382,53 @@ def test_raycast_fan_with_a_vanishing_image_span(span):
     # the fan's image y-extent is 49 span, down to subnormal, where a ratio
     # of the two extents would overflow: under MIN_SPAN the axis gets one cell
     mesh = flat_phantom_mesh(np.zeros(3))
-    O = np.tile([0.0, 0.0, 1.0], (50, 1))
     D = np.column_stack([np.linspace(-0.1, 0.1, 50), np.arange(50) * span, -np.ones(50)])
-    t, _ = assert_rays_are_brute(mesh, O, D)
+    t, _ = assert_rays_are_brute(mesh, np.array([0.0, 0.0, 1.0]), D)
     assert np.isfinite(t).all()
 
 
 def test_raycast_blocks_match_rays_sent_one_at_a_time(monkeypatch):
     rng = np.random.default_rng(15)
-    O = np.column_stack([rng.uniform(-0.12, 0.12, (23, 2)), np.full(23, 0.25)])
+    o = np.array([0.01, -0.02, 0.25])
     D = np.column_stack([rng.uniform(-0.3, 0.3, (23, 2)), -np.ones(23)])
     D[:5, :2] = 0.0
     monkeypatch.setattr(mesh_module, "RAY_BLOCK", 4)
-    t, face = assert_rays_are_brute(BUMPY, O, D)
-    for i in range(len(O)):
-        ti, fi = BUMPY.raycast_batch(O[i], D[i])
+    t, face = assert_rays_are_brute(BUMPY, o, D)
+    for i in range(len(D)):
+        ti, fi = BUMPY.raycast_batch(o, D[i : i + 1])
         assert (ti.tobytes(), fi[0]) == (t[i : i + 1].tobytes(), face[i])
 
 
 def test_raycast_batch_rejects_malformed_rays():
-    O, D = np.tile([0.0, 0.0, 0.3], (3, 1)), np.tile([0.0, 0.0, -1.0], (3, 1))
-    for bad_o, bad_d in ((np.zeros((5, 3)), D), (np.zeros((4, 2)), np.zeros((4, 2))),
-                         (np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))):
-        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+    o, D = np.array([0.0, 0.0, 0.3]), np.tile([0.0, 0.0, -1.0], (3, 1))
+    # an (n, 3) origin array, a (3, 1) origin, a short origin, and 1-D,
+    # (n, 2) or (2, 2, 3) directions
+    for bad_o, bad_d in ((np.tile(o, (3, 1)), D), (o.reshape(3, 1), D), (o[:2], D), (o, D[0]),
+                         (o, np.zeros((4, 2))), (o, np.zeros((2, 2, 3)))):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad_o.shape} and {bad_d.shape}")):
             BUMPY.raycast_batch(bad_o, bad_d)
-    # one ray as a column, a (1, 1, 3) array, or a 3-vector against a (1, 3) row
-    for bad_o, bad_d in ((O[0].reshape(3, 1), D[0].reshape(3, 1)),
-                         (O[:1, None], D[:1, None]), (O[0], D[:1])):
-        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+    # one ray is two 3-vectors: not a column, a (1, 1, 3) array or a (1, 3) row
+    for bad_o, bad_d in ((o.reshape(3, 1), D[0].reshape(3, 1)), (o.reshape(3, 1), D[0]),
+                         (o[None, None], D[:1, None]), (o, D[:1])):
+        with pytest.raises(ValueError, match="3-vector"):
             BUMPY.raycast(bad_o, bad_d)
-    # a batch of two, whichever ray comes first
+    # nor a batch of two, whichever ray comes first
     flat = flat_phantom_mesh(np.zeros(3))
     for origins in ([[5.0, 5.0, 1.0], [0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0], [5.0, 5.0, 1.0]]):
-        with pytest.raises(ValueError, match=r"one ray; got \(2, 3\) and \(2, 3\)"):
+        with pytest.raises(ValueError, match=r"two 3-vectors; got \(2, 3\), \(2, 3\)"):
             flat.raycast(origins, [[0.0, 0.0, -1.0]] * 2)
     for value in (np.nan, np.inf):
-        bad = O.copy()
+        bad = D.copy()
         bad[1, 0] = value
         with pytest.raises(ValueError, match="finite"):
-            BUMPY.raycast_batch(bad, D)
+            BUMPY.raycast_batch([0.0, value, 0.3], D)
         with pytest.raises(ValueError, match="finite"):
-            BUMPY.raycast_batch(O, bad)
+            BUMPY.raycast_batch(o, bad)
         with pytest.raises(ValueError, match="finite"):
-            BUMPY.raycast(O[0], [0.0, value, -1.0])
+            BUMPY.raycast(o, [0.0, value, -1.0])
     for t_min in (-1e-9, np.nan, np.inf):
         with pytest.raises(ValueError, match="t_min"):
-            BUMPY.raycast_batch(O, D, t_min)
+            BUMPY.raycast_batch(o, D, t_min)
 
 
 def test_wide_ray_fans_split_into_groups_and_stay_brute_force():
@@ -430,9 +437,8 @@ def test_wide_ray_fans_split_into_groups_and_stay_brute_force():
     narrow = np.column_stack([rng.uniform(-0.5, 0.5, (50, 2)), -np.ones(50)])
     wide = rng.standard_normal((200, 3))
     for D, groups in ((narrow, 1), (wide, 6)):
-        O = np.broadcast_to(o, D.shape)
-        assert len(list(mesh_module._ray_groups(O, D.T))) == groups
-        t, _ = assert_rays_are_brute(BUMPY, np.ascontiguousarray(O), D)
+        assert len(list(mesh_module._ray_groups(D.T))) == groups
+        t, _ = assert_rays_are_brute(BUMPY, o, D)
         assert np.isfinite(t).sum() > len(D) // 4
     assert not np.isfinite(t).all()  # the wide fan's upward rays miss
 
@@ -446,7 +452,7 @@ def test_cap_depth_views_are_brute_force():
     for pose in orbit_trajectory(plane, 8, math.radians(45.0), 0.30)[:2]:
         img = render_depth(cap, cam, pose)
         D = cam.pixel_dirs() @ pose.rotation.T
-        t, _ = brute_rays(cap, np.broadcast_to(pose.translation, D.shape), D, 1e-9)
+        t, _ = brute_rays(cap, pose.translation, D, 1e-9)
         assert img.depths.tobytes() == np.where(np.isfinite(t), t, 0.0).reshape(30, 40).tobytes()
         assert 0 < np.isfinite(t).sum() < len(t)
 
@@ -951,7 +957,7 @@ def test_single_point_walk_runs_no_numpy_kernel(monkeypatch):
     def forbidden(*args):
         raise AssertionError("numpy kernel called")
 
-    monkeypatch.setattr(mesh_module, "closest_point_triangles", forbidden)
+    monkeypatch.setattr(mesh_module, "_region_weights", forbidden)
     for i, p in enumerate(pts):
         for hint in (None, 0, 37 * i % mesh.n_faces):
             assert single_bits(mesh, p, hint) == want[i]
@@ -965,7 +971,7 @@ def test_scalar_kernel_division_falls_back_to_numpy(monkeypatch):
     pts = np.vstack([np.random.default_rng(4).uniform(-0.12, 0.12, (20, 3)), mesh.vertices[::50]])
     want = [single_bits(mesh, p) for p in pts]
     bad = {tuple(acc.A[w[0]].tolist() + acc.B[w[0]].tolist()) for w in want}
-    scalar, kernel = mesh_module.closest_point_scalar, mesh_module.closest_point_triangles
+    scalar, kernel = mesh_module.closest_point_scalar, mesh_module._region_weights
     fallbacks = []
 
     def failing(p, a, b, c):
@@ -978,7 +984,7 @@ def test_scalar_kernel_division_falls_back_to_numpy(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(mesh_module, "closest_point_scalar", failing)
-    monkeypatch.setattr(mesh_module, "closest_point_triangles", counted)
+    monkeypatch.setattr(mesh_module, "_region_weights", counted)
     for p, w in zip(pts, want):
         for hint in (None, w[0], 0):
             assert single_bits(mesh, p, hint) == w
@@ -1173,4 +1179,22 @@ def test_off_rejects_truncated_face_block(tmp_path):
     p = tmp_path / "short.off"
     p.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0\n")
     with pytest.raises(ValueError, match="short.off: truncated face block"):
+        load_off(p)
+
+
+@pytest.mark.parametrize("edit, extra", [
+    (lambda text: text.replace(" 8 0\n", " 4 0\n", 1), "16 tokens after the 4 declared faces"),  # understated count
+    (lambda text: text + "3 0 1\n", "3 tokens after the 8 declared faces"),  # appended junk
+    (lambda text: text + "# a comment\n", None),
+], ids=["understated-face-count", "appended-junk", "trailing-comment"])
+def test_off_rejects_tokens_after_the_face_block(tmp_path, edit, extra):
+    # a flat phantom of 8 faces: a header that declares 4 of them, or junk
+    # after them, is an error, not a 4-face or 8-face mesh
+    p = tmp_path / "long.off"
+    save_off(flat_phantom_mesh(np.zeros(3), 0.05, 3), p)
+    p.write_text(edit(p.read_text()))
+    if extra is None:
+        assert load_off(p).n_faces == 8
+        return
+    with pytest.raises(ValueError, match=f"long.off: {extra}"):
         load_off(p)

@@ -28,10 +28,9 @@ import surfscan.mesh as mesh_module
 from surfscan.mesh import (
     TriMesh,
     closest_point_scalar,
-    closest_point_triangles,
     grid_surface_mesh,
 )
-from nearest_oracle import closest_points
+from nearest_oracle import closest_point_triangles, closest_points
 from ray_oracle import brute_rays, mesh_rays
 from test_mesh import assert_same_tree
 
@@ -169,8 +168,8 @@ def test_rays_are_brute_force(mesh, seed):
     n = 20
     # 8 rays aim straight down through vertices, where faces tie; 4 run
     # along +-x or +-y through a vertex, so two direction components are
-    # exactly 0 (the slab test's parallel-axis branch) and the ray grazes
-    # edges of a tilted or bumpy sheet; the rest are oblique
+    # exactly 0 and the ray grazes edges of a tilted or bumpy sheet; the
+    # rest are oblique. Each ray comes from its own origin, so it is its own batch
     O = np.column_stack([rng.uniform(-0.12, 0.12, (n, 2)), np.full(n, 0.3)])
     D = np.column_stack([rng.uniform(-0.2, 0.2, (n, 2)), -np.ones(n)])
     vert = mesh.vertices[rng.integers(0, len(mesh.vertices), 12)]
@@ -179,15 +178,15 @@ def test_rays_are_brute_force(mesh, seed):
     axis, sign = rng.integers(0, 2, 4), rng.choice([-1.0, 1.0], 4)
     O[side], D[side] = vert[8:], 0.0
     O[side, axis], D[side, axis] = -0.15 * sign, sign
-    t, face = mesh.raycast_batch(O, D)
     for i in range(n):
+        (t,), (face,) = mesh.raycast_batch(O[i], D[i : i + 1])
         t_all = mesh_rays(mesh, O[i], D[i])[0][0]
         k = int(np.argmin(t_all))  # first minimum: smallest tied face
         single = mesh.raycast(O[i], D[i])
         if not np.isfinite(t_all[k]):
-            assert face[i] == -1 and single is None
+            assert face == -1 and single is None
             continue
-        assert (face[i], t[i]) == (k, t_all[k])
+        assert (face, t) == (k, t_all[k])
         assert (single.face, single.t) == (k, t_all[k])
 
 
@@ -237,9 +236,8 @@ def shared_origin_rays(draw):
 @given(shared_origin_rays())
 def test_shared_origin_rays_are_brute_force(case):
     mesh, o, D, t_min = case
-    O = np.broadcast_to(o, D.shape)
-    t, face = mesh.raycast_batch(O, D, t_min)
-    t_ref, face_ref = brute_rays(mesh, np.ascontiguousarray(O), D, t_min)
+    t, face = mesh.raycast_batch(o, D, t_min)
+    t_ref, face_ref = brute_rays(mesh, o, D, t_min)
     assert np.array_equal(face, face_ref)
     assert t.tobytes() == t_ref.tobytes()
 

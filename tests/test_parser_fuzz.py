@@ -81,7 +81,9 @@ def test_readers_return_or_raise_a_named_value_error(tmp_path, name):
     ("markers.yaml", lambda b: b.replace(b"confidence: 1.0", b"confidence: 1.5", 1)),
     ("markers.yaml", lambda b: b"\xed" + b[1:]),
     ("mesh.off", lambda b: b.replace(b"\n3 ", b"\n3 x", 1)),
-], ids=["log-time-order", "log-not-utf8", "markers-confidence", "markers-not-utf8", "off-face-index"])
+    ("mesh.off", lambda b: b.replace(b" 8 0\n", b" 4 0\n", 1)),  # header understates the faces
+], ids=["log-time-order", "log-not-utf8", "markers-confidence", "markers-not-utf8", "off-face-index",
+        "off-face-count"])
 def test_errors_found_by_fuzzing_name_the_file(tmp_path, name, edit):
     reader, valid = _valid_files(tmp_path)[name]
     path = tmp_path / f"edited_{name}"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from surfscan.geometry import Pose
 from surfscan.localization import ScenePlane, orbit_trajectory
-from surfscan.mesh import TriMesh, closest_point_triangles, grid_surface_mesh
+from surfscan.mesh import TriMesh, grid_surface_mesh
 from surfscan.reconstruction import (
     CameraIntrinsics,
     DepthImage,
@@ -24,6 +24,7 @@ from surfscan.reconstruction import (
 )
 
 from helpers import pose_from_quat, quat_from_axis_angle
+from nearest_oracle import closest_point_triangles
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])

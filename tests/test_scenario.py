@@ -17,6 +17,7 @@ from surfscan.arm import JointLimitError, JointVelocityError, reference_arm
 from surfscan.cli import _COMMAND_STAGES, main
 from surfscan.geometry import Pose
 from surfscan.localization import alignment_pose, fit_plane, ScenePlane
+from surfscan.mesh import save_off
 from surfscan import scenario, sim
 from surfscan.scenario import (
     STAGES,
@@ -749,10 +750,14 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     model = tmp_path / "arm_bogus.yaml"
     save_arm_model(reference_arm(), model)
     model.write_text(model.read_text() + "bogus: 1\n")
+    long_off = tmp_path / "phantom_long.off"  # one face more than its header declares
+    save_off(sim.flat_phantom_mesh(np.zeros(3)), long_off)
+    long_off.write_text(long_off.read_text() + "3 0 1 2\n")
     for section, key, path in (
         ("arm", "model", tmp_path / "arm_missing.yaml"),
         ("arm", "model", model),
         ("phantom", "mesh", tmp_path / "phantom_missing.off"),
+        ("phantom", "mesh", long_off),
     ):
         node = {key: str(path), **({"kind": "mesh"} if section == "phantom" else {})}
         bad.write_text(yaml.safe_dump({section: node}))
